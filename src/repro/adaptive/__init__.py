@@ -18,7 +18,7 @@ that signal *online*:
   algorithm (``supports_streaming=True``); the controller runs *inside* the
   policy, synchronously with the event loop, so batch ``repro.solve()`` and
   streaming sessions make identical switch decisions and stay
-  byte-reproducible across all three dispatch modes;
+  byte-reproducible across both dispatch modes;
 * :mod:`repro.adaptive.meta` — :class:`MetaSchedulerSession`, the streaming
   wrapper adding :meth:`~MetaSchedulerSession.hot_switch` (forced live
   switches via the existing snapshot/restore op-log replay) and live

@@ -17,9 +17,9 @@ Hence:
 * batch ``repro.solve(..., algorithm="meta")`` and a streaming session over
   the same jobs make identical switch decisions (finalize stays
   byte-identical to batch);
-* the three dispatch modes agree byte-for-byte: the meta policy declares no
+* the two dispatch modes agree byte-for-byte: the meta policy declares no
   ``priority_key`` and no prefix stats, so every sub-policy decision path
-  takes the deterministic scan fallbacks in all modes;
+  takes the deterministic scan fallbacks in both modes;
 * replaying a snapshot's op log re-derives controller switches exactly, so
   snapshots only need to carry *forced* switches — the ``plan`` parameter, a
   tuple of ``"INDEX:ALGORITHM"`` entries applied before the arrival with
@@ -143,7 +143,7 @@ class MetaSchedulingPolicy(FlowTimePolicy):
     """
 
     # No priority key and no prefix stats: the engine installs neither the
-    # indexed heaps nor the Fenwick trees in ANY dispatch mode, so every
+    # indexed heaps nor the Fenwick trees in either dispatch mode, so every
     # sub-policy query (pending_argmin / pending_spt_stats /
     # spt_lambda_argmin) takes the same deterministic scan fallback
     # everywhere — that is what makes switching byte-reproducible.

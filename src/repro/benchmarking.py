@@ -123,11 +123,11 @@ def _bench_e1_flow_time(scale: float) -> BenchCase:
 
 
 def _bench_e1_dispatch(scale: float, dispatch: str) -> BenchCase:
-    """The E1 overload-burst workload pinned to one dispatch backend.
+    """The E1 overload-burst workload pinned to one dispatch mode.
 
     Same workload as ``e1_flow_time`` (which runs the default mode) with an
-    explicit ``dispatch`` in the recipe, so the trajectory records all three
-    backends side by side and the gate guards each one's own baseline.
+    explicit ``dispatch`` in the recipe, so the trajectory records both
+    modes side by side and the gate guards each one's own baseline.
     """
     from repro.core.flow_time import RejectionFlowTimeScheduler
     from repro.simulation.engine import FlowTimeEngine
@@ -159,10 +159,6 @@ def _bench_e1_dispatch(scale: float, dispatch: str) -> BenchCase:
 
 def _bench_e1_scan(scale: float) -> BenchCase:
     return _bench_e1_dispatch(scale, "scan")
-
-
-def _bench_e1_vectorized(scale: float) -> BenchCase:
-    return _bench_e1_dispatch(scale, "vectorized")
 
 
 def _bench_e1_poisson(scale: float) -> BenchCase:
@@ -498,8 +494,6 @@ SPECS: dict[str, BenchSpec] = {
                   _bench_e1_flow_time),
         BenchSpec("e1_scan", "E1 overload-burst pinned to the scan dispatch backend",
                   _bench_e1_scan),
-        BenchSpec("e1_vectorized", "E1 overload-burst pinned to the vectorized SoA backend",
-                  _bench_e1_vectorized),
         BenchSpec("e1_poisson", "Theorem 1 on the smooth E1 poisson-pareto workload (n=10k)",
                   _bench_e1_poisson),
         BenchSpec("greedy_overload", "greedy baseline under sustained overload (n=10k)",

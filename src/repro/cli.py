@@ -76,7 +76,7 @@ from repro.core.bounds import (
 from repro.exceptions import ReproError
 from repro.experiments import available_experiments, run_experiment
 from repro.lowerbounds.flow_combinatorial import best_flow_time_lower_bound
-from repro.simulation.engine import FlowTimeEngine
+from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
 from repro.simulation.metrics import summarize
 from repro.simulation.validation import validate_result
 from repro.solvers import list_algorithms, make_policy, solve
@@ -107,7 +107,7 @@ def _shard_source_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, default=1,
                      help="worker processes for the shard fan-out")
     sub.add_argument("--dispatch", default=None,
-                     choices=("indexed", "scan", "vectorized"),
+                     choices=DISPATCH_MODES,
                      help="engine dispatch mode (default: indexed, env REPRO_DISPATCH)")
 
 
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace format (auto = by file extension; stdin defaults "
                             "to ndjson)")
     serve.add_argument("--dispatch", default=None,
-                       choices=("indexed", "scan", "vectorized"),
+                       choices=DISPATCH_MODES,
                        help="engine dispatch mode (default: indexed, env REPRO_DISPATCH)")
     serve.add_argument("--name", default=None,
                        help="session label (used for the assembled instance and result)")
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="algorithm parameter, validated against the registry schema (repeatable)",
     )
     loadgen.add_argument("--dispatch", default=None,
-                         choices=("indexed", "scan", "vectorized"))
+                         choices=DISPATCH_MODES)
     loadgen.add_argument("--scenario", action="append", default=None, metavar="NAME",
                          help="catalog scenario to cycle across sessions "
                               "(repeatable; default: the whole catalog)")

@@ -157,9 +157,9 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
         """Dispatch ``job`` to the machine minimising ``lambda_ij`` and apply the rules."""
         fused_argmin = getattr(state, "spt_lambda_argmin", None)
         if fused_argmin is not None:
-            # Vectorized dispatch state: one fused sweep over the SoA columns
-            # computes the same per-machine lambdas in the same float order
-            # and the same strict-< tie-break as the loop below.
+            # Fused dispatch state (``indexed``): one sweep computes the
+            # same per-machine lambdas in the same float order and the same
+            # strict-< tie-break as the loop below.
             best_machine, best_lambda = fused_argmin(job, self.epsilon)
         else:
             best_machine = None
@@ -282,19 +282,6 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
     def priority_key(self, job: Job, machine: int) -> tuple[float, float, int]:
         """Static SPT local order — lets the engine index the pending sets."""
         return spt_key(job, machine)
-
-    @staticmethod
-    def priority_rank_columns(columns):
-        """Column view of :meth:`priority_key` over a SoA store, primary first.
-
-        The vectorized backend lexsorts these columns directly instead of
-        calling ``priority_key`` once per (job, machine) — same keys, same
-        ranks, no per-row tuple construction.
-        """
-        return [
-            (columns.size_cols[machine], columns.releases, columns.ids)
-            for machine in range(columns.num_machines)
-        ]
 
     def select_next(self, t: float, machine: int, state: EngineState) -> int | None:
         """Start the pending job that precedes all others in the SPT order."""

@@ -53,14 +53,14 @@ COLUMNS = (
 
 #: Process peak-RSS budget for the n=1M frontier point (MiB).  The measured
 #: high-water mark on the reference run is ~1.4 GiB (chunked generation plus
-#: the engine's SoA columns and indexed state); the budget leaves headroom
+#: the job rows and the engine's indexed state); the budget leaves headroom
 #: without masking a structural regression such as an accidental per-job
 #: object copy, which would blow straight past it.
 FRONTIER_1M_PEAK_RSS_BUDGET_MB = 2048
 
 
 def frontier_1m_config() -> ScalabilityFrontierConfig:
-    """E12's frontier point: n=1M through the vectorized SoA backend.
+    """E12's frontier point: n=1M through the default (``indexed``) engine path.
 
     Theorem 1 only — the rejection rules are what keeps the run finite under
     overload, and the point exists to pin the largest instance the engine
@@ -69,7 +69,6 @@ def frontier_1m_config() -> ScalabilityFrontierConfig:
     return ScalabilityFrontierConfig(
         job_counts=(1_000_000,),
         algorithms=("rejection-flow",),
-        dispatch="vectorized",
     )
 
 

@@ -14,7 +14,7 @@ artifacts are byte-reproducible), and machine ids remapped back to *global*
 ids inside the worker — the coordinator's merge is then a pure interleave.
 Artifact keys hash the semantic coordinates (source fingerprint, algorithm,
 validated params, shard layout) and deliberately exclude the dispatch mode:
-the three dispatch backends are byte-equivalent (CI enforces this via the
+the two dispatch modes are byte-equivalent (CI enforces this via the
 campaign cache-hit gate), so they share cache entries.
 """
 

@@ -7,8 +7,10 @@ and owns everything about them except the wire:
 * **Lifecycle.**  ``create`` → (``submit`` | ``poll`` | ``advance``)* →
   ``close``.  A session is ``open`` until closed; ``close`` drains it,
   finalizes into the batch facade's
-  :class:`~repro.solvers.outcome.SolveOutcome` row, and keeps the record
-  around (state ``closed``) for listing.  A session whose finalize raised is
+  :class:`~repro.solvers.outcome.SolveOutcome` row, then drops the
+  :class:`SchedulerSession` and keeps a :class:`ClosedSession` record (state
+  ``closed``) for listing — a long-running server's memory does not grow
+  with every session it has served.  A session whose finalize raised is
   ``failed`` — the *unclean* state shutdown exit codes report.
 * **Backpressure.**  Each hosted session bounds its *offer queue*: jobs
   submitted but not yet processed by a ``poll``/``advance``/``close``.  A
@@ -40,7 +42,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.exceptions import ServiceError, SessionStateError
 from repro.service.session import SchedulerSession, open_session
@@ -50,6 +52,7 @@ from repro.utils.serialization import canonical_json, stable_hash
 
 __all__ = [
     "DEFAULT_MAX_PENDING",
+    "ClosedSession",
     "HostedSession",
     "SessionManager",
     "SubmitOutcome",
@@ -78,12 +81,59 @@ class SubmitOutcome:
     max_pending: int
 
 
+class _FinishedPolicy(NamedTuple):
+    """A closed session's policy, reduced to its final diagnostics."""
+
+    final_diagnostics: dict
+
+    def diagnostics(self) -> dict:
+        return dict(self.final_diagnostics)
+
+
+@dataclass(frozen=True)
+class ClosedSession:
+    """What a closed session leaves behind: its values frozen at close.
+
+    The read-only surface the manager still serves for a closed session —
+    the ``sessions`` status fields, the ``stats`` counters and the policy's
+    final diagnostics — without the stepper state, job list, op log and
+    outcome of the :class:`SchedulerSession` it replaces.
+    """
+
+    algorithm: str
+    dispatch: str
+    num_submitted: int
+    events_emitted: int
+    time: float
+    policy: _FinishedPolicy
+    final_stats: dict
+
+    @classmethod
+    def freeze(cls, session: SchedulerSession) -> "ClosedSession":
+        policy = session.policy
+        return cls(
+            algorithm=session.algorithm,
+            dispatch=session.dispatch,
+            num_submitted=session.num_submitted,
+            events_emitted=session.events_emitted,
+            time=session.time,
+            policy=_FinishedPolicy(
+                policy.diagnostics() if hasattr(policy, "diagnostics") else {}
+            ),
+            final_stats=session.stats(),
+        )
+
+    def stats(self) -> dict:
+        return dict(self.final_stats)
+
+
 @dataclass
 class HostedSession:
     """One named session plus the manager-side state around it."""
 
     name: str
-    session: SchedulerSession
+    #: The live session; replaced by its :class:`ClosedSession` record at close.
+    session: "SchedulerSession | ClosedSession"
     max_pending: int
     checkpoint_every: "int | None" = None
     state: str = "open"
@@ -362,9 +412,10 @@ class SessionManager:
     def close(self, name: str) -> tuple[dict, list[DecisionEvent]]:
         """Drain, finalize and close a session.
 
-        Returns ``(SolveOutcome.as_row(), remaining decision events)``.  A
-        finalize failure marks the session ``failed`` (the unclean state)
-        and re-raises.
+        Returns ``(SolveOutcome.as_row(), remaining decision events)``.  The
+        session itself is dropped: its listing row, ``stats`` counters and
+        final row stay, frozen at close.  A finalize failure marks the
+        session ``failed`` (the unclean state) and re-raises.
         """
         hosted = self._require(name)
         try:
@@ -377,6 +428,8 @@ class SessionManager:
         hosted.state = "closed"
         hosted.pending_offers = 0
         hosted.final_row = outcome.as_row()
+        hosted.session = ClosedSession.freeze(hosted.session)
+        hosted.checkpoint = None
         self._remove_checkpoint_file(name)
         return hosted.final_row, events
 

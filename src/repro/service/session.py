@@ -167,7 +167,7 @@ class SchedulerSession:
 
     @property
     def dispatch(self) -> str:
-        """Dispatch mode of the underlying engine (``indexed``/``scan``/``vectorized``)."""
+        """Dispatch mode of the underlying engine (``indexed``/``scan``)."""
         return self.engine.dispatch
 
     @property
@@ -283,10 +283,8 @@ class SchedulerSession:
         """
         self._require_open("submit_many")
         rows: list[Job]
-        chunk = None
         if hasattr(jobs, "validate") and hasattr(jobs, "jobs"):  # JobChunk duck type
             jobs.validate()
-            chunk = jobs
             rows = jobs.jobs()
         else:
             rows = list(jobs)
@@ -307,13 +305,7 @@ class SchedulerSession:
                     "non-decreasing in release date"
                 )
             watermark = job.release
-        offer_chunk = getattr(self._stepper, "offer_chunk", None)
-        if chunk is not None and offer_chunk is not None:
-            # Vectorized dispatch: the stepper fills its SoA columns straight
-            # from the chunk's numpy arrays instead of re-walking the rows.
-            count = offer_chunk(chunk, rows)
-        else:
-            count = self._stepper.offer_many(rows)
+        count = self._stepper.offer_many(rows)
         self._jobs.extend(rows)
         self._watermark = watermark
         self._record_jobs(count)
@@ -563,7 +555,7 @@ def open_session(
         exponent ``alpha`` is created) or an explicit
         :class:`~repro.simulation.machine.Machine` sequence.
     dispatch:
-        Engine dispatch mode override (``indexed``/``scan``/``vectorized``);
+        Engine dispatch mode override (``indexed``/``scan``);
         defaults to the engine's environment-controlled default.  All modes
         finalize to byte-identical outcomes.
     name:

@@ -50,14 +50,6 @@ from repro.simulation.metrics import (
 from repro.simulation.validation import validate_result
 
 
-# Deprecated ``Speed*`` aliases (``SpeedArrivalDecision``, ``SpeedRejection``)
-# resolve lazily so each use warns; the previous eager re-export bypassed the
-# deprecation machinery entirely.
-from repro.simulation.decisions import make_deprecated_getattr as _make_deprecated_getattr
-
-__getattr__ = _make_deprecated_getattr(__name__)
-
-
 __all__ = [
     "Job",
     "Machine",
@@ -77,9 +69,6 @@ __all__ = [
     "Rejection",
     "SpeedScalingEngine",
     "SpeedScalingPolicy",
-    # Deprecated alias, kept listed for its one-release window; star-imports
-    # resolve it through __getattr__ and therefore see the warning.
-    "SpeedArrivalDecision",
     "StartDecision",
     "run_policy",
     "run_speed_policy",

@@ -1,24 +1,14 @@
 """Decision dataclasses shared by both non-preemptive engines.
 
-Historically :mod:`repro.simulation.engine` and
-:mod:`repro.simulation.speed_engine` each defined their own (structurally
-identical) ``Rejection`` / ``ArrivalDecision`` pair.  The types live here now
-and are shared by both execution models; the old ``Speed*`` names remain as
-deprecated aliases in :mod:`repro.simulation.speed_engine` for one release.
-
-``StartDecision`` is only meaningful in the speed-scaling model (fixed-speed
-machines derive the speed from the machine spec), but it lives here with its
-siblings so policies import every decision type from one module.
-
-The deprecated ``Speed*`` aliases resolve here too (module ``__getattr__``),
-emitting a :class:`DeprecationWarning` on every use; they behave identically
-to the shared types — they *are* the shared types — and will be removed next
-release.
+``Rejection`` / ``ArrivalDecision`` are shared by the fixed-speed and the
+speed-scaling execution models.  ``StartDecision`` is only meaningful in the
+speed-scaling model (fixed-speed machines derive the speed from the machine
+spec), but it lives here with its siblings so policies import every decision
+type from one module.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,39 +62,3 @@ class StartDecision:
     def __post_init__(self) -> None:
         if not (self.speed > 0):
             raise SimulationError(f"start speed must be positive, got {self.speed}")
-
-
-#: Deprecated names kept for one release; resolving one warns (see
-#: :func:`make_deprecated_getattr`).  They are plain aliases: identity with
-#: the shared types is guaranteed, only the spelling is deprecated.
-DEPRECATED_ALIASES = {
-    "SpeedRejection": Rejection,
-    "SpeedArrivalDecision": ArrivalDecision,
-}
-
-
-def make_deprecated_getattr(module_name: str):
-    """Module ``__getattr__`` resolving the ``Speed*`` aliases with a warning.
-
-    One shared implementation for every module that historically exposed the
-    aliases (this one, :mod:`repro.simulation.speed_engine` and the
-    :mod:`repro.simulation` package), so the alias table and the message
-    format live in exactly one place.
-    """
-
-    def __getattr__(name: str):
-        replacement = DEPRECATED_ALIASES.get(name)
-        if replacement is not None:
-            warnings.warn(
-                f"{module_name}.{name} is deprecated; use "
-                f"repro.simulation.decisions.{replacement.__name__} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return replacement
-        raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
-
-    return __getattr__
-
-
-__getattr__ = make_deprecated_getattr(__name__)

@@ -39,6 +39,7 @@ from abc import ABC, abstractmethod
 
 from repro.exceptions import SimulationError
 from repro.simulation.decisions import ArrivalDecision, Rejection
+from repro.simulation.fused import FusedStepper
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.simulation.schedule import ExecutionInterval, SimulationResult
@@ -57,14 +58,14 @@ __all__ = [
     "default_dispatch_mode",
 ]
 
-#: Recognised dispatch modes: ``"indexed"`` answers select-next argmins from
-#: lazily-invalidated per-machine heaps (see :mod:`repro.simulation.indexed`);
-#: ``"scan"`` keeps the reference linear scans; ``"vectorized"`` adds the
-#: struct-of-arrays backend (:mod:`repro.simulation.soa`) — SoA job columns,
-#: an array event queue, a fused event loop and optional numba-JIT Fenwick
-#: kernels — on top of the indexed heaps.  All three produce byte-identical
-#: schedules; the three-way equivalence suite asserts it.
-DISPATCH_MODES = ("indexed", "scan", "vectorized")
+#: Recognised dispatch modes: ``"indexed"`` runs the fused fast path
+#: (:mod:`repro.simulation.fused`) — select-next argmins from
+#: lazily-invalidated per-machine heaps (:mod:`repro.simulation.indexed`), a
+#: fused λ-sweep, an array event queue and a fused event loop; ``"scan"``
+#: runs the reference :class:`EngineStepper` with linear scans, the
+#: differential oracle.  Both produce byte-identical schedules; the
+#: equivalence suite asserts it.
+DISPATCH_MODES = ("indexed", "scan")
 
 #: Environment override for the default mode, read at engine construction so
 #: campaign worker processes and tests can pin it without code changes.
@@ -139,16 +140,13 @@ class NonPreemptiveEngine(ABC):
 
         The stepper owns the event loop state; jobs are ingested with
         ``offer`` and events processed with ``step``/``advance_to``/``drain``.
+        ``indexed`` builds the fused :class:`FusedStepper`, ``scan`` the
+        reference :class:`EngineStepper`.
         ``observer`` receives one :class:`DecisionEvent` per scheduling
         decision.
         """
-        if self.dispatch == "vectorized":
-            # Imported lazily: soa builds on stepper/state, so a module-level
-            # import would be circular, and the other modes never need it.
-            from repro.simulation.soa import VectorizedStepper
-
-            return VectorizedStepper(self, policy, observer=observer)
-        return EngineStepper(self, policy, observer=observer)
+        stepper_cls = FusedStepper if self.dispatch == "indexed" else EngineStepper
+        return stepper_cls(self, policy, observer=observer)
 
     def run(self, policy) -> SimulationResult:
         """Simulate ``policy`` on the engine's instance and return the result.

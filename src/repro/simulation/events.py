@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterator, Sequence
 
 from repro.exceptions import SimulationError
 
@@ -96,39 +95,3 @@ class EventQueue:
         if not self._heap:
             raise SimulationError("peek on an empty event queue")
         return self._heap[0][0]
-
-    def drain(
-        self,
-        is_stale: "Callable[[Event], bool] | None" = None,
-        machine_versions: "Sequence[int] | None" = None,
-    ) -> Iterator[Event]:
-        """Yield the remaining events in order, emptying the queue.
-
-        Draining after early termination must apply the same lazy-deletion
-        filtering the engines use, otherwise completions whose running job
-        was rejected mid-execution come back as dead events.  Two filters
-        are supported (combinable):
-
-        * ``machine_versions`` — the engines' per-machine version stamps
-          (``[ms.version for ms in state.machines]``); completion events
-          whose stamp no longer matches are skipped, exactly like the
-          engines' stale-completion check.  Arrivals always pass.
-        * ``is_stale`` — an arbitrary predicate; events for which it returns
-          ``True`` are skipped.
-
-        The previous implementation popped one event at a time (repeated
-        sift-downs); a single sort of the backing heap does the same
-        O(n log n) work with one pass and no per-event heap restructuring.
-        """
-        entries = sorted(self._heap)
-        self._heap.clear()
-        for entry in entries:
-            event = entry[3]
-            if machine_versions is not None and event.kind == EventKind.COMPLETION:
-                if not (0 <= event.machine < len(machine_versions)):
-                    continue
-                if machine_versions[event.machine] != event.version:
-                    continue
-            if is_stale is not None and is_stale(event):
-                continue
-            yield event

@@ -84,38 +84,37 @@ class IndexedPending:
         return len(self._heaps[machine])
 
 
-def build_priority_ranks(
-    jobs: "Sequence[Job]", num_machines: int, key_fn: Callable[[Job, int], tuple]
-) -> list[dict[int, int]]:
-    """Per-machine rank of every job in the policy's priority order.
+def build_priority_ranks(jobs: "Sequence[Job]", num_machines: int) -> list[dict[int, int]]:
+    """Per-machine rank of every job in the SPT order ``(size, release, id)``.
 
     ``ranks[machine][job_id]`` is the position of the job in the sorted order
-    of ``key_fn(job, machine)`` over *all* jobs of the instance.  Keys are
+    of :func:`~repro.core.ordering.spt_key` over *all* given jobs.  Keys are
     unique (they end in ``job.id``), so ranks are a faithful integer encoding
-    of the priority order: ``rank(a) < rank(b)  <=>  key(a) < key(b)``.
+    of the order: ``rank(a) < rank(b)  <=>  spt_key(a) < spt_key(b)``.  Every
+    policy that sets ``wants_prefix_stats`` ranks its pending set this way,
+    which is the order :meth:`~repro.simulation.state.EngineState.pending_spt_stats`
+    assumes.
 
-    Computed once per run.  The sort itself runs through ``numpy.lexsort``
-    on the key columns (priority keys are numeric tuples, and job ids below
-    2**53 convert to float64 exactly), which keeps the O(m · n log n) rank
-    build cheap next to the simulation even at 100k jobs.
+    Computed once per Fenwick (re)build: one ``numpy.lexsort`` per machine
+    over the size column, with releases and ids as tie-breaks, keeps the
+    O(m · n log n) rank build cheap next to the simulation even at 100k jobs.
     """
     import numpy as np
 
-    ranks: list[dict[int, int]] = []
+    if not jobs:
+        return [{} for _ in range(num_machines)]
     ids = [job.id for job in jobs]
-    n = len(jobs)
+    id_col = np.array(ids)
+    releases = np.array([job.release for job in jobs], dtype=float)
+    sizes = np.array([job.sizes for job in jobs], dtype=float)
+    positions = np.arange(len(jobs))
+    ranks: list[dict[int, int]] = []
     for machine in range(num_machines):
-        keys = [key_fn(job, machine) for job in jobs]
-        if n == 0:
-            ranks.append({})
-            continue
-        columns = np.asarray(keys, dtype=float)
-        # lexsort sorts by the LAST key first; reverse so the tuple's first
-        # component is the primary key.
-        order = np.lexsort(columns.T[::-1])
-        rank_of = np.empty(n, dtype=np.int64)
-        rank_of[order] = np.arange(n)
-        ranks.append({job_id: int(rank) for job_id, rank in zip(ids, rank_of)})
+        # lexsort sorts by the LAST key first: size is the primary key.
+        order = np.lexsort((id_col, releases, sizes[:, machine]))
+        rank_of = np.empty(len(jobs), dtype=np.int64)
+        rank_of[order] = positions
+        ranks.append(dict(zip(ids, rank_of.tolist())))
     return ranks
 
 
@@ -134,7 +133,7 @@ class PendingPrefixStats:
     (:func:`build_priority_ranks`).  Counts are exact integers; size sums are
     float accumulations in Fenwick-node order, which is deterministic but may
     differ from a left-to-right scan in the last bits — both dispatch modes
-    share this code path, so indexed and scan runs stay byte-identical.
+    share these trees, so indexed and scan runs stay byte-identical.
 
     The engine adds a job when it is dispatched and removes it when it starts
     or is rejected; unlike the heaps this structure supports true O(log n)
@@ -186,21 +185,8 @@ class PendingPrefixStats:
             count_tree[position] += delta
             position += position & -position
 
-    def stats_below(self, machine: int, rank: int) -> tuple[int, float]:
-        """``(count, size sum)`` of pending jobs with rank strictly below ``rank``."""
-        size_tree = self._size[machine]
-        count_tree = self._count[machine]
-        position = rank
-        count = 0
-        total = 0.0
-        while position > 0:
-            count += count_tree[position]
-            total += size_tree[position]
-            position -= position & -position
-        return count, total
-
     def prefix_of(self, machine: int, job_id: int) -> tuple[int, float]:
-        """:meth:`stats_below` at the job's own rank — the common query."""
+        """``(count, size sum)`` of pending jobs ranked strictly below ``job_id``."""
         size_tree = self._size[machine]
         count_tree = self._count[machine]
         position = self._ranks[machine][job_id]

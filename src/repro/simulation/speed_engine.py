@@ -11,8 +11,7 @@ The event loop is shared with
 :class:`~repro.simulation.engine.NonPreemptiveEngine`; here a start decision
 carries a speed, and the result's extras record the total energy.  The
 decision dataclasses likewise live in :mod:`repro.simulation.decisions` and
-are shared by both models; ``SpeedRejection`` and ``SpeedArrivalDecision``
-remain as deprecated aliases of the shared types for one release.
+are shared by both models.
 """
 
 from __future__ import annotations
@@ -21,12 +20,7 @@ import math
 from abc import ABC, abstractmethod
 
 from repro.exceptions import SimulationError
-from repro.simulation.decisions import (
-    ArrivalDecision,
-    Rejection,
-    StartDecision,
-    make_deprecated_getattr,
-)
+from repro.simulation.decisions import ArrivalDecision, StartDecision
 from repro.simulation.engine import NonPreemptiveEngine
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
@@ -34,17 +28,11 @@ from repro.simulation.schedule import ExecutionInterval, SimulationResult
 from repro.simulation.state import EngineState, MachineState
 
 __all__ = [
-    "SpeedRejection",
-    "SpeedArrivalDecision",
     "StartDecision",
     "SpeedScalingPolicy",
     "SpeedScalingEngine",
     "run_speed_policy",
 ]
-
-# Deprecated ``Speed*`` aliases resolve lazily with a DeprecationWarning;
-# the alias table and the handler live with the shared decision types.
-__getattr__ = make_deprecated_getattr(__name__)
 
 
 class SpeedScalingPolicy(ABC):

@@ -134,25 +134,20 @@ class EngineStepper:
         index: IndexedPending | None = None
         stats_factory = None
         if key_fn is not None:
-            # Both the indexed and the vectorized modes answer select-next
-            # argmins from the lazily-invalidated heaps; only scan keeps
-            # the reference linear scans.
-            if engine.dispatch in ("indexed", "vectorized"):
+            # The indexed mode answers select-next argmins from the
+            # lazily-invalidated heaps; scan keeps the reference linear scans.
+            if engine.dispatch == "indexed":
                 index = IndexedPending(instance.num_machines, key_fn)
             if getattr(policy, "wants_prefix_stats", False):
                 num_machines = instance.num_machines
-                make_stats = self._make_stats
 
-                build_ranks = self._build_ranks
-
-                def stats_factory(state=state, key_fn=key_fn, num_machines=num_machines):
+                def stats_factory(state=state, num_machines=num_machines):
                     # Ranks cover every job registered with the state at
                     # materialisation time: the full instance on the batch
                     # path (all jobs are offered before any event runs),
                     # everything ingested so far on a streaming session.
                     jobs = list(state.jobs_by_id.values())
-                    ranks = build_ranks(jobs, num_machines, key_fn)
-                    return make_stats(ranks, len(jobs))
+                    return PendingPrefixStats(build_priority_ranks(jobs, num_machines), len(jobs))
 
         state.install_priority(key_fn, index, stats_factory)
 
@@ -196,23 +191,15 @@ class EngineStepper:
 
         self.observer = observer
 
-    # -- construction hooks (overridden by the vectorized backend) -----------------
+    # -- construction hooks (overridden by the fused stepper) ---------------------
 
     def _make_state(self, instance: Instance) -> EngineState:
-        """Build the engine state; ``dispatch="vectorized"`` swaps in the SoA state."""
+        """Build the engine state; the fused stepper adds its λ-sweep."""
         return EngineState(instance)
 
     def _make_queue(self) -> EventQueue:
-        """Build the event queue; the vectorized backend uses an array-backed one."""
+        """Build the event queue; the fused stepper uses an array-backed one."""
         return EventQueue()
-
-    def _make_stats(self, ranks: list[dict[int, int]], num_jobs: int) -> PendingPrefixStats:
-        """Build the Fenwick prefix stats over freshly computed priority ranks."""
-        return PendingPrefixStats(ranks, num_jobs)
-
-    def _build_ranks(self, jobs, num_machines: int, key_fn) -> list[dict[int, int]]:
-        """Compute per-machine priority ranks; the SoA backend builds columnar."""
-        return build_priority_ranks(jobs, num_machines, key_fn)
 
     # -- ingestion -----------------------------------------------------------------
 

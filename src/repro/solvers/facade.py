@@ -90,9 +90,9 @@ def solve(
         the algorithm's declared model raises :class:`SolverModelError`
         instead of silently running under a different cost model.
     dispatch:
-        Engine dispatch mode override (``indexed`` / ``scan`` /
-        ``vectorized``); defaults to the engine's environment-controlled
-        default (``REPRO_DISPATCH``).  All modes produce byte-identical
+        Engine dispatch mode override (``indexed`` / ``scan``); defaults to
+        the engine's environment-controlled default (``REPRO_DISPATCH``).
+        Both modes produce byte-identical
         outcomes.  Only meaningful for policy-based engine algorithms —
         reference solvers and runner-backed algorithms build their own
         execution and reject an explicit override.

@@ -13,7 +13,7 @@ Four contracts are enforced here:
 * **The ``meta`` solver** — a single-candidate portfolio is byte-identical
   to the fixed policy at the same budget (epsilon forwarding), forced plan
   switches land in the outcome extras, and batch/session runs agree byte for
-  byte across all three dispatch modes.
+  byte across both dispatch modes.
 * **Hot switching** — ``MetaSchedulerSession.hot_switch`` at an arbitrary
   index is indistinguishable from a session configured with that switch plan
   from the start (property-based, all dispatch modes), which is what makes
@@ -47,13 +47,13 @@ from repro.cli import main as cli_main
 from repro.exceptions import InvalidParameterError, SessionStateError
 from repro.experiments import run_experiment
 from repro.service import open_session
+from repro.simulation.engine import DISPATCH_MODES
 from repro.simulation.job import Job
 from repro.simulation.stepper import DecisionEvent
 from repro.solvers import solve
 from repro.utils.serialization import canonical_json
 from repro.workloads.generators import InstanceGenerator
 
-_DISPATCH_MODES = ("indexed", "scan", "vectorized")
 
 
 def _job(job_id: int, release: float, size: float) -> Job:
@@ -354,7 +354,7 @@ class TestMetaSolver:
         instance = _instance(n=120)
         reference = solve(instance, "meta", epsilon=0.25)
         reference_row = canonical_json(reference.as_row())
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             batch = solve(instance, "meta", dispatch=dispatch, epsilon=0.25)
             assert canonical_json(batch.as_row()) == reference_row
             _assert_outcome_identical(batch, reference)
@@ -405,7 +405,7 @@ class TestHotSwitch:
     def test_hot_switch_equals_uninterrupted_plan_all_modes(self):
         instance = _instance(n=100)
         cut = 40
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             live = open_session("meta", instance.machines, dispatch=dispatch)
             live.submit_many(instance.jobs[:cut])
             event = live.hot_switch("rejection-flow")
@@ -427,7 +427,7 @@ class TestHotSwitch:
         # Hot-switching mid-stream is indistinguishable from a session that
         # carried the same forced plan from the start — in every dispatch mode.
         cut = min(cut, len(instance.jobs))
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             live = open_session("meta", instance.machines, dispatch=dispatch)
             live.submit_many(instance.jobs[:cut])
             event = live.hot_switch(target)

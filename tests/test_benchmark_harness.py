@@ -141,7 +141,7 @@ class TestCli:
         assert code == 0
         assert artifact_path(out_dir, "event_queue").is_file()
 
-    @pytest.mark.parametrize("slug", ["e1_flow_time", "e1_scan", "e1_vectorized"])
+    @pytest.mark.parametrize("slug", ["e1_flow_time", "e1_scan"])
     def test_checked_in_baseline_matches_current_fingerprint(self, slug):
         # The CI gate is only meaningful while a baseline's workload recipe
         # matches the harness; changing a bench requires re-recording its
@@ -156,9 +156,9 @@ class TestCli:
 
 class TestDispatchBenches:
     def test_registered_and_quick(self):
-        # All three dispatch modes must run in the per-PR CI subset so the
+        # Both dispatch modes must run in the per-PR CI subset so the
         # trajectory records them side by side.
-        for slug in ("e1_flow_time", "e1_scan", "e1_vectorized"):
+        for slug in ("e1_flow_time", "e1_scan"):
             assert SPECS[slug].quick, slug
 
     def test_distinct_fingerprints_per_mode(self):
@@ -166,15 +166,15 @@ class TestDispatchBenches:
         # baseline, never against another mode's.
         cases = {
             slug: SPECS[slug].build(_SCALE)
-            for slug in ("e1_flow_time", "e1_scan", "e1_vectorized")
+            for slug in ("e1_flow_time", "e1_scan")
         }
         fingerprints = [case.fingerprint for case in cases.values()]
         assert len(set(fingerprints)) == len(fingerprints)
         assert cases["e1_scan"].meta["dispatch"] == "scan"
-        assert cases["e1_vectorized"].meta["dispatch"] == "vectorized"
+        assert "e1_vectorized" not in SPECS
 
-    def test_vectorized_runs_at_tiny_scale(self, tmp_path):
-        (result,) = run_benchmarks(tmp_path, only=["e1_vectorized"], repeats=1, scale=_SCALE)
+    def test_scan_runs_at_tiny_scale(self, tmp_path):
+        (result,) = run_benchmarks(tmp_path, only=["e1_scan"], repeats=1, scale=_SCALE)
         assert result["events"] > 0
         assert result["events_per_sec"] > 0
 
@@ -189,13 +189,12 @@ class TestFrontier1MPreset:
         config = frontier_1m_config()
         assert config.job_counts == (1_000_000,)
         assert config.algorithms == ("rejection-flow",)
-        assert config.dispatch == "vectorized"
+        assert config.dispatch is None  # the engine default, i.e. the fast path
         assert FRONTIER_1M_PEAK_RSS_BUDGET_MB >= 2048
 
     def test_preset_runs_at_reduced_scale_within_budget(self):
         # The full n=1M point is a nightly-scale run; here the same config
-        # shape at n=2k proves the wiring (vectorized dispatch reaches the
-        # engine) and that peak RSS is tracked.
+        # shape at n=2k proves the wiring and that peak RSS is tracked.
         from dataclasses import replace
 
         from repro.experiments.exp_scalability_frontier import (

@@ -1,113 +1,96 @@
-"""Unit tests for :mod:`repro.simulation.events`."""
+"""Unit tests for the event queues: :mod:`repro.simulation.events` and the
+fused stepper's :class:`~repro.simulation.fused.ArrayEventQueue`.
+
+Both queues promise the same pop order — time, then completions before
+arrivals, then insertion order — so every ordering case runs against both.
+"""
+
+import random
 
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulation.events import Event, EventKind, EventQueue
+from repro.simulation.events import EventKind, EventQueue
+from repro.simulation.fused import ArrayEventQueue
+
+QUEUES = pytest.mark.parametrize("make_queue", [EventQueue, ArrayEventQueue])
 
 
+@QUEUES
 class TestEventQueueOrdering:
-    def test_time_order(self):
-        queue = EventQueue()
+    def test_time_order(self, make_queue):
+        queue = make_queue()
         queue.push_arrival(5.0, job_id=1)
         queue.push_arrival(2.0, job_id=2)
         queue.push_arrival(7.0, job_id=3)
         assert [queue.pop().job_id for _ in range(3)] == [2, 1, 3]
 
-    def test_completion_before_arrival_at_same_time(self):
-        queue = EventQueue()
+    def test_completion_before_arrival_at_same_time(self, make_queue):
+        queue = make_queue()
         queue.push_arrival(3.0, job_id=1)
         queue.push_completion(3.0, job_id=2, machine=0, version=0)
         assert queue.pop().kind == EventKind.COMPLETION
         assert queue.pop().kind == EventKind.ARRIVAL
 
-    def test_fifo_among_equal_events(self):
-        queue = EventQueue()
+    def test_fifo_among_equal_events(self, make_queue):
+        queue = make_queue()
         for job_id in range(5):
             queue.push_arrival(1.0, job_id=job_id)
         assert [queue.pop().job_id for _ in range(5)] == [0, 1, 2, 3, 4]
 
-    def test_len_and_bool(self):
-        queue = EventQueue()
+    def test_random_interleaving_matches_reference_order(self, make_queue):
+        # Out-of-order pushes (below the latest enqueued time, even below
+        # popped ones) with many equal timestamps: the array queue's bisect
+        # insert must reproduce the reference (time, kind, seq) pop order.
+        rng, queue, model, popped, expected = random.Random(3), make_queue(), [], [], []
+        for seq in range(300):
+            time, kind = float(rng.randint(0, 8)), rng.randrange(2)
+            if model and rng.random() < 0.4:
+                model.sort()
+                popped.append(queue.pop().job_id)
+                expected.append(model.pop(0)[2])
+                continue
+            if kind == 0:
+                queue.push_completion(time, job_id=seq, machine=0, version=0)
+            else:
+                queue.push_arrival(time, job_id=seq)
+            model.append((time, kind, seq))
+        popped += [queue.pop().job_id for _ in range(len(queue))]
+        assert popped == expected + [seq for _, _, seq in sorted(model)]
+
+    def test_len_and_bool(self, make_queue):
+        queue = make_queue()
         assert not queue and len(queue) == 0
         queue.push_arrival(0.0, job_id=0)
         assert queue and len(queue) == 1
 
-    def test_peek_time(self):
-        queue = EventQueue()
+    def test_peek_time(self, make_queue):
+        queue = make_queue()
         queue.push_arrival(4.0, job_id=0)
         queue.push_arrival(2.0, job_id=1)
         assert queue.peek_time() == pytest.approx(2.0)
-
-    def test_drain(self):
-        queue = EventQueue()
-        for job_id, t in enumerate([3.0, 1.0, 2.0]):
-            queue.push_arrival(t, job_id=job_id)
-        times = [event.time for event in queue.drain()]
-        assert times == sorted(times)
-        assert len(queue) == 0
-
-    def test_drain_preserves_full_event_order(self):
-        queue = EventQueue()
-        queue.push_arrival(2.0, job_id=0)
-        queue.push_completion(2.0, job_id=1, machine=0, version=0)
-        queue.push_arrival(1.0, job_id=2)
-        kinds = [(event.time, event.kind) for event in queue.drain()]
-        # Same ordering contract as pop(): time, then completions first.
-        assert kinds == [
-            (1.0, EventKind.ARRIVAL),
-            (2.0, EventKind.COMPLETION),
-            (2.0, EventKind.ARRIVAL),
-        ]
-
-    def test_drain_skips_stale_completions_by_version(self):
-        # The machine's version advanced past the stamped completion (its
-        # running job was rejected mid-execution): draining must apply the
-        # same invalidation the engine's event loop does.
-        queue = EventQueue()
-        queue.push_completion(1.0, job_id=0, machine=0, version=0)  # stale
-        queue.push_completion(2.0, job_id=1, machine=0, version=2)  # live
-        queue.push_completion(3.0, job_id=2, machine=1, version=0)  # live
-        queue.push_arrival(4.0, job_id=3)  # arrivals always pass
-        events = list(queue.drain(machine_versions=[2, 0]))
-        assert [event.job_id for event in events] == [1, 2, 3]
-        assert len(queue) == 0
-
-    def test_drain_with_stale_predicate(self):
-        queue = EventQueue()
-        for job_id, t in enumerate([1.0, 2.0, 3.0]):
-            queue.push_arrival(t, job_id=job_id)
-        events = list(queue.drain(is_stale=lambda event: event.job_id == 1))
-        assert [event.job_id for event in events] == [0, 2]
-
-    def test_drain_after_early_termination_yields_no_dead_events(self):
-        # Simulate the engine's Rule-1 interruption: a completion is pushed,
-        # the running job is rejected (version bump), a fresh completion is
-        # pushed with the new stamp.  Draining with the current stamps must
-        # yield only the live completion.
-        queue = EventQueue()
-        queue.push_completion(10.0, job_id=7, machine=0, version=0)
-        version = 1  # rejection bumped the machine version
-        queue.push_completion(12.0, job_id=8, machine=0, version=version)
-        events = list(queue.drain(machine_versions=[version]))
-        assert [(event.job_id, event.time) for event in events] == [(8, 12.0)]
+        queue.push_completion(1.5, job_id=2, machine=0, version=0)
+        assert queue.peek_time() == pytest.approx(1.5)
 
 
+@QUEUES
 class TestEventQueueErrors:
-    def test_pop_empty_raises(self):
+    def test_pop_empty_raises(self, make_queue):
         with pytest.raises(SimulationError):
-            EventQueue().pop()
+            make_queue().pop()
 
-    def test_peek_empty_raises(self):
+    def test_peek_empty_raises(self, make_queue):
         with pytest.raises(SimulationError):
-            EventQueue().peek_time()
+            make_queue().peek_time()
 
-    def test_negative_time_rejected(self):
+    def test_negative_time_rejected(self, make_queue):
         with pytest.raises(SimulationError):
-            EventQueue().push(Event(time=-1.0, kind=EventKind.ARRIVAL, job_id=0))
+            make_queue().push_arrival(-1.0, job_id=0)
+        with pytest.raises(SimulationError):
+            make_queue().push_completion(-1.0, job_id=0, machine=0, version=0)
 
-    def test_completion_carries_version(self):
-        queue = EventQueue()
+    def test_completion_carries_version(self, make_queue):
+        queue = make_queue()
         queue.push_completion(1.0, job_id=3, machine=2, version=7)
         event = queue.pop()
         assert event.machine == 2 and event.version == 7

@@ -1,20 +1,21 @@
-"""Three-way differential harness over the dispatch backends, plus unit tests.
+"""Differential harness over the two dispatch modes, plus unit tests.
 
-The contract of the dispatch backends (PRs: indexed scheduler state,
-vectorized SoA backend) is that they change *how* decisions are computed —
-lazily-invalidated heaps, Fenwick order statistics, struct-of-arrays fused
-sweeps — but never *which* decisions are made:
+The contract of the fast path (``indexed``: lazily-invalidated heaps, the
+fused λ-sweep, the array event queue and the fused event loop) is that it
+changes *how* decisions are computed but never *which* decisions are made:
 ``FlowTimeEngine(instance, dispatch=mode)`` must produce byte-identical
 :class:`SimulationResult` objects for every ``mode`` in
-:data:`~repro.simulation.engine.DISPATCH_MODES`, for every policy on every
-instance.  The equivalence suite drives that claim across the property-based
-instance generators of ``test_property_based`` and the named scenario
-catalog; the unit tests cover the data structures directly, including lazy
-invalidation under mid-run Rule-1 rejection and both Fenwick layouts of the
-vectorized backend.
+:data:`~repro.simulation.engine.DISPATCH_MODES` — the fast path and the
+``scan`` oracle — for every policy on every instance.  The equivalence suite
+drives that claim across the property-based instance generators of
+``test_property_based`` and the named scenario catalog; the unit tests cover
+the data structures directly, including lazy invalidation under mid-run
+Rule-1 rejection.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,18 +39,12 @@ from repro.simulation.indexed import (
     PendingPrefixStats,
     build_priority_ranks,
 )
+from repro.simulation.fused import FusedStepper
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
-from repro.simulation.kernels import (
-    HAVE_NUMBA,
-    KERNEL_LAYOUT_ENV_VAR,
-    active_layout,
-    fenwick_prefix,
-    fenwick_update,
-    maybe_jit,
-)
 from repro.simulation.speed_engine import SpeedScalingEngine
 from repro.simulation.state import PendingSet
+from repro.simulation.stepper import EngineStepper
 from repro.workloads.adversarial import overload_burst_instance
 from repro.workloads.generators import InstanceGenerator
 from repro.workloads.scenarios import SCENARIOS, get_scenario
@@ -71,10 +66,30 @@ def _run_modes(instance, policy, engine_cls=FlowTimeEngine, modes=DISPATCH_MODES
     return [engine_cls(instance, dispatch=mode).run(policy) for mode in modes]
 
 
-def _run_both(instance, policy, engine_cls=FlowTimeEngine):
-    # Name kept for history; runs the full three-way matrix since the
-    # vectorized backend landed.
-    return _run_modes(instance, policy, engine_cls)
+def _drive(stepper, jobs, script):
+    """Run one streaming call sequence; returns what every call observed."""
+    seen = []
+
+    def note(reply):
+        seen.append((reply, stepper.peek_time(), stepper.event_count, len(stepper.queue)))
+
+    chunks = [list(reversed(jobs)) if script == "reversed-offers" else list(jobs)]
+    if script == "shuffled-chunks":
+        chunks = [list(jobs[i:i + 9]) for i in range(0, len(jobs), 9)]
+    for chunk, after in zip(chunks, chunks[1:] + [[]]):
+        if script == "shuffled-chunks":
+            random.Random(len(seen)).shuffle(chunk)  # out of order, at or above the floor
+        for job in chunk:
+            note(stepper.offer(job))
+        if after:
+            note(stepper.advance_to(min(job.release for job in after)))
+    if script == "advance-to-each-release":
+        for release in sorted({job.release for job in jobs}):
+            note(stepper.advance_to(release))  # bounds at exact event times
+    for _ in range(40 if script == "step-then-drain" else 0):
+        note(stepper.step())
+    note(stepper.drain())
+    return seen
 
 
 # --------------------------------------------------------------------------------------
@@ -138,6 +153,31 @@ class TestDispatchEquivalence:
         # multi_tenant, load_ramp) through the full dispatch matrix.
         instance = get_scenario(scenario_name).instance(num_jobs=300, num_machines=5, seed=11)
         _assert_identical(*_run_modes(instance, RejectionFlowTimeScheduler(epsilon=0.5)))
+
+    @pytest.mark.parametrize(
+        "script",
+        ["reversed-offers", "advance-to-each-release", "step-then-drain", "shuffled-chunks"],
+    )
+    @pytest.mark.parametrize("source", ["burst", "heavy-tail-pareto"])
+    def test_streaming_call_sequences_identical(self, script, source):
+        # The fused advance_to/drain loop, the inherited step() and the
+        # array queue's out-of-order inserts against the scan oracle.
+        if source == "burst":
+            instance = overload_burst_instance(num_machines=2, burst_jobs=30, trailing_shorts=60)
+        else:
+            instance = get_scenario(source).instance(num_jobs=150, num_machines=3, seed=5)
+        fleet = Instance(instance.machines, (), name=instance.name)
+        runs = []
+        for mode in DISPATCH_MODES:
+            decisions = []
+            policy = RejectionFlowTimeScheduler(epsilon=0.3)
+            stepper = FlowTimeEngine(fleet, dispatch=mode).stepper(policy, decisions.append)
+            seen = _drive(stepper, instance.jobs, script)
+            runs.append((seen, decisions, stepper.finish(instance)))
+        (seen, decisions, result), (other_seen, other_decisions, other) = runs
+        assert seen == other_seen and decisions == other_decisions
+        assert any(d.kind == "reject" for d in decisions)
+        _assert_identical(result, other)
 
 
 # --------------------------------------------------------------------------------------
@@ -234,14 +274,24 @@ class TestIndexedPending:
 
 class TestPendingPrefixStats:
     def test_ranks_match_sorted_order(self):
-        jobs = [_job(0, 5.0), _job(1, 2.0, release=1.0), _job(2, 2.0), _job(3, 9.0)]
-        ranks = build_priority_ranks(jobs, 1, spt_key)[0]
-        expected = sorted(jobs, key=lambda j: spt_key(j, 0))
-        assert [ranks[j.id] for j in expected] == list(range(len(jobs)))
+        # Ties on size break by release, then by id; each machine ranks by
+        # its own size column; ids need not be dense or sorted.
+        jobs = [
+            Job(9, 1.0, (2.0, 7.0)),
+            Job(4, 0.0, (2.0, 7.0)),
+            Job(6, 0.0, (2.0, 1.0)),
+            Job(2, 3.0, (1.0, float("inf"))),
+            Job(0, 0.0, (5.0, 9.0)),
+        ]
+        ranks = build_priority_ranks(jobs, 2)
+        for machine in range(2):
+            expected = sorted(jobs, key=lambda j, m=machine: spt_key(j, m))
+            assert [ranks[machine][j.id] for j in expected] == list(range(len(jobs)))
+        assert build_priority_ranks([], 3) == [{}, {}, {}]
 
     def test_stats_below_counts_and_sums(self):
         jobs = [_job(0, 5.0), _job(1, 2.0), _job(2, 3.0), _job(3, 9.0)]
-        stats = PendingPrefixStats(build_priority_ranks(jobs, 1, spt_key), len(jobs))
+        stats = PendingPrefixStats(build_priority_ranks(jobs, 1), len(jobs))
         for job in jobs[:3]:
             stats.add(0, job.id, job.sizes[0])
         # Job 3 (size 9) is preceded by all three pending jobs.
@@ -300,15 +350,21 @@ class TestDispatchModes:
         with pytest.raises(SimulationError, match="simd"):
             default_dispatch_mode()
 
-    def test_env_vectorized_selects_soa_stepper(self, monkeypatch):
-        from repro.simulation.soa import VectorizedStepper
-
-        monkeypatch.setenv("REPRO_DISPATCH", "vectorized")
-        assert default_dispatch_mode() == "vectorized"
+    def test_modes_select_stepper_classes(self):
+        # Exactly two stepper classes: the fused fast path and the oracle.
+        assert DISPATCH_MODES == ("indexed", "scan")
         instance = Instance.build(1, [Job(0, 0.0, (1.0,))])
-        engine = FlowTimeEngine(instance)
-        assert engine.dispatch == "vectorized"
-        assert isinstance(engine.stepper(RejectionFlowTimeScheduler(0.5)), VectorizedStepper)
+        policy = RejectionFlowTimeScheduler(0.5)
+        assert type(FlowTimeEngine(instance).stepper(policy)) is FusedStepper
+        assert type(FlowTimeEngine(instance, dispatch="scan").stepper(policy)) is EngineStepper
+
+    def test_removed_vectorized_mode_rejected(self, monkeypatch):
+        instance = Instance.build(1, [Job(0, 0.0, (1.0,))])
+        with pytest.raises(SimulationError, match="dispatch must be one of"):
+            FlowTimeEngine(instance, dispatch="vectorized")
+        monkeypatch.setenv("REPRO_DISPATCH", "vectorized")
+        with pytest.raises(SimulationError, match="REPRO_DISPATCH must be one of"):
+            default_dispatch_mode()
 
 
 class TestCampaignStoreEquivalence:
@@ -373,148 +429,3 @@ class TestDeliberateIdlePolicy:
         result = FlowTimeEngine(instance, dispatch="indexed").run(HoldBack())
         assert result.record(0).start == pytest.approx(5.0)
         assert result.record(1).finished
-
-
-# --------------------------------------------------------------------------------------
-# Vectorized backend: optional-JIT kernels and Fenwick layouts
-# --------------------------------------------------------------------------------------
-
-
-class TestKernelLayouts:
-    def test_auto_layout_matches_numba_availability(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_LAYOUT_ENV_VAR, raising=False)
-        assert active_layout() == ("numpy" if HAVE_NUMBA else "lists")
-
-    @pytest.mark.parametrize("layout", ["numpy", "lists"])
-    def test_explicit_layout_honoured(self, monkeypatch, layout):
-        monkeypatch.setenv(KERNEL_LAYOUT_ENV_VAR, layout)
-        assert active_layout() == layout
-
-    def test_unknown_layout_rejected(self, monkeypatch):
-        from repro.exceptions import InvalidParameterError
-
-        monkeypatch.setenv(KERNEL_LAYOUT_ENV_VAR, "torch")
-        with pytest.raises(InvalidParameterError, match=KERNEL_LAYOUT_ENV_VAR):
-            active_layout()
-
-    def test_unknown_layout_fails_at_engine_construction(self, monkeypatch):
-        # The env var is resolved when the vectorized stepper is built, not
-        # lazily at first Fenwick materialisation — a typo must not run a
-        # whole workload on a different layout than the operator asked for.
-        from repro.exceptions import InvalidParameterError
-
-        monkeypatch.setenv(KERNEL_LAYOUT_ENV_VAR, "torch")
-        instance = Instance.build(1, [Job(0, 0.0, (1.0,))])
-        engine = FlowTimeEngine(instance, dispatch="vectorized")
-        with pytest.raises(InvalidParameterError, match=KERNEL_LAYOUT_ENV_VAR):
-            engine.stepper(RejectionFlowTimeScheduler(0.5))
-
-    def test_maybe_jit_degrades_to_identity(self):
-        def walk(x):
-            return x
-
-        jitted = maybe_jit(walk)
-        if HAVE_NUMBA:  # pragma: no cover - depends on the environment
-            assert jitted is not walk
-        else:
-            assert jitted is walk
-
-    def test_fenwick_kernels_roundtrip(self):
-        import numpy as np
-
-        n = 8
-        counts = np.zeros(n + 1, dtype=np.int64)
-        sizes = np.zeros(n + 1, dtype=np.float64)
-        fenwick_update(counts, sizes, 3, n, 2.5, 1)
-        fenwick_update(counts, sizes, 5, n, 1.5, 1)
-        assert fenwick_prefix(counts, sizes, n) == (2, 4.0)
-        assert fenwick_prefix(counts, sizes, 4) == (1, 2.5)
-        fenwick_update(counts, sizes, 3, n, -2.5, -1)
-        assert fenwick_prefix(counts, sizes, n) == (1, 1.5)
-
-    def test_numpy_layout_matches_list_layout_queries(self):
-        from repro.simulation.soa import VectorizedPrefixStats
-
-        jobs = [_job(i, size) for i, size in enumerate([5.0, 2.0, 3.0, 9.0, 1.0])]
-        ranks = build_priority_ranks(jobs, 1, spt_key)
-        listy = VectorizedPrefixStats(ranks, len(jobs), layout="lists")
-        numpyish = VectorizedPrefixStats(ranks, len(jobs), layout="numpy")
-        for stats in (listy, numpyish):
-            for job in jobs[:4]:
-                stats.add(0, job.id, job.sizes[0])
-        for job in jobs:
-            assert numpyish.prefix_of(0, job.id) == listy.prefix_of(0, job.id)
-        listy.remove(0, 1, 2.0)
-        numpyish.remove(0, 1, 2.0)
-        for job in jobs:
-            assert numpyish.prefix_of(0, job.id) == listy.prefix_of(0, job.id)
-
-    def test_unknown_stats_layout_rejected(self):
-        from repro.simulation.soa import VectorizedPrefixStats
-
-        with pytest.raises(ValueError, match="layout"):
-            VectorizedPrefixStats([{}], 1, layout="torch")
-
-    @pytest.mark.parametrize("layout", ["lists", "numpy"])
-    def test_layouts_byte_identical_end_to_end(self, monkeypatch, layout):
-        # The numba-absent "numpy" path must fingerprint identically to the
-        # default list path (and, transitively, to the JIT path, which runs
-        # the very same kernel bodies).  Deep queues force the Fenwick
-        # branch, so the layout actually carries the run.
-        instance = overload_burst_instance(num_machines=4, burst_jobs=60, trailing_shorts=120)
-        policy = RejectionFlowTimeScheduler(epsilon=0.4)
-        reference = FlowTimeEngine(instance, dispatch="indexed").run(policy)
-        monkeypatch.setenv(KERNEL_LAYOUT_ENV_VAR, layout)
-        vectorized = FlowTimeEngine(instance, dispatch="vectorized").run(policy)
-        _assert_identical(reference, vectorized)
-
-
-# --------------------------------------------------------------------------------------
-# SoA columns
-# --------------------------------------------------------------------------------------
-
-
-class TestSoAColumns:
-    def test_ingest_jobs_fills_columns(self):
-        from repro.simulation.soa import SoAColumns
-
-        cols = SoAColumns(2)
-        cols.ingest_jobs(
-            [
-                Job(0, 0.0, (1.0, 2.0)),
-                Job(1, 1.5, (3.0, 4.0), weight=2.0, deadline=9.0),
-            ]
-        )
-        assert cols.dense
-        assert cols.row_map() is None
-        assert cols.releases == [0.0, 1.5]
-        assert cols.weights == [1.0, 2.0]
-        assert cols.deadlines == [None, 9.0]
-        assert cols.size_cols[0] == [1.0, 3.0]
-        assert cols.size_cols[1] == [2.0, 4.0]
-
-    def test_non_dense_ids_fall_back_to_row_map(self):
-        from repro.simulation.soa import SoAColumns
-
-        cols = SoAColumns(1)
-        cols.ingest_jobs([Job(7, 0.0, (1.0,)), Job(3, 1.0, (2.0,))])
-        assert not cols.dense
-        row_of = cols.row_map()
-        assert row_of == {7: 0, 3: 1}
-        assert cols.size_cols[0][row_of[3]] == 2.0
-
-    def test_ingest_chunk_matches_ingest_jobs(self):
-        from repro.simulation.soa import SoAColumns
-        from repro.workloads.scenarios import get_scenario
-
-        chunks = list(get_scenario("heavy-tail-pareto").job_chunks(64, num_machines=3, seed=5))
-        by_chunk = SoAColumns(3)
-        by_rows = SoAColumns(3)
-        for chunk in chunks:
-            by_chunk.ingest_chunk(chunk)
-            by_rows.ingest_jobs(chunk.jobs())
-        assert by_chunk.releases == by_rows.releases
-        assert by_chunk.weights == by_rows.weights
-        assert by_chunk.deadlines == by_rows.deadlines
-        assert by_chunk.size_cols == by_rows.size_cols
-        assert by_chunk.row_map() == by_rows.row_map()

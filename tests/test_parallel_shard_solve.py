@@ -6,7 +6,7 @@ invariance of the persisted store, cache-hit resumability, the independent
 ``solve_to_store`` path writing the exact k=1 artifact pair — plus the
 partition/normalisation helpers, the ``repro solve --shards`` /
 ``repro shard-solve`` CLI, experiment E16 and the property-based
-sharded-vs-batch equivalence across all three dispatch modes.
+sharded-vs-batch equivalence across both dispatch modes.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.parallel import (
     solve_to_store,
     source_fingerprint,
 )
+from repro.simulation.engine import DISPATCH_MODES
 from repro.solvers import solve
 from repro.utils.serialization import canonical_json
 from repro.workloads.generators import JobChunk
@@ -202,9 +203,9 @@ class TestShardSolve:
                     dispatch=mode, **PARAMS,
                 ).payload
             )
-            for mode in ("indexed", "scan", "vectorized")
+            for mode in DISPATCH_MODES
         ]
-        assert payloads[0] == payloads[1] == payloads[2]
+        assert payloads[0] == payloads[1]
 
     def test_partition_modes_all_cover_the_stream(self, chunks):
         n = len(chunks_to_instance(chunks, machines=MACHINES).jobs)
@@ -314,7 +315,7 @@ class TestE16:
 
 
 _epsilons = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
-_dispatch = st.sampled_from(("indexed", "scan", "vectorized"))
+_dispatch = st.sampled_from(DISPATCH_MODES)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

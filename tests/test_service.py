@@ -23,6 +23,7 @@ The service contract under test, layer by layer:
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -30,6 +31,7 @@ import signal
 import socket
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,7 @@ from repro.service.protocol import (
 )
 from repro.service.server import start_server_thread
 from repro.service.session import open_session
+from repro.simulation.engine import DISPATCH_MODES
 from repro.solvers import solve
 from repro.utils.serialization import canonical_json
 from repro.workloads.scenarios import get_scenario
@@ -63,7 +66,6 @@ DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_TRACE = DATA_DIR / "serve_golden_trace.ndjson"
 GOLDEN_OUT = DATA_DIR / "serve_golden_out.ndjson"
 
-_DISPATCH_MODES = ("indexed", "scan", "vectorized")
 
 #: Session options matching the pinned golden transcript.
 GOLDEN_OPTS = {"algorithm": "rejection-flow", "machines": 2, "params": {"epsilon": 0.5}}
@@ -180,6 +182,41 @@ class TestSessionManager:
         assert manager.get("tenant").state == "closed"
         assert manager.open_sessions() == [] and manager.unclean_sessions() == []
 
+    def test_close_drops_the_session_and_freezes_its_replies(self):
+        # A closed session must not pin its stepper state, job list, op log
+        # and outcome for the server's lifetime; the ``sessions`` and
+        # ``stats`` replies for it keep the values it had at close.
+        manager = SessionManager(defaults=GOLDEN_OPTS, checkpoint_every=2)
+        manager.create("t")
+        manager.submit("t", _jobs())
+        manager.poll("t")
+        session = manager.get("t").session
+        row, _ = manager.close("t")
+        at_close = {
+            "algorithm": session.algorithm,
+            "dispatch": session.dispatch,
+            "state": "closed",
+            "submitted": session.num_submitted,
+            "events": session.events_emitted,
+            "time": session.time,
+        }
+        stats_at_close = session.stats()
+        diagnostics_at_close = session.policy.diagnostics()
+        dropped = weakref.ref(session)
+        del session
+        gc.collect()
+        assert dropped() is None
+        (listing,) = manager.sessions()
+        assert {key: listing[key] for key in at_close} == at_close
+        stats = manager.stats("t")
+        assert {key: stats[key] for key in stats_at_close} == stats_at_close
+        assert stats["state"] == "closed" and stats["finalized"]
+        hosted = manager.get("t")
+        assert hosted.final_row == row and hosted.checkpoint is None
+        assert hosted.session.policy.diagnostics() == diagnostics_at_close
+        with pytest.raises(SessionStateError):
+            manager.poll("t")
+
     def test_backpressure_is_all_or_nothing(self):
         jobs = _jobs(12)
         manager = SessionManager(defaults=GOLDEN_OPTS, max_pending=5)
@@ -205,6 +242,21 @@ class TestSessionManager:
             manager.submit("a", _jobs(2))  # closed, not open
         with pytest.raises(SessionStateError):
             manager.create("a")  # names are unique across the lifetime
+
+    @pytest.mark.parametrize(
+        "op", ["submit", "poll", "advance", "checkpoint", "export_session", "close"]
+    )
+    def test_closed_session_refuses_ops_that_need_the_session(self, op):
+        # Only the frozen ``sessions``/``stats`` replies outlive close; every
+        # other op is refused by state, never reaching the dropped session.
+        manager = SessionManager(defaults=GOLDEN_OPTS)
+        manager.create("t")
+        manager.submit("t", _jobs(4))
+        manager.close("t")
+        args = {"submit": (_jobs(2),), "advance": (5.0,)}.get(op, ())
+        with pytest.raises(SessionStateError, match="'t' is closed, not open"):
+            getattr(manager, op)("t", *args)
+        assert manager.stats("t")["state"] == "closed" and "t" in manager
 
     def test_sessions_listing_rows(self):
         manager = SessionManager(defaults=GOLDEN_OPTS)
@@ -284,14 +336,14 @@ _KILL_REFERENCE = {
     dispatch: canonical_json(
         _reference(_KILL_N, scenario="flash-crowd", dispatch=dispatch)
     )
-    for dispatch in _DISPATCH_MODES
+    for dispatch in DISPATCH_MODES
 }
 
 
 @settings(max_examples=24, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     kill_point=st.integers(min_value=0, max_value=_KILL_N),
-    dispatch=st.sampled_from(_DISPATCH_MODES),
+    dispatch=st.sampled_from(DISPATCH_MODES),
 )
 def test_arbitrary_kill_point_restores_byte_identical(kill_point, dispatch):
     """Crash after any op during a catalog stream; the restored session's

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from test_property_based import flow_instances
 
 import repro
+from repro.baselines.fcfs import FCFSScheduler
+from repro.core.flow_time import RejectionFlowTimeScheduler
 from repro.exceptions import (
     InvalidParameterError,
     SessionStateError,
@@ -30,14 +32,12 @@ from repro.exceptions import (
 )
 from repro.service import DecisionEvent, SchedulerSession, open_session, streaming_algorithms
 from repro.service.ndjson import event_line, parse_job_line, read_jobs
-from repro.simulation.engine import FlowTimeEngine
+from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.solvers import get_solver, solve
 from repro.workloads.adversarial import overload_burst_instance
 from repro.workloads.generators import InstanceGenerator, WeightedInstanceGenerator
-
-_DISPATCH_MODES = ("indexed", "scan", "vectorized")
 
 #: Streaming algorithms with their parameter sets used across the suite.
 _FLOW_STREAMING = [
@@ -72,7 +72,7 @@ class TestBatchEquivalence:
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(instance=flow_instances(), epsilon=st.sampled_from([0.1, 0.3, 0.5, 0.8]))
     def test_theorem1_replay_identical(self, instance, epsilon):
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             batch = solve(instance, "rejection-flow", epsilon=epsilon)
             _, streamed = _replay(instance, "rejection-flow", dispatch=dispatch, epsilon=epsilon)
             _assert_outcome_identical(streamed, batch)
@@ -82,7 +82,7 @@ class TestBatchEquivalence:
     def test_all_flow_streaming_algorithms_identical(self, instance):
         for algorithm, params in _FLOW_STREAMING:
             batch = solve(instance, algorithm, **params)
-            for dispatch in _DISPATCH_MODES:
+            for dispatch in DISPATCH_MODES:
                 _, streamed = _replay(instance, algorithm, dispatch=dispatch, **params)
                 _assert_outcome_identical(streamed, batch)
 
@@ -91,7 +91,7 @@ class TestBatchEquivalence:
     def test_speed_scaling_replay_identical(self, instance, epsilon):
         alpha_instance = instance.with_alpha(2.5)
         batch = solve(alpha_instance, "rejection-energy-flow", epsilon=epsilon)
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             _, streamed = _replay(
                 alpha_instance, "rejection-energy-flow", dispatch=dispatch, epsilon=epsilon
             )
@@ -139,7 +139,7 @@ class TestBatchEquivalence:
         instance = overload_burst_instance(num_machines=4, burst_jobs=60, trailing_shorts=150)
         batch = solve(instance, "rejection-flow", epsilon=0.4)
         assert batch.rejected_count > 0
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             _, streamed = _replay(instance, "rejection-flow", dispatch=dispatch, epsilon=0.4)
             _assert_outcome_identical(streamed, batch)
 
@@ -184,35 +184,28 @@ class TestChunkIngestion:
         by_list.submit_many(instance.jobs)
         _assert_outcome_identical(by_chunk.finalize(), by_list.finalize())
 
-    def test_vectorized_chunk_ingest_identical_to_batch(self):
-        # Chunks submitted to a vectorized session take the zero-copy
-        # ``offer_chunk`` path (SoA columns filled straight from the chunk
-        # arrays); the outcome must stay byte-identical to the batch facade
-        # and to listwise submission on the same dispatch mode.
+    def test_theorem1_chunk_ingest_identical_to_batch(self):
+        # Chunks submitted to a default-path session materialise their rows
+        # once; the outcome must stay byte-identical to the batch facade and
+        # to listwise submission.
         generator = InstanceGenerator(num_machines=4, seed=11)
         instance = generator.generate_large(600, chunk_size=128)
-        batch = solve(instance, "rejection-flow", epsilon=0.5, dispatch="vectorized")
-        by_chunk = open_session(
-            "rejection-flow", generator.machines(), dispatch="vectorized", epsilon=0.5
-        )
+        batch = solve(instance, "rejection-flow", epsilon=0.5)
+        by_chunk = open_session("rejection-flow", generator.machines(), epsilon=0.5)
         for chunk in generator.iter_job_chunks(600, chunk_size=128):
             by_chunk.submit_many(chunk)
-        by_list = open_session(
-            "rejection-flow", generator.machines(), dispatch="vectorized", epsilon=0.5
-        )
+        by_list = open_session("rejection-flow", generator.machines(), epsilon=0.5)
         by_list.submit_many(instance.jobs)
         _assert_outcome_identical(by_chunk.finalize(), batch)
         _assert_outcome_identical(by_list.finalize(), batch)
 
-    def test_vectorized_chunk_ingest_with_interleaved_polling(self):
-        # Poll between chunks so the SoA columns grow while the Fenwick
+    def test_theorem1_chunk_ingest_with_interleaved_polling(self):
+        # Poll between chunks so the job universe grows while the Fenwick
         # stats are already materialised (the `repro serve` hot path).
         generator = InstanceGenerator(num_machines=3, seed=29)
         instance = generator.generate_large(400, chunk_size=64)
-        batch = solve(instance, "rejection-flow", epsilon=0.4, dispatch="vectorized")
-        session = open_session(
-            "rejection-flow", generator.machines(), dispatch="vectorized", epsilon=0.4
-        )
+        batch = solve(instance, "rejection-flow", epsilon=0.4)
+        session = open_session("rejection-flow", generator.machines(), epsilon=0.4)
         for chunk in generator.iter_job_chunks(400, chunk_size=64):
             session.submit_many(chunk)
             session.poll()
@@ -249,21 +242,20 @@ class TestSnapshotRestore:
         _assert_outcome_identical(resumed, batch)
         assert restored.events == session.events
 
-    def test_vectorized_snapshot_restore_identical(self):
-        # A vectorized session checkpointed mid-run (Fenwick stats
-        # materialised, SoA columns half-filled) must restore with the same
-        # dispatch mode and resume to the byte-identical batch outcome.
-        instance = overload_burst_instance(num_machines=3, burst_jobs=40, trailing_shorts=60)
-        batch = solve(instance, "rejection-flow", epsilon=0.4, dispatch="vectorized")
-        session = open_session(
-            "rejection-flow", instance.machines, dispatch="vectorized", epsilon=0.4
-        )
+    def test_deep_queue_snapshot_restore_identical(self):
+        # A default-path session checkpointed mid-run with the Fenwick stats
+        # materialised must restore with the same dispatch mode and resume
+        # to the byte-identical batch outcome.
+        instance = overload_burst_instance(num_machines=3, burst_jobs=80, trailing_shorts=60)
+        batch = solve(instance, "rejection-flow", epsilon=0.4)
+        session = open_session("rejection-flow", instance.machines, epsilon=0.4)
         half = len(instance.jobs) // 2
         for job in instance.jobs[:half]:
             session.submit(job)
         session.poll()
+        assert session._stepper.state.prefix_stats is not None
         restored = SchedulerSession.restore(session.snapshot())
-        assert restored.dispatch == "vectorized"
+        assert restored.dispatch == "indexed"
         for job in instance.jobs[half:]:
             session.submit(job)
             restored.submit(job)
@@ -272,6 +264,17 @@ class TestSnapshotRestore:
         _assert_outcome_identical(resumed, original)
         _assert_outcome_identical(resumed, batch)
         assert restored.events == session.events
+
+    def test_restore_rejects_removed_vectorized_mode(self):
+        # Snapshots recorded when a third ``vectorized`` mode existed name
+        # a mode this version no longer has: restoring fails loudly with the
+        # attributed error instead of silently running another path.
+        instance = InstanceGenerator(num_machines=2, seed=23).generate(10)
+        session = open_session("rejection-flow", instance.machines, epsilon=0.5)
+        session.submit_many(instance.jobs[:5])
+        snapshot = {**session.snapshot(), "dispatch": "vectorized"}
+        with pytest.raises(SimulationError, match="dispatch must be one of"):
+            SchedulerSession.restore(snapshot)
 
     def test_restore_from_json_string(self):
         instance = InstanceGenerator(num_machines=2, seed=23).generate(40)
@@ -516,12 +519,11 @@ class TestSessionErrors:
         with pytest.raises(SessionStateError, match="non-decreasing"):
             session.submit(Job(1, 5.0, (1.0, 1.0)))
 
-    def test_stepper_advance_bound_blocks_late_offers(self):
+    @pytest.mark.parametrize("mode", DISPATCH_MODES)
+    def test_stepper_advance_bound_blocks_late_offers(self, mode):
         # The stepper itself (a public API) enforces the advance_to bound,
         # not just the last processed event time.
-        engine = FlowTimeEngine(Instance.build(1, []))
-        from repro.baselines.fcfs import FCFSScheduler
-
+        engine = FlowTimeEngine(Instance.build(1, []), dispatch=mode)
         stepper = engine.stepper(FCFSScheduler())
         stepper.offer(Job(0, 0.0, (1.0,)))
         stepper.advance_to(10.0)  # declares: no arrival at or before 10
@@ -535,21 +537,21 @@ class TestSessionErrors:
 # --------------------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("mode", DISPATCH_MODES)
 class TestEngineStepper:
-    def _engine(self, machines=1):
+    # Both stepper classes: the fused fast path and the scan oracle.
+    def _engine(self, mode, machines=1):
         fleet = Instance.build(machines, [])
-        from repro.baselines.fcfs import FCFSScheduler
+        return FlowTimeEngine(fleet, dispatch=mode), FCFSScheduler()
 
-        return FlowTimeEngine(fleet), FCFSScheduler()
-
-    def test_step_on_empty_queue_returns_none(self):
-        engine, policy = self._engine()
+    def test_step_on_empty_queue_returns_none(self, mode):
+        engine, policy = self._engine(mode)
         stepper = engine.stepper(policy)
         assert stepper.step() is None
         assert stepper.peek_time() is None
 
-    def test_advance_to_respects_time_bound(self):
-        engine, policy = self._engine()
+    def test_advance_to_respects_time_bound(self, mode):
+        engine, policy = self._engine(mode)
         stepper = engine.stepper(policy)
         stepper.offer(Job(0, 0.0, (1.0,)))
         stepper.offer(Job(1, 10.0, (1.0,)))
@@ -559,15 +561,15 @@ class TestEngineStepper:
         result = stepper.finish()
         assert len(result.records) == 2
 
-    def test_finish_with_pending_events_raises(self):
-        engine, policy = self._engine()
+    def test_finish_with_pending_events_raises(self, mode):
+        engine, policy = self._engine(mode)
         stepper = engine.stepper(policy)
         stepper.offer(Job(0, 0.0, (1.0,)))
         with pytest.raises(SimulationError, match="unprocessed"):
             stepper.finish()
 
-    def test_offer_into_the_past_raises(self):
-        engine, policy = self._engine()
+    def test_offer_into_the_past_raises(self, mode):
+        engine, policy = self._engine(mode)
         stepper = engine.stepper(policy)
         stepper.offer(Job(0, 0.0, (5.0,)))
         stepper.advance_to(0.0)
@@ -576,8 +578,8 @@ class TestEngineStepper:
         with pytest.raises(SimulationError, match="already reached"):
             stepper.offer(Job(1, 2.0, (1.0,)))
 
-    def test_finished_stepper_is_sealed(self):
-        engine, policy = self._engine()
+    def test_finished_stepper_is_sealed(self, mode):
+        engine, policy = self._engine(mode)
         stepper = engine.stepper(policy)
         stepper.offer(Job(0, 0.0, (1.0,)))
         stepper.drain()
@@ -587,12 +589,12 @@ class TestEngineStepper:
         with pytest.raises(SimulationError, match="finished"):
             stepper.step()
 
-    def test_run_is_equivalent_to_manual_stepping(self):
+    def test_run_is_equivalent_to_manual_stepping(self, mode):
         instance = InstanceGenerator(num_machines=2, seed=53).generate(40)
-        from repro.core.flow_time import RejectionFlowTimeScheduler
-
-        batch = FlowTimeEngine(instance).run(RejectionFlowTimeScheduler(epsilon=0.5))
-        engine = FlowTimeEngine(Instance(instance.machines, (), name=instance.name))
+        policy = RejectionFlowTimeScheduler(epsilon=0.5)
+        batch = FlowTimeEngine(instance, dispatch=mode).run(policy)
+        fleet = Instance(instance.machines, (), name=instance.name)
+        engine = FlowTimeEngine(fleet, dispatch=mode)
         stepper = engine.stepper(RejectionFlowTimeScheduler(epsilon=0.5))
         for job in instance.jobs:
             stepper.offer(job)

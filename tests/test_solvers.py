@@ -9,9 +9,9 @@ from repro.exceptions import (
     SolverModelError,
     UnknownAlgorithmError,
 )
-from repro.simulation.decisions import ArrivalDecision, Rejection, StartDecision
+from repro.simulation.decisions import StartDecision
 from repro.simulation.engine import FlowTimeEngine, FlowTimePolicy
-from repro.simulation.speed_engine import SpeedArrivalDecision, SpeedRejection
+from repro.simulation import speed_engine
 from repro.solvers import (
     ParamSpec,
     SolverSpec,
@@ -287,9 +287,10 @@ class TestSolveOutcomes:
 
 
 class TestSharedDecisionTypes:
-    def test_speed_aliases_are_shared_types(self):
-        assert SpeedArrivalDecision is ArrivalDecision
-        assert SpeedRejection is Rejection
+    def test_speed_aliases_removed(self):
+        # The ``Speed*`` spellings are gone; both engines use the shared types.
+        assert not hasattr(speed_engine, "SpeedArrivalDecision")
+        assert not hasattr(speed_engine, "SpeedRejection")
 
     def test_start_decision_positive_speed(self):
         with pytest.raises(Exception, match="positive"):

@@ -7,13 +7,8 @@ from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.simulation.machine import Machine
 from repro.simulation.metrics import total_energy, total_weighted_flow_time
-from repro.simulation.speed_engine import (
-    SpeedArrivalDecision,
-    SpeedRejection,
-    SpeedScalingEngine,
-    SpeedScalingPolicy,
-    StartDecision,
-)
+from repro.simulation.decisions import ArrivalDecision, Rejection, StartDecision
+from repro.simulation.speed_engine import SpeedScalingEngine, SpeedScalingPolicy
 from repro.simulation.validation import validate_result
 
 
@@ -26,7 +21,7 @@ class ConstantSpeedPolicy(SpeedScalingPolicy):
         self.speed = speed
 
     def on_arrival(self, t, job, state):
-        return SpeedArrivalDecision.dispatch(0)
+        return ArrivalDecision.dispatch(0)
 
     def select_next(self, t, machine, state):
         pending = state.pending_jobs(machine)
@@ -43,8 +38,8 @@ class RejectRunningOnArrival(SpeedScalingPolicy):
 
     def on_arrival(self, t, job, state):
         running = state.running(0)
-        rejections = [SpeedRejection(running.job.id)] if running else []
-        return SpeedArrivalDecision.dispatch(0, rejections)
+        rejections = [Rejection(running.job.id)] if running else []
+        return ArrivalDecision.dispatch(0, rejections)
 
     def select_next(self, t, machine, state):
         pending = state.pending_jobs(machine)
@@ -102,7 +97,7 @@ class TestSpeedEngineErrors:
     def test_invalid_machine(self):
         class Bad(ConstantSpeedPolicy):
             def on_arrival(self, t, job, state):
-                return SpeedArrivalDecision.dispatch(5)
+                return ArrivalDecision.dispatch(5)
 
         instance = _single(2.0, [Job(0, 0.0, (1.0,))])
         with pytest.raises(SimulationError):

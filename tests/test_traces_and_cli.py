@@ -8,7 +8,7 @@ from repro.analysis.traces import ascii_gantt, result_to_trace, trace_to_csv
 from repro.cli import build_parser, main
 from repro.core.flow_time import RejectionFlowTimeScheduler
 from repro.exceptions import InvalidParameterError
-from repro.simulation.engine import FlowTimeEngine
+from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.workloads.generators import InstanceGenerator
@@ -89,6 +89,14 @@ class TestCLI:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("command", ["solve", "shard-solve", "serve", "loadgen"])
+    def test_dispatch_flag_takes_only_dispatch_modes(self, command, capsys):
+        for mode in DISPATCH_MODES:
+            assert build_parser().parse_args([command, "--dispatch", mode]).dispatch == mode
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--dispatch", "vectorized"])
+        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
 
     def test_bounds_command(self):
         code, text = self._run(["bounds", "--epsilon", "0.25", "--alpha", "3"])
