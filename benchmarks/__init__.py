@@ -1,6 +1,7 @@
-"""Benchmark suite: pytest-benchmark scripts plus the unified harness.
+"""Benchmark trajectory and baselines for ``repro bench``.
 
-``bench_e*.py`` are the interactive pytest-benchmark experiments
-(``pytest benchmarks/ --benchmark-only``); ``harness.py`` is the
-artifact-emitting runner CI uses (``python -m benchmarks.harness``).
+``python -m repro bench`` (:mod:`repro.benchmarking`) writes one
+``BENCH_<slug>.json`` artifact per benchmark and gates them against
+``baselines/``; ``trajectory.py`` appends each CI run's artifacts to a
+cumulative NDJSON history and renders it as a report.
 """

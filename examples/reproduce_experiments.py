@@ -2,8 +2,7 @@
 """Regenerate every experiment table (E1-E9) in one run.
 
 This is the batch driver behind EXPERIMENTS.md: it runs the whole experiment
-suite at the chosen scale and prints (or writes) the rendered report.  The
-per-experiment benchmarks under ``benchmarks/`` time the same entry points.
+suite at the chosen scale and prints (or writes) the rendered report.
 
 Run with::
 

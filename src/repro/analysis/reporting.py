@@ -1,9 +1,9 @@
 """Experiment report tables.
 
 An :class:`ExperimentTable` collects homogeneous rows (dicts) and renders them
-as the ASCII tables embedded in EXPERIMENTS.md and printed by the benchmark
-harness.  Keeping rendering here means the benchmarks, the examples and the
-documentation all show identical tables.
+as the ASCII tables embedded in EXPERIMENTS.md and printed by
+``repro experiments``.  Keeping rendering here means the CLI, the examples and
+the documentation all show identical tables.
 """
 
 from __future__ import annotations

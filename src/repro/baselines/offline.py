@@ -155,13 +155,16 @@ def brute_force_optimal_energy(
     speeds_per_job: int = 8,
     max_jobs: int = 6,
 ) -> float:
-    """Exact minimum energy over the same discrete strategy space as the greedy.
+    """Exact minimum energy over the greedy's discrete strategy space.
 
     Exhaustive depth-first search over per-job strategies with
     branch-and-bound pruning.  The strategy space (slot-aligned speeds) is the
-    one :class:`~repro.core.energy_min.ConfigLPEnergyScheduler` uses, so the
-    returned value is the discretised offline optimum the greedy should be
-    compared against.
+    one a :class:`~repro.core.energy_min.ConfigLPEnergyScheduler` with the
+    same ``slot_length`` and ``speeds_per_job`` uses.  Only then is the
+    returned value the discretised offline optimum that greedy should be
+    compared against.  The default of 8 speeds keeps the search small; the
+    scheduler's own default is 16, so pass its ``speeds_per_job`` to compare
+    against it.
     """
     if instance.num_jobs > max_jobs:
         raise InvalidParameterError(

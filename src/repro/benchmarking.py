@@ -1,10 +1,8 @@
-"""Unified benchmark harness emitting canonical-JSON ``BENCH_<slug>.json``.
+"""Benchmark harness emitting canonical-JSON ``BENCH_<slug>.json``.
 
-The ad-hoc ``benchmarks/bench_e*.py`` scripts time experiments through
-pytest-benchmark, which is great interactively but leaves CI blind: no
-machine-readable artifact, no trajectory, no regression gate.  This module is
-the programmatic core behind ``python -m benchmarks.harness`` and
-``repro bench``:
+This module is ``repro bench``, the in-repo timing harness behind the CI
+bench trajectory and regression gate (the end-to-end repository benchmark
+lives in ``perfbench/``).  It provides:
 
 * a registry of named benchmark cases covering the hot paths (Theorem 1
   dispatch under smooth and overload traffic, the no-rejection baselines,
@@ -87,47 +85,16 @@ def _scaled(n: int, scale: float) -> int:
     return max(50, int(n * scale))
 
 
-def _bench_e1_flow_time(scale: float) -> BenchCase:
+def _bench_e1_dispatch(scale: float, dispatch: str | None = None) -> BenchCase:
     """Theorem 1 on E1's overload-burst workload at n=10k.
 
     The hot path of the reproduction: every arrival evaluates ``lambda_ij``
     against the pending sets and the rejection rules fire constantly.  The
     burst regime is where queues actually build up, i.e. where the indexed
-    scheduler state earns its keep.
-    """
-    from repro.core.flow_time import RejectionFlowTimeScheduler
-    from repro.simulation.engine import FlowTimeEngine
-    from repro.workloads.adversarial import overload_burst_instance
-
-    machines = 8
-    burst_jobs = _scaled(1225, scale)
-    trailing = _scaled(200, scale)
-    instance = overload_burst_instance(
-        num_machines=machines, burst_jobs=burst_jobs, trailing_shorts=trailing
-    )
-    engine = FlowTimeEngine(instance)
-    policy = RejectionFlowTimeScheduler(epsilon=0.5)
-    recipe = {
-        "workload": "overload-burst",
-        "machines": machines,
-        "burst_jobs": burst_jobs,
-        "trailing_shorts": trailing,
-        "algorithm": "rejection-flow(eps=0.5)",
-    }
-    return BenchCase(
-        n_jobs=instance.num_jobs,
-        fingerprint=_fingerprint(recipe),
-        run=lambda: engine.run(policy).extras["events"],
-        meta=recipe,
-    )
-
-
-def _bench_e1_dispatch(scale: float, dispatch: str) -> BenchCase:
-    """The E1 overload-burst workload pinned to one dispatch mode.
-
-    Same workload as ``e1_flow_time`` (which runs the default mode) with an
-    explicit ``dispatch`` in the recipe, so the trajectory records both
-    modes side by side and the gate guards each one's own baseline.
+    scheduler state earns its keep.  ``e1_flow_time`` runs the default
+    dispatch mode; ``e1_scan`` pins ``dispatch`` and records it in the
+    recipe, so the trajectory shows both modes side by side and the gate
+    guards each one's own baseline.
     """
     from repro.core.flow_time import RejectionFlowTimeScheduler
     from repro.simulation.engine import FlowTimeEngine
@@ -147,8 +114,10 @@ def _bench_e1_dispatch(scale: float, dispatch: str) -> BenchCase:
         "burst_jobs": burst_jobs,
         "trailing_shorts": trailing,
         "algorithm": "rejection-flow(eps=0.5)",
-        "dispatch": dispatch,
     }
+    if dispatch is not None:
+        # Keyed only when pinned, so the default run keeps its fingerprint.
+        recipe["dispatch"] = dispatch
     return BenchCase(
         n_jobs=instance.num_jobs,
         fingerprint=_fingerprint(recipe),
@@ -311,8 +280,8 @@ def _bench_session_ingest(scale: float) -> BenchCase:
     The same workload the batch ``solver_facade``/``e1_poisson`` paths run,
     fed job-by-job through ``open_session`` with a poll per submission —
     the `repro serve` hot path.  The target is <10% overhead over batch
-    (asserted by ``benchmarks/bench_e13_session.py``); this case tracks the
-    session path's own events/s trajectory.
+    (asserted in ``tests/test_session.py``); this case tracks the session
+    path's own events/s trajectory.
     """
     from repro.service import open_session
     from repro.workloads.generators import InstanceGenerator
@@ -491,7 +460,7 @@ SPECS: dict[str, BenchSpec] = {
     spec.slug: spec
     for spec in (
         BenchSpec("e1_flow_time", "Theorem 1 on the E1 overload-burst workload (n=10k)",
-                  _bench_e1_flow_time),
+                  _bench_e1_dispatch),
         BenchSpec("e1_scan", "E1 overload-burst pinned to the scan dispatch backend",
                   _bench_e1_scan),
         BenchSpec("e1_poisson", "Theorem 1 on the smooth E1 poisson-pareto workload (n=10k)",
@@ -605,19 +574,22 @@ def compare_to_baseline(
     results: Sequence[dict],
     baseline_dir: "str | Path",
     max_regression: float = 0.25,
-) -> list[str]:
+) -> tuple[list[str], int]:
     """Compare ``events_per_sec`` against checked-in baseline artifacts.
 
-    Returns a list of human-readable failure strings; empty means the gate
-    passes.  Only benchmarks with a baseline artifact are checked, and a
+    Returns ``(failures, compared)``: human-readable failure strings (empty
+    means the gate passes) and how many benchmarks had a baseline to compare
+    against.  Only benchmarks with a baseline artifact are checked, and a
     fingerprint mismatch is itself a failure (the workload changed, so the
     baseline must be re-recorded deliberately).
     """
     failures: list[str] = []
+    compared = 0
     for result in results:
         path = artifact_path(baseline_dir, result["bench"])
         if not path.is_file():
             continue
+        compared += 1
         baseline = json.loads(path.read_text(encoding="utf-8"))
         if baseline.get("fingerprint") != result["fingerprint"]:
             failures.append(
@@ -633,7 +605,7 @@ def compare_to_baseline(
                 f"{floor:,.0f} (baseline {baseline['events_per_sec']:,.0f} "
                 f"- {max_regression:.0%} tolerance)"
             )
-    return failures
+    return failures, compared
 
 
 # --------------------------------------------------------------------------------------
@@ -641,10 +613,10 @@ def compare_to_baseline(
 # --------------------------------------------------------------------------------------
 
 
-def build_parser(prog: str = "benchmarks.harness") -> argparse.ArgumentParser:
-    """The harness CLI (shared by ``python -m benchmarks.harness`` and ``repro bench``)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The harness CLI behind ``repro bench``."""
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro bench",
         description="run the benchmark suite and emit BENCH_<slug>.json artifacts",
     )
     parser.add_argument("--out", default="bench-artifacts",
@@ -666,12 +638,7 @@ def build_parser(prog: str = "benchmarks.harness") -> argparse.ArgumentParser:
     return parser
 
 
-def main(
-    argv: Sequence[str] | None = None,
-    prog: str = "benchmarks.harness",
-    out=None,
-    err=None,
-) -> int:
+def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     """CLI entry point; returns the process exit code.
 
     ``out``/``err`` default to the process streams; ``repro bench`` threads
@@ -679,12 +646,15 @@ def main(
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    args = build_parser(prog).parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.list:
         for spec in SPECS.values():
             marker = "quick" if spec.quick else "full-only"
             print(f"{spec.slug:>16s}  [{marker:9s}] {spec.description}", file=out)
         return 0
+    if args.baseline is not None and not Path(args.baseline).is_dir():
+        print(f"error: --baseline {args.baseline} is not a directory", file=err)
+        return 2
     try:
         results = run_benchmarks(
             args.out,
@@ -698,10 +668,22 @@ def main(
         print(f"error: {exc.args[0]}", file=err)
         return 2
     if args.baseline is not None:
-        failures = compare_to_baseline(results, args.baseline, args.max_regression)
+        failures, compared = compare_to_baseline(results, args.baseline, args.max_regression)
+        if not compared:
+            # A gate that compares nothing is off, not passed.
+            print(
+                f"error: none of the {len(results)} benchmarks run has a baseline "
+                f"in {args.baseline}",
+                file=err,
+            )
+            return 2
         if failures:
             for failure in failures:
                 print(f"REGRESSION {failure}", file=out)
             return 1
-        print(f"regression gate passed ({len(results)} benchmarks vs {args.baseline})", file=out)
+        print(
+            f"regression gate passed ({compared} of {len(results)} benchmarks "
+            f"compared against {args.baseline})",
+            file=out,
+        )
     return 0

@@ -16,8 +16,8 @@ Seven subcommands cover the common workflows::
     python -m repro campaign run --grid medium --store sqlite:grid.db --worker
     python -m repro campaign diff /tmp/store-a sqlite:/tmp/store-b.db
 
-* ``experiments`` regenerates experiment tables (same engine as the benchmark
-  harness and ``examples/reproduce_experiments.py``).
+* ``experiments`` regenerates experiment tables (same engine as
+  ``examples/reproduce_experiments.py``).
 * ``simulate`` generates a random workload, runs one of the flow-time policies
   and prints the summary (optionally an ASCII Gantt chart and a CSV trace).
 * ``solve`` runs *any* registered algorithm through the unified solver
@@ -692,7 +692,7 @@ def _parse_host_port(value: str) -> tuple[str, int]:
 
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     from repro.service.manager import SessionManager
-    from repro.service.ndjson import event_line, final_line
+    from repro.service.protocol import decision_line, final_line
     from repro.workloads.traces import read_trace_jobs
 
     params = dict(_parse_param(raw) for raw in args.param)
@@ -748,7 +748,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         events = manager.poll(name)
         if events and not args.quiet:
             for event in events:
-                print(event_line(event), file=out)
+                print(decision_line(event), file=out)
             # Flush per poll batch: with a piped stdout the stream would
             # otherwise sit in the block buffer until EOF, defeating the
             # "decisions out as jobs arrive" contract for live feeds.
@@ -756,7 +756,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     row, events = manager.close(name)
     if not args.quiet:
         for event in events:
-            print(event_line(event), file=out)
+            print(decision_line(event), file=out)
     print(final_line(row), file=out)
     out.flush()
     return 0
@@ -1073,7 +1073,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     if raw_argv[:1] == ["bench"]:
         from repro.benchmarking import main as bench_main
 
-        return bench_main(raw_argv[1:], prog="repro bench", out=out, err=err)
+        return bench_main(raw_argv[1:], out=out, err=err)
     args = build_parser().parse_args(raw_argv)
     try:
         if args.command == "experiments":

@@ -95,12 +95,12 @@ class StreamingNotSupportedError(InvalidParameterError):
 class TraceSchemaError(InvalidParameterError):
     """A trace row (NDJSON or CSV) violates the wire schema.
 
-    Raised by the trace readers in :mod:`repro.workloads.traces` and the
-    NDJSON helpers in :mod:`repro.service.ndjson` with the 1-based line
-    number and, where attributable, the offending field — so ``repro serve``
-    and ``repro trace`` report *which* row and *which* column broke instead
-    of a raw traceback.  The CLI maps it (like every :class:`ReproError`)
-    to exit code 2.
+    Raised by the trace readers in :mod:`repro.workloads.traces` and by
+    :func:`repro.service.protocol.parse_request` for bare job lines, with the
+    1-based line number and, where attributable, the offending field — so
+    ``repro serve`` and ``repro trace`` report *which* row and *which*
+    column broke instead of a raw traceback.  The CLI maps it (like every
+    :class:`ReproError`) to exit code 2.
     """
 
     def __init__(self, message: str, *, lineno: "int | None" = None,

@@ -80,7 +80,10 @@ def run(config: EnergyMinExperimentConfig) -> ExperimentResult:
                 tiny_lb = best_energy_lower_bound(tiny)
                 tiny_greedy = scheduler.schedule(tiny).total_energy
                 tiny_opt = brute_force_optimal_energy(
-                    tiny, slot_length=config.slot_length, max_jobs=config.brute_force_jobs
+                    tiny,
+                    slot_length=config.slot_length,
+                    speeds_per_job=scheduler.speeds_per_job,
+                    max_jobs=config.brute_force_jobs,
                 )
                 raw.setdefault("brute_force", []).append(
                     {

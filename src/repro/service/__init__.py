@@ -7,11 +7,10 @@ This subpackage is the online-facing API of the reproduction:
   ``JobChunk`` bulk rows), a typed decision-event stream, canonical-JSON
   snapshot/restore checkpointing, and ``finalize()`` into the batch facade's
   :class:`~repro.solvers.outcome.SolveOutcome`;
-* :mod:`repro.service.ndjson` — the newline-delimited JSON wire format used
-  by the ``repro serve`` CLI (job lines in, decision-event lines out);
-* :mod:`repro.service.protocol` — the versioned control-message protocol of
-  the multi-session service (bare job lines stay the backward-compatible
-  single-session path);
+* :mod:`repro.service.protocol` — the newline-delimited JSON wire format:
+  bare job lines in and decision/final lines out (what the stdio
+  ``repro serve`` speaks), plus the versioned control messages of the
+  multi-session service;
 * :mod:`repro.service.manager` — :class:`SessionManager`: many named
   concurrent sessions with lifecycle, bounded-queue backpressure,
   checkpoint/recover crash recovery and migration;

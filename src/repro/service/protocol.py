@@ -1,8 +1,7 @@
 """Versioned control-message protocol for the multi-session scheduling service.
 
 The wire is newline-delimited JSON in both directions, layered on the
-``repro serve`` NDJSON schema (:mod:`repro.service.ndjson`) so existing
-clients keep working:
+stdio ``repro serve`` schema so existing clients keep working:
 
 * a line **without** an ``"op"`` key is a **bare job line** — exactly
   today's ``repro serve`` input schema (:func:`~repro.workloads.traces.parse_job_row`).
@@ -237,8 +236,7 @@ def response_line(kind: str, session: "str | None" = None, **fields: Any) -> str
 def decision_line(event: DecisionEvent, session: "str | None" = None) -> str:
     """Encode one decision event, tagged with its session when named.
 
-    With ``session=None`` this is byte-identical to the stdio serve line
-    (:func:`repro.service.ndjson.event_line`).
+    With ``session=None`` this is the stdio ``repro serve`` line.
     """
     row: dict[str, Any] = {"event": "decision", **event.as_dict()}
     if session is not None:

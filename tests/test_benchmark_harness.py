@@ -69,7 +69,7 @@ class TestArtifacts:
 class TestRegressionGate:
     def test_passes_against_own_results(self, fast_results):
         out, results = fast_results
-        assert compare_to_baseline(results, out, max_regression=0.25) == []
+        assert compare_to_baseline(results, out, max_regression=0.25) == ([], len(results))
 
     def test_detects_throughput_regression(self, fast_results, tmp_path):
         out, results = fast_results
@@ -80,8 +80,8 @@ class TestRegressionGate:
         artifact_path(baseline_dir, inflated["bench"]).write_text(
             canonical_json(inflated, indent=2)
         )
-        failures = compare_to_baseline(results, baseline_dir, max_regression=0.25)
-        assert len(failures) == 1
+        failures, compared = compare_to_baseline(results, baseline_dir, max_regression=0.25)
+        assert compared == 1 and len(failures) == 1
         assert inflated["bench"] in failures[0]
 
     def test_detects_fingerprint_change(self, fast_results, tmp_path):
@@ -93,13 +93,13 @@ class TestRegressionGate:
         artifact_path(baseline_dir, tampered["bench"]).write_text(
             canonical_json(tampered, indent=2)
         )
-        failures = compare_to_baseline(results, baseline_dir, max_regression=0.25)
-        assert len(failures) == 1
+        failures, compared = compare_to_baseline(results, baseline_dir, max_regression=0.25)
+        assert compared == 1 and len(failures) == 1
         assert "fingerprint" in failures[0]
 
     def test_missing_baseline_is_not_a_failure(self, fast_results, tmp_path):
         _, results = fast_results
-        assert compare_to_baseline(results, tmp_path, max_regression=0.25) == []
+        assert compare_to_baseline(results, tmp_path, max_regression=0.25) == ([], 0)
 
 
 class TestCli:
@@ -111,12 +111,14 @@ class TestCli:
 
     def test_run_and_gate_exit_codes(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
+        out_dir.mkdir()
         code = main(
             ["--only", "event_queue", "--repeats", "1", "--scale", str(_SCALE),
              "--out", str(out_dir), "--baseline", str(out_dir)]
         )
         # First run writes the artifact then compares against itself.
         assert code == 0
+        assert "gate passed (1 of 1 benchmarks compared" in capsys.readouterr().out
         # Now tamper the baseline upwards to force a failure exit.
         payload = json.loads(artifact_path(out_dir, "event_queue").read_text())
         payload["events_per_sec"] *= 10
@@ -129,6 +131,30 @@ class TestCli:
         )
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_missing_baseline_dir_exits_2_before_running(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(
+            ["--only", "event_queue", "--repeats", "1", "--scale", str(_SCALE),
+             "--out", str(out_dir), "--baseline", str(tmp_path / "no-such-dir")]
+        )
+        assert code == 2
+        assert "no-such-dir" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_baseline_dir_without_matching_baselines_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        baseline_dir = tmp_path / "baseline"
+        baseline_dir.mkdir()
+        code = main(
+            ["--only", "event_queue", "--repeats", "1", "--scale", str(_SCALE),
+             "--out", str(out_dir), "--baseline", str(baseline_dir)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "none of the 1 benchmarks" in captured.err
+        assert "passed" not in captured.out
+        assert artifact_path(out_dir, "event_queue").is_file()
 
     def test_repro_bench_subcommand_delegates(self, tmp_path):
         from repro.cli import main as cli_main

@@ -47,7 +47,6 @@ from repro.exceptions import (
 )
 from repro.service.client import ServiceClient, percentile, run_loadgen
 from repro.service.manager import SessionManager, snapshot_job_count
-from repro.service.ndjson import event_line
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     decision_line,
@@ -154,7 +153,7 @@ class TestProtocol:
         events = session.poll()
         assert events
         for event in events:
-            assert decision_line(event) == event_line(event)
+            assert decision_line(event) == canonical_json({"event": "decision", **event.as_dict()})
             tagged = json.loads(decision_line(event, "tenant-a"))
             assert tagged["session"] == "tenant-a"
 
@@ -536,17 +535,27 @@ class TestLoadgen:
         assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
         assert percentile([1.0, 2.0, 3.0, 4.0], 100) == 4.0
 
-    def test_concurrent_sessions_all_verify_byte_identical(self, server):
+    # The 32-session case is the capacity acceptance: 32 tenants on one
+    # server, every final summary byte-identical to the batch solve.
+    @pytest.mark.parametrize(
+        "sessions, jobs, machines, chunk_size",
+        [(6, 40, 2, 8), (32, 60, 4, 32)],
+        ids=["6-sessions", "32-sessions"],
+    )
+    def test_concurrent_sessions_all_verify_byte_identical(
+        self, server, sessions, jobs, machines, chunk_size
+    ):
         report = run_loadgen(
-            server.host, server.port, sessions=6, jobs=40, machines=2,
-            params={"epsilon": 0.5}, chunk_size=8, verify=True,
+            server.host, server.port, sessions=sessions, jobs=jobs, machines=machines,
+            params={"epsilon": 0.5}, chunk_size=chunk_size, verify=True,
         )
-        assert len(report.sessions) == 6
-        assert report.verified == 6
-        assert report.total_jobs == 6 * 40
+        assert len(report.sessions) == sessions
+        assert report.verified == sessions
+        assert report.total_jobs == sessions * jobs
+        assert report.total_throttled == 0
         assert all(r.matches_batch for r in report.sessions)
         row = report.as_dict()
-        assert row["verified"] == 6 and len(row["per_session"]) == 6
+        assert row["verified"] == sessions and len(row["per_session"]) == sessions
 
     def test_loadgen_rejects_bad_parameters(self, server):
         with pytest.raises(ServiceError):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_property_based import flow_instances
+from test_solvers import best_paired_overhead
 
 import repro
 from repro.baselines.fcfs import FCFSScheduler
@@ -31,13 +32,14 @@ from repro.exceptions import (
     StreamingNotSupportedError,
 )
 from repro.service import DecisionEvent, SchedulerSession, open_session, streaming_algorithms
-from repro.service.ndjson import event_line, parse_job_line, read_jobs
+from repro.service.protocol import decision_line, parse_request
 from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.solvers import get_solver, solve
 from repro.workloads.adversarial import overload_burst_instance
 from repro.workloads.generators import InstanceGenerator, WeightedInstanceGenerator
+from repro.workloads.traces import iter_ndjson_jobs
 
 #: Streaming algorithms with their parameter sets used across the suite.
 _FLOW_STREAMING = [
@@ -154,6 +156,24 @@ class TestBatchEquivalence:
         batch = solve(instance, "rejection-energy-flow", epsilon=0.5)
         _, streamed = _replay(instance, "rejection-energy-flow", epsilon=0.5)
         _assert_outcome_identical(streamed, batch)
+
+    def test_replay_overhead_under_10_percent(self):
+        # Cheap enough to be the default online surface: on a 2k-job instance
+        # (event-loop work, not fixed costs) submit_many + finalize stays
+        # within 10% of the batch repro.solve() call.
+        instance = InstanceGenerator(
+            num_machines=8, seed=13, size_distribution="pareto"
+        ).generate(2_000)
+        overhead, batch_s, session_s = best_paired_overhead(
+            lambda: solve(instance, "rejection-flow", epsilon=0.5),
+            lambda: _replay(instance, "rejection-flow", epsilon=0.5),
+        )
+        # 10% relative budget with a 1ms absolute floor so sub-millisecond
+        # jitter on a fast machine cannot fail the check spuriously.
+        assert overhead < 0.10 or session_s - batch_s < 1e-3, (
+            f"session overhead {overhead:.1%} (session {session_s * 1e3:.2f}ms "
+            f"vs batch {batch_s * 1e3:.2f}ms) exceeds the 10% budget"
+        )
 
 
 # --------------------------------------------------------------------------------------
@@ -613,18 +633,18 @@ class TestEngineStepper:
 
 class TestNdjson:
     def test_parse_job_line(self):
-        job = parse_job_line('{"id": 3, "release": 1.5, "sizes": [2.0, 4.0]}')
-        assert job == Job(3, 1.5, (2.0, 4.0))
+        request = parse_request('{"id": 3, "release": 1.5, "sizes": [2.0, 4.0]}')
+        assert request.bare and request.jobs == (Job(3, 1.5, (2.0, 4.0)),)
 
     def test_parse_errors(self):
         with pytest.raises(InvalidParameterError, match="not valid JSON"):
-            parse_job_line("{nope", lineno=7)
+            parse_request("{nope", lineno=7)
         with pytest.raises(InvalidParameterError, match="JSON object"):
-            parse_job_line("[1, 2]", lineno=2)
+            parse_request("[1, 2]", lineno=2)
         # Missing fields are reported with the line number and field name
         # (the richer TraceSchemaError contract; still an InvalidParameterError).
         with pytest.raises(InvalidParameterError, match="line 3: field 'release'"):
-            parse_job_line('{"id": 1}', lineno=3)
+            parse_request('{"id": 1}', lineno=3)
 
     def test_read_jobs_skips_blank_and_comment_lines(self):
         import io
@@ -632,11 +652,11 @@ class TestNdjson:
         stream = io.StringIO(
             '\n# header comment\n{"id": 0, "release": 0.0, "sizes": [1.0]}\n\n'
         )
-        rows = list(read_jobs(stream))
+        rows = list(iter_ndjson_jobs(stream))
         assert len(rows) == 1 and rows[0][0] == 3 and rows[0][1].id == 0
 
     def test_event_line_is_canonical(self):
-        line = event_line(DecisionEvent("dispatch", 1.0, 0, machine=2))
+        line = decision_line(DecisionEvent("dispatch", 1.0, 0, machine=2))
         assert line == (
             '{"event":"decision","job_id":0,"kind":"dispatch",'
             '"machine":2,"reason":null,"speed":null,"time":1.0}'

@@ -24,7 +24,7 @@ import repro
 from repro.cli import main
 from repro.exceptions import InvalidParameterError, TraceSchemaError
 from repro.experiments import run_experiment
-from repro.service.ndjson import parse_job_line
+from repro.service.protocol import parse_request
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.solvers import solve
@@ -80,25 +80,25 @@ def _jobs_dicts(instance: Instance) -> list[dict]:
 class TestSchemaErrors:
     def test_missing_field_names_line_and_field(self):
         with pytest.raises(TraceSchemaError) as err:
-            parse_job_line('{"id": 1, "sizes": [1.0]}', lineno=7)
+            parse_request('{"id": 1, "sizes": [1.0]}', lineno=7)
         assert "line 7" in str(err.value) and "'release'" in str(err.value)
         assert err.value.lineno == 7 and err.value.field == "release"
 
     def test_bad_type_names_field(self):
         with pytest.raises(TraceSchemaError) as err:
-            parse_job_line('{"id": 1, "release": "soon", "sizes": [1.0]}', lineno=2)
+            parse_request('{"id": 1, "release": "soon", "sizes": [1.0]}', lineno=2)
         assert err.value.field == "release"
         with pytest.raises(TraceSchemaError) as err:
-            parse_job_line('{"id": 1, "release": 0.0, "sizes": 3}', lineno=2)
+            parse_request('{"id": 1, "release": 0.0, "sizes": 3}', lineno=2)
         assert err.value.field == "sizes"
         with pytest.raises(TraceSchemaError) as err:
-            parse_job_line('{"id": "x7", "release": 0.0, "sizes": [1.0]}', lineno=4)
+            parse_request('{"id": "x7", "release": 0.0, "sizes": [1.0]}', lineno=4)
         assert err.value.field == "id"
 
     def test_unknown_fields_tolerated_on_ndjson(self):
         # The serve wire format has always ignored client-side metadata on
         # job lines; the trace reader keeps that compatibility.
-        job = parse_job_line('{"id": 1, "release": 0.0, "sizes": [1.0], "tenant": "a"}')
+        (job,) = parse_request('{"id": 1, "release": 0.0, "sizes": [1.0], "tenant": "a"}').jobs
         assert job.id == 1 and job.sizes == (1.0,)
 
     def test_non_finite_values_rejected_with_field(self):
@@ -110,22 +110,22 @@ class TestSchemaErrors:
             ("sizes", '{"id": 0, "release": 0.0, "sizes": [NaN]}'),
         ]:
             with pytest.raises(TraceSchemaError) as err:
-                parse_job_line(line, lineno=5)
+                parse_request(line, lineno=5)
             assert err.value.field == field and err.value.lineno == 5
         # Infinite *sizes* are legitimate: they mark forbidden machines.
-        job = parse_job_line('{"id": 0, "release": 0.0, "sizes": [1.0, Infinity]}')
+        (job,) = parse_request('{"id": 0, "release": 0.0, "sizes": [1.0, Infinity]}').jobs
         assert math.isinf(job.sizes[1])
 
     def test_invariant_violation_carries_line(self):
         with pytest.raises(TraceSchemaError) as err:
-            parse_job_line('{"id": 1, "release": -2.0, "sizes": [1.0]}', lineno=3)
+            parse_request('{"id": 1, "release": -2.0, "sizes": [1.0]}', lineno=3)
         assert "line 3" in str(err.value)
 
     def test_not_json_and_not_object(self):
         with pytest.raises(TraceSchemaError):
-            parse_job_line("{nope", lineno=1)
+            parse_request("{nope", lineno=1)
         with pytest.raises(TraceSchemaError):
-            parse_job_line("[1, 2]", lineno=1)
+            parse_request("[1, 2]", lineno=1)
 
     def test_trace_schema_error_is_invalid_parameter_error(self):
         # The CLI's exit-2 contract catches ReproError; the subclassing keeps
