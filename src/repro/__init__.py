@@ -13,15 +13,17 @@ contains:
   SRPT, HDF, AVR, YDS, offline heuristics);
 * :mod:`repro.solvers` — the string-keyed solver registry behind
   :func:`repro.solve`, the algorithm-agnostic entry point to every scheduler;
-* :mod:`repro.service` — the streaming surface: :func:`repro.open_session`
-  returns a :class:`~repro.service.session.SchedulerSession` that ingests
-  jobs incrementally, emits a typed decision-event stream, checkpoints via
+* :mod:`repro.service` (loaded on first use) — the streaming surface:
+  :func:`repro.open_session` returns a
+  :class:`~repro.service.session.SchedulerSession` that ingests jobs
+  incrementally, emits a typed decision-event stream, checkpoints via
   canonical-JSON snapshots and finalizes into the same
   :class:`~repro.solvers.outcome.SolveOutcome` as the batch facade;
-* :mod:`repro.parallel` — shard-and-merge parallel solving:
-  :func:`repro.shard_solve` partitions a job stream across ``k`` independent
-  streaming solvers on disjoint machine groups, fans them out over worker
-  processes and merges the decision streams into one combined outcome;
+* :mod:`repro.parallel` (loaded on first use) — shard-and-merge parallel
+  solving: :func:`repro.shard_solve` partitions a job stream across ``k``
+  independent streaming solvers on disjoint machine groups, fans them out
+  over worker processes and merges the decision streams into one combined
+  outcome;
 * :mod:`repro.lowerbounds` — certified lower bounds on the offline optimum;
 * :mod:`repro.workloads` — synthetic workload generators, the adversarial
   constructions of Lemma 1 and Lemma 2, trace ingestion/export with
@@ -45,9 +47,14 @@ True
 ``repro.list_algorithms()`` (or ``repro solve --list-algorithms`` on the
 command line) enumerates every registered scheduler with its execution model,
 objective and parameter schema.
+
+``import repro`` loads only the solve path (:mod:`repro.simulation`,
+:mod:`repro.core`, :mod:`repro.solvers` and numpy); every other subpackage
+loads on first use.
 """
 
 from repro.simulation import (
+    DecisionEvent,
     Job,
     Machine,
     Instance,
@@ -73,18 +80,33 @@ from repro.solvers import (
     make_policy,
     solve,
 )
-from repro.service import (
-    DecisionEvent,
-    SchedulerSession,
-    open_session,
-    streaming_algorithms,
-)
-from repro.parallel import (
-    ShardSolveResult,
-    shard_solve,
-)
 
 __version__ = "1.1.0"
+
+#: Public names whose subpackage loads on first access (PEP 562), so that
+#: ``import repro`` stays off the service and shard-solve import graphs.
+_LAZY = {
+    "SchedulerSession": "repro.service",
+    "open_session": "repro.service",
+    "streaming_algorithms": "repro.service",
+    "ShardSolveResult": "repro.parallel",
+    "shard_solve": "repro.parallel",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
 
 
 def quick_instance(num_jobs: int = 50, num_machines: int = 4, seed: int | None = 0, **kwargs):

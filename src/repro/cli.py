@@ -65,7 +65,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.traces import ascii_gantt, trace_to_csv
 from repro.core.bounds import (
     energy_flow_competitive_ratio,
     energy_min_competitive_ratio,
@@ -74,15 +73,12 @@ from repro.core.bounds import (
     flow_time_rejection_budget,
 )
 from repro.exceptions import ReproError
-from repro.experiments import available_experiments, run_experiment
-from repro.lowerbounds.flow_combinatorial import best_flow_time_lower_bound
 from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
 from repro.simulation.metrics import summarize
 from repro.simulation.validation import validate_result
 from repro.solvers import list_algorithms, make_policy, solve
 from repro.utils.serialization import canonical_json
 from repro.utils.tabulate import format_table
-from repro.workloads.generators import InstanceGenerator
 
 #: CLI policy name -> (registry algorithm id, params drawn from the CLI args).
 _POLICIES = {
@@ -442,6 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_experiments(args: argparse.Namespace, out) -> int:
+    from repro.experiments import available_experiments, run_experiment
+
     if args.list:
         for experiment_id, description in available_experiments().items():
             print(f"{experiment_id}: {description}", file=out)
@@ -455,6 +453,10 @@ def _cmd_experiments(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, out) -> int:
+    from repro.analysis.traces import ascii_gantt, trace_to_csv
+    from repro.lowerbounds.flow_combinatorial import best_flow_time_lower_bound
+    from repro.workloads.generators import InstanceGenerator
+
     generator = InstanceGenerator(
         num_machines=args.machines,
         size_distribution=args.size_distribution,
@@ -601,6 +603,8 @@ def _parallel_source(args: argparse.Namespace):
         return chunks, args.machines, label
     if args.trace is not None:
         return args.trace, args.machines, f"trace {args.trace}"
+    from repro.workloads.generators import InstanceGenerator
+
     generator = InstanceGenerator(
         num_machines=args.machines,
         size_distribution=args.size_distribution,
@@ -995,6 +999,8 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_adaptive(args: argparse.Namespace, out) -> int:
+    from repro.experiments import run_experiment
+
     overrides: dict = {
         "num_jobs": args.jobs,
         "num_machines": args.machines,

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from repro.exceptions import InvalidParameterError
 from repro.simulation.instance import Instance
@@ -76,6 +74,10 @@ class FlowTimeLPRelaxation:
 
     def solve(self) -> float:
         """Solve the discretised LP and return its optimal objective value."""
+        # scipy loads here, on the first LP bound, not on `import repro`.
+        from scipy.optimize import linprog
+        from scipy.sparse import coo_matrix, vstack
+
         instance = self.instance
         n = instance.num_jobs
         m = instance.num_machines
@@ -133,8 +135,6 @@ class FlowTimeLPRelaxation:
                     data.append(1.0)
         capacity = coo_matrix((data, (rows, cols)), shape=(m * T, num_vars))
         capacity_rhs = np.ones(m * T)
-
-        from scipy.sparse import vstack
 
         a_ub = vstack([coverage, capacity]).tocsr()
         b_ub = np.concatenate([coverage_rhs, capacity_rhs])

@@ -17,6 +17,7 @@ of the service layer.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -62,13 +63,34 @@ class ServiceClient:
         self._file.flush()
 
     def read_row(self) -> dict:
-        """Read one response line as a dict; raises on EOF."""
-        import json
+        """Read one response line as a dict.
 
-        raw = self._file.readline(MAX_LINE_BYTES)
-        if not raw:
-            raise ServiceError("server closed the connection")
-        return json.loads(raw.decode("utf-8"))
+        Raises :class:`ServiceError` naming the cause when the connection is
+        closed, the line is longer than ``MAX_LINE_BYTES`` (the server's own
+        limit; the rest of the line is skipped, so the next read starts on a
+        line boundary), the connection closed mid-line, or the line is not a
+        JSON object.
+        """
+        raw = self._file.readline(MAX_LINE_BYTES + 1)
+        if not raw.endswith(b"\n"):
+            if not raw:
+                raise ServiceError("server closed the connection")
+            if len(raw) <= MAX_LINE_BYTES:
+                raise ServiceError(
+                    f"server closed the connection mid-line after {len(raw)} bytes"
+                )
+            while raw and not raw.endswith(b"\n"):
+                raw = self._file.readline(MAX_LINE_BYTES + 1)
+            raise ServiceError(f"response line longer than {MAX_LINE_BYTES} bytes")
+        try:
+            row = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise ServiceError(f"response line is not JSON: {exc}") from None
+        if not isinstance(row, dict):
+            raise ServiceError(
+                f"response line is a JSON {type(row).__name__}, not an object"
+            )
+        return row
 
     def close(self) -> None:
         try:

@@ -23,6 +23,7 @@ The service contract under test, layer by layer:
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import io
 import json
@@ -31,6 +32,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -521,6 +523,57 @@ class TestServer:
         assert [f["session"] for f in finals] == ["abandoned"]
         shutdown_row = json.loads(out.splitlines()[-1])
         assert shutdown_row["unclean"] == ["abandoned"]
+
+
+# --------------------------------------------------------------------------------------
+# Client response framing against a one-shot loopback server
+# --------------------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _one_shot_client(payload: bytes):
+    """A client whose server answers its first line with ``payload``, then closes."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def answer_once() -> None:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                reader.readline()
+                conn.sendall(payload)
+
+        thread = threading.Thread(target=answer_once, daemon=True)
+        thread.start()
+        try:
+            with ServiceClient(*listener.getsockname(), timeout=10) as client:
+                yield client
+        finally:
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestClientFraming:
+    @pytest.mark.parametrize(
+        ("payload", "cause"),
+        [
+            (b"not json\n", "not JSON"),
+            (b'["hello"]\n', "JSON list, not an object"),
+            (b'{"event":"hello"', "closed the connection mid-line"),
+        ],
+        ids=["non-json", "json-array", "cut-off"],
+    )
+    def test_bad_response_line_is_a_service_error(self, payload, cause):
+        with _one_shot_client(payload) as client:
+            with pytest.raises(ServiceError, match=cause):
+                client.hello()
+
+    def test_over_long_line_is_skipped_whole(self, monkeypatch):
+        monkeypatch.setattr("repro.service.client.MAX_LINE_BYTES", 64)
+        long_row = canonical_json({"event": "hello", "pad": "x" * 194}).encode()
+        assert len(long_row) == 220
+        with _one_shot_client(long_row + b'\n{"event":"hello"}\n') as client:
+            with pytest.raises(ServiceError, match="longer than 64 bytes"):
+                client.hello()
+            assert client.read_row() == {"event": "hello"}
 
 
 # --------------------------------------------------------------------------------------
