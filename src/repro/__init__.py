@@ -19,11 +19,6 @@ contains:
   incrementally, emits a typed decision-event stream, checkpoints via
   canonical-JSON snapshots and finalizes into the same
   :class:`~repro.solvers.outcome.SolveOutcome` as the batch facade;
-* :mod:`repro.parallel` (loaded on first use) — shard-and-merge parallel
-  solving: :func:`repro.shard_solve` partitions a job stream across ``k``
-  independent streaming solvers on disjoint machine groups, fans them out
-  over worker processes and merges the decision streams into one combined
-  outcome;
 * :mod:`repro.lowerbounds` — certified lower bounds on the offline optimum;
 * :mod:`repro.workloads` — synthetic workload generators, the adversarial
   constructions of Lemma 1 and Lemma 2, trace ingestion/export with
@@ -84,13 +79,11 @@ from repro.solvers import (
 __version__ = "1.1.0"
 
 #: Public names whose subpackage loads on first access (PEP 562), so that
-#: ``import repro`` stays off the service and shard-solve import graphs.
+#: ``import repro`` stays off the service import graph.
 _LAZY = {
     "SchedulerSession": "repro.service",
     "open_session": "repro.service",
     "streaming_algorithms": "repro.service",
-    "ShardSolveResult": "repro.parallel",
-    "shard_solve": "repro.parallel",
 }
 
 
@@ -146,9 +139,7 @@ __all__ = [
     "solve",
     "DecisionEvent",
     "SchedulerSession",
-    "ShardSolveResult",
     "open_session",
-    "shard_solve",
     "streaming_algorithms",
     "__version__",
 ]

@@ -344,45 +344,6 @@ def _bench_e14_robustness(scale: float) -> BenchCase:
     return BenchCase(n_jobs=n, fingerprint=_fingerprint(recipe), run=run, meta=recipe)
 
 
-def _bench_e16_partition(scale: float) -> BenchCase:
-    """Shard-and-merge parallel solving: 4 shards × 4 workers, merged in-process.
-
-    The multi-tenant scenario stream hash-partitioned across 4 independent
-    sessions on disjoint machine groups, fanned out over 4 worker processes
-    and merged — the :func:`repro.parallel.shard_solve` hot path (E16 and
-    ``repro shard-solve``).  Throughput counts merged simulator events, so
-    the pool spawn/teardown and the k-way merge are part of the measured
-    cost, exactly as a user pays them.
-    """
-    from repro.parallel import shard_solve
-    from repro.workloads.scenarios import get_scenario
-
-    machines = 8
-    num_shards = 4
-    workers = 4
-    n = _scaled(8_000, scale)
-    scenario = get_scenario("multi-tenant-mix")
-    chunks = list(scenario.job_chunks(n, num_machines=machines, seed=2018))
-
-    def run() -> int:
-        result = shard_solve(
-            chunks,
-            "rejection-flow",
-            num_shards,
-            partition="hash",
-            workers=workers,
-            machines=machines,
-            epsilon=0.5,
-        )
-        return int(result.payload["engine_events"])
-
-    recipe = {"workload": "scenario:multi-tenant-mix", "machines": machines,
-              "seed": 2018, "n": n, "algorithm": "rejection-flow(eps=0.5)",
-              "path": "shard-solve", "num_shards": num_shards,
-              "partition": "hash", "workers": workers}
-    return BenchCase(n_jobs=n, fingerprint=_fingerprint(recipe), run=run, meta=recipe)
-
-
 def _bench_e15_service(scale: float) -> BenchCase:
     """The multi-session service end to end: 8 concurrent loadgen streams.
 
@@ -481,8 +442,6 @@ SPECS: dict[str, BenchSpec] = {
                   _bench_e14_robustness),
         BenchSpec("e15_service", "loopback service: 8 concurrent loadgen sessions (n=8x400)",
                   _bench_e15_service),
-        BenchSpec("e16_partition", "shard-solve: 4 shards x 4 workers, merged (n=8k)",
-                  _bench_e16_partition),
         BenchSpec("e17_adaptive", "meta-scheduler on a drifting trace through a session (n=8k)",
                   _bench_e17_adaptive),
         BenchSpec("frontier_100k", "FCFS over a 100k-job instance (full runs only)",

@@ -19,7 +19,7 @@ Shipped grids:
 * ``smoke-dist`` — E10 at a few thousand jobs, 2 variants × 4 seeds: eight
   ~half-second tasks, enough runway for the distributed-campaign CI job to
   kill a worker mid-run and watch a rival steal its lease;
-* ``small``   — all of E1–E10 + E12/E14/E15/E16/E17 at miniature sweep sizes, two
+* ``small``   — all of E1–E10 + E12/E14/E15/E17 at miniature sweep sizes, two
   seeds; finishes in well under a minute, the acceptance grid for
   ``repro campaign run``;
 * ``medium``  — the experiments' default sweep sizes, three seeds; the
@@ -28,8 +28,6 @@ Shipped grids:
   algorithm, two seeds each, aggregated into per-algorithm report rows;
 * ``e14``     — the robustness frontier on its own: every catalog scenario ×
   every streaming solver, two seeds (a nightly byte-stability sweep);
-* ``e16``     — the partition-cost sweep on its own: every catalog scenario ×
-  shard counts {1,2,4,8}, two seeds (a nightly byte-stability sweep);
 * ``e17``     — the adaptive-regret sweep on its own: every drifting scenario ×
   fixed candidates + meta switch policies, two seeds (a nightly byte-stability
   sweep).
@@ -165,12 +163,6 @@ _SMALL_OVERRIDES: dict[str, dict[str, Any]] = {
         "num_machines": 2,
         "scenarios": ("heavy-tail-pareto", "flash-crowd", "multi-tenant-mix"),
     },
-    "E16": {
-        "scenarios": ("flash-crowd", "multi-tenant-mix"),
-        "shard_counts": (1, 2),
-        "num_jobs": 60,
-        "num_machines": 4,
-    },
     "E17": {
         "scenarios": ("drift-ramp-heavytail",),
         "meta_policies": ("threshold",),
@@ -183,7 +175,6 @@ _SMALL_OVERRIDES: dict[str, dict[str, Any]] = {
 _MEDIUM_OVERRIDES: dict[str, dict[str, Any]] = {
     "E12": {"job_counts": (1_000, 10_000, 50_000)},
     "E15": {"session_counts": (1, 4, 16), "jobs_per_session": 120},
-    "E16": {"num_jobs": 200},
 }
 
 #: Algorithms swept by the ``solvers`` grid: E10's default sweep (flow-time
@@ -229,7 +220,7 @@ GRIDS: dict[str, CampaignGrid] = {
         ),
         _grid(
             "small",
-            "all experiments E1-E10 + E12/E14-E17 at miniature scale, two seeds each",
+            "all experiments E1-E10 + E12/E14/E15/E17 at miniature scale, two seeds each",
             [
                 GridEntry.create(exp_id, overrides=overrides, num_seeds=2)
                 for exp_id, overrides in _SMALL_OVERRIDES.items()
@@ -237,7 +228,7 @@ GRIDS: dict[str, CampaignGrid] = {
         ),
         _grid(
             "medium",
-            "all experiments E1-E10 + E12/E14-E17 at their default sweep sizes, three seeds each",
+            "all experiments E1-E10 + E12/E14/E15/E17 at their default sweep sizes, three seeds each",
             [
                 GridEntry.create(
                     exp_id, overrides=_MEDIUM_OVERRIDES.get(exp_id), num_seeds=3
@@ -254,11 +245,6 @@ GRIDS: dict[str, CampaignGrid] = {
             "e14",
             "E14 robustness frontier: all scenarios x all streaming solvers, two seeds",
             [GridEntry.create("E14", overrides={"num_jobs": 150}, num_seeds=2)],
-        ),
-        _grid(
-            "e16",
-            "E16 partition cost: all scenarios x k in {1,2,4,8}, two seeds",
-            [GridEntry.create("E16", overrides={"num_jobs": 150}, num_seeds=2)],
         ),
         _grid(
             "e17",

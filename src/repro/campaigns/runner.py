@@ -13,9 +13,8 @@ The runner is deliberately simple and crash-safe:
    produces exactly the same report as the run that computed it.
 
 The fan-out itself (:func:`run_mapped`) is generic — timed, index-tagged,
-streaming results as workers finish — and shared with the parallel
-shard-and-merge solver (:func:`repro.parallel.shard_solve`), which maps
-per-shard solve tasks over the same pool pattern.
+streaming results as workers finish; :meth:`CampaignRunner.run` is its
+caller.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Command-line interface.
 
-Seven subcommands cover the common workflows::
+The subcommands cover the common workflows::
 
     python -m repro experiments --only E1 E2 --scale small
     python -m repro simulate --jobs 200 --machines 4 --epsilon 0.5 --policy theorem1 --gantt
     python -m repro solve --algorithm rejection-flow --param epsilon=0.5 --jobs 200
-    python -m repro shard-solve --scenario multi-tenant-mix --shards 4 --workers 4
     python -m repro serve --algorithm rejection-flow --machines 4 < jobs.ndjson
     python -m repro serve --listen 127.0.0.1:7077 --checkpoint-dir ckpt
     python -m repro loadgen --sessions 8 --jobs 500 --verify
@@ -24,12 +23,8 @@ Seven subcommands cover the common workflows::
   registry (``--list-algorithms`` enumerates them with their capability
   metadata; ``--param name=value`` passes schema-validated parameters;
   ``--json`` emits the outcome row as canonical JSON for scripted callers).
-  ``--shards K --workers N`` routes through the parallel shard-and-merge
-  solver; ``--store DIR`` persists content-addressed solve artifacts.
-* ``shard-solve`` is the parallel solver's own surface: partition a scenario,
-  trace or generated workload across K independent streaming solvers
-  (``--partition hash|tenant|round-robin``), fan them out over worker
-  processes and merge the decision streams into one combined outcome.
+  Jobs come from the random generator, a catalog scenario (``--scenario``)
+  or a trace file (``--trace``).
 * ``serve`` runs a streaming scheduler session: job rows in (stdin or
   ``--trace FILE``, NDJSON or CSV via ``--trace-format``), decision-event
   lines out as jobs arrive, and a final summary line when the stream ends.
@@ -89,31 +84,13 @@ _POLICIES = {
 }
 
 
-def _shard_source_args(sub: argparse.ArgumentParser) -> None:
-    """Parallel-solve options shared by ``solve`` and ``shard-solve``."""
-    sub.add_argument("--scenario", default=None, metavar="NAME",
-                     help="take jobs from this catalog scenario (see `repro trace "
-                          "scenarios`) instead of the random generator")
-    sub.add_argument("--trace", default=None, metavar="FILE",
-                     help="take jobs from this trace file (NDJSON / CSV) instead "
-                          "of the random generator")
-    sub.add_argument("--partition", default="hash",
-                     choices=("round-robin", "hash", "tenant"),
-                     help="how jobs are assigned to shards (default: hash)")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker processes for the shard fan-out")
-    sub.add_argument("--dispatch", default=None,
-                     choices=DISPATCH_MODES,
-                     help="engine dispatch mode (default: indexed, env REPRO_DISPATCH)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     experiments = subparsers.add_parser(
-        "experiments", help="run experiments E1-E10 and print their tables"
+        "experiments", help="run the registered experiments and print their tables"
     )
     experiments.add_argument("--only", nargs="*", default=None, help="experiment ids to run")
     experiments.add_argument("--list", action="store_true", help="list experiments and exit")
@@ -150,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="algorithm parameter, validated against the registry schema (repeatable)",
     )
     solve_cmd.add_argument("--jobs", type=int, default=200)
-    solve_cmd.add_argument("--machines", type=int, default=4)
+    solve_cmd.add_argument("--machines", type=int, default=None,
+                           help="machine count (default: 4, or the width of --trace)")
     solve_cmd.add_argument("--seed", type=int, default=0)
     solve_cmd.add_argument("--alpha", type=float, default=3.0,
                            help="power exponent of the generated machines")
@@ -161,47 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the outcome row (SolveOutcome.as_row) as canonical JSON "
              "instead of the human-readable summary",
     )
-    _shard_source_args(solve_cmd)
-    solve_cmd.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="solve with K independent parallel solvers (repro.shard_solve) "
-             "instead of one coordinator; the merged row replaces the outcome row",
-    )
-    solve_cmd.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persist content-addressed solve artifacts under DIR; without "
-             "--shards this runs the plain solve through the artifact-writing "
-             "path (the CI shard-identity gate diffs it against --shards 1)",
-    )
-
-    shard_solve_cmd = subparsers.add_parser(
-        "shard-solve",
-        help="shard a job stream across K parallel solvers and merge the outcome",
-    )
-    shard_solve_cmd.add_argument("--algorithm", default="rejection-flow",
-                                 help="streaming-capable registry id")
-    shard_solve_cmd.add_argument(
-        "--param", action="append", default=[], metavar="NAME=VALUE",
-        help="algorithm parameter, validated against the registry schema (repeatable)",
-    )
-    shard_solve_cmd.add_argument("--jobs", type=int, default=200)
-    shard_solve_cmd.add_argument("--machines", type=int, default=4)
-    shard_solve_cmd.add_argument("--seed", type=int, default=0)
-    shard_solve_cmd.add_argument("--alpha", type=float, default=3.0,
-                                 help="power exponent of the generated machines")
-    shard_solve_cmd.add_argument("--size-distribution", default="pareto",
-                                 choices=("uniform", "exponential", "pareto", "bimodal"))
-    _shard_source_args(shard_solve_cmd)
-    shard_solve_cmd.add_argument("--shards", type=int, default=2, metavar="K",
-                                 help="number of independent parallel solvers")
-    shard_solve_cmd.add_argument("--store", default=None, metavar="DIR",
-                                 help="content-addressed artifact store directory "
-                                      "(re-runs skip already-solved shards)")
-    shard_solve_cmd.add_argument(
-        "--json", action="store_true",
-        help="print the merged outcome row as canonical JSON (byte-identical "
-             "to `solve --json` of the same workload at --shards 1)",
-    )
+    solve_cmd.add_argument("--scenario", default=None, metavar="NAME",
+                           help="take jobs from this catalog scenario (see `repro trace "
+                                "scenarios`) instead of the random generator")
+    solve_cmd.add_argument("--trace", default=None, metavar="FILE",
+                           help="take jobs from this trace file (NDJSON / CSV) instead "
+                                "of the random generator")
+    solve_cmd.add_argument("--dispatch", default=None,
+                           choices=DISPATCH_MODES,
+                           help="engine dispatch mode (default: indexed, env REPRO_DISPATCH)")
 
     serve = subparsers.add_parser(
         "serve", help="stream newline-delimited job JSON through a scheduler session"
@@ -530,27 +476,8 @@ def _cmd_solve(args: argparse.Namespace, out) -> int:
     if args.streaming:
         raise ReproError("--streaming only filters --list-algorithms output")
 
-    if args.shards is not None or args.store is not None:
-        # Parallel / artifact-writing path: --shards K runs repro.shard_solve;
-        # --store alone runs the plain solve through solve_to_store (the pair
-        # the CI shard-identity gate byte-diffs).
-        return _cmd_shard_solve(args, out)
-
     params = dict(_parse_param(raw) for raw in args.param)
-    source, machines, _ = _parallel_source(args)
-    if isinstance(source, str):
-        from repro.workloads.traces import trace_instance
-
-        instance = trace_instance(source, machines=machines, alpha=args.alpha)
-    elif isinstance(source, list):
-        from repro.workloads.traces import chunks_to_instance
-
-        instance = chunks_to_instance(
-            source, machines=machines, alpha=args.alpha,
-            name=f"{args.scenario}(m={args.machines},n={args.jobs})",
-        )
-    else:
-        instance = source
+    instance = _solve_source(args)
     outcome = solve(instance, args.algorithm, dispatch=args.dispatch, **params)
     if outcome.result is not None:
         validate_result(outcome.result)
@@ -578,108 +505,37 @@ def _cmd_solve(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _parallel_source(args: argparse.Namespace):
-    """Resolve the job source shared by ``solve`` and ``shard-solve``.
+def _solve_source(args: argparse.Namespace):
+    """Build the instance ``solve`` runs: a scenario, a trace or generated.
 
-    Returns ``(source, machines, label)`` — ``source`` is a chunk list
-    (scenario), a trace path (str) or an :class:`Instance` (random
-    generator); ``machines`` is ``None`` for instances, which carry their
-    own fleet.
+    A trace brings its own machine count, which an explicit ``--machines``
+    must match; the scenario and the generator default to 4 machines.
     """
     if args.scenario is not None and args.trace is not None:
         raise ReproError("--scenario and --trace are mutually exclusive")
+    if args.trace is not None:
+        from repro.workloads.traces import trace_instance
+
+        return trace_instance(args.trace, machines=args.machines, alpha=args.alpha)
+    machines = 4 if args.machines is None else args.machines
     if args.scenario is not None:
         from repro.workloads.scenarios import get_scenario
+        from repro.workloads.traces import chunks_to_instance
 
-        chunks = list(
-            get_scenario(args.scenario).job_chunks(
-                args.jobs, args.machines, seed=args.seed
-            )
+        return chunks_to_instance(
+            get_scenario(args.scenario).job_chunks(args.jobs, machines, seed=args.seed),
+            machines=machines, alpha=args.alpha,
+            name=f"{args.scenario}(m={machines},n={args.jobs})",
         )
-        label = (
-            f"scenario {args.scenario!r} "
-            f"(n={args.jobs}, m={args.machines}, seed={args.seed})"
-        )
-        return chunks, args.machines, label
-    if args.trace is not None:
-        return args.trace, args.machines, f"trace {args.trace}"
     from repro.workloads.generators import InstanceGenerator
 
     generator = InstanceGenerator(
-        num_machines=args.machines,
+        num_machines=machines,
         size_distribution=args.size_distribution,
         alpha=args.alpha,
         seed=args.seed,
     )
-    instance = generator.generate(args.jobs)
-    return instance, None, f"instance {instance.name}"
-
-
-def _cmd_shard_solve(args: argparse.Namespace, out) -> int:
-    from repro.parallel import shard_solve, solve_to_store
-
-    params = dict(_parse_param(raw) for raw in args.param)
-    source, machines, label = _parallel_source(args)
-    if args.shards is None:
-        result = solve_to_store(
-            source,
-            args.algorithm,
-            store=args.store,
-            partition=args.partition,
-            dispatch=args.dispatch,
-            machines=machines,
-            alpha=args.alpha,
-            **params,
-        )
-    else:
-        result = shard_solve(
-            source,
-            args.algorithm,
-            args.shards,
-            partition=args.partition,
-            workers=args.workers,
-            dispatch=args.dispatch,
-            store=args.store,
-            machines=machines,
-            alpha=args.alpha,
-            **params,
-        )
-    if args.json:
-        # Same canonical-JSON row contract as `solve --json`: at --shards 1
-        # the two outputs are byte-identical.
-        print(canonical_json(result.row), file=out)
-        return 0
-
-    row = result.row
-    print(f"source        : {label}", file=out)
-    print(f"algorithm     : {row['algorithm']} (model {row['model']})", file=out)
-    print(
-        f"shards        : {result.num_shards} [{result.partition}], "
-        f"{result.workers} worker(s)",
-        file=out,
-    )
-    print(f"objective     : {row['objective']} = {row['objective_value']:.3f}", file=out)
-    if result.num_shards > 1:
-        per_shard = ", ".join(f"{value:.3f}" for value in result.shard_objectives)
-        print(f"  per shard             : {per_shard}", file=out)
-    for component, value in sorted(row.items()):
-        if component.startswith("breakdown_"):
-            print(f"  {component[len('breakdown_'):]:22s}: {value:.3f}", file=out)
-    print(
-        f"rejected      : {row['rejected_count']} jobs "
-        f"({100 * row['rejected_fraction']:.1f}%, "
-        f"{100 * row['rejected_weight_fraction']:.1f}% of weight)",
-        file=out,
-    )
-    hits = sum(1 for hit in result.cached if hit)
-    print(
-        f"cache         : {hits}/{result.num_shards} shard(s) cached, merged "
-        f"{'cached' if result.merged_cached else 'computed'}",
-        file=out,
-    )
-    if result.store_root is not None:
-        print(f"store         : {result.store_root} [{result.merged_key}]", file=out)
-    return 0
+    return generator.generate(args.jobs)
 
 
 def _parse_host_port(value: str) -> tuple[str, int]:
@@ -1088,8 +944,6 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             return _cmd_simulate(args, out)
         if args.command == "solve":
             return _cmd_solve(args, out)
-        if args.command == "shard-solve":
-            return _cmd_shard_solve(args, out)
         if args.command == "serve":
             return _cmd_serve(args, out)
         if args.command == "loadgen":

@@ -145,12 +145,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "Service capacity: concurrent sessions x throughput x decision latency",
         ),
         ExperimentSpec(
-            "E16",
-            "repro.experiments.exp_partition_cost",
-            "PartitionCostConfig",
-            "Partition cost: k-sharded parallel solving vs the single coordinator",
-        ),
-        ExperimentSpec(
             "E17",
             "repro.experiments.exp_adaptive",
             "AdaptiveConfig",

@@ -31,14 +31,10 @@ Transforms
 Deterministic, composable chunk-stream transforms build scenario variants out
 of recorded or generated traces: :func:`scale_load` (multiply sizes),
 :func:`time_warp` (monotone re-clocking, constant factor or vectorised
-function), :func:`truncate`, :func:`shard` (1-of-k partitioning by position,
-id hash or weight class) and :func:`merge` (k-way release-ordered
-interleaving of several traces, with a choice of tie-break).  The scenario
-catalog (:mod:`repro.workloads.scenarios`) is layered on these, and
-:mod:`repro.parallel` uses ``shard``/``merge`` as the splitting and
-recombination primitives of parallel shard-and-merge solving:
-``merge(shard(t, k, i, keep_ids=True) for i in range(k), tie_break="id")``
-reproduces the original trace byte-for-byte for every partition mode.
+function), :func:`truncate`, :func:`shard` (1-of-k round-robin
+partitioning) and :func:`merge` (k-way release-ordered interleaving of
+several traces).  The scenario catalog (:mod:`repro.workloads.scenarios`) is
+layered on these.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ from repro.workloads.generators import DEFAULT_CHUNK_SIZE, JobChunk
 
 __all__ = [
     "TRACE_FORMATS",
-    "SHARD_MODES",
     "TraceStats",
     "parse_job_row",
     "sniff_format",
@@ -696,60 +691,14 @@ def _slice_chunk(chunk: JobChunk, rows: np.ndarray, start: int) -> JobChunk:
     return out
 
 
-#: Partition modes :func:`shard` understands.
-SHARD_MODES = ("round-robin", "hash", "tenant")
+def shard(chunks: Iterable[JobChunk], num_shards: int, index: int) -> Iterator[JobChunk]:
+    """Keep shard ``index`` of a ``num_shards``-way round-robin partition.
 
-
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser: uint64 keys -> well-mixed uint64.
-
-    A pure bijective mixer (Steele et al.), so hash-sharding spreads any
-    key set — sequential ids included — uniformly across shards while
-    staying a pure function of the key alone.
-    """
-    z = values.astype(np.uint64, copy=True)
-    z += np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def shard(
-    chunks: Iterable[JobChunk],
-    num_shards: int,
-    index: int,
-    mode: str = "round-robin",
-    keep_ids: bool = False,
-) -> Iterator[JobChunk]:
-    """Keep shard ``index`` of a ``num_shards``-way trace partition.
-
-    Sharding splits a trace into ``num_shards`` disjoint sub-traces (one per
-    ``index``, together covering every job exactly once) with the original
-    interleaving preserved — the splitting primitive for replaying one
-    recorded stream against several scheduler instances
-    (:func:`repro.parallel.shard_solve`).  ``mode`` picks the partition:
-
-    * ``"round-robin"`` — by global stream position mod ``num_shards``
-      (the historical behaviour: every ``num_shards``-th job starting at
-      ``index``).  Depends on where a job sits in the stream, so prefixing
-      or truncating the trace reassigns jobs.
-    * ``"hash"`` — by a splitmix64 hash of the job's effective id (explicit
-      id, else global position).  A pure function of the id: stable across
-      re-chunking, truncation of *other* shards, and chunk-size choices.
-    * ``"tenant"`` — by a hash of the job's weight bit pattern, so jobs of
-      the same weight class land on the same shard.  The scenario catalog
-      encodes tenant identity in per-tenant weights (multi-tenant-mix), so
-      this keeps each tenant's stream together; with more shards than
-      weight classes some shards are legitimately empty.
-
-    By default kept jobs are renumbered from 0 (ids dropped).  With
-    ``keep_ids=True`` every kept job retains its effective id, which is what
-    makes the partition losslessly invertible:
-    ``merge(*(shard(t, k, i, mode, keep_ids=True) for i in range(k)),
-    tie_break="id")`` reproduces the original trace byte-for-byte.
+    The kept jobs are every ``num_shards``-th job of the stream starting at
+    position ``index``, so the ``num_shards`` shards are disjoint, together
+    cover every job exactly once and each preserves the original
+    interleaving (``repro trace convert --shard I/K``).  Kept jobs are
+    renumbered from 0 (explicit ids dropped).
     """
     if num_shards <= 0:
         raise InvalidParameterError(f"num_shards must be positive, got {num_shards}")
@@ -757,39 +706,15 @@ def shard(
         raise InvalidParameterError(
             f"shard index must be in [0, {num_shards}), got {index}"
         )
-    if mode not in SHARD_MODES:
-        raise InvalidParameterError(
-            f"unknown shard mode {mode!r}; choose from {SHARD_MODES}"
-        )
     position = 0
     taken = 0
     for chunk in chunks:
-        ids = (
-            chunk.ids
-            if chunk.ids is not None
-            else np.arange(position, position + len(chunk), dtype=np.int64)
-        )
-        if mode == "round-robin":
-            keys = np.arange(position, position + len(chunk), dtype=np.uint64)
-        elif mode == "hash":
-            keys = _splitmix64(ids)
-        else:  # tenant: the weight's bit pattern is the tenant key
-            weights = (
-                chunk.weights
-                if chunk.weights is not None
-                else np.ones(len(chunk), dtype=np.float64)
-            )
-            keys = _splitmix64(
-                np.ascontiguousarray(weights, dtype=np.float64).view(np.uint64)
-            )
-        rows = np.flatnonzero(keys % np.uint64(num_shards) == np.uint64(index))
+        rows = np.arange((index - position) % num_shards, len(chunk), num_shards)
         position += len(chunk)
         if not rows.size:
             continue
-        out = _slice_chunk(chunk, rows, start=taken)
-        out = replace(out, ids=ids[rows] if keep_ids else None)
+        yield replace(_slice_chunk(chunk, rows, start=taken), ids=None)
         taken += rows.size
-        yield out
 
 
 def renumber(chunks: Iterable[JobChunk]) -> Iterator[JobChunk]:
@@ -819,20 +744,10 @@ class _MergeCursor:
     def head_release(self) -> float:
         return float(self.chunk.releases[self.offset])
 
-    def head_id(self) -> int:
-        chunk = self.chunk
-        if chunk.ids is not None:
-            return int(chunk.ids[self.offset])
-        return chunk.start + self.offset
-
-    def sort_key(self) -> tuple[float, int]:
-        return (self.head_release(), self.head_id())
-
 
 def merge(
     *streams: Iterable[JobChunk],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    tie_break: str = "stream",
 ) -> Iterator[JobChunk]:
     """K-way merge several traces by release date, renumbering ids from 0.
 
@@ -840,24 +755,13 @@ def merge(
     internal order, outputs interleave by release, and rows are re-chunked
     to ``chunk_size``.  All inputs must agree on machine count and deadline
     presence; weights are harmonised (streams without weights contribute
-    1.0).  ``tie_break`` picks the order among equal releases:
-
-    * ``"stream"`` (default) — ties break toward the earlier stream, and a
-      run of tied rows inside one stream is consumed as a block;
-    * ``"id"`` — ties break by effective job id (explicit id, else global
-      position), one row at a time.  With globally unique ids across the
-      inputs this makes the interleaving a pure function of the rows, so
-      merging the ``keep_ids=True`` shards of a trace reproduces it exactly
-      even through release-tie runs (flash-crowd bursts release whole
-      batches at one instant).
+    1.0).  At each step the stream with the earliest head release (the
+    earlier stream when heads tie) emits every row up to and including the
+    next head release, so a run of tied rows inside one stream goes out as
+    one block.
     """
     if not streams:
         raise InvalidParameterError("merge needs at least one input trace")
-    if tie_break not in ("stream", "id"):
-        raise InvalidParameterError(
-            f"unknown tie_break {tie_break!r}; choose from ('stream', 'id')"
-        )
-    by_id = tie_break == "id"
     cursors = [_MergeCursor(iter(stream)) for stream in streams]
     live = [cursor for cursor in cursors if cursor.refill()]
     width: int | None = None
@@ -899,15 +803,13 @@ def merge(
         yield chunk
 
     while live:
-        live.sort(key=_MergeCursor.sort_key if by_id else _MergeCursor.head_release)
+        live.sort(key=_MergeCursor.head_release)
         cursor = live[0]
         bound = live[1].head_release() if len(live) > 1 else math.inf
         chunk, offset = cursor.chunk, cursor.offset
-        # Under id tie-break, rows tied *at* the bound must interleave with
-        # the other streams' tied heads one by one (side="left" stops the
-        # bulk take before the tie run); under stream tie-break the whole
-        # tie run of the winning stream is consumed as a block.
-        stop = int(np.searchsorted(chunk.releases, bound, side="left" if by_id else "right"))
+        # Take every row up to and including the bound: the winning
+        # stream's whole tie run at the bound goes out as one block.
+        stop = int(np.searchsorted(chunk.releases, bound, side="right"))
         stop = max(stop, offset + 1)  # always consume at least the head row
         rows = np.arange(offset, stop)
         piece = _slice_chunk(chunk, rows, start=0)

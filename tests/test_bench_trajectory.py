@@ -1,8 +1,9 @@
-"""Tests for the cumulative bench trajectory and the E14 benchmark case."""
+"""Tests for the cumulative bench trajectory, the checked-in baselines and E14."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -156,28 +157,20 @@ class TestTrajectoryReport:
         assert "| gappy | - | - | - |" in report
 
 
-class TestE16Bench:
-    def test_registered_and_quick(self):
-        spec = SPECS["e16_partition"]
-        assert spec.quick, "e16_partition must run in the per-PR CI subset"
+BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
 
-    def test_runs_at_tiny_scale(self, tmp_path):
-        results = run_benchmarks(
-            tmp_path, only=["e16_partition"], repeats=1, scale=0.02
-        )
-        (result,) = results
-        assert result["events"] > 0
-        assert result["events_per_sec"] > 0
-        assert result["meta"]["path"] == "shard-solve"
-        assert result["meta"]["workers"] == 4
 
-    def test_checked_in_baseline_matches_current_fingerprint(self):
-        from pathlib import Path
+class TestCheckedInBaselines:
+    def test_every_baseline_names_a_registered_bench(self):
+        # A deleted bench must take its baseline with it, or the gate
+        # compares against a recipe nothing runs.
+        slugs = {path.stem.removeprefix("BENCH_") for path in BASELINES.glob("BENCH_*.json")}
+        assert slugs and slugs <= set(SPECS)
 
-        baseline = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
-        payload = json.loads(artifact_path(baseline, "e16_partition").read_text())
-        case = SPECS["e16_partition"].build(1.0)
-        assert payload["fingerprint"] == case.fingerprint
+    @pytest.mark.parametrize("slug", ["e13_session", "e15_service", "e17_adaptive"])
+    def test_baseline_matches_current_fingerprint(self, slug):
+        payload = json.loads(artifact_path(BASELINES, slug).read_text())
+        assert payload["fingerprint"] == SPECS[slug].build(1.0).fingerprint
 
 
 class TestE14Bench:

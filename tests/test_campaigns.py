@@ -213,7 +213,6 @@ class TestGrids:
             "E12",
             "E14",
             "E15",
-            "E16",
             "E17",
         }
 

@@ -1,4 +1,4 @@
-"""Smoke tests for the experiment suite (E1-E10) at miniature scale."""
+"""Smoke tests for the registered experiment suite at miniature scale."""
 
 import pytest
 
@@ -14,7 +14,6 @@ class TestRegistry:
             "E12",
             "E14",
             "E15",
-            "E16",
             "E17",
         }
 

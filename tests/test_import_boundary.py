@@ -2,8 +2,8 @@
 
 Every ``repro solve``, ``repro serve`` and spawned worker pays its imports
 before it schedules a job, so the solve and serve paths load only what they
-run.  scipy (the Section 2 LP lower bound), the service, the shard solver,
-campaigns, experiments and analysis load on first use.  These checks run
+run.  scipy (the Section 2 LP lower bound), the service, campaigns,
+experiments and analysis load on first use.  These checks run
 fresh interpreters and gate on exact module sets, not on time.
 """
 
@@ -33,7 +33,6 @@ OFF_SOLVE_PATH = (
     "scipy",
     "asyncio",
     "repro.service",
-    "repro.parallel",
     "repro.campaigns",
     "repro.experiments",
     "repro.analysis",
@@ -43,7 +42,6 @@ OFF_SOLVE_PATH = (
 #: Modules the serve path never runs.
 OFF_SERVE_PATH = (
     "scipy",
-    "repro.parallel",
     "repro.campaigns",
     "repro.experiments",
     "repro.analysis",
@@ -140,10 +138,8 @@ def test_public_surface_resolves_lazily_exported_names():
     assert set(repro.__all__) <= set(namespace)
     assert set(repro.__all__) <= set(dir(repro))
 
-    from repro.parallel import shard_solve
     from repro.service import open_session
 
     assert repro.open_session is open_session
-    assert repro.shard_solve is shard_solve
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(repro, "no_such_name")

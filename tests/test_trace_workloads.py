@@ -412,7 +412,7 @@ class TestTransforms:
 
 
 # --------------------------------------------------------------------------------------
-# Shard partition stability and the shard -> merge lossless inverse
+# Round-robin shard and merge on the scenario catalog
 # --------------------------------------------------------------------------------------
 
 
@@ -422,69 +422,104 @@ def _ndjson(chunks) -> str:
     return buf.getvalue()
 
 
-class TestShardRoundTrip:
-    def test_hash_shard_membership_stable_across_chunk_sizes(self):
-        # Hash (and tenant) sharding keys on the job's effective id, never on
-        # chunk boundaries: re-chunking the same trace must yield the same
-        # shards job for job.  (Round-robin keys on stream position, which is
-        # also chunking-independent; it is covered by the round trip below.)
-        instance = InstanceGenerator(num_machines=2, seed=7).generate(60)
-        for mode in ("hash", "tenant"):
-            for index in range(3):
-                fine = shard(_chunks(instance, chunk_size=7), 3, index,
-                             mode=mode, keep_ids=True)
-                coarse = shard(_chunks(instance, chunk_size=64), 3, index,
-                               mode=mode, keep_ids=True)
-                assert _ndjson(fine) == _ndjson(coarse), (mode, index)
+def _scenario_instance(name: str) -> Instance:
+    return chunks_to_instance(get_scenario(name).job_chunks(48, 2, seed=2018))
 
-    def test_hash_shard_is_a_pure_function_of_the_id(self):
-        # Truncating one shard's input must not reassign jobs in another:
-        # membership depends only on the id, so a job keeps its shard even
-        # when the surrounding stream changes.
-        instance = InstanceGenerator(num_machines=2, seed=11).generate(40)
-        full = _ndjson(shard(_chunks(instance), 2, 0, mode="hash", keep_ids=True))
-        prefix = chunks_to_instance(
-            truncate(_chunks(instance), max_jobs=25), machines=2
-        )
-        partial = _ndjson(shard(_chunks(prefix), 2, 0, mode="hash", keep_ids=True))
-        assert full.startswith(partial)
 
-    @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
-    @pytest.mark.parametrize("mode", ["round-robin", "hash", "tenant"])
-    def test_merge_of_shards_round_trips_byte_identically(self, scenario_name, mode):
-        # The documented inverse: merge(shard(t, k, i, keep_ids=True) for i)
-        # under id tie-break reproduces the original trace byte for byte —
-        # for every catalog scenario, including flash-crowd's release-tie
-        # bursts and multi-tenant-mix's weight classes.
-        chunks = list(
-            get_scenario(scenario_name).job_chunks(48, 2, seed=2018)
-        )
-        original = _ndjson(chunks)
+def _row_without_id(job: Job) -> str:
+    return canonical_json({k: v for k, v in job.to_dict().items() if k != "id"})
+
+
+class TestShardAndMerge:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_shard_is_independent_of_chunking(self, name):
+        # Round-robin keys on stream position, never on chunk boundaries.
+        instance = _scenario_instance(name)
+        for index in range(3):
+            fine = shard(_chunks(instance, chunk_size=7), 3, index)
+            coarse = shard(_chunks(instance, chunk_size=64), 3, index)
+            assert _ndjson(fine) == _ndjson(coarse), index
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_shard_keeps_every_kth_job_renumbered(self, name):
+        instance = _scenario_instance(name)
+        rows = [_row_without_id(job) for job in instance.jobs]
         for num_shards in (1, 3):
-            shards = [
-                shard(iter(chunks), num_shards, index, mode=mode, keep_ids=True)
-                for index in range(num_shards)
-            ]
-            merged = merge(*shards, tie_break="id")
-            assert _ndjson(merged) == original, (scenario_name, mode, num_shards)
+            for index in range(num_shards):
+                kept = chunks_to_instance(
+                    shard(_chunks(instance), num_shards, index), machines=2
+                )
+                assert [job.id for job in kept.jobs] == list(range(kept.num_jobs))
+                assert [_row_without_id(job) for job in kept.jobs] == rows[
+                    index::num_shards
+                ]
 
-    def test_tenant_mode_keeps_weight_classes_together(self):
-        chunks = list(get_scenario("multi-tenant-mix").job_chunks(60, 2, seed=3))
-        weights = [
-            {job.weight for c in shard(iter(chunks), 2, index, mode="tenant")
-             for job in c.jobs()}
-            for index in range(2)
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_merge_of_shards_restores_trace_up_to_release_ties(self, name):
+        # One shard is the whole trace, so merging it is the identity.  With
+        # three, every job comes back and releases keep their order; only
+        # rows released at the same instant (flash-crowd bursts) may swap.
+        instance = _scenario_instance(name)
+        assert _ndjson(merge(shard(_chunks(instance), 1, 0))) == _ndjson(instance.jobs)
+        merged = chunks_to_instance(
+            merge(*(shard(_chunks(instance), 3, index) for index in range(3))),
+            machines=2,
+        )
+        assert [job.id for job in merged.jobs] == list(range(instance.num_jobs))
+        assert [job.release for job in merged.jobs] == [
+            job.release for job in instance.jobs
         ]
-        assert not (weights[0] & weights[1])
-        all_weights = {job.weight for c in chunks for job in c.jobs()}
-        assert weights[0] | weights[1] == all_weights
+        assert sorted(map(_row_without_id, merged.jobs)) == sorted(
+            map(_row_without_id, instance.jobs)
+        )
 
-    def test_unknown_mode_and_tie_break_rejected(self):
+    @pytest.mark.parametrize("num_shards, index", [(0, 0), (3, 3), (3, -1)])
+    def test_shard_rejects_out_of_range_arguments(self, num_shards, index):
         instance = InstanceGenerator(num_machines=2, seed=1).generate(5)
         with pytest.raises(InvalidParameterError):
-            list(shard(_chunks(instance), 2, 0, mode="alphabetical"))
-        with pytest.raises(InvalidParameterError):
-            list(merge(_chunks(instance), tie_break="coin-flip"))
+            list(shard(_chunks(instance), num_shards, index))
+
+    def test_merge_tie_runs_go_out_as_blocks(self):
+        # Heads tie at 0.0: the earlier stream emits its whole tie run first.
+        # Stream b then emits through a's next head (1.0) inclusive, so b's
+        # row at 1.0 precedes a's.
+        a = Instance.build(1, [Job(0, 0.0, (1.0,)), Job(1, 0.0, (1.0,)),
+                               Job(2, 1.0, (1.0,))])
+        b = Instance.build(1, [Job(0, 0.0, (2.0,)), Job(1, 1.0, (2.0,))])
+        merged = chunks_to_instance(merge(_chunks(a), _chunks(b)), machines=1)
+        assert [(job.release, job.sizes[0]) for job in merged.jobs] == [
+            (0.0, 1.0), (0.0, 1.0), (0.0, 2.0), (1.0, 2.0), (1.0, 1.0)
+        ]
+
+    def test_merge_gives_unweighted_streams_weight_one(self):
+        weighted = Instance.build(1, [Job(0, 0.0, (1.0,), weight=2.0),
+                                      Job(1, 2.0, (1.0,), weight=3.0)])
+        unweighted = JobChunk(0, np.array([1.0]), np.array([[1.0]]))
+        merged = chunks_to_instance(
+            merge(_chunks(weighted), iter([unweighted])), machines=1
+        )
+        assert [job.weight for job in merged.jobs] == [2.0, 1.0, 3.0]
+
+    def test_merge_rechunks_to_chunk_size(self):
+        # Input chunking does not carry over: every output chunk but the last
+        # holds at least ``chunk_size`` rows, and starts are contiguous.
+        a = InstanceGenerator(num_machines=2, seed=1).generate(30)
+        b = InstanceGenerator(num_machines=2, seed=2).generate(20)
+        chunks = list(merge(_chunks(a, 7), _chunks(b, 64), chunk_size=16))
+        sizes = [len(chunk) for chunk in chunks]
+        assert sum(sizes) == 50 and len(chunks) > 1
+        assert all(size >= 16 for size in sizes[:-1])
+        assert [chunk.start for chunk in chunks] == [sum(sizes[:k]) for k in range(len(sizes))]
+
+    def test_merge_needs_a_stream(self):
+        with pytest.raises(InvalidParameterError, match="at least one"):
+            list(merge())
+
+    def test_merge_rejects_mixed_deadlines(self):
+        timed = Instance.build(1, [Job(0, 0.0, (1.0,), deadline=3.0)])
+        untimed = Instance.build(1, [Job(0, 1.0, (1.0,))])
+        with pytest.raises(InvalidParameterError, match="deadlines"):
+            list(merge(_chunks(timed), _chunks(untimed)))
 
 
 # --------------------------------------------------------------------------------------
@@ -694,6 +729,15 @@ class TestTraceCli:
             out=io.StringIO(),
         ) == 0
         assert trace_instance(shard_dst, machines=2).num_jobs == 10
+
+    @pytest.mark.parametrize("spec", ["0/1", "0/3", "1/3", "2/3"])
+    def test_convert_shard_writes_the_library_shard(self, tmp_path, spec):
+        src = self._generate(tmp_path)
+        dst = tmp_path / "shard.ndjson"
+        assert main(["trace", "convert", str(src), str(dst), "--shard", spec],
+                    out=io.StringIO()) == 0
+        index, num_shards = map(int, spec.split("/"))
+        assert dst.read_text() == _ndjson(shard(read_trace_chunks(src), num_shards, index))
 
     def test_convert_bad_shard_exits_2(self, tmp_path, capsys):
         src = self._generate(tmp_path)

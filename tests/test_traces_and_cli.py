@@ -1,9 +1,11 @@
 """Tests for the schedule trace export, the ASCII Gantt chart and the CLI."""
 
+import argparse
 import io
 
 import pytest
 
+import repro
 from repro.analysis.traces import ascii_gantt, result_to_trace, trace_to_csv
 from repro.cli import build_parser, main
 from repro.core.flow_time import RejectionFlowTimeScheduler
@@ -11,7 +13,10 @@ from repro.exceptions import InvalidParameterError
 from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
+from repro.utils.serialization import canonical_json
 from repro.workloads.generators import InstanceGenerator
+from repro.workloads.scenarios import SCENARIOS, get_scenario
+from repro.workloads.traces import chunks_to_instance, trace_instance, write_trace
 
 
 @pytest.fixture
@@ -90,13 +95,41 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    @pytest.mark.parametrize("command", ["solve", "shard-solve", "serve", "loadgen"])
+    @pytest.mark.parametrize("command", ["solve", "serve", "loadgen"])
     def test_dispatch_flag_takes_only_dispatch_modes(self, command, capsys):
         for mode in DISPATCH_MODES:
             assert build_parser().parse_args([command, "--dispatch", mode]).dispatch == mode
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--dispatch", "vectorized"])
         assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+
+    def test_subcommands(self):
+        # One coordinator per solve: no subcommand splits the scheduler.
+        (subcommands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert sorted(subcommands.choices) == [
+            "adaptive", "bench", "bounds", "campaign", "experiments",
+            "loadgen", "serve", "simulate", "solve", "trace",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--shards", "2"], "unrecognized arguments: --shards 2"),
+            (["solve", "--store", "s"], "unrecognized arguments: --store s"),
+            (["solve", "--partition", "hash"], "unrecognized arguments: --partition hash"),
+            (["solve", "--workers", "2"], "unrecognized arguments: --workers 2"),
+        ],
+    )
+    def test_solve_refuses_shard_flags(self, argv, message, capsys):
+        # Every solve runs one coordinator: argparse refuses the old
+        # shard-and-merge flags.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_bounds_command(self):
         code, text = self._run(["bounds", "--epsilon", "0.25", "--alpha", "3"])
@@ -158,6 +191,78 @@ class TestSolveJsonOutput:
         (code1, text1), (code2, text2) = self._run(argv), self._run(argv)
         assert code1 == code2 == 0
         assert text1 == text2
+
+
+class TestSolveSources:
+    """``solve --scenario`` and ``--trace`` print the library's row byte for byte."""
+
+    def _run(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        code = main(argv, out=out, err=err)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_scenario_row_matches_library_solve(self, scenario):
+        code, text, _ = self._run(
+            ["solve", "--scenario", scenario, "--jobs", "60", "--machines", "4",
+             "--seed", "2018", "--param", "epsilon=0.5", "--json"]
+        )
+        assert code == 0
+        chunks = get_scenario(scenario).job_chunks(60, 4, seed=2018)
+        expected = repro.solve(chunks_to_instance(chunks), "rejection-flow", epsilon=0.5)
+        assert text == canonical_json(expected.as_row()) + "\n"
+
+    @pytest.mark.parametrize("scenario", ["flash-crowd", "multi-tenant-mix"])
+    @pytest.mark.parametrize("suffix", ["csv", "ndjson"])
+    def test_trace_row_matches_library_solve(self, tmp_path, suffix, scenario):
+        # A 3-machine trace and no --machines: the trace sets the fleet width.
+        path = tmp_path / f"trace3.{suffix}"
+        write_trace(get_scenario(scenario).job_chunks(80, 3, seed=2018), path)
+        code, text, _ = self._run(
+            ["solve", "--trace", str(path), "--param", "epsilon=0.5", "--json"]
+        )
+        assert code == 0
+        expected = repro.solve(trace_instance(path), "rejection-flow", epsilon=0.5)
+        assert text == canonical_json(expected.as_row()) + "\n"
+
+    def test_machines_matching_trace_width_is_accepted(self, tmp_path):
+        path = tmp_path / "crowd3.csv"
+        write_trace(get_scenario("flash-crowd").job_chunks(20, 3, seed=2018), path)
+        args = ["solve", "--trace", str(path), "--json"]
+        code, text, _ = self._run([*args, "--machines", "3"])
+        assert code == 0
+        assert text == self._run(args)[1]
+
+    @pytest.mark.parametrize("source", ["scenario", "trace"])
+    def test_dispatch_modes_print_identical_rows(self, tmp_path, source):
+        if source == "trace":
+            path = tmp_path / "mix.ndjson"
+            write_trace(get_scenario("multi-tenant-mix").job_chunks(60, 3, seed=2018), path)
+            args = ["--trace", str(path)]
+        else:
+            args = ["--scenario", "multi-tenant-mix", "--jobs", "60", "--seed", "2018"]
+        rows = set()
+        for mode in DISPATCH_MODES:
+            code, text, _ = self._run(
+                ["solve", *args, "--dispatch", mode, "--param", "epsilon=0.5", "--json"]
+            )
+            assert code == 0
+            rows.add(text)
+        assert len(rows) == 1
+
+    def test_machines_disagreeing_with_trace_width_exits_2(self, tmp_path):
+        path = tmp_path / "crowd3.csv"
+        write_trace(get_scenario("flash-crowd").job_chunks(20, 3, seed=2018), path)
+        code, _, err = self._run(["solve", "--trace", str(path), "--machines", "4"])
+        assert code == 2
+        assert "job 0: size vector has 3 entries, expected 4" in err
+
+    def test_scenario_and_trace_are_mutually_exclusive(self, tmp_path):
+        code, _, err = self._run(
+            ["solve", "--scenario", "flash-crowd", "--trace", str(tmp_path / "t.ndjson")]
+        )
+        assert code == 2
+        assert "mutually exclusive" in err
 
 
 class TestServeCommand:
