@@ -1,7 +1,9 @@
-"""Benchmark trajectory and baselines for ``repro bench``.
+"""The CI time gate: paired ``perfbench/`` runs of the parent and the change.
 
-``python -m repro bench`` (:mod:`repro.benchmarking`) writes one
-``BENCH_<slug>.json`` artifact per benchmark and gates them against
-``baselines/``; ``trajectory.py`` appends each CI run's artifacts to a
-cumulative NDJSON history and renders it as a report.
+``python -m benchmarks.pairs PARENT_TREE CHANGE_TREE`` runs every
+``BENCHMARK.json`` workload in both checkouts, alternating which goes first,
+and fails when the change's median of an end-to-end metric is worse than the
+parent's by more than its bound.  ``python -m repro bench``
+(:mod:`repro.benchmarking`) stays a hand-run timer; tier-1 pins the work each
+of its recipes does.
 """

@@ -1,32 +1,28 @@
 """Benchmark harness emitting canonical-JSON ``BENCH_<slug>.json``.
 
-This module is ``repro bench``, the in-repo timing harness behind the CI
-bench trajectory and regression gate (the end-to-end repository benchmark
-lives in ``perfbench/``).  It provides:
+This module is ``repro bench``, the in-repo timer for hand runs; paired
+``perfbench/`` runs (``python -m benchmarks.pairs``) are what gate time in
+CI.  It provides:
 
 * a registry of named benchmark cases covering the hot paths (Theorem 1
   dispatch under smooth and overload traffic, the no-rejection baselines,
   the speed-scaling engine, the chunked 100k-job generators, the solver
   facade and the raw event queue);
-* a runner measuring median-of-k wall times, event throughput and the
-  process peak-RSS high-water mark;
+* a runner measuring median-of-k wall times and event throughput;
 * one canonical-JSON artifact per case with the schema
   ``{bench, n_jobs, median_s, events_per_sec, fingerprint, ...}`` written
   through :mod:`repro.utils.serialization`, so artifacts are byte-stable
-  for identical measurements and diffable across commits;
-* a regression gate comparing ``events_per_sec`` against checked-in
-  baseline artifacts (used by the CI ``bench`` job).
+  for identical measurements and diffable across commits.
 
-Wall times vary with the host; fingerprints and schedules do not.  The
+Wall times vary with the host; fingerprints and event counts do not.  The
 fingerprint hashes the workload recipe (generator parameters, size,
-algorithm), so a baseline comparison is only meaningful when fingerprints
-match.
+algorithm), and the event count follows from the schedule, so tier-1 pins
+both for every recipe (``tests/test_benchmark_harness.py``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 import time
@@ -34,10 +30,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.utils.memory import peak_rss_bytes
 from repro.utils.serialization import canonical_json, stable_hash
 
-#: Artifact filename prefix; the CI job globs for it.
+#: Artifact filename prefix (``BENCH_<slug>.json``).
 ARTIFACT_PREFIX = "BENCH_"
 
 #: Default repeat counts (median-of-k) for quick and full runs.
@@ -67,7 +62,7 @@ class BenchSpec:
     slug: str
     description: str
     build: Callable[[float], BenchCase]
-    #: Included in ``--quick`` (the per-PR CI subset).
+    #: Included in ``--quick`` (every case but the slow full-only ones).
     quick: bool = True
 
 
@@ -93,8 +88,8 @@ def _bench_e1_dispatch(scale: float, dispatch: str | None = None) -> BenchCase:
     burst regime is where queues actually build up, i.e. where the indexed
     scheduler state earns its keep.  ``e1_flow_time`` runs the default
     dispatch mode; ``e1_scan`` pins ``dispatch`` and records it in the
-    recipe, so the trajectory shows both modes side by side and the gate
-    guards each one's own baseline.
+    recipe, so a hand run times both modes side by side on one workload
+    and each mode keeps its own fingerprint.
     """
     from repro.core.flow_time import RejectionFlowTimeScheduler
     from repro.simulation.engine import FlowTimeEngine
@@ -280,8 +275,8 @@ def _bench_session_ingest(scale: float) -> BenchCase:
     The same workload the batch ``solver_facade``/``e1_poisson`` paths run,
     fed job-by-job through ``open_session`` with a poll per submission —
     the `repro serve` hot path.  The target is <10% overhead over batch
-    (asserted in ``tests/test_session.py``); this case tracks the session
-    path's own events/s trajectory.
+    (asserted in ``tests/test_session.py``); this case times the session
+    path's own events/s.
     """
     from repro.service import open_session
     from repro.workloads.generators import InstanceGenerator
@@ -292,7 +287,7 @@ def _bench_session_ingest(scale: float) -> BenchCase:
 
     def run() -> int:
         # retain_events=False matches how `repro serve` opens its session,
-        # so the gate tracks the configuration that actually serves.
+        # so this times the configuration that actually serves.
         session = open_session(
             "rejection-flow", instance.machines, epsilon=0.5, retain_events=False
         )
@@ -318,7 +313,7 @@ def _bench_e14_robustness(scale: float) -> BenchCase:
 
     The E14 hot path — scenario chunks bulk-submitted to a streaming session
     (``submit_many`` per chunk, finalize once).  Chunk generation happens
-    outside the timed run, so the gate tracks the ingestion + scheduling
+    outside the timed run, so the timing covers the ingestion + scheduling
     path the robustness sweep and ``repro serve --trace`` exercise.
     """
     from repro.service import open_session
@@ -389,8 +384,8 @@ def _bench_e17_adaptive(scale: float) -> BenchCase:
     to a ``meta`` session, so every arrival pays the telemetry monitor, the
     threshold controller and (on regime changes) a sub-policy rebuild on top
     of the plain E14-style ingestion cost.  Throughput counts simulator
-    events, making the meta overhead directly comparable against the
-    ``e14_robustness`` baseline.
+    events, making the meta overhead directly comparable against an
+    ``e14_robustness`` run on the same host.
     """
     from repro.service import open_session
     from repro.workloads.scenarios import get_scenario
@@ -475,7 +470,6 @@ def run_bench(spec: BenchSpec, repeats: int, scale: float = 1.0) -> dict:
         "events": events,
         "events_per_sec": events / median_s if median_s > 0 else float("inf"),
         "fingerprint": case.fingerprint,
-        "peak_rss_bytes": peak_rss_bytes(),
         "meta": case.meta,
     }
 
@@ -525,49 +519,6 @@ def run_benchmarks(
 
 
 # --------------------------------------------------------------------------------------
-# Regression gate
-# --------------------------------------------------------------------------------------
-
-
-def compare_to_baseline(
-    results: Sequence[dict],
-    baseline_dir: "str | Path",
-    max_regression: float = 0.25,
-) -> tuple[list[str], int]:
-    """Compare ``events_per_sec`` against checked-in baseline artifacts.
-
-    Returns ``(failures, compared)``: human-readable failure strings (empty
-    means the gate passes) and how many benchmarks had a baseline to compare
-    against.  Only benchmarks with a baseline artifact are checked, and a
-    fingerprint mismatch is itself a failure (the workload changed, so the
-    baseline must be re-recorded deliberately).
-    """
-    failures: list[str] = []
-    compared = 0
-    for result in results:
-        path = artifact_path(baseline_dir, result["bench"])
-        if not path.is_file():
-            continue
-        compared += 1
-        baseline = json.loads(path.read_text(encoding="utf-8"))
-        if baseline.get("fingerprint") != result["fingerprint"]:
-            failures.append(
-                f"{result['bench']}: workload fingerprint changed "
-                f"({baseline.get('fingerprint')} -> {result['fingerprint']}); "
-                "re-record the baseline if the change is intentional"
-            )
-            continue
-        floor = baseline["events_per_sec"] * (1.0 - max_regression)
-        if result["events_per_sec"] < floor:
-            failures.append(
-                f"{result['bench']}: {result['events_per_sec']:,.0f} events/s is below "
-                f"{floor:,.0f} (baseline {baseline['events_per_sec']:,.0f} "
-                f"- {max_regression:.0%} tolerance)"
-            )
-    return failures, compared
-
-
-# --------------------------------------------------------------------------------------
 # CLI
 # --------------------------------------------------------------------------------------
 
@@ -581,18 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="bench-artifacts",
                         help="directory for BENCH_*.json artifacts (default: %(default)s)")
     parser.add_argument("--quick", action="store_true",
-                        help="run the per-PR subset with fewer repeats")
+                        help="skip the full-only cases and use fewer repeats")
     parser.add_argument("--only", nargs="+", metavar="SLUG",
                         help="run only the named benchmarks")
     parser.add_argument("--repeats", type=int, default=None,
                         help="median-of-k repeats (default: 3 quick / 5 full)")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="scale factor for workload sizes (testing hook)")
-    parser.add_argument("--baseline", default=None, metavar="DIR",
-                        help="compare events/sec against baseline artifacts in DIR")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="tolerated fractional events/sec drop vs baseline "
-                             "(default: %(default)s)")
     parser.add_argument("--list", action="store_true", help="list benchmarks and exit")
     return parser
 
@@ -611,11 +557,8 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
             marker = "quick" if spec.quick else "full-only"
             print(f"{spec.slug:>16s}  [{marker:9s}] {spec.description}", file=out)
         return 0
-    if args.baseline is not None and not Path(args.baseline).is_dir():
-        print(f"error: --baseline {args.baseline} is not a directory", file=err)
-        return 2
     try:
-        results = run_benchmarks(
+        run_benchmarks(
             args.out,
             only=args.only,
             quick=args.quick,
@@ -626,23 +569,4 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=err)
         return 2
-    if args.baseline is not None:
-        failures, compared = compare_to_baseline(results, args.baseline, args.max_regression)
-        if not compared:
-            # A gate that compares nothing is off, not passed.
-            print(
-                f"error: none of the {len(results)} benchmarks run has a baseline "
-                f"in {args.baseline}",
-                file=err,
-            )
-            return 2
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}", file=out)
-            return 1
-        print(
-            f"regression gate passed ({compared} of {len(results)} benchmarks "
-            f"compared against {args.baseline})",
-            file=out,
-        )
     return 0

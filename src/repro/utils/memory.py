@@ -1,9 +1,9 @@
 """Process-memory introspection helpers.
 
-Used by the benchmark harness and the scalability experiments to report the
-peak resident-set high-water mark alongside wall times.  The numbers are
-process-wide and monotone: they never decrease over the life of the process,
-so per-phase attributions must compare before/after readings.
+Used by the scalability experiments to report the peak resident-set
+high-water mark alongside wall times.  The numbers are process-wide and
+monotone: they never decrease over the life of the process, so per-phase
+attributions must compare before/after readings.
 """
 
 from __future__ import annotations
