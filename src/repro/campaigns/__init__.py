@@ -11,12 +11,11 @@ print tables" to re-runnable (experiment × variant × seed × algorithm) grids:
   :class:`StoreBackend` contract with atomic conditional puts;
 * :mod:`~repro.campaigns.store` persists one canonical-JSON artifact per
   task on any backend;
-* :mod:`~repro.campaigns.runner` fans pending tasks out over worker
-  processes and skips everything already in the store (resumability);
-* :mod:`~repro.campaigns.distributed` lets N independent worker processes
-  (or hosts) sharing one backend execute a grid cooperatively via
-  lease-based work stealing, with crash recovery and byte-identical
-  results (:func:`run_campaign` is the one entry point for both modes);
+* :mod:`~repro.campaigns.distributed` runs every grid as lease workers:
+  any number of worker processes (or hosts) sharing one backend execute it
+  cooperatively via lease-based work stealing, skip everything already in
+  the store (resumability) and recover from crashed peers, with
+  byte-identical results (:func:`run_campaign` is the entry point);
 * :mod:`~repro.campaigns.aggregate` merges artifacts into report tables and
   CSV exports without re-running anything;
 * :mod:`~repro.campaigns.session_replay` records streaming-session decision
@@ -52,15 +51,11 @@ from repro.campaigns.grids import (
 )
 from repro.campaigns.distributed import (
     DEFAULT_LEASE_TTL,
+    CampaignRunSummary,
+    TaskOutcome,
     gc_store,
     run_campaign,
     run_worker,
-)
-from repro.campaigns.runner import (
-    CampaignRunner,
-    CampaignRunSummary,
-    TaskOutcome,
-    run_mapped,
 )
 from repro.campaigns.session_replay import (
     TRACE_SCHEMA_VERSION,
@@ -83,7 +78,6 @@ __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "ArtifactStore",
     "CampaignGrid",
-    "CampaignRunner",
     "CampaignRunSummary",
     "CampaignTask",
     "DEFAULT_LEASE_TTL",
@@ -111,7 +105,6 @@ __all__ = [
     "replay_session_trace",
     "result_from_payload",
     "run_campaign",
-    "run_mapped",
     "run_task",
     "run_worker",
     "summary_table",

@@ -373,12 +373,6 @@ _MEMORY_SPACES: dict[str, _MemorySpace] = {}
 _MEMORY_REGISTRY_LOCK = threading.Lock()
 
 
-def reset_memory_namespace(name: str) -> None:
-    """Drop the named shared in-memory namespace (test isolation hook)."""
-    with _MEMORY_REGISTRY_LOCK:
-        _MEMORY_SPACES.pop(name, None)
-
-
 class MemoryBackend(StoreBackend):
     """An in-process blob store; named instances share one namespace.
 

@@ -1,9 +1,10 @@
-"""Work-stealing distributed campaign execution over a shared store.
+"""Campaign execution: lease workers cooperating over a shared store.
 
-Any number of independent worker processes (or hosts) pointed at one store
-backend cooperatively execute one campaign grid — no coordinator, no
-assignment step, per-task resume.  The whole protocol is built from the
-backend's three atomic primitives and one reserved key prefix:
+Every campaign run is one or more lease workers.  Any number of independent
+worker processes (or hosts) pointed at one store backend cooperatively
+execute one campaign grid — no coordinator, no assignment step, per-task
+resume.  The whole protocol is built from the backend's three atomic
+primitives and one reserved key prefix:
 
 * **claim** — a worker claims a task by atomically creating the lease
   marker ``leases/<task key>`` (``put_if_absent``).  The lease carries the
@@ -18,34 +19,84 @@ backend's three atomic primitives and one reserved key prefix:
   writer wins).  Duplicated work — an owner that lost its lease but
   finished anyway — is harmless: artifacts are canonical JSON keyed by
   content hash, so every writer holds identical bytes.
-* **release** — the lease is deleted after publishing; once the artifact
-  exists, any worker that sees a leftover lease clears it.  A finished
-  store therefore contains artifacts only, byte-identical to a sequential
-  single-worker run on any backend.
+* **release** — the lease is deleted once the task is published *or* its
+  compute or publish raised (``KeyboardInterrupt`` included), so an
+  interrupted run leaves no lease for the next run to wait out; once the
+  artifact exists, any worker that sees a leftover lease clears it.  A
+  finished store therefore contains artifacts only, byte-identical to a
+  one-worker run on any backend.
 
 Workers exit when every task's artifact exists, so ``run_worker`` doubles
 as a barrier: whichever process returns last observed the completed grid.
+:func:`run_campaign` is the entry point: one worker in this process, or N
+worker processes whose summaries it merges.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import socket
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.campaigns.runner import CampaignRunner, CampaignRunSummary, TaskOutcome
+from repro.campaigns.backends import MemoryBackend
 from repro.campaigns.store import LEASE_PREFIX, ArtifactStore
 from repro.campaigns.tasks import CampaignTask, run_task
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, ReproError
 from repro.utils.serialization import canonical_json
 
 #: Default lease time-to-live.  Generous relative to heartbeat cadence
 #: (ttl/4) so GC pauses don't cause spurious steals, small enough that a
 #: crashed worker's task is rerun quickly.
 DEFAULT_LEASE_TTL = 30.0
+
+
+@dataclass(frozen=True)
+class TaskOutcome:
+    """What happened to one task during a campaign run."""
+
+    task: CampaignTask
+    key: str
+    cached: bool
+    duration_s: float | None = None
+
+
+@dataclass
+class CampaignRunSummary:
+    """Bookkeeping for one campaign run: one outcome per task, in grid order."""
+
+    outcomes: list[TaskOutcome] = field(default_factory=list)
+    workers: int = 1
+    wall_time_s: float = 0.0
+
+    @property
+    def total(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def cached(self) -> int:
+        return sum(1 for outcome in self.outcomes if outcome.cached)
+
+    @property
+    def computed(self) -> int:
+        return self.total - self.cached
+
+    @property
+    def cache_hit_fraction(self) -> float:
+        return self.cached / self.total if self.total else 0.0
+
+    def describe(self) -> str:
+        """One-line human summary, e.g. ``9 tasks: 0 computed, 9 cached (100% cache hits)``."""
+        return (
+            f"{self.total} tasks: {self.computed} computed, {self.cached} cached "
+            f"({100 * self.cache_hit_fraction:.0f}% cache hits) "
+            f"in {self.wall_time_s:.2f}s with {self.workers} worker(s)"
+        )
 
 
 def default_worker_id() -> str:
@@ -167,8 +218,10 @@ class LeaseHeartbeat(threading.Thread):
             self.token = renewed
 
     def stop(self) -> None:
+        """Stop renewing; safe on a thread interrupted while starting."""
         self._stopped.set()
-        self.join()
+        if self.is_alive():
+            self.join()
 
 
 def run_worker(
@@ -190,23 +243,19 @@ def run_worker(
     computed count as computed, everything satisfied from the store
     (pre-existing artifacts *and* rivals' results) counts as cached — so
     summing ``computed`` across a fleet equals the number of distinct tasks.
+    A config repeated inside the grid is computed once and counts as cached
+    at its later positions.
     """
     if lease_ttl <= 0:
         raise InvalidParameterError(f"lease_ttl must be > 0, got {lease_ttl}")
     worker = worker_id or default_worker_id()
     wait = poll_interval if poll_interval is not None else min(0.2, lease_ttl / 10.0)
     start = time.perf_counter()
-    summary = CampaignRunSummary(workers=1)
-
+    keyed = [(task, task.key()) for task in tasks]
     remaining: dict[str, CampaignTask] = {}
-    for task in tasks:
-        key = task.key()
-        if key in remaining:
-            # Duplicate config inside one grid: one compute, reported once
-            # per occurrence (mirrors the pool runner's dedupe).
-            summary.outcomes.append(TaskOutcome(task=task, key=key, cached=True))
-        else:
-            remaining[key] = task
+    for task, key in keyed:
+        remaining.setdefault(key, task)
+    computed: dict[str, TaskOutcome] = {}
 
     def note(line: str) -> None:
         if progress is not None:
@@ -220,7 +269,6 @@ def run_worker(
                 # Computed before this run or by a rival worker just now;
                 # either way the lease (if any survives) is moot.
                 store.backend.delete(lease_key_for(key))
-                summary.outcomes.append(TaskOutcome(task=task, key=key, cached=True))
                 note(f"cached   {task.label} [{key}]")
                 del remaining[key]
                 progressed = True
@@ -229,31 +277,33 @@ def run_worker(
             if token is None:
                 continue
             heartbeat = LeaseHeartbeat(store, key, token, worker, lease_ttl, clock=clock)
-            heartbeat.start()
             try:
+                heartbeat.start()
                 started = time.perf_counter()
                 payload = task_runner(task)
                 duration = time.perf_counter() - started
+                published = store.save_if_absent(key, payload)
             finally:
                 heartbeat.stop()
-            published = store.save_if_absent(key, payload)
-            release_lease(store, key, heartbeat.token)
+                release_lease(store, key, heartbeat.token)
             if published:
-                summary.outcomes.append(
-                    TaskOutcome(task=task, key=key, cached=False, duration_s=duration)
-                )
+                computed[key] = TaskOutcome(task=task, key=key, cached=False, duration_s=duration)
                 note(f"computed {task.label} [{key}] ({duration:.2f}s)")
             else:
                 # A stealer published first; identical bytes, count as cached.
-                summary.outcomes.append(TaskOutcome(task=task, key=key, cached=True))
                 note(f"duplicate {task.label} [{key}] (lost publish race)")
             del remaining[key]
             progressed = True
         if remaining and not progressed:
             time.sleep(wait)
 
-    summary.wall_time_s = time.perf_counter() - start
-    return summary
+    outcomes = [
+        computed.pop(key, None) or TaskOutcome(task=task, key=key, cached=True)
+        for task, key in keyed
+    ]
+    return CampaignRunSummary(
+        outcomes=outcomes, workers=1, wall_time_s=time.perf_counter() - start
+    )
 
 
 def gc_store(
@@ -285,32 +335,95 @@ def gc_store(
     return {"leases": removed_leases, "transients": removed_transients}
 
 
+def _worker_process(store, tasks, worker_id, lease_ttl, conn) -> None:
+    """Body of one worker process: progress lines, then the summary, on ``conn``."""
+    try:
+        conn.send(
+            run_worker(
+                store, tasks, worker_id=worker_id, lease_ttl=lease_ttl, progress=conn.send
+            )
+        )
+    finally:
+        conn.close()
+
+
 def run_campaign(
     tasks: Sequence[CampaignTask],
     store: ArtifactStore,
     *,
     workers: int = 1,
-    distributed: bool = False,
     worker_id: "str | None" = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     progress=None,
 ) -> CampaignRunSummary:
-    """Execute a campaign either as a worker pool or as one fleet worker.
+    """Execute a campaign grid with ``workers`` lease workers on ``store``.
 
-    ``distributed=False`` (default) is the classic single-coordinator path:
-    a :class:`CampaignRunner` fanning pending tasks over ``workers``
-    processes, the parent alone writing artifacts.  ``distributed=True``
-    runs one cooperative work-stealing worker instead — start N processes
-    (each calling this with the same tasks and a store on a shared backend)
-    to execute the grid N-wide with crash tolerance and no coordinator.
+    With ``workers == 1`` :func:`run_worker` runs in this process.  Otherwise
+    ``workers`` processes named ``<worker_id>-0`` … ``<worker_id>-<N-1>``
+    each run one on the same store, while this process computes nothing: it
+    relays their progress lines, waits for them and merges their summaries
+    (``workers == N``, outcomes in grid order).  Every run is a lease
+    worker, so separate ``run_campaign`` processes on one store cooperate
+    as one wider fleet.  An interrupt (Ctrl-C, ``timeout -s INT``) reaches
+    the whole process group; each worker releases its lease and exits.
     """
-    if distributed:
-        if workers != 1:
-            raise InvalidParameterError(
-                "distributed mode runs one worker per process; "
-                "start more processes instead of passing workers > 1"
-            )
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    if lease_ttl <= 0:
+        raise InvalidParameterError(f"lease_ttl must be > 0, got {lease_ttl}")
+    if workers == 1:
         return run_worker(
             store, tasks, worker_id=worker_id, lease_ttl=lease_ttl, progress=progress
         )
-    return CampaignRunner(store, workers=workers).run(tasks, progress=progress)
+    if isinstance(store.backend, MemoryBackend):
+        raise InvalidParameterError(
+            f"store {store.describe()!r} lives in this process's memory, which "
+            f"worker processes cannot see; run it with workers=1"
+        )
+    base = worker_id or default_worker_id()
+    start = time.perf_counter()
+    # The default start method (fork on Linux) is safe here: this process
+    # has started no lease or heartbeat thread of its own.
+    members = []
+    for k in range(workers):
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(
+            target=_worker_process,
+            args=(store, tasks, f"{base}-{k}", lease_ttl, sender),
+            name=f"{base}-{k}",
+        )
+        process.start()
+        sender.close()
+        members.append((process, receiver))
+    summaries: list[CampaignRunSummary] = []
+    listening = [receiver for _, receiver in members]
+    try:
+        while listening:
+            for receiver in multiprocessing.connection.wait(listening):
+                try:
+                    message = receiver.recv()
+                except EOFError:
+                    listening.remove(receiver)
+                    continue
+                if isinstance(message, CampaignRunSummary):
+                    summaries.append(message)
+                elif progress is not None:
+                    progress(message)
+    finally:
+        for process, receiver in members:
+            process.join()
+            receiver.close()
+    failed = [process for process, _ in members if process.exitcode != 0]
+    if failed:
+        raise ReproError(
+            "; ".join(f"campaign worker {p.name} exited with code {p.exitcode}" for p in failed)
+        )
+    # Each key is published by exactly one worker: the merged outcome at a
+    # grid position is the worker's that computed it, if any did.
+    outcomes = [
+        next((outcome for outcome in column if not outcome.cached), column[0])
+        for column in zip(*(summary.outcomes for summary in summaries))
+    ]
+    return CampaignRunSummary(
+        outcomes=outcomes, workers=workers, wall_time_s=time.perf_counter() - start
+    )

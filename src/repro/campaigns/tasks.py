@@ -1,8 +1,7 @@
 """Campaign tasks: one (experiment × variant × seed) cell of a campaign grid.
 
-A :class:`CampaignTask` is pure picklable data.  :func:`run_task` — a
-module-level function so it pickles by reference — turns one into a JSON
-artifact payload, and :func:`result_from_payload` rebuilds an
+A :class:`CampaignTask` is pure picklable data.  :func:`run_task` turns
+one into a JSON artifact payload, and :func:`result_from_payload` rebuilds an
 :class:`~repro.experiments.registry.ExperimentResult` from a stored payload,
 so reports can be regenerated without re-running anything.
 """
@@ -91,8 +90,8 @@ class CampaignTask:
 def run_task(task: CampaignTask) -> dict:
     """Execute ``task`` and return its JSON artifact payload.
 
-    Module-level (not a closure or method) so :mod:`multiprocessing` can ship
-    it to worker processes by reference.
+    The default ``task_runner`` of
+    :func:`~repro.campaigns.distributed.run_worker`.
     """
     result = task.to_unit().run()
     return payload_from_result(task, result)

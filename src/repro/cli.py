@@ -12,7 +12,7 @@ The subcommands cover the common workflows::
     python -m repro adaptive --scenario drift-ramp-heavytail --policy threshold
     python -m repro bounds --epsilon 0.25 --alpha 3
     python -m repro campaign run --grid small --workers 4
-    python -m repro campaign run --grid medium --store sqlite:grid.db --worker
+    python -m repro campaign run --grid medium --store sqlite:grid.db
     python -m repro campaign diff /tmp/store-a sqlite:/tmp/store-b.db
 
 * ``experiments`` regenerates experiment tables (same engine as
@@ -48,11 +48,11 @@ The subcommands cover the common workflows::
 * ``campaign`` runs (experiment × variant × seed) grids in parallel against a
   cached artifact store and aggregates the results (``run``/``list``/``report``).
   ``--store`` addresses any backend (a directory, ``file:PATH`` or
-  ``sqlite:PATH``); ``run --worker`` joins a work-stealing fleet — start any
-  number of worker processes against one shared store and they execute the
-  grid cooperatively, stealing expired leases from crashed peers.
-  ``diff`` byte-compares two stores across backends; ``gc`` collects lease
-  and temp-file residue a killed worker can leave behind.
+  ``sqlite:PATH``).  Every ``run`` is a work-stealing lease worker fleet of
+  ``--workers`` processes: any number of ``run`` processes on one shared
+  store execute the grid cooperatively, stealing expired leases from
+  crashed peers.  ``diff`` byte-compares two stores across backends; ``gc``
+  collects lease and temp-file residue a killed worker can leave behind.
 """
 
 from __future__ import annotations
@@ -318,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     def _store_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--store", default="campaign-artifacts",
                          help="artifact store: a directory, file:PATH or sqlite:PATH")
-        sub.add_argument("--backend", choices=("file", "sqlite"), default=None,
-                         help="force the backend for a plain --store path "
-                              "(equivalent to prefixing the path with SCHEME:)")
 
     def _common_campaign_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--grid", default="small", help="grid name (see `campaign list`)")
@@ -335,19 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _common_campaign_args(campaign_run)
     campaign_run.add_argument("--workers", type=int, default=1,
-                              help="worker processes (1 = in-process sequential)")
-    campaign_run.add_argument("--worker", action="store_true",
-                              help="run as one cooperative work-stealing worker: "
-                                   "any number of --worker processes sharing a "
-                                   "store backend execute the grid together, "
-                                   "stealing tasks from crashed peers")
+                              help="lease-worker processes (1 = this process); "
+                                   "other `campaign run` processes on the same "
+                                   "store join in, stealing tasks from crashed peers")
     campaign_run.add_argument("--worker-id", default=None, metavar="ID",
-                              help="worker identity recorded in lease markers "
+                              help="worker identity in lease markers and progress "
+                                   "lines, suffixed -K with --workers N "
                                    "(default: <hostname>-<pid>)")
     campaign_run.add_argument("--lease-ttl", type=float, default=None, metavar="S",
-                              help="with --worker: seconds before an "
-                                   "unrefreshed task lease may be stolen "
-                                   "(default 30)")
+                              help="seconds before an unrefreshed task lease "
+                                   "may be stolen (default 30)")
     campaign_run.add_argument("--quiet", action="store_true",
                               help="suppress per-task progress lines")
 
@@ -746,24 +740,6 @@ def _campaign_tasks(args: argparse.Namespace):
     return get_grid(args.grid).tasks(master_seed=master_seed)
 
 
-def _open_campaign_store(args: argparse.Namespace):
-    """Open ``--store`` honouring an explicit ``--backend`` override."""
-    from repro.campaigns import ArtifactStore
-
-    spec = args.store
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        scheme, sep, _ = spec.partition(":")
-        if sep and scheme in ("file", "sqlite", "memory"):
-            if scheme != backend:
-                raise ReproError(
-                    f"--backend {backend} contradicts store spec {spec!r}"
-                )
-        else:
-            spec = f"{backend}:{spec}"
-    return ArtifactStore.open(spec)
-
-
 def _cmd_campaign(args: argparse.Namespace, out) -> int:
     from repro.analysis.reporting import render_report
     from repro.campaigns import (
@@ -800,7 +776,7 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
         return 0
 
     if args.campaign_command == "gc":
-        store = _open_campaign_store(args)
+        store = ArtifactStore.open(args.store)
         removed = gc_store(store)
         print(
             f"gc {store.describe()}: removed {removed['leases']} lease(s), "
@@ -809,23 +785,15 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
         )
         return 0
 
-    store = _open_campaign_store(args)
+    store = ArtifactStore.open(args.store)
     tasks = _campaign_tasks(args)
 
     if args.campaign_command == "run":
-        if args.worker and args.workers != 1:
-            raise ReproError(
-                "--worker runs one cooperative worker per process; "
-                "start more --worker processes instead of --workers N"
-            )
-        if not args.worker and (args.lease_ttl is not None or args.worker_id):
-            raise ReproError("--lease-ttl/--worker-id only apply with --worker")
         progress = None if args.quiet else (lambda line: print(line, file=out))
         summary = run_campaign(
             tasks,
             store,
             workers=args.workers,
-            distributed=args.worker,
             worker_id=args.worker_id,
             lease_ttl=args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL,
             progress=progress,

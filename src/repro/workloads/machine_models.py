@@ -11,13 +11,14 @@ standard machine models used in the scheduling literature:
 * *restricted assignment* — each job is only runnable on a random subset of
   machines (``math.inf`` elsewhere), the hardest structured special case.
 
-Like the size distributions, every model has an array flavour
-(``*_matrix_array``) returning a ``(n, m)`` float64 matrix without building
-per-job Python tuples — the chunked generators feed base-size chunks through
-these.  The tuple-returning originals wrap the array versions where the
-random stream is consumed identically (identical / related / unrelated);
-``restricted_assignment_matrix`` interleaves its fix-up draws differently and
-keeps its own loop so existing seeds reproduce exactly.
+Like the size distributions, the identical, related and unrelated models
+have an array flavour (``*_matrix_array``) returning a ``(n, m)`` float64
+matrix without building per-job Python tuples; the tuple-returning
+originals wrap them, consuming the random stream identically.  Restricted
+assignment has no array flavour: ``restricted_assignment_matrix`` interleaves
+its fix-up draws per job and keeps its own loop so existing seeds reproduce
+exactly, and the chunked generators draw it in their own ``_matrix_chunk``
+with a dedicated fix-up stream.
 """
 
 from __future__ import annotations
@@ -129,35 +130,6 @@ def unrelated_matrix(
             seed=seed,
         )
     )
-
-
-def restricted_assignment_matrix_array(
-    base_sizes,
-    num_machines: int,
-    eligible_fraction: float = 0.5,
-    seed=None,
-) -> np.ndarray:
-    """Restricted assignment as a ``(n, m)`` array (``inf`` marks forbidden pairs).
-
-    Unlike the other array flavours this consumes the random stream in a
-    different order than :func:`restricted_assignment_matrix` (eligibility
-    for all jobs first, then one fix-up draw per all-forbidden job), so the
-    two flavours produce different — but individually deterministic —
-    matrices for the same seed.
-    """
-    _check(base_sizes, num_machines)
-    if not (0.0 < eligible_fraction <= 1.0):
-        raise InvalidParameterError(
-            f"eligible_fraction must be in (0, 1], got {eligible_fraction}"
-        )
-    rng = make_rng(seed)
-    base = np.asarray(base_sizes, dtype=float)
-    eligible = rng.uniform(0.0, 1.0, size=(len(base), num_machines)) < eligible_fraction
-    empty = ~eligible.any(axis=1)
-    if empty.any():
-        fixes = rng.integers(num_machines, size=int(empty.sum()))
-        eligible[np.flatnonzero(empty), fixes] = True
-    return np.where(eligible, base[:, None], math.inf)
 
 
 def restricted_assignment_matrix(

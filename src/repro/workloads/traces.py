@@ -76,7 +76,6 @@ __all__ = [
     "truncate",
     "shard",
     "merge",
-    "renumber",
 ]
 
 #: Supported trace formats (file extension -> format name via sniffing).
@@ -715,14 +714,6 @@ def shard(chunks: Iterable[JobChunk], num_shards: int, index: int) -> Iterator[J
             continue
         yield replace(_slice_chunk(chunk, rows, start=taken), ids=None)
         taken += rows.size
-
-
-def renumber(chunks: Iterable[JobChunk]) -> Iterator[JobChunk]:
-    """Renumber a chunk stream's jobs sequentially from 0 (drop explicit ids)."""
-    start = 0
-    for chunk in chunks:
-        yield replace(chunk, start=start, ids=None)
-        start += len(chunk)
 
 
 @dataclass

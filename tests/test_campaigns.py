@@ -1,4 +1,4 @@
-"""Tests for the campaign runner, artifact store and aggregation layer."""
+"""Tests for campaign runs, the artifact store and the aggregation layer."""
 
 import pickle
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.campaigns import (
     ArtifactStore,
-    CampaignRunner,
     CampaignTask,
     aggregate_tables,
     available_grids,
@@ -14,10 +13,12 @@ from repro.campaigns import (
     get_grid,
     render_campaign_report,
     result_from_payload,
+    run_campaign,
     run_task,
     summary_table,
     task_from_payload,
 )
+from repro.campaigns.store import LEASE_PREFIX
 from repro.cli import main
 from repro.exceptions import InvalidParameterError
 from repro.experiments import ExperimentRunUnit, make_config
@@ -138,8 +139,8 @@ class TestArtifactStore:
     def test_resumed_campaign_hits_cache_on_any_backend(self, kind, tmp_path):
         store = _store_for(kind, tmp_path)
         task = _tiny_task()
-        first = CampaignRunner(store, workers=1).run([task])
-        second = CampaignRunner(store, workers=1).run([task])
+        first = run_campaign([task], store)
+        second = run_campaign([task], store)
         assert first.computed == 1 and second.cached == 1
 
 
@@ -149,7 +150,7 @@ class TestRunnerDeterminism:
         stores = []
         for name in ("run1", "run2"):
             store = ArtifactStore(tmp_path / name)
-            CampaignRunner(store, workers=1).run([task])
+            run_campaign([task], store)
             stores.append(store)
         path_a = stores[0].path_for(task.key())
         path_b = stores[1].path_for(task.key())
@@ -158,9 +159,9 @@ class TestRunnerDeterminism:
     def test_resumed_campaign_skips_cached_tasks(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         tasks = get_grid("smoke").tasks()
-        first = CampaignRunner(store, workers=1).run(tasks)
+        first = run_campaign(tasks, store)
         assert first.computed == len(tasks) and first.cached == 0
-        second = CampaignRunner(store, workers=1).run(tasks)
+        second = run_campaign(tasks, store)
         assert second.computed == 0 and second.cached == len(tasks)
         assert second.cache_hit_fraction == 1.0
         assert "100% cache hits" in second.describe()
@@ -173,8 +174,8 @@ class TestRunnerDeterminism:
         ]
         seq_store = ArtifactStore(tmp_path / "seq")
         par_store = ArtifactStore(tmp_path / "par")
-        seq = CampaignRunner(seq_store, workers=1).run(tasks)
-        par = CampaignRunner(par_store, workers=2).run(tasks)
+        seq = run_campaign(tasks, seq_store, workers=1)
+        par = run_campaign(tasks, par_store, workers=2)
         assert seq.computed == par.computed == len(tasks)
         for task in tasks:
             key = task.key()
@@ -184,16 +185,19 @@ class TestRunnerDeterminism:
         assert render_campaign_report(seq_store, tasks) == render_campaign_report(
             par_store, tasks
         )
+        # Leases are scheduling state only: a finished run leaves none.
+        for store in (seq_store, par_store):
+            assert store.backend.list_keys(LEASE_PREFIX) == []
 
     def test_duplicate_tasks_computed_once(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         task = _tiny_task()
-        summary = CampaignRunner(store, workers=1).run([task, task])
+        summary = run_campaign([task, task], store)
         assert summary.total == 2 and summary.computed == 1 and summary.cached == 1
 
     def test_invalid_worker_count(self, tmp_path):
         with pytest.raises(InvalidParameterError):
-            CampaignRunner(ArtifactStore(tmp_path), workers=0)
+            run_campaign([_tiny_task()], ArtifactStore(tmp_path), workers=0)
 
 
 class TestGrids:
@@ -252,7 +256,7 @@ class TestAggregation:
     def test_aggregated_table_has_variant_and_seed(self, tmp_path):
         store = ArtifactStore(tmp_path)
         tasks = [_tiny_task(seed=1), _tiny_task(seed=2)]
-        CampaignRunner(store, workers=1).run(tasks)
+        run_campaign(tasks, store)
         (table,) = aggregate_tables(store, tasks)
         assert table.columns[:2] == ("variant", "seed")
         assert set(table.column("seed")) == {1, 2}
@@ -260,7 +264,7 @@ class TestAggregation:
     def test_summary_table_and_csv_export(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         tasks = get_grid("smoke").tasks()
-        summary = CampaignRunner(store, workers=1).run(tasks)
+        summary = run_campaign(tasks, store)
         rendered = summary_table(summary.outcomes).render()
         assert "computed" in rendered
         paths = export_csv(aggregate_tables(store, tasks), tmp_path / "csv")

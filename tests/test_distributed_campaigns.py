@@ -1,10 +1,11 @@
-"""Tests for the lease protocol and the work-stealing campaign dispatcher.
+"""Tests for the lease protocol and the work-stealing campaign executor.
 
 The protocol pieces (claim/renew/steal/release) are unit-tested with an
-injected clock so expiry is deterministic; the dispatcher is integration-
-tested with real thread fleets over a shared in-memory backend, including
-the crash paths: expired-lease stealing, lost publish races and a worker
-killed at the atomic-write boundary.
+injected clock so expiry is deterministic; the executor is integration-
+tested with real thread fleets over a shared in-memory backend and with
+worker processes on a filesystem store, including the crash paths:
+expired-lease stealing, lost publish races, a worker killed at the
+atomic-write boundary and a task whose compute or publish raises.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import pytest
 
 from repro.campaigns import (
     ArtifactStore,
-    CampaignRunner,
     CampaignTask,
     diff_stores,
     gc_store,
-    get_grid,
     run_campaign,
     run_worker,
 )
@@ -37,7 +36,7 @@ from repro.campaigns.distributed import (
 )
 from repro.campaigns.store import LEASE_PREFIX
 from repro.cli import main
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, ReproError
 
 TINY_E1 = {"epsilons": (0.5,), "workloads": ("poisson-pareto",)}
 
@@ -133,15 +132,6 @@ class TestLeaseProtocol:
 
 
 class TestRunWorker:
-    def test_single_worker_matches_pool_runner_bytes(self, tmp_path):
-        tasks = get_grid("smoke").tasks()
-        pool_store = ArtifactStore(tmp_path / "pool")
-        fleet_store = _memory_store()
-        CampaignRunner(pool_store, workers=1).run(tasks)
-        summary = run_worker(fleet_store, tasks, worker_id="solo")
-        assert summary.computed == len(tasks) and summary.cached == 0
-        assert diff_stores(pool_store, fleet_store) == []
-
     def test_thread_fleet_computes_each_task_exactly_once(self):
         store = _memory_store()
         tasks = [_tiny_task(seed=s) for s in range(6)]
@@ -179,7 +169,7 @@ class TestRunWorker:
     def test_worker_clears_moot_lease_of_finished_task(self):
         store = _memory_store()
         task = _tiny_task()
-        CampaignRunner(store, workers=1).run([task])
+        run_campaign([task], store)
         store.backend.put(lease_key_for(task.key()), encode_lease("dead", 9e12, 0))
         summary = run_worker(store, [task], worker_id="w1")
         assert summary.cached == 1 and summary.computed == 0
@@ -207,15 +197,40 @@ class TestRunWorker:
         assert any("lost publish race" in line for line in lines)
         assert store.has(task.key())
 
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    @pytest.mark.parametrize("stage", ["compute", "publish"])
+    def test_failed_task_releases_its_lease(self, stage, error, monkeypatch):
+        # An interrupted or crashed worker must not leave its lease for the
+        # next run to wait out (one TTL): the release happens before the
+        # exception leaves run_worker.
+        store = _memory_store()
+        task = _tiny_task()
+
+        def fail(*_args):
+            raise error("stop")
+
+        if stage == "publish":
+            monkeypatch.setattr(store, "save_if_absent", fail)
+        with pytest.raises(error):
+            run_worker(
+                store, [task], worker_id="w1",
+                task_runner=fail if stage == "compute" else (lambda t: {"x": 1}),
+            )
+        assert store.backend.list_keys(LEASE_PREFIX) == []
+        assert not store.has(task.key())
+
     def test_duplicate_tasks_deduped_like_pool_runner(self):
         store = _memory_store()
         task = _tiny_task()
         summary = run_worker(store, [task, task], worker_id="w1")
         assert summary.total == 2 and summary.computed == 1 and summary.cached == 1
 
-    def test_invalid_lease_ttl_rejected(self):
+    def test_invalid_lease_ttl_rejected(self, tmp_path):
         with pytest.raises(InvalidParameterError):
             run_worker(_memory_store(), [_tiny_task()], lease_ttl=0)
+        # Refused before any worker process starts, not by each of them.
+        with pytest.raises(InvalidParameterError, match="lease_ttl"):
+            run_campaign([_tiny_task()], ArtifactStore(tmp_path), workers=2, lease_ttl=0)
 
     def test_killed_mid_publish_leaves_no_torn_artifact(self, tmp_path, monkeypatch):
         # Kill-point: die exactly at the publish rename.  The store must not
@@ -245,7 +260,7 @@ class TestGcStore:
     def test_collects_moot_expired_and_corrupt_leases_only(self):
         store = _memory_store()
         done = _tiny_task(seed=1)
-        CampaignRunner(store, workers=1).run([done])
+        run_campaign([done], store)
         store.backend.put(lease_key_for(done.key()), encode_lease("w", 9e12, 0))
         store.backend.put(lease_key_for("aa" * 8), encode_lease("w", 50.0, 0))
         store.backend.put(lease_key_for("bb" * 8), b"corrupt")
@@ -263,27 +278,37 @@ class TestGcStore:
         assert list(store.keys()) == ["ab12cd34"]
 
 
-class TestRunCampaignDispatch:
-    def test_default_mode_uses_pool_runner(self, tmp_path):
+class TestRunCampaign:
+    def test_worker_processes_report_outcomes_in_grid_order(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        summary = run_campaign([_tiny_task()], store, workers=1)
-        assert summary.computed == 1
-
-    def test_distributed_mode_runs_one_worker(self):
-        store = _memory_store()
+        tasks = [_tiny_task(seed=s) for s in (3, 1, 2)] + [_tiny_task(seed=1)]
+        lines = []
         summary = run_campaign(
-            [_tiny_task()], store, distributed=True, worker_id="w1", lease_ttl=5
+            tasks, store, workers=2, worker_id="pw", progress=lines.append
         )
-        assert summary.computed == 1
+        assert [outcome.task for outcome in summary.outcomes] == tasks
+        assert [outcome.cached for outcome in summary.outcomes] == [False] * 3 + [True]
+        assert summary.workers == 2 and summary.computed == 3
+        # Both processes report every task they saw, under suffixed ids.
+        assert {line.split("]")[0] for line in lines} == {"[pw-0", "[pw-1"}
+        assert store.backend.list_keys(LEASE_PREFIX) == []
 
-    def test_distributed_mode_rejects_worker_pool(self):
-        with pytest.raises(InvalidParameterError):
-            run_campaign([_tiny_task()], _memory_store(), distributed=True, workers=2)
+    def test_memory_store_refuses_worker_processes(self):
+        with pytest.raises(InvalidParameterError, match="memory:"):
+            run_campaign([_tiny_task()], _memory_store(), workers=2)
+
+    def test_failed_worker_process_is_reported(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        broken = CampaignTask.create("E1", overrides={"not_a_field": 1})
+        with pytest.raises(ReproError, match=r"campaign worker w-\d exited with code 1"):
+            run_campaign([broken], store, workers=2, worker_id="w")
+        assert store.backend.list_keys(LEASE_PREFIX) == []
+        assert len(store) == 0
 
 
 class TestCampaignCliDistributed:
     def test_worker_flag_runs_fleet_of_one(self, tmp_path, capsys):
-        code = main(["campaign", "run", "--grid", "smoke", "--worker",
+        code = main(["campaign", "run", "--grid", "smoke",
                      "--worker-id", "cli-w1", "--store", str(tmp_path / "store")])
         assert code == 0
         out = capsys.readouterr().out
@@ -291,29 +316,32 @@ class TestCampaignCliDistributed:
         assert "[cli-w1]" in out
 
     def test_sqlite_backend_flag_equivalent_to_scheme(self, tmp_path, capsys):
-        code = main(["campaign", "run", "--grid", "smoke", "--quiet",
-                     "--backend", "sqlite", "--store", str(tmp_path / "kv.db")])
-        assert code == 0
-        code = main(["campaign", "run", "--grid", "smoke", "--quiet",
-                     "--store", f"sqlite:{tmp_path / 'kv.db'}"])
-        assert code == 0
+        args = ["campaign", "run", "--grid", "smoke", "--quiet",
+                "--store", f"sqlite:{tmp_path / 'kv.db'}"]
+        assert main(args) == 0
+        assert main(args) == 0
         assert "100% cache hits" in capsys.readouterr().out
 
-    def test_backend_flag_conflicting_with_scheme_errors(self, tmp_path, capsys):
-        code = main(["campaign", "run", "--grid", "smoke",
-                     "--backend", "sqlite", "--store", f"file:{tmp_path}"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag", [["--worker"], ["--backend", "sqlite"]], ids=["--worker", "--backend"]
+    )
+    def test_removed_flags_are_refused(self, flag, tmp_path):
+        # Every run is a lease worker, and the store spec's scheme picks
+        # the backend: argparse refuses both retired flags.
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", "--grid", "smoke", "--store", str(store), *flag])
+        assert exc.value.code == 2
+        assert not store.exists()
 
-    def test_worker_conflicts_with_worker_pool(self, tmp_path, capsys):
-        code = main(["campaign", "run", "--grid", "smoke", "--worker",
-                     "--workers", "2", "--store", str(tmp_path)])
-        assert code == 2
-
-    def test_lease_flags_require_worker_mode(self, tmp_path, capsys):
-        code = main(["campaign", "run", "--grid", "smoke",
-                     "--lease-ttl", "5", "--store", str(tmp_path)])
-        assert code == 2
+    def test_worker_processes_relay_progress_under_suffixed_ids(self, tmp_path, capsys):
+        code = main(["campaign", "run", "--grid", "smoke", "--workers", "2",
+                     "--worker-id", "cli", "--lease-ttl", "5",
+                     "--store", str(tmp_path / "store")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "1 computed, 0 cached" in out and "with 2 worker(s)" in out
+        assert "[cli-0]" in out and "[cli-1]" in out
 
     def test_diff_identical_and_differing_stores(self, tmp_path, capsys):
         for name in ("a", "b"):

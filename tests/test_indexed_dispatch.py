@@ -373,14 +373,14 @@ class TestCampaignStoreEquivalence:
         # dispatch mode into its own store and compare the artifact bytes.
         # (Re-running one mode against the other's store only proves the
         # cache keys are stable — cache hits skip computation entirely.)
-        from repro.campaigns import ArtifactStore, CampaignRunner, get_grid
+        from repro.campaigns import ArtifactStore, get_grid, run_campaign
 
         tasks = get_grid("smoke").tasks()
         payloads = {}
         for mode in DISPATCH_MODES:
             monkeypatch.setenv("REPRO_DISPATCH", mode)
             store = ArtifactStore(tmp_path / mode)
-            summary = CampaignRunner(store, workers=1).run(tasks)
+            summary = run_campaign(tasks, store)
             assert summary.computed == len(tasks)
             payloads[mode] = sorted(
                 (path.name, path.read_bytes())

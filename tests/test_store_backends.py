@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.campaigns import ArtifactStore, CampaignRunner, diff_stores, get_grid
+from repro.campaigns import ArtifactStore, diff_stores, get_grid, run_campaign
 from repro.campaigns.backends import (
     FilesystemBackend,
     MemoryBackend,
@@ -245,15 +245,15 @@ class TestRunnerOnKeyedBackends:
     def test_campaign_resumes_with_full_cache_hits_on_sqlite(self, tmp_path):
         store = ArtifactStore.open(f"sqlite:{tmp_path / 'grid.db'}")
         tasks = get_grid("smoke").tasks()
-        first = CampaignRunner(store, workers=1).run(tasks)
+        first = run_campaign(tasks, store)
         assert first.computed == len(tasks) and first.cached == 0
-        second = CampaignRunner(store, workers=1).run(tasks)
+        second = run_campaign(tasks, store)
         assert second.computed == 0 and second.cached == len(tasks)
 
     def test_sqlite_store_matches_filesystem_store(self, tmp_path):
         tasks = get_grid("smoke").tasks()
         fs_store = ArtifactStore(tmp_path / "fs")
         kv_store = ArtifactStore.open(f"sqlite:{tmp_path / 'kv.db'}")
-        CampaignRunner(fs_store, workers=1).run(tasks)
-        CampaignRunner(kv_store, workers=1).run(tasks)
+        run_campaign(tasks, fs_store)
+        run_campaign(tasks, kv_store)
         assert diff_stores(fs_store, kv_store) == []

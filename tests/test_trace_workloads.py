@@ -43,7 +43,6 @@ from repro.workloads.traces import (
     merge,
     read_trace_chunks,
     read_trace_jobs,
-    renumber,
     scale_load,
     shard,
     time_warp,
@@ -367,11 +366,6 @@ class TestTransforms:
         assert releases == [job.release for job in instance.jobs]
         with pytest.raises(InvalidParameterError):
             list(shard(_chunks(instance), 3, 5))
-
-    def test_renumber(self, instance):
-        chunks = list(renumber(_chunks(instance, chunk_size=9)))
-        ids = [i for c in chunks for i in c.job_ids().tolist()]
-        assert ids == list(range(instance.num_jobs))
 
     def test_merge_orders_by_release_and_renumbers(self):
         a = InstanceGenerator(num_machines=2, seed=1).generate(30)
