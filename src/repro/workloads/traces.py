@@ -20,11 +20,14 @@ Formats
   and ``inf`` marks a forbidden machine.
 
 Both readers raise :class:`~repro.exceptions.TraceSchemaError` with the
-1-based line number and the offending field on malformed rows; the exporters
-(:func:`write_ndjson_trace` / :func:`write_csv_trace`) emit byte-stable text
-(canonical JSON, shortest round-tripping float repr), so an export → ingest
-round trip reproduces the source jobs **exactly** — the property-based suite
-asserts byte-identical ``SolveOutcome`` rows.
+1-based line number and the offending field on malformed rows.
+:func:`read_trace_chunks` decodes CSV files a block of rows at a time into
+numpy columns; a block that fails a conversion or a check is decoded again
+row by row, so errors name the same line and field as the per-row reader's.
+The exporters (:func:`write_ndjson_trace` / :func:`write_csv_trace`) emit
+byte-stable text (canonical JSON, shortest round-tripping float repr), so an
+export → ingest round trip reproduces the source jobs **exactly** — the
+property-based suite asserts byte-identical ``SolveOutcome`` rows.
 
 Transforms
 ----------
@@ -48,7 +51,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError, TraceSchemaError
+from repro.exceptions import InvalidInstanceError, InvalidParameterError, TraceSchemaError
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.simulation.machine import Machine
@@ -86,6 +89,9 @@ _NDJSON_SUFFIXES = {".ndjson", ".jsonl", ".json"}
 #: Fields of the job-row schema; unknown NDJSON fields are ignored (client
 #: metadata), unknown CSV columns are rejected (header typo safety).
 _ROW_FIELDS = {"id", "release", "sizes", "weight", "deadline"}
+
+#: Largest id a chunk's int64 ``ids`` column holds.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 # --------------------------------------------------------------------------------------
@@ -224,33 +230,111 @@ def _csv_columns(header: Sequence[str]) -> tuple[list[str], int]:
     return columns, len(size_indices)
 
 
+@dataclass(frozen=True)
+class _CsvLayout:
+    """A validated CSV header: the cell index of every job field.
+
+    :meth:`job` decodes one row through the shared schema; :meth:`block`
+    converts many rows into columns at once.
+    """
+
+    width: int
+    id: int
+    release: int
+    weight: "int | None"
+    deadline: "int | None"
+    sizes: tuple[int, ...]
+
+    @classmethod
+    def from_header(cls, header: Sequence[str]) -> "_CsvLayout":
+        columns, num_machines = _csv_columns(header)
+        index_of = {name: k for k, name in enumerate(columns)}
+        return cls(
+            width=len(columns),
+            id=index_of["id"],
+            release=index_of["release"],
+            weight=index_of.get("weight"),
+            deadline=index_of.get("deadline"),
+            sizes=tuple(index_of[f"size_{i}"] for i in range(num_machines)),
+        )
+
+    def job(self, row: Sequence[str], lineno: int) -> Job:
+        """Decode one data row through :func:`parse_job_row` (the per-row path)."""
+        if len(row) != self.width:
+            raise TraceSchemaError(f"expected {self.width} cells, got {len(row)}", lineno=lineno)
+        data: dict = {
+            "id": row[self.id].strip(),
+            "release": row[self.release].strip(),
+            "sizes": [row[k].strip() for k in self.sizes],
+        }
+        if self.weight is not None and row[self.weight].strip():
+            data["weight"] = row[self.weight].strip()
+        if self.deadline is not None and row[self.deadline].strip():
+            data["deadline"] = row[self.deadline].strip()
+        return parse_job_row(data, lineno)
+
+    def block(self, rows: Sequence[Sequence[str]], start: int) -> "JobChunk | None":
+        """Convert data rows column by column; ``None`` if a cell does not convert.
+
+        ``np.array(cells, dtype=np.float64)`` calls ``float()`` on each cell
+        and ``np.int64`` calls ``int()``, so a cell converts exactly when the
+        per-row path accepts its spelling.  Cells the per-row path reads
+        differently (blank optional cells, ids past int64) fail to convert.
+        The chunk is not validated.
+        """
+        if set(map(len, rows)) != {self.width}:
+            return None
+        columns = list(zip(*rows))
+        try:
+            ids = np.array(columns[self.id], dtype=np.int64)
+            releases = np.array(columns[self.release], dtype=np.float64)
+            weights = (
+                np.ones(len(rows), dtype=np.float64)
+                if self.weight is None
+                else np.array(columns[self.weight], dtype=np.float64)
+            )
+            deadlines = None
+            if self.deadline is not None and any(columns[self.deadline]):
+                deadlines = np.array(columns[self.deadline], dtype=np.float64)
+            sizes = np.array([columns[k] for k in self.sizes], dtype=np.float64)
+        except (ValueError, OverflowError):
+            return None
+        return JobChunk(
+            start=start,
+            releases=releases,
+            sizes=np.ascontiguousarray(sizes.T),
+            weights=weights,
+            deadlines=deadlines,
+            ids=ids,
+        )
+
+
+def _csv_rows(stream: TextIO) -> "tuple[_CsvLayout, Iterator[tuple[int, list[str]]]] | None":
+    """The header's layout and the ``(lineno, cells)`` data rows; ``None`` if empty.
+
+    Blank lines are skipped; line numbers count the header as line 1.
+    """
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        return None
+    layout = _CsvLayout.from_header(header)
+    rows = (
+        (lineno, row)
+        for lineno, row in enumerate(reader, start=2)
+        if row and (len(row) != 1 or row[0].strip())
+    )
+    return layout, rows
+
+
 def iter_csv_jobs(stream: TextIO) -> Iterator[tuple[int, Job]]:
     """Yield ``(lineno, Job)`` per CSV row (cluster-trace-style header)."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
+    parsed = _csv_rows(stream)
+    if parsed is None:
         return
-    columns, num_machines = _csv_columns(header)
-    index_of = {name: k for k, name in enumerate(columns)}
-    size_cols = [index_of[f"size_{i}"] for i in range(num_machines)]
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(columns):
-            raise TraceSchemaError(
-                f"expected {len(columns)} cells, got {len(row)}", lineno=lineno
-            )
-        data: dict = {
-            "id": row[index_of["id"]].strip(),
-            "release": row[index_of["release"]].strip(),
-            "sizes": [row[k].strip() for k in size_cols],
-        }
-        if "weight" in index_of and row[index_of["weight"]].strip():
-            data["weight"] = row[index_of["weight"]].strip()
-        if "deadline" in index_of and row[index_of["deadline"]].strip():
-            data["deadline"] = row[index_of["deadline"]].strip()
-        yield lineno, parse_job_row(data, lineno)
+    layout, rows = parsed
+    for lineno, row in rows:
+        yield lineno, layout.job(row, lineno)
 
 
 def _check_format(fmt: str) -> str:
@@ -291,6 +375,112 @@ def read_trace_jobs(
             stream.close()
 
 
+def _check_chunk_size(chunk_size: int) -> None:
+    if chunk_size <= 0:
+        raise InvalidParameterError(f"chunk_size must be positive, got {chunk_size}")
+
+
+class _TraceRules:
+    """The trace-wide invariants no single row can check, carried across chunks.
+
+    One instance per read holds a constant machine count, releases
+    non-decreasing **across** chunk boundaries, all-or-none deadlines (a
+    :class:`JobChunk` cannot represent a mixed column) and ids that are
+    unique over the whole trace and fit the chunks' int64 id column (one
+    set of seen ids).  Rows are checked one at a time by :meth:`admit`;
+    :meth:`admit_block` checks a whole decoded block without attributing.
+    """
+
+    def __init__(self) -> None:
+        self.start = 0
+        self.num_machines: int | None = None
+        self.has_deadlines: bool | None = None
+        self.last_release = -math.inf
+        self.seen_ids: set[int] = set()
+
+    def admit(self, lineno: int, job: Job) -> None:
+        """Check one row against the rules, raising an attributed error."""
+        if job.id > _INT64_MAX:
+            raise TraceSchemaError(
+                f"id {job.id} does not fit in a signed 64-bit integer",
+                lineno=lineno, field="id",
+            )
+        if self.num_machines is None:
+            self.num_machines = len(job.sizes)
+            self.has_deadlines = job.deadline is not None
+        elif len(job.sizes) != self.num_machines:
+            raise TraceSchemaError(
+                f"size vector has {len(job.sizes)} entries, expected {self.num_machines} "
+                "(machine count must be constant across the trace)",
+                lineno=lineno, field="sizes",
+            )
+        if (job.deadline is not None) != self.has_deadlines:
+            raise TraceSchemaError(
+                "either every trace row carries a deadline or none does",
+                lineno=lineno, field="deadline",
+            )
+        if job.release < self.last_release:
+            raise TraceSchemaError(
+                f"release {job.release} arrives after {self.last_release}; trace rows "
+                "must be sorted by non-decreasing release",
+                lineno=lineno, field="release",
+            )
+        if job.id in self.seen_ids:
+            raise TraceSchemaError(
+                f"duplicate job id {job.id}; ids must be unique across the trace",
+                lineno=lineno, field="id",
+            )
+        self.seen_ids.add(job.id)
+        self.last_release = job.release
+
+    def chunk(self, jobs: Sequence[Job]) -> JobChunk:
+        """The next chunk (or CSV block) of rows that passed :meth:`admit`."""
+        chunk = JobChunk(
+            start=self.start,
+            releases=np.array([job.release for job in jobs], dtype=np.float64),
+            sizes=np.array([job.sizes for job in jobs], dtype=np.float64),
+            weights=np.array([job.weight for job in jobs], dtype=np.float64),
+            deadlines=(
+                np.array([job.deadline for job in jobs], dtype=np.float64)
+                if self.has_deadlines
+                else None
+            ),
+            ids=np.array([job.id for job in jobs], dtype=np.int64),
+        )
+        chunk.validate()
+        self.start += len(jobs)
+        return chunk
+
+    def admit_block(self, block: JobChunk) -> bool:
+        """Take a whole block if it keeps every rule; ``False`` leaves the state as is.
+
+        ``block`` must start at :attr:`start`.  :meth:`JobChunk.validate`
+        plus finite deadlines covers the per-row schema; the trace-wide rules
+        are checked here.
+        """
+        try:
+            block.validate()
+        except InvalidInstanceError:
+            return False
+        width = block.sizes.shape[1]
+        has_deadlines = block.deadlines is not None
+        if has_deadlines and not np.isfinite(block.deadlines).all():
+            return False
+        if self.num_machines is not None and (
+            width != self.num_machines or has_deadlines != self.has_deadlines
+        ):
+            return False
+        ids = block.ids.tolist()
+        if float(block.releases[0]) < self.last_release or not self.seen_ids.isdisjoint(ids):
+            return False
+        self.num_machines = width
+        self.has_deadlines = has_deadlines
+        self.last_release = float(block.releases[-1])
+        self.seen_ids.update(ids)
+        self.start += len(block)
+        return True
+
+
 def chunks_from_jobs(
     rows: Iterable[tuple[int, Job]], chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Iterator[JobChunk]:
@@ -298,63 +488,101 @@ def chunks_from_jobs(
 
     Enforces the trace-wide invariants the per-row schema cannot see: a
     consistent machine count, non-decreasing releases **across** chunk
-    boundaries and all-or-none deadlines (a :class:`JobChunk` cannot
-    represent a mixed column) — each violation reported with its line number.
+    boundaries, all-or-none deadlines and ids unique across the trace that
+    fit in int64 — each violation reported with its line number.
     """
-    if chunk_size <= 0:
-        raise InvalidParameterError(f"chunk_size must be positive, got {chunk_size}")
+    _check_chunk_size(chunk_size)
+    rules = _TraceRules()
     buffer: list[Job] = []
-    start = 0
-    num_machines: int | None = None
-    has_deadlines: bool | None = None
-    last_release = -math.inf
-
-    def flush() -> JobChunk:
-        nonlocal start
-        chunk = JobChunk(
-            start=start,
-            releases=np.array([job.release for job in buffer], dtype=np.float64),
-            sizes=np.array([job.sizes for job in buffer], dtype=np.float64),
-            weights=np.array([job.weight for job in buffer], dtype=np.float64),
-            deadlines=(
-                np.array([job.deadline for job in buffer], dtype=np.float64)
-                if has_deadlines
-                else None
-            ),
-            ids=np.array([job.id for job in buffer], dtype=np.int64),
-        )
-        chunk.validate()
-        start += len(buffer)
-        buffer.clear()
-        return chunk
-
     for lineno, job in rows:
-        if num_machines is None:
-            num_machines = len(job.sizes)
-            has_deadlines = job.deadline is not None
-        elif len(job.sizes) != num_machines:
-            raise TraceSchemaError(
-                f"size vector has {len(job.sizes)} entries, expected {num_machines} "
-                "(machine count must be constant across the trace)",
-                lineno=lineno, field="sizes",
-            )
-        if (job.deadline is not None) != has_deadlines:
-            raise TraceSchemaError(
-                "either every trace row carries a deadline or none does",
-                lineno=lineno, field="deadline",
-            )
-        if job.release < last_release:
-            raise TraceSchemaError(
-                f"release {job.release} arrives after {last_release}; trace rows "
-                "must be sorted by non-decreasing release",
-                lineno=lineno, field="release",
-            )
-        last_release = job.release
+        rules.admit(lineno, job)
         buffer.append(job)
         if len(buffer) >= chunk_size:
-            yield flush()
+            yield rules.chunk(buffer)
+            buffer = []
     if buffer:
-        yield flush()
+        yield rules.chunk(buffer)
+
+
+#: Most CSV rows converted at once.  A chunk is the concatenation of its
+#: blocks, so the text cells held at a time stay bounded (about 3.5 MiB at
+#: eight machines) whatever ``chunk_size`` is.
+_BLOCK_ROWS = 4096
+
+
+def _concatenate(blocks: Sequence[JobChunk]) -> JobChunk:
+    """One chunk from consecutive blocks that each passed the trace rules."""
+    if len(blocks) == 1:
+        return blocks[0]
+
+    def column(name: str) -> "np.ndarray | None":
+        arrays = [getattr(block, name) for block in blocks]
+        return None if arrays[0] is None else np.concatenate(arrays)
+
+    return JobChunk(
+        start=blocks[0].start,
+        releases=column("releases"),
+        sizes=column("sizes"),
+        weights=column("weights"),
+        deadlines=column("deadlines"),
+        ids=column("ids"),
+    )
+
+
+def _csv_chunks(stream: TextIO, chunk_size: int) -> Iterator[JobChunk]:
+    """Decode a CSV trace a block of at most :data:`_BLOCK_ROWS` rows at a time.
+
+    Each block becomes numpy columns in one conversion per field, checked in
+    bulk.  A block that fails a conversion or a check is decoded again row by
+    row (:meth:`_CsvLayout.job` + :meth:`_TraceRules.admit`), which raises
+    the attributed :class:`TraceSchemaError` of its first bad row — the
+    per-row path stays the only place that words an error.
+    """
+    parsed = _csv_rows(stream)
+    if parsed is None:
+        return
+    layout, numbered = parsed
+    rules = _TraceRules()
+
+    def decode(lines: list[int], rows: list[list[str]]) -> JobChunk:
+        block = layout.block(rows, rules.start)
+        if block is not None and rules.admit_block(block):
+            return block
+        jobs = []
+        for lineno, row in zip(lines, rows):
+            job = layout.job(row, lineno)
+            rules.admit(lineno, job)
+            jobs.append(job)
+        return rules.chunk(jobs)
+
+    blocks: list[JobChunk] = []
+    held = 0
+    while True:
+        wanted = min(_BLOCK_ROWS, chunk_size - held)
+        lines: list[int] = []
+        rows: list[list[str]] = []
+        try:
+            for lineno, row in numbered:
+                lines.append(lineno)
+                rows.append(row)
+                if len(rows) == wanted:
+                    break
+        except Exception:
+            # The per-row path meets the rows read so far before the reader's
+            # own error (undecodable bytes, a csv.Error), so a bad row among
+            # them is reported first; otherwise the reader's error stands.
+            if rows:
+                decode(lines, rows)
+            raise
+        if rows:
+            blocks.append(decode(lines, rows))
+            held += len(rows)
+        exhausted = len(rows) < wanted
+        if held == chunk_size or (exhausted and blocks):
+            yield _concatenate(blocks)
+            blocks, held = [], 0
+        if exhausted:
+            return
 
 
 def read_trace_chunks(
@@ -366,8 +594,20 @@ def read_trace_chunks(
 
     The chunks feed :meth:`SchedulerSession.submit_many` and
     :func:`chunks_to_instance` without ever materialising the whole trace.
+    CSV files are decoded a block at a time; NDJSON goes row by row through
+    :func:`parse_job_row`.  Either way the chunks and any
+    :class:`TraceSchemaError` equal ``chunks_from_jobs(read_trace_jobs(...))``.
     """
-    return chunks_from_jobs(read_trace_jobs(source, fmt), chunk_size=chunk_size)
+    _check_chunk_size(chunk_size)
+    stream, fmt, should_close = _open_source(source, fmt)
+    try:
+        if fmt == "csv":
+            yield from _csv_chunks(stream, chunk_size)
+        else:
+            yield from chunks_from_jobs(iter_ndjson_jobs(stream), chunk_size)
+    finally:
+        if should_close:
+            stream.close()
 
 
 # --------------------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 import io
 import json
 import math
+from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +31,8 @@ from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.solvers import solve
 from repro.utils.serialization import canonical_json
-from repro.workloads import standard_suites, validate_unique_suites
-from repro.workloads.generators import InstanceGenerator, JobChunk
+from repro.workloads import standard_suites, traces, validate_unique_suites
+from repro.workloads.generators import DEFAULT_CHUNK_SIZE, InstanceGenerator, JobChunk
 from repro.workloads.scenarios import (
     SCENARIOS,
     available_scenarios,
@@ -39,6 +41,7 @@ from repro.workloads.scenarios import (
 )
 from repro.workloads.suites import WorkloadSuite
 from repro.workloads.traces import (
+    chunks_from_jobs,
     chunks_to_instance,
     merge,
     read_trace_chunks,
@@ -190,6 +193,211 @@ class TestSchemaErrors:
         stream = io.StringIO('{"id": 0, "release": 0.0, "sizes": [1.0]}\n')
         with pytest.raises(InvalidParameterError, match="unknown trace format"):
             list(read_trace_jobs(stream, fmt="CSV"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    @pytest.mark.parametrize("bad_id, reused", [(2**63, False), (1, True)])
+    def test_ids_attributed_in_both_formats(self, fmt, bad_id, reused):
+        # Row 5 lands in the second chunk; id 1 was first seen in the first.
+        ids = [0, 1, 2, 3, 4, bad_id]
+        if fmt == "csv":
+            text = "id,release,size_0\n" + "".join(f"{i},{k}.0,1.0\n" for k, i in enumerate(ids))
+        else:
+            text = "".join(
+                f'{{"id": {i}, "release": {k}.0, "sizes": [1.0]}}\n' for k, i in enumerate(ids)
+            )
+        with pytest.raises(TraceSchemaError) as err:
+            list(read_trace_chunks(io.StringIO(text), fmt, chunk_size=4))
+        assert err.value.lineno == (7 if fmt == "csv" else 6)
+        assert err.value.field == "id"
+        assert str(bad_id) in str(err.value)
+        assert ("duplicate" in str(err.value)) == reused
+
+
+# --------------------------------------------------------------------------------------
+# CSV block decoder against the per-row path
+# --------------------------------------------------------------------------------------
+
+
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
+def _row_path(text: "str | io.TextIOBase", chunk_size: int) -> list[JobChunk]:
+    """The reference: per-row parsing, then chunk assembly."""
+    stream = io.StringIO(text) if isinstance(text, str) else text
+    return list(chunks_from_jobs(read_trace_jobs(stream, "csv"), chunk_size))
+
+
+def _block_path(text: "str | io.TextIOBase", chunk_size: int) -> list[JobChunk]:
+    stream = io.StringIO(text) if isinstance(text, str) else text
+    return list(read_trace_chunks(stream, "csv", chunk_size=chunk_size))
+
+
+def _outcome(read, text: str, chunk_size: int):
+    """A reader's chunks as exact bytes, or its error as type, line, field and text."""
+    try:
+        chunks = read(text, chunk_size)
+    except Exception as exc:  # compared, never swallowed: any type must match
+        return ("error", type(exc), getattr(exc, "lineno", None),
+                getattr(exc, "field", None), str(exc))
+    columns = ("releases", "sizes", "weights", "deadlines", "ids")
+    return ("chunks", [
+        (chunk.start, [
+            None if array is None
+            else (array.dtype.str, array.shape, array.flags.c_contiguous, array.tobytes())
+            for array in (getattr(chunk, name) for name in columns)
+        ])
+        for chunk in chunks
+    ])
+
+
+_HEADER = ("id", "release", "weight", "deadline", "size_0", "size_1")
+_RELEASE, _WEIGHT, _DEADLINE, _SIZE_0 = 1, 2, 3, 4
+
+
+def _good_rows(count: int = 10) -> list[list[str]]:
+    return [[str(k), f"{k + 1}.0", "1.5", f"{k + 60}.0", "2.0", "inf"] for k in range(count)]
+
+
+def _with(index: int, value: str):
+    def mutate(row: list[str]) -> list[str]:
+        row = list(row)
+        row[index] = value
+        return row
+    return mutate
+
+
+#: One defect per case: how it mutates a good row, and the field it names.
+_DEFECTS = {
+    "extra cell": (lambda row: row + ["9.0"], None),
+    "missing cell": (lambda row: row[:-1], None),
+    "release not a number": (_with(_RELEASE, "zzz"), "release"),
+    "release nan": (_with(_RELEASE, "nan"), "release"),
+    "release inf": (_with(_RELEASE, "inf"), "release"),
+    "size nan": (_with(_SIZE_0, "nan"), "sizes"),
+    "every size inf": (_with(_SIZE_0, "inf"), None),
+    "weight zero": (_with(_WEIGHT, "0"), None),
+    "weight negative": (_with(_WEIGHT, "-1.5"), None),
+    "deadline at release": (lambda row: _with(_DEADLINE, row[_RELEASE])(row), None),
+    "deadline inf": (_with(_DEADLINE, "inf"), "deadline"),
+    "deadline missing": (_with(_DEADLINE, ""), "deadline"),
+    "release out of order": (_with(_RELEASE, "0.5"), "release"),
+    "id past int64": (_with(0, str(2**63)), "id"),
+    "id repeated": (_with(0, "0"), "id"),
+}
+
+
+def _spellings(value: float) -> st.SearchStrategy[str]:
+    return st.sampled_from([
+        repr(value), f"{value:e}", f"{value:E}", f" {value!r}  ", f"\u00a0{value!r}\u2003",
+    ])
+
+
+#: Cells the per-row schema reads in every way: specials, padding, rejects.
+_ODD_CELLS = [
+    "inf", "Infinity", "-inf", "nan", "1_000", "", " ", "x", "0", "-0.0", "-2.5", "1e400",
+    " 7 ", "\u00a07\u2003", "\u00a0", "3.0", str(2**63),
+]
+
+
+@st.composite
+def _csv_traces(draw) -> str:
+    """Mostly valid CSV traces with a drawn header and a few odd cells."""
+    sizes = [f"size_{i}" for i in range(draw(st.integers(1, 3)))]
+    optional = [name for name in ("weight", "deadline") if draw(st.booleans())]
+    header = draw(st.permutations(["id", "release", *optional, *sizes]))
+    with_deadlines = draw(st.booleans())
+    odd_share = draw(st.sampled_from([0, 1, 4]))  # in 40ths of the cells
+    count = draw(st.integers(0, 9))
+    releases = sorted(draw(st.lists(st.floats(0.0, 50.0), min_size=count, max_size=count)))
+    rows = []
+    for k, release in enumerate(releases):
+        cells = {"id": str(k), "release": draw(_spellings(release))}
+        cells["weight"] = draw(_spellings(draw(st.sampled_from([1.0, 0.5, 3.25]))))
+        cells["deadline"] = draw(_spellings(release + 7.5)) if with_deadlines else ""
+        for name in sizes:
+            cells[name] = draw(_spellings(draw(st.sampled_from([1.0, 2.5, 1e-3, math.inf]))))
+        for name in header:
+            if draw(st.integers(0, 39)) < odd_share:
+                pool = _ODD_CELLS + ([str(draw(st.integers(0, k - 1)))] if k else [])
+                cells[name] = draw(st.sampled_from(pool))
+        rows.append([cells[name] for name in header])
+    return _csv_text(header, rows)
+
+
+class TestCsvBlockDecoder:
+    """``read_trace_chunks`` on CSV equals per-row parsing, errors included.
+
+    Most cases shrink the decoder's blocks to two rows, so a chunk of four is
+    two blocks and every block and chunk boundary is a few rows in.
+    """
+
+    @pytest.mark.parametrize("position", [1, 3, 4, 6],
+                             ids=["chunk-1", "chunk-1-block-2", "chunk-2", "chunk-2-block-2"])
+    @pytest.mark.parametrize("defect", sorted(_DEFECTS))
+    def test_error_matches_row_path(self, monkeypatch, defect, position):
+        monkeypatch.setattr(traces, "_BLOCK_ROWS", 2)
+        mutate, field = _DEFECTS[defect]
+        rows = _good_rows()
+        rows[position] = mutate(rows[position])
+        text = _csv_text(_HEADER, rows)
+        expected = _outcome(_row_path, text, 4)
+        assert expected[:4] == ("error", TraceSchemaError, position + 2, field)
+        assert _outcome(_block_path, text, 4) == expected
+
+    @pytest.mark.parametrize("block_rows", [2, traces._BLOCK_ROWS])
+    def test_deadlines_stopping_at_a_chunk_boundary_are_mixed(self, monkeypatch, block_rows):
+        monkeypatch.setattr(traces, "_BLOCK_ROWS", block_rows)
+        rows = _good_rows()
+        for row in rows[4:]:
+            row[_DEADLINE] = ""
+        text = _csv_text(_HEADER, rows)
+        expected = _outcome(_row_path, text, 4)
+        assert expected[:4] == ("error", TraceSchemaError, 6, "deadline")
+        assert _outcome(_block_path, text, 4) == expected
+
+    @pytest.mark.parametrize("block_rows", [2, traces._BLOCK_ROWS])
+    @pytest.mark.parametrize("chunk_size", [3, DEFAULT_CHUNK_SIZE])
+    @pytest.mark.parametrize("edit", [
+        "none", "blank weight", "blank deadlines", "blank rows", "padded cells",
+    ])
+    def test_accepted_rows_give_identical_chunks(self, monkeypatch, edit, chunk_size, block_rows):
+        monkeypatch.setattr(traces, "_BLOCK_ROWS", block_rows)
+        rows = _good_rows()
+        if edit == "blank weight":  # read as weight 1.0 by the per-row path
+            rows[5][_WEIGHT] = ""
+        elif edit == "blank deadlines":  # whitespace-only cells mean no deadline
+            for row in rows:
+                row[_DEADLINE] = " "
+        elif edit == "padded cells":
+            rows[2] = [f"\u2003{cell} " for cell in rows[2]]
+        text = _csv_text(_HEADER, rows)
+        if edit == "blank rows":
+            text = text.replace("\n", "\n\n  \n", 3)
+        outcome = _outcome(_block_path, text, chunk_size)
+        assert outcome[0] == "chunks"
+        assert outcome == _outcome(_row_path, text, chunk_size)
+
+    def test_reader_error_after_a_bad_row_keeps_the_row_error(self):
+        # Undecodable bytes stop the csv reader; the per-row path has already
+        # met the bad release on line 3 by then, so that is what is reported.
+        data = ("id,release,size_0\n0,0.0,1.0\n1,zzz,1.0\n".encode()
+                + b"2,2.0,1.0\n" * 4000 + b"\xff\n")
+        for read in (_row_path, _block_path):
+            stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+            with pytest.raises(TraceSchemaError) as err:
+                read(stream, DEFAULT_CHUNK_SIZE)
+            assert (err.value.lineno, err.value.field) == (3, "release")
+
+    @pytest.mark.parametrize("block_rows", [2, traces._BLOCK_ROWS])
+    @pytest.mark.parametrize("chunk_size", [1, 3, DEFAULT_CHUNK_SIZE])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=_csv_traces())
+    def test_differential_against_row_path(self, chunk_size, block_rows, text):
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            block = _outcome(_block_path, text, chunk_size)
+        assert block == _outcome(_row_path, text, chunk_size)
 
 
 # --------------------------------------------------------------------------------------
@@ -746,6 +954,25 @@ class TestTraceCli:
         assert main(["trace", "inspect", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "'release'" in err
+
+    @pytest.mark.parametrize("command", [["solve", "--trace"], ["trace", "inspect"]])
+    @pytest.mark.parametrize("column, value, field", [
+        (1, "zzz", "release"),
+        (0, str(2**63), "id"),
+        (0, "5", "id"),
+    ], ids=["bad-release", "id-past-int64", "id-repeated-across-chunks"])
+    def test_bulk_reader_errors_exit_2_with_line_and_field(
+        self, tmp_path, capsys, command, column, value, field
+    ):
+        # The bad row sits in the second chunk, after a whole block decoded in bulk.
+        rows = [[str(k), f"{k}.0", "1.0"] for k in range(DEFAULT_CHUNK_SIZE + 4)]
+        bad = DEFAULT_CHUNK_SIZE + 1
+        rows[bad][column] = value
+        path = tmp_path / "bad.csv"
+        path.write_text(_csv_text(["id", "release", "size_0"], rows))
+        assert main([*command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {bad + 2}" in err and f"'{field}'" in err
 
     def test_unknown_scenario_exits_2(self, tmp_path, capsys):
         code = main(["trace", "generate", "--scenario", "nope", "--out",
