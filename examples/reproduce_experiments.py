@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate every experiment table (E1-E9) in one run.
+"""Regenerate every experiment table in one run.
 
 This is the batch driver behind EXPERIMENTS.md: it runs the whole experiment
 suite at the chosen scale and prints (or writes) the rendered report.
@@ -25,7 +25,6 @@ _SCALE_OVERRIDES: dict[str, dict[str, dict]] = {
         "E3": {"num_jobs": 100},
         "E4": {"num_jobs": 20},
         "E5": {"alphas": (2.0, 3.0, 4.0)},
-        "E8": {"job_counts": (200, 1000)},
     },
     "medium": {
         "E1": {"scale": "medium"},
@@ -34,7 +33,6 @@ _SCALE_OVERRIDES: dict[str, dict[str, dict]] = {
         "E4": {"num_jobs": 40, "include_brute_force": True},
         "E5": {"alphas": (2.0, 3.0, 4.0, 5.0, 6.0)},
         "E6": {"scale": "medium"},
-        "E8": {"job_counts": (1000, 5000, 20000), "machine_counts": (4, 16)},
         "E9": {"scale": "medium"},
     },
 }

@@ -438,6 +438,17 @@ class MemoryBackend(StoreBackend):
 BACKEND_SCHEMES = ("file", "sqlite", "memory")
 
 
+def split_store_spec(spec: "str | Path") -> tuple[str, str]:
+    """``(scheme, location)`` of a store spec; a plain path is ``file``."""
+    text = str(spec)
+    scheme, sep, location = text.partition(":")
+    if sep and scheme in BACKEND_SCHEMES:
+        return scheme, location
+    if not text:
+        raise InvalidParameterError("empty store spec")
+    return "file", text
+
+
 def open_backend(spec: "str | Path | StoreBackend") -> StoreBackend:
     """Open the backend a store spec addresses.
 
@@ -448,14 +459,9 @@ def open_backend(spec: "str | Path | StoreBackend") -> StoreBackend:
     """
     if isinstance(spec, StoreBackend):
         return spec
-    text = str(spec)
-    scheme, sep, location = text.partition(":")
-    if sep and scheme in BACKEND_SCHEMES:
-        if scheme == "file":
-            return FilesystemBackend(location)
-        if scheme == "sqlite":
-            return SQLiteBackend(location)
-        return MemoryBackend(location)
-    if not text:
-        raise InvalidParameterError("empty store spec")
-    return FilesystemBackend(text)
+    scheme, location = split_store_spec(spec)
+    if scheme == "file":
+        return FilesystemBackend(location)
+    if scheme == "sqlite":
+        return SQLiteBackend(location)
+    return MemoryBackend(location)

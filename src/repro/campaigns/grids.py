@@ -19,9 +19,9 @@ Shipped grids:
 * ``smoke-dist`` — E10 at a few thousand jobs, 2 variants × 4 seeds: eight
   ~half-second tasks, enough runway for the distributed-campaign CI job to
   kill a worker mid-run and watch a rival steal its lease;
-* ``small``   — all of E1–E10 + E12/E14/E15/E17 at miniature sweep sizes, two
-  seeds; finishes in well under a minute, the acceptance grid for
-  ``repro campaign run``;
+* ``small``   — every experiment (E1–E7, E9, E10, E14, E15, E17) at
+  miniature sweep sizes, two seeds; finishes in well under a minute, the
+  acceptance grid for ``repro campaign run``;
 * ``medium``  — the experiments' default sweep sizes, three seeds; the
   campaign analogue of the benchmark harness;
 * ``solvers`` — the algorithm axis: one task per registered flow-time
@@ -148,10 +148,8 @@ _SMALL_OVERRIDES: dict[str, dict[str, Any]] = {
     "E5": {"alphas": (2.0, 3.0)},
     "E6": {"epsilons": (0.5,), "workloads": ("poisson-pareto",)},
     "E7": {"epsilons": (0.5,), "num_jobs": 25, "samples_per_job": 6},
-    "E8": {"job_counts": (200,), "machine_counts": (2,)},
     "E9": {"workloads": ("lemma1-L16",), "epsilon": 0.25},
     "E10": {"algorithms": ("rejection-flow", "greedy"), "num_jobs": 40},
-    "E12": {"job_counts": (1_000, 4_000), "algorithms": ("rejection-flow", "greedy")},
     "E14": {
         "scenarios": ("heavy-tail-pareto", "flash-crowd", "multi-tenant-mix"),
         "algorithms": ("rejection-flow", "greedy", "fcfs"),
@@ -171,9 +169,8 @@ _SMALL_OVERRIDES: dict[str, dict[str, Any]] = {
 }
 
 #: Sweep-size caps for the ``medium`` grid where the experiment's defaults
-#: are sized for a one-off frontier run rather than a 3-seed campaign.
+#: are sized for a one-off run rather than a 3-seed campaign.
 _MEDIUM_OVERRIDES: dict[str, dict[str, Any]] = {
-    "E12": {"job_counts": (1_000, 10_000, 50_000)},
     "E15": {"session_counts": (1, 4, 16), "jobs_per_session": 120},
 }
 
@@ -220,7 +217,7 @@ GRIDS: dict[str, CampaignGrid] = {
         ),
         _grid(
             "small",
-            "all experiments E1-E10 + E12/E14/E15/E17 at miniature scale, two seeds each",
+            "all experiments (E1-E7, E9, E10, E14, E15, E17) at miniature scale, two seeds each",
             [
                 GridEntry.create(exp_id, overrides=overrides, num_seeds=2)
                 for exp_id, overrides in _SMALL_OVERRIDES.items()
@@ -228,7 +225,8 @@ GRIDS: dict[str, CampaignGrid] = {
         ),
         _grid(
             "medium",
-            "all experiments E1-E10 + E12/E14/E15/E17 at their default sweep sizes, three seeds each",
+            "all experiments (E1-E7, E9, E10, E14, E15, E17) at their default sweep sizes, "
+            "three seeds each",
             [
                 GridEntry.create(
                     exp_id, overrides=_MEDIUM_OVERRIDES.get(exp_id), num_seeds=3

@@ -17,7 +17,7 @@ from repro.utils.serialization import jsonify, stable_hash, tuplify
 
 #: Bump when the payload schema changes; part of the artifact key so stale
 #: artifacts are recomputed instead of misread.
-ARTIFACT_SCHEMA_VERSION = 1
+ARTIFACT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ from repro.core.bounds import (
     flow_time_competitive_ratio,
     flow_time_rejection_budget,
 )
-from repro.exceptions import ReproError
+from repro.exceptions import InvalidParameterError, ReproError
 from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
 from repro.simulation.metrics import summarize
 from repro.simulation.validation import validate_result
@@ -764,6 +764,18 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
         return 0
 
     if args.campaign_command == "diff":
+        from pathlib import Path
+
+        from repro.campaigns.backends import split_store_spec
+
+        # Opening a sqlite spec creates the file, and a missing directory
+        # reads as an empty store: refuse both, so a mistyped spec fails.
+        for spec in (args.store_a, args.store_b):
+            scheme, location = split_store_spec(spec)
+            if scheme == "file" and not Path(location).is_dir():
+                raise InvalidParameterError(f"store {spec!r} does not exist: no directory")
+            if scheme == "sqlite" and not Path(location).is_file():
+                raise InvalidParameterError(f"store {spec!r} does not exist: no sqlite file")
         store_a = ArtifactStore.open(args.store_a)
         store_b = ArtifactStore.open(args.store_b)
         lines = diff_stores(store_a, store_b)

@@ -16,9 +16,7 @@ bandit-style by default).  Per cell the experiment reports:
 * the **regret** — ``objective - best_fixed_objective`` — the standard
   drifting-bandit yardstick, in objective units;
 * the meta-scheduler's **switch count** and switch trace (from
-  ``SolveOutcome.extras``), plus the deterministic event count and, only when
-  ``measure_throughput=True``, wall-clock events/s (off by default so campaign
-  artifacts stay byte-reproducible).
+  ``SolveOutcome.extras``), plus the deterministic event count.
 
 The headline claim the nightly grid re-checks: on every drifting scenario the
 meta-scheduler's objective is strictly below the *worst* fixed candidate's,
@@ -28,16 +26,13 @@ pays exactly when no single policy is right for the whole trace.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.adaptive.solver import DEFAULT_CANDIDATES
 from repro.analysis.reporting import ExperimentTable
+from repro.experiments.exp_robustness import _run_cell
 from repro.experiments.registry import ExperimentResult
-from repro.service.session import open_session
-from repro.simulation.validation import validate_result
-from repro.solvers import get_solver, solve
-from repro.workloads.scenarios import get_scenario
+from repro.solvers import get_solver
 
 #: The drifting-regime scenarios E17 evaluates by default.
 DRIFT_SCENARIOS = ("drift-diurnal-flash", "drift-ramp-heavytail")
@@ -65,8 +60,6 @@ class AdaptiveConfig:
     #: ``session`` streams chunks through a SchedulerSession; ``batch``
     #: materialises an Instance and calls repro.solve() (byte-identical).
     ingest: str = "session"
-    #: Wall-clock events/s per cell; leave off for byte-reproducible artifacts.
-    measure_throughput: bool = False
     validate: bool = True
 
 
@@ -80,43 +73,7 @@ COLUMNS = (
     "switches",
     "rejected_fraction",
     "events",
-    "events_per_s",
 )
-
-
-def _run_cell(config: AdaptiveConfig, scenario_name: str, algorithm: str, params: dict):
-    """One (scenario × policy) cell -> (SolveOutcome, elapsed seconds)."""
-    scenario = get_scenario(scenario_name)
-    label = f"{scenario_name}(m={config.num_machines},n={config.num_jobs})"
-    start = time.perf_counter()
-    if config.ingest == "session":
-        session = open_session(
-            algorithm,
-            config.num_machines,
-            alpha=config.alpha,
-            name=label,
-            retain_events=False,
-            **params,
-        )
-        # Ingest-then-finalize (no mid-stream polls): the pattern the session
-        # guarantees byte-identical to the batch facade.
-        for chunk in scenario.job_chunks(
-            config.num_jobs, config.num_machines, seed=config.seed
-        ):
-            session.submit_many(chunk)
-        outcome = session.finalize()
-    elif config.ingest == "batch":
-        instance = scenario.instance(
-            config.num_jobs, config.num_machines, seed=config.seed,
-            alpha=config.alpha, name=label,
-        )
-        outcome = solve(instance, algorithm, **params)
-    else:
-        raise ValueError(f"unknown ingest mode {config.ingest!r} (session/batch)")
-    elapsed = time.perf_counter() - start
-    if config.validate and outcome.result is not None:
-        validate_result(outcome.result)
-    return outcome, elapsed
 
 
 def run(config: AdaptiveConfig) -> ExperimentResult:
@@ -147,7 +104,7 @@ def run(config: AdaptiveConfig) -> ExperimentResult:
     cells: list[dict] = []
     for scenario_name in config.scenarios:
         for policy_label, kind, algorithm, params in runs:
-            outcome, elapsed = _run_cell(config, scenario_name, algorithm, params)
+            outcome = _run_cell(config, scenario_name, algorithm, params)
             events = outcome.result.extras.get("events", 0) if outcome.result else 0
             cells.append(
                 {
@@ -159,7 +116,6 @@ def run(config: AdaptiveConfig) -> ExperimentResult:
                     "switches": outcome.extras.get("meta_switches", 0),
                     "switch_trace": outcome.extras.get("meta_switch_trace", ""),
                     "events": events,
-                    "elapsed_s": elapsed,
                 }
             )
 
@@ -218,25 +174,14 @@ def run(config: AdaptiveConfig) -> ExperimentResult:
         "summary": summary,
     }
     for cell in cells:
-        events_per_s = (
-            cell["events"] / cell["elapsed_s"]
-            if config.measure_throughput and cell["elapsed_s"] > 0
-            else ""
-        )
-        table.add_row({**{c: cell.get(c, "") for c in COLUMNS},
-                       "events_per_s": events_per_s})
-        row = {k: v for k, v in cell.items() if k != "elapsed_s"}
-        if config.measure_throughput:
-            row["events_per_s"] = events_per_s
-        raw["rows"].append(row)
+        table.add_row({c: cell[c] for c in COLUMNS})
+        raw["rows"].append(cell)
 
     table.add_note(
         "ratio_vs_best_fixed and regret compare against the best *fixed* "
         "candidate in hindsight on the same scenario (ratio 1.0 / regret 0 = "
         "matched it; below = adaptivity beat every fixed policy). switches "
-        "counts the meta-scheduler's hot algorithm switches. Wall-clock "
-        "events/s appears only with measure_throughput=True so campaign "
-        "artifacts stay byte-reproducible."
+        "counts the meta-scheduler's hot algorithm switches."
     )
     return ExperimentResult(
         experiment_id="E17",

@@ -16,15 +16,11 @@ byte-identical) and reports:
   objective on that scenario (speed-scaling solvers optimise flow+energy, so
   ratios are grouped per objective to stay apples-to-apples);
 * the rejection rate (count and weight fractions);
-* the deterministic simulator event count — and, only when
-  ``measure_throughput=True``, wall-clock events/s.  Throughput is **off by
-  default** so campaign artifacts stay byte-reproducible (the small/medium
-  grids and the nightly byte-stability re-run rely on this).
+* the deterministic simulator event count.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.analysis.reporting import ExperimentTable
@@ -53,8 +49,6 @@ class RobustnessConfig:
     #: ``session`` streams chunks through a SchedulerSession; ``batch``
     #: materialises an Instance and calls repro.solve() (byte-identical).
     ingest: str = "session"
-    #: Wall-clock events/s per cell; leave off for byte-reproducible artifacts.
-    measure_throughput: bool = False
     validate: bool = True
 
 
@@ -68,17 +62,17 @@ COLUMNS = (
     "rejected_fraction",
     "rejected_weight_fraction",
     "events",
-    "events_per_s",
 )
 
 
-def _run_cell(config: RobustnessConfig, scenario_name: str, algorithm: str):
-    """One (scenario × algorithm) cell -> (SolveOutcome, elapsed seconds)."""
-    spec = get_solver(algorithm)
-    params = {"epsilon": config.epsilon} if "epsilon" in spec.param_specs() else {}
+def _run_cell(config, scenario_name: str, algorithm: str, params: dict):
+    """One (scenario × algorithm) cell -> SolveOutcome.
+
+    ``config`` is any sweep config with ``num_jobs``, ``num_machines``,
+    ``alpha``, ``seed``, ``ingest`` and ``validate`` (E14's and E17's).
+    """
     scenario = get_scenario(scenario_name)
     label = f"{scenario_name}(m={config.num_machines},n={config.num_jobs})"
-    start = time.perf_counter()
     if config.ingest == "session":
         session = open_session(
             algorithm,
@@ -103,10 +97,9 @@ def _run_cell(config: RobustnessConfig, scenario_name: str, algorithm: str):
         outcome = solve(instance, algorithm, **params)
     else:
         raise ValueError(f"unknown ingest mode {config.ingest!r} (session/batch)")
-    elapsed = time.perf_counter() - start
     if config.validate and outcome.result is not None:
         validate_result(outcome.result)
-    return outcome, elapsed
+    return outcome
 
 
 def run(config: RobustnessConfig) -> ExperimentResult:
@@ -115,7 +108,9 @@ def run(config: RobustnessConfig) -> ExperimentResult:
     cells: list[dict] = []
     for scenario_name in config.scenarios:
         for algorithm in algorithms:
-            outcome, elapsed = _run_cell(config, scenario_name, algorithm)
+            spec = get_solver(algorithm)
+            params = {"epsilon": config.epsilon} if "epsilon" in spec.param_specs() else {}
+            outcome = _run_cell(config, scenario_name, algorithm, params)
             events = outcome.result.extras.get("events", 0) if outcome.result else 0
             cells.append(
                 {
@@ -127,7 +122,6 @@ def run(config: RobustnessConfig) -> ExperimentResult:
                     "rejected_fraction": outcome.rejected_fraction,
                     "rejected_weight_fraction": outcome.rejected_weight_fraction,
                     "events": events,
-                    "elapsed_s": elapsed,
                 }
             )
 
@@ -155,23 +149,12 @@ def run(config: RobustnessConfig) -> ExperimentResult:
         "rows": [],
     }
     for cell in cells:
-        events_per_s = (
-            cell["events"] / cell["elapsed_s"]
-            if config.measure_throughput and cell["elapsed_s"] > 0
-            else ""
-        )
-        table.add_row({**{c: cell.get(c, "") for c in COLUMNS},
-                       "events_per_s": events_per_s})
-        row = {k: v for k, v in cell.items() if k != "elapsed_s"}
-        if config.measure_throughput:
-            row["events_per_s"] = events_per_s
-        raw["rows"].append(row)
+        table.add_row({c: cell[c] for c in COLUMNS})
+        raw["rows"].append(cell)
 
     table.add_note(
         "ratio_vs_best compares solvers sharing an objective on the same scenario "
-        "(1.0 = best); events is the deterministic simulator event count. "
-        "Wall-clock events/s appears only with measure_throughput=True so "
-        "campaign artifacts stay byte-reproducible."
+        "(1.0 = best); events is the deterministic simulator event count."
     )
     return ExperimentResult(
         experiment_id="E14",

@@ -1,25 +1,21 @@
-"""E15 — service capacity: concurrent sessions × throughput × decision latency.
+"""E15 — service capacity: concurrent sessions, decisions and byte-identity.
 
 E13 measured one streaming session against the batch facade; E14 swept
 solvers across the scenario catalog.  E15 asks the *service* question the
 multi-session subsystem exists to answer: how many concurrent tenant
-sessions can one server host, and what does concurrency do to decision
-latency — **without** ever compromising determinism?
+sessions can one server host **without** ever compromising determinism?
 
 Each row boots a loopback :mod:`repro.service.server` on its own thread,
 drives ``sessions`` concurrent scenario streams through it with the
 ``repro loadgen`` harness (one thread + TCP connection + named session
-each, chunked submit/poll round trips), and records:
-
-* the deterministic outcome of the scheduling itself — total decision
-  events, the summed objective value across sessions, rejected-job counts,
-  and ``verified``: how many sessions finalized **byte-identical** to the
-  batch :func:`repro.solve` of the same instance (the service's core
-  correctness claim — concurrency must never change a schedule);
-* only when ``measure_latency=True``, wall-clock service metrics: jobs/s
-  throughput and p50/p99 per-chunk decision latency.  Latency is **off by
-  default** so campaign artifacts stay byte-reproducible (same pattern as
-  E14's ``measure_throughput``).
+each, chunked submit/poll round trips), and records the deterministic
+outcome of the scheduling itself — total decision events, the summed
+objective value across sessions, rejected-job counts, backpressure
+refusals, and ``verified``: how many sessions finalized **byte-identical**
+to the batch :func:`repro.solve` of the same instance (the service's core
+correctness claim — concurrency must never change a schedule).  Throughput
+and latency belong to the host, not the config: ``repro loadgen`` reports
+them for a live server.
 """
 
 from __future__ import annotations
@@ -52,9 +48,6 @@ class ServiceCapacityConfig:
     max_pending: int = 4096
     #: Compare every session's final summary byte-for-byte with batch solve.
     verify: bool = True
-    #: Wall-clock throughput/latency columns; leave off for byte-reproducible
-    #: artifacts (the campaign grids and nightly byte-stability run rely on it).
-    measure_latency: bool = False
 
 
 COLUMNS = (
@@ -65,9 +58,6 @@ COLUMNS = (
     "rejected_jobs",
     "verified",
     "throttled",
-    "throughput_jobs_per_s",
-    "latency_p50_ms",
-    "latency_p99_ms",
 )
 
 
@@ -94,7 +84,7 @@ def _run_row(config: ServiceCapacityConfig, sessions: int) -> dict:
         )
     objective_sum = sum(r.final_row["objective_value"] for r in report.sessions)
     rejected = sum(r.final_row["rejected_count"] for r in report.sessions)
-    row = {
+    return {
         "sessions": sessions,
         "jobs_total": report.total_jobs,
         "decisions": report.total_decisions,
@@ -103,11 +93,6 @@ def _run_row(config: ServiceCapacityConfig, sessions: int) -> dict:
         "verified": report.verified if config.verify else "",
         "throttled": report.total_throttled,
     }
-    if config.measure_latency:
-        row["throughput_jobs_per_s"] = report.throughput_jobs_per_s
-        row["latency_p50_ms"] = report.latency_p50_ms
-        row["latency_p99_ms"] = report.latency_p99_ms
-    return row
 
 
 def run(config: ServiceCapacityConfig) -> ExperimentResult:
@@ -120,22 +105,20 @@ def run(config: ServiceCapacityConfig) -> ExperimentResult:
     rows = [_run_row(config, sessions) for sessions in config.session_counts]
 
     table = ExperimentTable(
-        title="E15: service capacity (concurrent sessions x throughput x latency)",
+        title="E15: service capacity (concurrent sessions x byte-identity)",
         columns=COLUMNS,
     )
     for row in rows:
-        table.add_row({**{c: "" for c in COLUMNS}, **row})
+        table.add_row(row)
     table.add_note(
         "Each row is one loopback server instance driven by N concurrent "
         "loadgen sessions (one thread + connection + named session each). "
         "verified counts sessions whose final summary is byte-identical to "
-        "the batch repro.solve of the same instance. Wall-clock "
-        "throughput/latency columns appear only with measure_latency=True "
-        "so campaign artifacts stay byte-reproducible."
+        "the batch repro.solve of the same instance."
     )
     return ExperimentResult(
         experiment_id="E15",
-        title="service capacity: concurrent sessions, throughput, decision latency",
+        title="service capacity: concurrent sessions, decisions, byte-identity",
         tables=[table],
         raw={
             "algorithm": config.algorithm,

@@ -109,12 +109,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "Lemma 4 / Lemma 6: empirical dual feasibility and dual objective strength",
         ),
         ExperimentSpec(
-            "E8",
-            "repro.experiments.exp_scalability",
-            "ScalabilityExperimentConfig",
-            "Simulator and algorithm scalability (events per second)",
-        ),
-        ExperimentSpec(
             "E9",
             "repro.experiments.exp_ablation",
             "AblationExperimentConfig",
@@ -127,12 +121,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "Algorithm sweep through the unified solver registry (repro.solve)",
         ),
         ExperimentSpec(
-            "E12",
-            "repro.experiments.exp_scalability_frontier",
-            "ScalabilityFrontierConfig",
-            "Scalability frontier: chunked generators + indexed dispatch up to 100k jobs",
-        ),
-        ExperimentSpec(
             "E14",
             "repro.experiments.exp_robustness",
             "RobustnessConfig",
@@ -142,7 +130,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "E15",
             "repro.experiments.exp_service_capacity",
             "ServiceCapacityConfig",
-            "Service capacity: concurrent sessions x throughput x decision latency",
+            "Service capacity: concurrent sessions, byte-identical to batch solve",
         ),
         ExperimentSpec(
             "E17",

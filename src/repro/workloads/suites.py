@@ -6,7 +6,7 @@ parameterisation.  ``standard_suites()`` returns the suites in three scales:
 
 * ``small``  — seconds to run; used by the test suite and CI;
 * ``medium`` — the default for the benchmark harness;
-* ``large``  — for scalability measurements (E8).
+* ``large``  — long runs of the E1, E6 and E9 sweeps (``scale="large"``).
 
 Four suites ship per scale: ``flow``, ``weighted``, ``deadline`` and
 ``scenarios`` — the heavy-traffic scenario catalog of

@@ -465,6 +465,8 @@ class TestE17:
         session = run_experiment("E17", ingest="session", **common)
         batch = run_experiment("E17", ingest="batch", **common)
         assert canonical_json(session.raw["rows"]) == canonical_json(batch.raw["rows"])
+        # No wall-clock column: the table is a function of the config.
+        assert "events_per_s" not in session.tables[0].columns
 
     def test_raw_is_byte_reproducible(self):
         kwargs = dict(

@@ -156,35 +156,3 @@ class TestDispatchBenches:
         (result,) = run_benchmarks(tmp_path, only=["e1_scan"], repeats=1, scale=_SCALE)
         assert result["events"] > 0
         assert result["events_per_sec"] > 0
-
-
-class TestFrontier1MPreset:
-    def test_preset_pins_the_frontier_point(self):
-        from repro.experiments.exp_scalability_frontier import (
-            FRONTIER_1M_PEAK_RSS_BUDGET_MB,
-            frontier_1m_config,
-        )
-
-        config = frontier_1m_config()
-        assert config.job_counts == (1_000_000,)
-        assert config.algorithms == ("rejection-flow",)
-        assert config.dispatch is None  # the engine default, i.e. the fast path
-        assert FRONTIER_1M_PEAK_RSS_BUDGET_MB >= 2048
-
-    def test_preset_runs_at_reduced_scale_within_budget(self):
-        # The full n=1M point is a nightly-scale run; here the same config
-        # shape at n=2k proves the wiring and that peak RSS is tracked.
-        from dataclasses import replace
-
-        from repro.experiments.exp_scalability_frontier import (
-            FRONTIER_1M_PEAK_RSS_BUDGET_MB,
-            frontier_1m_config,
-            run,
-        )
-
-        config = replace(frontier_1m_config(), job_counts=(2_000,))
-        result = run(config)
-        (row,) = result.raw["rows"]
-        assert row["algorithm"] == "rejection-flow"
-        assert row["events"] > 0
-        assert 0 < row["peak_rss_mb"] < FRONTIER_1M_PEAK_RSS_BUDGET_MB

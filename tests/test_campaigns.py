@@ -167,11 +167,7 @@ class TestRunnerDeterminism:
         assert "100% cache hits" in second.describe()
 
     def test_parallel_equals_sequential(self, tmp_path):
-        # E8 measures wall-clock throughput, so its artifacts legitimately
-        # differ between runs; every other experiment must match exactly.
-        tasks = [
-            task for task in get_grid("small").tasks() if task.experiment_id in ("E1", "E2")
-        ]
+        tasks = get_grid("small").tasks()
         seq_store = ArtifactStore(tmp_path / "seq")
         par_store = ArtifactStore(tmp_path / "par")
         seq = run_campaign(tasks, seq_store, workers=1)
@@ -213,8 +209,7 @@ class TestGrids:
     def test_small_grid_covers_all_experiments(self):
         tasks = get_grid("small").tasks()
         assert {task.experiment_id for task in tasks} == {
-            *(f"E{i}" for i in range(1, 11)),
-            "E12",
+            *(f"E{i}" for i in range(1, 11) if i != 8),
             "E14",
             "E15",
             "E17",

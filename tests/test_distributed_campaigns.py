@@ -353,6 +353,22 @@ class TestCampaignCliDistributed:
         assert main(["campaign", "diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
         assert "stores differ" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scheme", ["", "file:", "sqlite:"])
+    def test_diff_refuses_missing_stores(self, scheme, tmp_path, capsys):
+        # A mistyped spec in a CI gate must fail, not diff two new empty stores.
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        typo = f"{scheme}{tmp_path / 'typo'}"
+        for specs in ((typo, f"{typo}-b"), (str(empty), typo)):
+            assert main(["campaign", "diff", *specs]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: store {typo!r} does not exist" in captured.err
+            assert list(tmp_path.iterdir()) == [empty]
+        # An existing empty directory is still a valid store.
+        assert main(["campaign", "diff", str(empty), str(empty)]) == 0
+        assert "stores identical: 0 artifact(s)" in capsys.readouterr().out
+
     def test_gc_reports_removals(self, tmp_path, capsys):
         store = ArtifactStore(tmp_path / "store")
         store.backend.put(lease_key_for("ab" * 8), b"corrupt")

@@ -10,8 +10,7 @@ from repro.experiments import EXPERIMENTS, available_experiments, run_experiment
 class TestRegistry:
     def test_all_experiments_listed(self):
         assert set(available_experiments()) == {
-            *(f"E{i}" for i in range(1, 11)),
-            "E12",
+            *(f"E{i}" for i in range(1, 11) if i != 8),
             "E14",
             "E15",
             "E17",
@@ -109,11 +108,6 @@ class TestExperimentRuns:
         assert all(row["violations"] == 0 for row in result.raw["energy"])
         assert all(row["monotonicity_violations"] == 0 for row in result.raw["energy"])
 
-    def test_e8_scalability(self):
-        result = run_experiment("E8", job_counts=(100,), machine_counts=(2,))
-        self._check(result)
-        assert all(row["events_per_s"] > 0 for row in result.raw["rows"])
-
     def test_e9_ablation(self):
         result = run_experiment("E9", workloads=("lemma1-L16",), epsilon=0.25)
         self._check(result)
@@ -138,8 +132,9 @@ class TestExperimentRuns:
             assert min(
                 row["ratio_vs_best"] for row in rows if row["scenario"] == scenario
             ) == 1.0
-        # Throughput measurement is off by default: no wall-clock anywhere.
-        assert all(row["events_per_s"] == "" for row in rows)
+        # No wall-clock anywhere: the table and the raw rows are a function
+        # of the config.
+        assert "events_per_s" not in result.tables[0].columns
         assert all("elapsed_s" not in row for row in result.raw["rows"])
 
     def test_e10_solver_compare(self):

@@ -146,6 +146,12 @@ class TestDispatchEquivalence:
             800
         )
         _assert_identical(*_run_modes(instance, RejectionFlowTimeScheduler(epsilon=0.5)))
+        # Greedy on a chunk-generated instance: deeper queues than the at
+        # most 12 jobs test_baselines_identical draws.
+        chunked = InstanceGenerator(
+            num_machines=8, seed=2018, size_distribution="pareto", load=0.9
+        ).generate_large(300)
+        _assert_identical(*_run_modes(chunked, GreedyDispatchScheduler("spt")))
 
     @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
     def test_scenario_catalog_identical(self, scenario_name):

@@ -1,4 +1,4 @@
-"""Tests for the chunked numpy-backed instance generators and E12."""
+"""Tests for the chunked numpy-backed instance generators."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidInstanceError, InvalidParameterError
-from repro.experiments import run_experiment
 from repro.simulation.job import Job
 from repro.utils.serialization import stable_hash
 from repro.workloads.generators import (
@@ -93,6 +92,9 @@ class TestGenerateLarge:
 
 
 class TestIterJobChunks:
+    def test_default_chunk_size_sane(self):
+        assert DEFAULT_CHUNK_SIZE >= 1_024
+
     def test_chunk_boundaries_and_ids(self):
         generator = InstanceGenerator(num_machines=2, seed=11)
         chunks = list(generator.iter_job_chunks(1_000, chunk_size=300))
@@ -134,32 +136,3 @@ class TestTrustedJobs:
         assert checked == trusted
         assert trusted.size_on(1) == 4.0
         assert trusted.window() == pytest.approx(7.5)
-
-
-class TestE12Frontier:
-    def test_miniature_frontier_run(self):
-        result = run_experiment(
-            "E12",
-            job_counts=(200, 400),
-            algorithms=("rejection-flow", "fcfs"),
-            repeats=1,
-        )
-        rows = result.raw["rows"]
-        assert len(rows) == 4
-        assert {row["num_jobs"] for row in rows} == {200, 400}
-        for row in rows:
-            assert row["events_per_s"] > 0
-            assert row["wall_time_s"] > 0
-            assert row["events"] >= row["num_jobs"]
-        assert "E12" in result.render()
-
-    def test_dispatch_override_matches_default(self):
-        indexed = run_experiment("E12", job_counts=(300,), algorithms=("greedy",),
-                                 dispatch="indexed", repeats=1)
-        scanned = run_experiment("E12", job_counts=(300,), algorithms=("greedy",),
-                                 dispatch="scan", repeats=1)
-        # Wall times differ; the simulated schedules (event counts) must not.
-        assert indexed.raw["rows"][0]["events"] == scanned.raw["rows"][0]["events"]
-
-    def test_default_chunk_size_sane(self):
-        assert DEFAULT_CHUNK_SIZE >= 1_024

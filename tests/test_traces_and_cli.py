@@ -163,6 +163,13 @@ class TestCLI:
         assert code == 0
         assert "Lemma 2" in text
 
+    @pytest.mark.parametrize("experiment_id", ["E8", "E12"])
+    def test_timing_experiments_are_gone(self, experiment_id, capsys):
+        # Timing lives in perfbench and `repro bench`, not in experiments.
+        code, text = self._run(["experiments", "--only", experiment_id])
+        assert code == 2 and text == ""
+        assert f"unknown experiment '{experiment_id}'" in capsys.readouterr().err
+
 
 class TestSolveJsonOutput:
     def _run(self, argv):
