@@ -2,8 +2,8 @@
 
 Aggregation is a pure function of the artifact store contents and the task
 list: tasks are processed in sorted label order and every value comes from
-the stored payloads, so sequential and parallel campaigns (and cached
-re-runs) render identical reports.
+the stored payloads, so a cold run and a cached re-run render identical
+reports.
 """
 
 from __future__ import annotations

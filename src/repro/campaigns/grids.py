@@ -16,9 +16,6 @@ the same way they compare experiment configurations.
 Shipped grids:
 
 * ``smoke``   — E1 only, one seed; used by the test suite;
-* ``smoke-dist`` — E10 at a few thousand jobs, 2 variants × 4 seeds: eight
-  ~half-second tasks, enough runway for the distributed-campaign CI job to
-  kill a worker mid-run and watch a rival steal its lease;
 * ``small``   — every experiment (E1–E7, E9, E10, E14, E15, E17) at
   miniature sweep sizes, two seeds; finishes in well under a minute, the
   acceptance grid for ``repro campaign run``;
@@ -124,7 +121,7 @@ def algorithm_axis(
     aggregated campaign reports carry one row group per algorithm and cached
     artifacts are keyed per algorithm.  Ids are validated against the solver
     registry up front, so a typo fails at grid-expansion time rather than
-    inside a worker process.
+    midway through a run.
     """
     for algorithm in algorithms:
         get_solver(algorithm)
@@ -189,30 +186,6 @@ GRIDS: dict[str, CampaignGrid] = {
                 GridEntry.create(
                     "E1", overrides=_SMALL_OVERRIDES["E1"], num_seeds=1
                 )
-            ],
-        ),
-        _grid(
-            "smoke-dist",
-            "E10 x 2 variants x 4 seeds, sized for multi-worker kill/steal CI runs",
-            [
-                GridEntry.create(
-                    "E10",
-                    variant="paper-vs-greedy",
-                    overrides={
-                        "algorithms": ("rejection-flow", "greedy"),
-                        "num_jobs": 8_000,
-                    },
-                    num_seeds=4,
-                ),
-                GridEntry.create(
-                    "E10",
-                    variant="baselines",
-                    overrides={
-                        "algorithms": ("fcfs", "immediate-rejection"),
-                        "num_jobs": 8_000,
-                    },
-                    num_seeds=4,
-                ),
             ],
         ),
         _grid(

@@ -1,146 +1,102 @@
-"""Content-addressed artifact store over a pluggable blob backend.
+"""Content-addressed artifact store: one canonical-JSON file per task.
 
-Artifacts live at backend key ``<key[:2]>/<key>.json`` where ``key`` is the
-task's content hash (see :meth:`CampaignTask.key`) — on the default
-filesystem backend that is exactly the historical ``<root>/<key[:2]>/
-<key>.json`` layout, byte for byte.  Because the payload is written as
-canonical JSON, re-running an identical task produces a byte-identical
-blob — which is what makes cache hits trustworthy: same key ⇒ same config
-⇒ same (deterministic) result — and makes stores comparable across
-backends: a sequential filesystem run and an N-worker sqlite run of the
-same grid hold identical bytes under identical keys.
+Artifacts live at ``<root>/<key[:2]>/<key>.json`` where ``key`` is the
+task's content hash (see :meth:`CampaignTask.key`).  Because the payload is
+written as canonical JSON, re-running an identical task produces a
+byte-identical file — which is what makes cache hits trustworthy: same key
+⇒ same config ⇒ same (deterministic) result — and makes two stores of one
+grid comparable byte for byte (:func:`diff_stores`).
 
-All writes are atomic on every backend (temp-file rename or a transaction,
-see :mod:`~repro.campaigns.backends`), so a worker killed mid-put can never
-leave a torn artifact that poisons a resumed campaign.  Lease markers used
-by the distributed dispatcher live under the reserved ``leases/`` key
-prefix and are excluded from :meth:`keys`.
+Every write goes to a temp file in the artifact's directory and is
+``os.replace``-d into place, so a process killed mid-write never leaves a
+torn artifact: at worst an orphaned ``*.tmp`` file, which :meth:`keys`
+ignores like every other file outside the artifact layout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Iterator
 
-from repro.campaigns.backends import FilesystemBackend, StoreBackend, open_backend
 from repro.exceptions import InvalidParameterError
 from repro.utils.serialization import canonical_json
 
-#: Reserved backend-key prefix for the distributed dispatcher's lease
-#: markers; never part of the artifact keyspace.
-LEASE_PREFIX = "leases/"
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def validate_artifact_key(key: str) -> str:
     """Artifact keys are non-empty lowercase hex (truncated sha256)."""
-    if not key or any(ch not in "0123456789abcdef" for ch in key):
+    if not key or not _HEX_DIGITS.issuperset(key):
         raise InvalidParameterError(f"malformed artifact key {key!r}")
     return key
 
 
-def blob_key_for(key: str) -> str:
-    """Backend key of the artifact with content hash ``key``."""
-    validate_artifact_key(key)
-    return f"{key[:2]}/{key}.json"
-
-
 class ArtifactStore:
-    """Content-addressed JSON artifacts over any :class:`StoreBackend`."""
+    """Content-addressed JSON artifacts in a directory."""
 
-    def __init__(self, root: "str | Path | None" = None, *, backend: "StoreBackend | None" = None):
-        if backend is None:
-            if root is None:
-                raise InvalidParameterError("ArtifactStore needs a root path or a backend")
-            backend = FilesystemBackend(root)
-        elif root is not None:
-            raise InvalidParameterError("pass either root or backend, not both")
-        self.backend = backend
-        #: Filesystem root for path-based callers (``None`` on keyed backends).
-        self.root = Path(backend.root) if isinstance(backend, FilesystemBackend) else None
-
-    @classmethod
-    def open(cls, spec: "str | Path | StoreBackend") -> "ArtifactStore":
-        """Open a store from a spec: a path, ``file:``/``sqlite:``/``memory:``."""
-        return cls(backend=open_backend(spec))
-
-    def describe(self) -> str:
-        """The spec string that re-opens this store."""
-        return self.backend.describe()
+    def __init__(self, root: "str | Path"):
+        if not str(root):
+            raise InvalidParameterError("ArtifactStore needs a root path")
+        self.root = Path(root)
 
     def path_for(self, key: str) -> Path:
-        """Filesystem path of the artifact with content hash ``key``.
-
-        Only meaningful on the filesystem backend; keyed backends have no
-        per-artifact paths — use :meth:`load` / ``backend.get`` instead.
-        """
+        """Filesystem path of the artifact with content hash ``key``."""
         validate_artifact_key(key)
-        if self.root is None:
-            raise InvalidParameterError(
-                f"store {self.describe()!r} has no filesystem paths"
-            )
         return self.root / key[:2] / f"{key}.json"
 
     def has(self, key: str) -> bool:
         """Whether an artifact for ``key`` exists."""
-        return self.backend.exists(blob_key_for(key))
+        return self.path_for(key).is_file()
 
     def load(self, key: str) -> dict:
         """Read and decode the artifact for ``key``."""
-        blob = self.backend.get(blob_key_for(key))
-        if blob is None:
-            raise InvalidParameterError(
-                f"no artifact for key {key!r} in {self.describe()}"
-            )
+        try:
+            blob = self.path_for(key).read_bytes()
+        except FileNotFoundError:
+            raise InvalidParameterError(f"no artifact for key {key!r} in {self.root}") from None
         return json.loads(blob.decode("utf-8"))
 
-    def _encode(self, payload: dict) -> bytes:
-        return (canonical_json(payload, indent=2) + "\n").encode("utf-8")
-
-    def save(self, key: str, payload: dict) -> "Path | None":
+    def save(self, key: str, payload: dict) -> Path:
         """Write ``payload`` as the artifact for ``key`` (atomic, canonical).
 
-        Concurrent writers of one key are safe on every backend: writes are
-        all-or-nothing, last writer wins, and both writers produce identical
-        bytes for a given key anyway.  Returns the artifact's filesystem
-        path on the filesystem backend, ``None`` on keyed backends.
+        Returns the artifact's path.  Two writers of one key both produce
+        identical bytes, so the last ``os.replace`` winning is harmless.
         """
-        self.backend.put(blob_key_for(key), self._encode(payload))
-        return self.path_for(key) if self.root is not None else None
-
-    def save_if_absent(self, key: str, payload: dict) -> bool:
-        """Publish ``payload`` unless ``key`` already has an artifact.
-
-        The distributed dispatcher's publish step: when a stolen lease and
-        its original owner both finish the same task, exactly one write
-        lands (they are byte-identical regardless).
-        """
-        return self.backend.put_if_absent(blob_key_for(key), self._encode(payload))
-
-    def delete(self, key: str) -> bool:
-        """Remove the artifact for ``key``; ``True`` iff it existed."""
-        return self.backend.delete(blob_key_for(key))
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write((canonical_json(payload, indent=2) + "\n").encode("utf-8"))
+            os.replace(tmp_name, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+            raise
+        return path
 
     def keys(self) -> Iterator[str]:
         """All artifact keys currently in the store, sorted.
 
-        Lease markers and transient files are excluded: this is the
-        artifact keyspace only.
+        Only files of the artifact layout count: temp files, and anything
+        else found under the root, are not artifacts.
         """
         found = []
-        for blob_key in self.backend.list_keys():
-            if blob_key.startswith(LEASE_PREFIX):
-                continue
-            prefix, _, name = blob_key.partition("/")
-            if not name or not name.endswith(".json"):
-                continue
-            key = name[: -len(".json")]
-            if len(key) >= 8 and key[:2] == prefix:
-                try:
-                    validate_artifact_key(key)
-                except InvalidParameterError:
-                    continue
-                found.append(key)
+        if self.root.is_dir():
+            for path in self.root.glob("*/*.json"):
+                key = path.stem
+                if (
+                    len(key) >= 8
+                    and key[:2] == path.parent.name
+                    and _HEX_DIGITS.issuperset(key)
+                    and path.is_file()
+                ):
+                    found.append(key)
         return iter(sorted(found))
 
     def __len__(self) -> int:
@@ -148,18 +104,16 @@ class ArtifactStore:
 
 
 def diff_stores(a: ArtifactStore, b: ArtifactStore) -> list[str]:
-    """Byte-compare two stores' artifact keyspaces; one line per difference.
+    """Byte-compare two stores' artifacts; one line per difference.
 
-    An empty list means the stores are byte-identical artifact for
-    artifact — the cross-backend analogue of ``diff -r`` between two
-    filesystem stores (lease markers and transients are ignored, as
-    ``diff -r`` never sees them on a cleanly finished campaign either).
+    An empty list means the stores hold the same keys with byte-identical
+    artifacts — ``diff -r`` restricted to the artifact layout, so temp files
+    and other leftovers never count.
     """
     keys_a, keys_b = set(a.keys()), set(b.keys())
-    lines = [f"only in {a.describe()}: {key}" for key in sorted(keys_a - keys_b)]
-    lines += [f"only in {b.describe()}: {key}" for key in sorted(keys_b - keys_a)]
+    lines = [f"only in {a.root}: {key}" for key in sorted(keys_a - keys_b)]
+    lines += [f"only in {b.root}: {key}" for key in sorted(keys_b - keys_a)]
     for key in sorted(keys_a & keys_b):
-        blob = blob_key_for(key)
-        if a.backend.get(blob) != b.backend.get(blob):
+        if a.path_for(key).read_bytes() != b.path_for(key).read_bytes():
             lines.append(f"artifact bytes differ: {key}")
     return lines

@@ -88,11 +88,7 @@ class CampaignTask:
 
 
 def run_task(task: CampaignTask) -> dict:
-    """Execute ``task`` and return its JSON artifact payload.
-
-    The default ``task_runner`` of
-    :func:`~repro.campaigns.distributed.run_worker`.
-    """
+    """Execute ``task`` and return its JSON artifact payload."""
     result = task.to_unit().run()
     return payload_from_result(task, result)
 

@@ -11,9 +11,8 @@ The subcommands cover the common workflows::
     python -m repro trace generate --scenario flash-crowd --jobs 1000 --out crowd.ndjson
     python -m repro adaptive --scenario drift-ramp-heavytail --policy threshold
     python -m repro bounds --epsilon 0.25 --alpha 3
-    python -m repro campaign run --grid small --workers 4
-    python -m repro campaign run --grid medium --store sqlite:grid.db
-    python -m repro campaign diff /tmp/store-a sqlite:/tmp/store-b.db
+    python -m repro campaign run --grid small --store /tmp/store-a
+    python -m repro campaign diff /tmp/store-a /tmp/store-b
 
 * ``experiments`` regenerates experiment tables (same engine as
   ``examples/reproduce_experiments.py``).
@@ -45,19 +44,18 @@ The subcommands cover the common workflows::
   adaptivity beat the worst (or every) fixed policy in hindsight — is printed
   after the table (``--json`` emits the verdict summary as canonical JSON).
 * ``bounds`` prints the paper's closed-form guarantees for given parameters.
-* ``campaign`` runs (experiment × variant × seed) grids in parallel against a
-  cached artifact store and aggregates the results (``run``/``list``/``report``).
-  ``--store`` addresses any backend (a directory, ``file:PATH`` or
-  ``sqlite:PATH``).  Every ``run`` is a work-stealing lease worker fleet of
-  ``--workers`` processes: any number of ``run`` processes on one shared
-  store execute the grid cooperatively, stealing expired leases from
-  crashed peers.  ``diff`` byte-compares two stores across backends; ``gc``
-  collects lease and temp-file residue a killed worker can leave behind.
+* ``campaign`` runs (experiment × variant × seed) grids against a cached
+  artifact store and aggregates the results (``run``/``list``/``report``).
+  ``--store`` is a directory.  ``run`` computes, in this process, exactly
+  the tasks whose artifacts are missing, so a re-run is all cache hits and
+  an interrupted run resumes where it stopped.  ``diff`` byte-compares the
+  artifacts of two stores.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.core.bounds import (
@@ -311,17 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--alpha", type=float, default=3.0)
 
     campaign = subparsers.add_parser(
-        "campaign", help="run experiment grids in parallel with a cached artifact store"
+        "campaign", help="run experiment grids against a cached artifact store"
     )
     campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
 
-    def _store_args(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--store", default="campaign-artifacts",
-                         help="artifact store: a directory, file:PATH or sqlite:PATH")
-
     def _common_campaign_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--grid", default="small", help="grid name (see `campaign list`)")
-        _store_args(sub)
+        sub.add_argument("--store", default="campaign-artifacts",
+                         help="artifact store directory")
         sub.add_argument("--master-seed", type=int, default=None,
                          help="master seed the per-task seeds are derived from")
         sub.add_argument("--csv", metavar="DIR", default=None,
@@ -331,17 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run a grid, skipping tasks whose artifacts are cached"
     )
     _common_campaign_args(campaign_run)
-    campaign_run.add_argument("--workers", type=int, default=1,
-                              help="lease-worker processes (1 = this process); "
-                                   "other `campaign run` processes on the same "
-                                   "store join in, stealing tasks from crashed peers")
-    campaign_run.add_argument("--worker-id", default=None, metavar="ID",
-                              help="worker identity in lease markers and progress "
-                                   "lines, suffixed -K with --workers N "
-                                   "(default: <hostname>-<pid>)")
-    campaign_run.add_argument("--lease-ttl", type=float, default=None, metavar="S",
-                              help="seconds before an unrefreshed task lease "
-                                   "may be stolen (default 30)")
     campaign_run.add_argument("--quiet", action="store_true",
                               help="suppress per-task progress lines")
 
@@ -355,17 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     _common_campaign_args(campaign_report)
 
     campaign_diff = campaign_sub.add_parser(
-        "diff", help="byte-compare two artifact stores (any mix of backends)"
+        "diff", help="byte-compare the artifacts of two stores"
     )
-    campaign_diff.add_argument("store_a", help="first store spec (path, file: or sqlite:)")
-    campaign_diff.add_argument("store_b", help="second store spec")
+    campaign_diff.add_argument("store_a", help="first store directory")
+    campaign_diff.add_argument("store_b", help="second store directory")
 
-    campaign_gc = campaign_sub.add_parser(
-        "gc", help="remove expired task leases and stale temp files from a store"
-    )
-    _store_args(campaign_gc)
-
-    # ``repro bench`` is dispatched before parsing (see :func:`main`) so the
+    # ``repro bench`` is dispatched before parsing (see :func:`_main`) so the
     # harness keeps its own argparse surface; this stub makes it show up in
     # ``repro --help``.
     subparsers.add_parser(
@@ -740,19 +719,49 @@ def _campaign_tasks(args: argparse.Namespace):
     return get_grid(args.grid).tasks(master_seed=master_seed)
 
 
+#: Store-spec schemes that older command lines may still pass: refused, so
+#: that ``--store sqlite:grid.db`` fails instead of creating a directory of
+#: that name.
+_RETIRED_STORE_SCHEMES = ("file", "sqlite", "memory")
+
+
+def _open_store(spec: str, *, must_exist: bool = False):
+    """The :class:`ArtifactStore` at directory ``spec``; creates nothing.
+
+    A path that exists but is not a directory, a path below a regular file,
+    or a retired ``scheme:`` spec, is an attributed error; so is a missing
+    directory when ``must_exist`` (``campaign diff`` would otherwise compare
+    empty stores).
+    """
+    from repro.campaigns import ArtifactStore
+
+    scheme, sep, _ = spec.partition(":")
+    if sep and scheme in _RETIRED_STORE_SCHEMES:
+        raise InvalidParameterError(
+            f"store {spec!r}: the {scheme}: scheme is gone; a store is a directory path"
+        )
+    store = ArtifactStore(spec)
+    # The nearest existing path decides: `run` would otherwise compute a
+    # task and then fail creating the directories to save it in.
+    existing = next((path for path in (store.root, *store.root.parents) if path.exists()), None)
+    if existing is not None and not existing.is_dir():
+        where = "" if existing == store.root else f" ({str(existing)!r} is a file)"
+        raise InvalidParameterError(f"store {spec!r} is not a directory{where}")
+    if must_exist and not store.root.exists():
+        raise InvalidParameterError(f"store {spec!r} does not exist: no directory")
+    return store
+
+
 def _cmd_campaign(args: argparse.Namespace, out) -> int:
     from repro.analysis.reporting import render_report
     from repro.campaigns import (
-        ArtifactStore,
         aggregate_tables,
         available_grids,
         diff_stores,
         export_csv,
-        gc_store,
         run_campaign,
         summary_table,
     )
-    from repro.campaigns.distributed import DEFAULT_LEASE_TTL
 
     if args.campaign_command == "list":
         if args.grid is None:
@@ -764,20 +773,8 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
         return 0
 
     if args.campaign_command == "diff":
-        from pathlib import Path
-
-        from repro.campaigns.backends import split_store_spec
-
-        # Opening a sqlite spec creates the file, and a missing directory
-        # reads as an empty store: refuse both, so a mistyped spec fails.
-        for spec in (args.store_a, args.store_b):
-            scheme, location = split_store_spec(spec)
-            if scheme == "file" and not Path(location).is_dir():
-                raise InvalidParameterError(f"store {spec!r} does not exist: no directory")
-            if scheme == "sqlite" and not Path(location).is_file():
-                raise InvalidParameterError(f"store {spec!r} does not exist: no sqlite file")
-        store_a = ArtifactStore.open(args.store_a)
-        store_b = ArtifactStore.open(args.store_b)
+        store_a = _open_store(args.store_a, must_exist=True)
+        store_b = _open_store(args.store_b, must_exist=True)
         lines = diff_stores(store_a, store_b)
         for line in lines:
             print(line, file=out)
@@ -787,29 +784,12 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
         print(f"stores identical: {len(store_a)} artifact(s)", file=out)
         return 0
 
-    if args.campaign_command == "gc":
-        store = ArtifactStore.open(args.store)
-        removed = gc_store(store)
-        print(
-            f"gc {store.describe()}: removed {removed['leases']} lease(s), "
-            f"{removed['transients']} transient file(s)",
-            file=out,
-        )
-        return 0
-
-    store = ArtifactStore.open(args.store)
+    store = _open_store(args.store)
     tasks = _campaign_tasks(args)
 
     if args.campaign_command == "run":
         progress = None if args.quiet else (lambda line: print(line, file=out))
-        summary = run_campaign(
-            tasks,
-            store,
-            workers=args.workers,
-            worker_id=args.worker_id,
-            lease_ttl=args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL,
-            progress=progress,
-        )
+        summary = run_campaign(tasks, store, progress=progress)
         print(summary.describe(), file=out)
         print("", file=out)
         print(summary_table(summary.outcomes).render(), file=out)
@@ -907,11 +887,24 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     Library errors (:class:`ReproError`: unknown ids, schema-rejected
     parameters, infeasible instances) print ``error: ...`` to ``err``
     (stderr by default, so redirected data output stays clean) and exit 2
-    on every subcommand; only genuine bugs escape as tracebacks.
+    on every subcommand; only genuine bugs escape as tracebacks.  A reader
+    that closes stdout early (``repro ... | head``) ends the run with exit
+    status 1 and no traceback.
     """
     out = out or sys.stdout
     err = err or sys.stderr
-    raw_argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        code = _main(list(sys.argv[1:] if argv is None else argv), out, err)
+        out.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; with fd 1 on devnull
+        # that flush cannot raise (and print) a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(raw_argv: list[str], out, err) -> int:
     if raw_argv[:1] == ["bench"]:
         from repro.benchmarking import main as bench_main
 

@@ -6,8 +6,8 @@ of entry point, from most to least convenient:
 
 * :func:`run_experiment` — build a config from keyword overrides and run it;
 * :class:`ExperimentRunUnit` — a picklable ``(experiment_id, overrides)``
-  bundle whose :meth:`~ExperimentRunUnit.run` does the same; this is what the
-  campaign runner ships to worker processes;
+  bundle whose :meth:`~ExperimentRunUnit.run` does the same; this is what a
+  campaign task runs;
 * :func:`make_config` / :func:`run_config` — the underlying pieces, for
   callers that want to inspect or mutate the config before running.
 """
@@ -202,8 +202,8 @@ class ExperimentRunUnit:
     """A picklable, self-contained unit of experiment work.
 
     Plain data only (an experiment id plus a JSON-able overrides mapping), so
-    instances cross process boundaries and hash stably — the campaign runner
-    ships these to worker processes and keys its artifact store off them.
+    instances cross process boundaries and hash stably — a campaign task
+    runs one and keys its artifact off the same overrides.
     """
 
     experiment_id: str

@@ -68,7 +68,7 @@ __all__ = [
 DISPATCH_MODES = ("indexed", "scan")
 
 #: Environment override for the default mode, read at engine construction so
-#: campaign worker processes and tests can pin it without code changes.
+#: CLI runs (campaigns included) and tests can pin it without code changes.
 DISPATCH_ENV_VAR = "REPRO_DISPATCH"
 
 

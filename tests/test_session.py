@@ -39,6 +39,7 @@ from repro.simulation.job import Job
 from repro.solvers import get_solver, solve
 from repro.workloads.adversarial import overload_burst_instance
 from repro.workloads.generators import InstanceGenerator, WeightedInstanceGenerator
+from repro.workloads.scenarios import SCENARIOS
 from repro.workloads.traces import iter_ndjson_jobs
 
 #: Streaming algorithms with their parameter sets used across the suite.
@@ -156,6 +157,18 @@ class TestBatchEquivalence:
         batch = solve(instance, "rejection-energy-flow", epsilon=0.5)
         _, streamed = _replay(instance, "rejection-energy-flow", epsilon=0.5)
         _assert_outcome_identical(streamed, batch)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_event_stream_identical_across_dispatch_modes(self, scenario):
+        # Equal outcomes do not imply equal streams: every decision event
+        # (kind, job, machine, time, reason) must not depend on the mode.
+        instance = SCENARIOS[scenario].instance(80, num_machines=3, seed=57)
+        streams = {}
+        for dispatch in DISPATCH_MODES:
+            session, outcome = _replay(instance, "rejection-flow", dispatch=dispatch, epsilon=0.5)
+            streams[dispatch] = ([event.as_dict() for event in session.events], outcome.as_row())
+        assert streams["indexed"] == streams["scan"]
+        assert streams["indexed"][0]
 
     def test_replay_overhead_under_10_percent(self):
         # Cheap enough to be the default online surface: on a 2k-job instance
@@ -661,60 +674,3 @@ class TestNdjson:
             '{"event":"decision","job_id":0,"kind":"dispatch",'
             '"machine":2,"reason":null,"speed":null,"time":1.0}'
         )
-
-
-# --------------------------------------------------------------------------------------
-# Recorded session traces in the campaign artifact store
-# --------------------------------------------------------------------------------------
-
-
-class TestSessionTraceReplay:
-    def test_record_is_cached_and_replayable(self, tmp_path):
-        from repro.campaigns import ArtifactStore, record_session_trace, replay_session_trace
-
-        store = ArtifactStore(tmp_path)
-        instance = InstanceGenerator(num_machines=3, seed=47).generate(60)
-        first = record_session_trace(store, instance, "rejection-flow", epsilon=0.5)
-        second = record_session_trace(store, instance, "rejection-flow", epsilon=0.5)
-        assert not first.cached and second.cached
-        assert first.payload == second.payload
-        assert first.events and first.outcome_row["algorithm"] == "rejection-flow"
-        replayed = replay_session_trace(store, first.key)
-        assert replayed.payload == first.payload
-
-    def test_key_depends_on_configuration(self, tmp_path):
-        from repro.campaigns import ArtifactStore, record_session_trace
-
-        store = ArtifactStore(tmp_path)
-        instance = InstanceGenerator(num_machines=2, seed=51).generate(30)
-        a = record_session_trace(store, instance, "rejection-flow", epsilon=0.5)
-        b = record_session_trace(store, instance, "rejection-flow", epsilon=0.3)
-        c = record_session_trace(store, instance, "fcfs")
-        assert len({a.key, b.key, c.key}) == 3
-        assert len(store) == 3
-
-    def test_artifact_bytes_stable_across_dispatch_modes(self, tmp_path):
-        from repro.campaigns import ArtifactStore, record_session_trace
-
-        instance = InstanceGenerator(num_machines=3, seed=57).generate(80)
-        payloads = {}
-        for mode in ("indexed", "scan"):
-            store = ArtifactStore(tmp_path / mode)
-            trace = record_session_trace(
-                store, instance, "rejection-flow", dispatch=mode, epsilon=0.5
-            )
-            payloads[mode] = {k: v for k, v in trace.payload.items() if k != "dispatch"}
-        assert payloads["indexed"] == payloads["scan"]
-
-    def test_tampered_trace_fails_replay(self, tmp_path):
-        from repro.campaigns import ArtifactStore, record_session_trace, replay_session_trace
-
-        store = ArtifactStore(tmp_path)
-        instance = InstanceGenerator(num_machines=2, seed=61).generate(20)
-        trace = record_session_trace(store, instance, "fcfs")
-        tampered = dict(trace.payload)
-        tampered["events"] = list(tampered["events"])
-        tampered["events"][0] = {**tampered["events"][0], "time": -1.0}
-        store.save(trace.key, tampered)
-        with pytest.raises(InvalidParameterError, match="diverged"):
-            replay_session_trace(store, trace.key)

@@ -2,6 +2,10 @@
 
 import argparse
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +173,46 @@ class TestCLI:
         code, text = self._run(["experiments", "--only", experiment_id])
         assert code == 2 and text == ""
         assert f"unknown experiment '{experiment_id}'" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "list", "--grid", "small"],
+            ["campaign", "run", "--grid", "smoke", "--store", "STORE", "--quiet"],
+            ["experiments", "--list"],
+            ["bounds"],
+            ["solve", "--jobs", "50", "--json"],
+        ],
+        ids=["campaign-list", "campaign-run", "experiments-list", "bounds", "solve-json"],
+    )
+    def test_closed_stdout_exits_1_without_traceback(self, argv, buffered, tmp_path):
+        # `repro ... | grep -q` closes the pipe once it has its match.  The
+        # read end is closed before the child starts, so every write fails:
+        # buffered, at the flush when the command is done; unbuffered, at
+        # the first print.
+        argv = [str(tmp_path / "store") if arg == "STORE" else arg for arg in argv]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+        if argv[:2] == ["campaign", "run"]:
+            # Output fails after the run: the grid's artifact is stored.
+            assert len(list((tmp_path / "store").glob("*/*.json"))) == 1
 
 
 class TestSolveJsonOutput:
