@@ -16,8 +16,8 @@ contains:
 * :mod:`repro.service` (loaded on first use) — the streaming surface:
   :func:`repro.open_session` returns a
   :class:`~repro.service.session.SchedulerSession` that ingests jobs
-  incrementally, emits a typed decision-event stream, checkpoints via
-  canonical-JSON snapshots and finalizes into the same
+  incrementally, emits a typed decision-event stream, snapshots to
+  canonical JSON for ``restore`` and finalizes into the same
   :class:`~repro.solvers.outcome.SolveOutcome` as the batch facade;
 * :mod:`repro.lowerbounds` — certified lower bounds on the offline optimum;
 * :mod:`repro.workloads` — synthetic workload generators, the adversarial

@@ -9,9 +9,9 @@ running the ``meta`` solver, with three additions:
   ``plan`` parameter and the session rebuilds itself in place by replaying
   its own op log under the extended plan.  Because controller switches
   re-derive deterministically on replay, the snapshot only needs to carry
-  the forced entries — and a restored (or crash-recovered) session
-  reproduces the hot switch exactly, so ``finalize()`` stays byte-identical
-  to an uninterrupted run of the same switch schedule;
+  the forced entries — and a session restored from a client's snapshot on
+  any server reproduces the hot switch exactly, so ``finalize()`` stays
+  byte-identical to an uninterrupted run of the same switch schedule;
 * :meth:`~MetaSchedulerSession.telemetry` — the live
   :class:`~repro.adaptive.monitor.TelemetrySnapshot` of the policy's load
   monitor;

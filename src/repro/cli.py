@@ -6,7 +6,7 @@ The subcommands cover the common workflows::
     python -m repro simulate --jobs 200 --machines 4 --epsilon 0.5 --policy theorem1 --gantt
     python -m repro solve --algorithm rejection-flow --param epsilon=0.5 --jobs 200
     python -m repro serve --algorithm rejection-flow --machines 4 < jobs.ndjson
-    python -m repro serve --listen 127.0.0.1:7077 --checkpoint-dir ckpt
+    python -m repro serve --listen 127.0.0.1:7077
     python -m repro loadgen --sessions 8 --jobs 500 --verify
     python -m repro trace generate --scenario flash-crowd --jobs 1000 --out crowd.ndjson
     python -m repro adaptive --scenario drift-ramp-heavytail --policy threshold
@@ -29,7 +29,7 @@ The subcommands cover the common workflows::
   lines out as jobs arrive, and a final summary line when the stream ends.
   With ``--listen HOST:PORT`` it instead hosts the multi-session asyncio
   service (many named concurrent sessions, bounded-queue backpressure,
-  checkpoint/recover crash recovery, live migration).
+  ``snapshot``/``restore`` for sessions that must outlive the server).
 * ``loadgen`` drives N concurrent scenario streams against a service server
   (or a self-hosted loopback one) and reports throughput and decision
   latency; ``--verify`` checks every session's final summary byte-identical
@@ -180,13 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pending", type=int, default=None, metavar="N",
                        help="per-session bound on submitted-but-unprocessed jobs "
                             "(backpressure; service mode)")
-    serve.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
-                       help="checkpoint each session's op log every N operations "
-                            "(service mode)")
-    serve.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="persist checkpoints under DIR (enables --recover)")
-    serve.add_argument("--recover", action="store_true",
-                       help="restore sessions from --checkpoint-dir before listening")
 
     loadgen = subparsers.add_parser(
         "loadgen", help="drive concurrent scenario streams against the service"
@@ -549,8 +542,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     manager_kwargs: dict = {"defaults": defaults}
     if args.max_pending is not None:
         manager_kwargs["max_pending"] = args.max_pending
-    if args.checkpoint_every is not None:
-        manager_kwargs["checkpoint_every"] = args.checkpoint_every
+    manager = SessionManager(**manager_kwargs)
 
     if args.listen is not None:
         import asyncio
@@ -558,20 +550,11 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         from repro.service.server import ServiceServer
 
         host, port = _parse_host_port(args.listen)
-        if args.recover:
-            if args.checkpoint_dir is None:
-                raise ReproError("--recover requires --checkpoint-dir")
-            manager = SessionManager.recover(args.checkpoint_dir, **manager_kwargs)
-        else:
-            if args.checkpoint_dir is not None:
-                manager_kwargs["checkpoint_dir"] = args.checkpoint_dir
-            manager = SessionManager(**manager_kwargs)
         server = ServiceServer(manager, host=host, port=port, out=out)
         return asyncio.run(server.run())
 
     # Stdio path: a thin single-session client of the same SessionManager the
     # network service uses, so the two share lifecycle and error semantics.
-    manager = SessionManager(**manager_kwargs)
     name = args.name or "serve"
     manager.create(name)
     fmt = None if args.trace_format == "auto" else args.trace_format
@@ -889,13 +872,18 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     (stderr by default, so redirected data output stays clean) and exit 2
     on every subcommand; only genuine bugs escape as tracebacks.  A reader
     that closes stdout early (``repro ... | head``) ends the run with exit
-    status 1 and no traceback.
+    status 1 and no traceback; an interrupt (Ctrl-C) prints
+    ``error: interrupted`` and exits 130, the shell's code for SIGINT.
+    ``serve --listen`` handles SIGINT itself and drains its sessions.
     """
     out = out or sys.stdout
     err = err or sys.stderr
     try:
         code = _main(list(sys.argv[1:] if argv is None else argv), out, err)
         out.flush()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=err)
+        return 130
     except BrokenPipeError:
         # The interpreter flushes stdout again at exit; with fd 1 on devnull
         # that flush cannot raise (and print) a second time.

@@ -5,15 +5,16 @@ This subpackage is the online-facing API of the reproduction:
 * :mod:`repro.service.session` — :func:`open_session` /
   :class:`SchedulerSession`: incremental job ingestion (single jobs or
   ``JobChunk`` bulk rows), a typed decision-event stream, canonical-JSON
-  snapshot/restore checkpointing, and ``finalize()`` into the batch facade's
-  :class:`~repro.solvers.outcome.SolveOutcome`;
+  snapshot/restore by op-log replay, and ``finalize()`` into the batch
+  facade's :class:`~repro.solvers.outcome.SolveOutcome`;
 * :mod:`repro.service.protocol` — the newline-delimited JSON wire format:
   bare job lines in and decision/final lines out (what the stdio
   ``repro serve`` speaks), plus the versioned control messages of the
   multi-session service;
 * :mod:`repro.service.manager` — :class:`SessionManager`: many named
-  concurrent sessions with lifecycle, bounded-queue backpressure,
-  checkpoint/recover crash recovery and migration;
+  concurrent sessions with lifecycle, bounded-queue backpressure and
+  client-held snapshots (a session outlives its server only through a
+  ``snapshot`` its client keeps and ``restore``s);
 * :mod:`repro.service.server` — the asyncio NDJSON TCP server
   (``repro serve --listen``) hosting one manager for many clients;
 * :mod:`repro.service.client` — the blocking reference client and the
@@ -31,7 +32,6 @@ from repro.service.manager import (
     HostedSession,
     SessionManager,
     SubmitOutcome,
-    snapshot_job_count,
 )
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.server import ServerHandle, ServiceServer, start_server_thread
@@ -58,7 +58,6 @@ __all__ = [
     "SubmitOutcome",
     "open_session",
     "run_loadgen",
-    "snapshot_job_count",
     "start_server_thread",
     "streaming_algorithms",
 ]

@@ -139,7 +139,7 @@ class ServiceClient:
 
     def create(self, name: str, **options: Any) -> dict:
         """Create a named session (options: algorithm, machines, alpha,
-        dispatch, params, max_pending, checkpoint_every)."""
+        dispatch, params, max_pending)."""
         clean = {k: v for k, v in options.items() if v is not None}
         return self.request("create", name, **clean).event
 
@@ -171,9 +171,6 @@ class ServiceClient:
 
     def sessions(self) -> list[dict]:
         return list(self.request("sessions").event["sessions"])
-
-    def migrate(self, name: str, target: str) -> dict:
-        return self.request("migrate", name, target=target).event
 
     def shutdown(self) -> dict:
         return self.request("shutdown").event

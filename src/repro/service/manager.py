@@ -18,17 +18,12 @@ and owns everything about them except the wire:
   ``accepted=False`` (the wire layer turns that into a ``throttled``
   response) and **not** ingested — a slow consumer that never polls can
   never grow server memory without bound.
-* **Crash recovery.**  With ``checkpoint_every=N`` the manager snapshots a
-  session's op log (:meth:`SchedulerSession.snapshot`) every N operations —
-  atomically persisted under ``checkpoint_dir`` when set.
-  :meth:`SessionManager.recover` rebuilds a manager from that directory;
-  determinism of the op-log replay makes the restored session byte-identical
-  to the one that crashed, up to its last checkpoint.  Clients re-submit
-  anything newer than the checkpoint they were last acknowledged for.
-* **Migration.**  :meth:`export_session` hands out a final snapshot and
-  releases the live session; importing it on another manager (or another
-  server instance, via the ``migrate`` op) resumes the stream exactly where
-  it left off.
+* **Snapshots.**  :meth:`SessionManager.snapshot` hands the client a
+  session's op log (:meth:`SchedulerSession.snapshot`) and
+  :meth:`SessionManager.restore` hosts a session rebuilt from one;
+  determinism of the op-log replay makes the restored session continue
+  byte-identically.  The manager persists nothing: a session outlives its
+  server only through a snapshot its client kept.
 
 Everything here is synchronous and deterministic; the asyncio server in
 :mod:`repro.service.server` and the blocking stdio ``repro serve`` path are
@@ -38,17 +33,13 @@ lifecycle semantics by construction.
 
 from __future__ import annotations
 
-import os
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.exceptions import ServiceError, SessionStateError
 from repro.service.session import SchedulerSession, open_session
 from repro.simulation.job import Job
 from repro.simulation.stepper import DecisionEvent
-from repro.utils.serialization import canonical_json, stable_hash
 
 __all__ = [
     "DEFAULT_MAX_PENDING",
@@ -56,7 +47,6 @@ __all__ = [
     "HostedSession",
     "SessionManager",
     "SubmitOutcome",
-    "snapshot_job_count",
 ]
 
 #: Default bound on jobs submitted but not yet processed, per session.
@@ -135,13 +125,9 @@ class HostedSession:
     #: The live session; replaced by its :class:`ClosedSession` record at close.
     session: "SchedulerSession | ClosedSession"
     max_pending: int
-    checkpoint_every: "int | None" = None
     state: str = "open"
     #: Jobs submitted since the last poll/advance (the bounded offer queue).
     pending_offers: int = 0
-    ops_since_checkpoint: int = 0
-    #: Last op-log snapshot taken (also on disk when the manager persists).
-    checkpoint: "dict | None" = None
     final_row: "dict | None" = None
     error: "str | None" = None
 
@@ -160,24 +146,6 @@ class HostedSession:
         }
 
 
-def snapshot_job_count(snapshot: Mapping[str, Any]) -> int:
-    """Number of jobs a :meth:`SchedulerSession.snapshot` payload replays.
-
-    Recovery clients use this to know where to resume their stream: jobs
-    submitted after the checkpoint was taken are not in the snapshot and
-    must be re-submitted.
-    """
-    return sum(
-        len(op.get("jobs", ())) for op in snapshot.get("ops", ())
-    )
-
-
-def _checkpoint_filename(name: str) -> str:
-    """A filesystem-safe, collision-free filename for a session name."""
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)[:48]
-    return f"{safe}-{stable_hash(name)[:10]}.json"
-
-
 class SessionManager:
     """Host many concurrent named :class:`SchedulerSession` streams.
 
@@ -190,12 +158,6 @@ class SessionManager:
         ``params``.
     max_pending:
         Default bound of the per-session offer queue (see module docstring).
-    checkpoint_every:
-        Snapshot a session's op log every N operations (``None`` disables
-        periodic checkpointing; explicit :meth:`checkpoint` always works).
-    checkpoint_dir:
-        Directory where checkpoints are persisted (atomic write-then-rename,
-        one file per session).  Enables :meth:`recover`.
     """
 
     def __init__(
@@ -203,19 +165,11 @@ class SessionManager:
         *,
         defaults: "Mapping[str, Any] | None" = None,
         max_pending: int = DEFAULT_MAX_PENDING,
-        checkpoint_every: "int | None" = None,
-        checkpoint_dir: "str | os.PathLike | None" = None,
     ) -> None:
         if max_pending <= 0:
             raise ServiceError(f"max_pending must be positive, got {max_pending}")
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise ServiceError(
-                f"checkpoint_every must be positive or None, got {checkpoint_every}"
-            )
         self.defaults = dict(defaults or {})
         self.max_pending = max_pending
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self._sessions: dict[str, HostedSession] = {}
 
     # -- lookup --------------------------------------------------------------------
@@ -266,14 +220,12 @@ class SessionManager:
         dispatch: "str | None" = None,
         params: "Mapping[str, Any] | None" = None,
         max_pending: "int | None" = None,
-        checkpoint_every: "int | None" = None,
     ) -> HostedSession:
         """Create and host a new named session.
 
         Unset options fall back to the manager's ``defaults``.  Names are
         unique across the manager's lifetime — re-using the name of a closed
-        session is refused so checkpoint files and listing rows stay
-        unambiguous.
+        session is refused so listing rows stay unambiguous.
         """
         self._check_new_name(name)
         defaults = self.defaults
@@ -292,7 +244,7 @@ class SessionManager:
             retain_events=False,
             **merged_params,
         )
-        return self._host(name, session, max_pending, checkpoint_every)
+        return self._host(name, session, max_pending)
 
     def restore(
         self,
@@ -300,20 +252,15 @@ class SessionManager:
         snapshot: "Mapping[str, Any] | str",
         *,
         max_pending: "int | None" = None,
-        checkpoint_every: "int | None" = None,
     ) -> HostedSession:
         """Host a session rebuilt from a :meth:`SchedulerSession.snapshot`.
 
         The restored session continues exactly where the snapshot left off
-        (deterministic op-log replay); used by crash recovery and by the
-        receiving side of a migration.
+        (deterministic op-log replay) — on this manager or on another one,
+        which is how a session outlives its server.
         """
         self._check_new_name(name)
-        session = SchedulerSession.restore(snapshot)
-        hosted = self._host(name, session, max_pending, checkpoint_every)
-        # The snapshot that rebuilt the session is its first checkpoint.
-        hosted.checkpoint = dict(snapshot) if isinstance(snapshot, Mapping) else None
-        return hosted
+        return self._host(name, SchedulerSession.restore(snapshot), max_pending)
 
     def _check_new_name(self, name: str) -> None:
         if not name or not isinstance(name, str):
@@ -329,19 +276,11 @@ class SessionManager:
         name: str,
         session: SchedulerSession,
         max_pending: "int | None",
-        checkpoint_every: "int | None",
     ) -> HostedSession:
         bound = max_pending if max_pending is not None else self.max_pending
         if bound <= 0:
             raise ServiceError(f"max_pending must be positive, got {bound}")
-        hosted = HostedSession(
-            name=name,
-            session=session,
-            max_pending=bound,
-            checkpoint_every=(
-                checkpoint_every if checkpoint_every is not None else self.checkpoint_every
-            ),
-        )
+        hosted = HostedSession(name=name, session=session, max_pending=bound)
         self._sessions[name] = hosted
         return hosted
 
@@ -370,7 +309,6 @@ class SessionManager:
             )
         ingested = hosted.session.submit_many(batch)
         hosted.pending_offers += ingested
-        self._after_op(hosted)
         return SubmitOutcome(
             accepted=True,
             count=ingested,
@@ -383,7 +321,6 @@ class SessionManager:
         hosted = self._require(name)
         events = hosted.session.poll()
         hosted.pending_offers = 0
-        self._after_op(hosted)
         return events
 
     def advance(self, name: str, t: float) -> list[DecisionEvent]:
@@ -391,8 +328,11 @@ class SessionManager:
         hosted = self._require(name)
         events = hosted.session.advance_to(float(t))
         hosted.pending_offers = 0
-        self._after_op(hosted)
         return events
+
+    def snapshot(self, name: str) -> dict:
+        """The op-log snapshot of an open session, for its client to keep."""
+        return self._require(name).session.snapshot()
 
     def stats(self, name: str) -> dict:
         """Live observability counters of a hosted session (any state).
@@ -429,8 +369,6 @@ class SessionManager:
         hosted.pending_offers = 0
         hosted.final_row = outcome.as_row()
         hosted.session = ClosedSession.freeze(hosted.session)
-        hosted.checkpoint = None
-        self._remove_checkpoint_file(name)
         return hosted.final_row, events
 
     def drain(self) -> list[tuple[str, "dict | None", "str | None"]]:
@@ -448,71 +386,3 @@ class SessionManager:
             except Exception as exc:  # noqa: BLE001 - drain must not abort
                 results.append((name, None, str(exc)))
         return results
-
-    def _after_op(self, hosted: HostedSession) -> None:
-        if hosted.checkpoint_every is None:
-            return
-        hosted.ops_since_checkpoint += 1
-        if hosted.ops_since_checkpoint >= hosted.checkpoint_every:
-            self.checkpoint(hosted.name)
-
-    # -- checkpointing & migration -------------------------------------------------
-
-    def checkpoint(self, name: str) -> dict:
-        """Snapshot a session's op log now (and persist it when configured)."""
-        hosted = self._require(name)
-        snapshot = hosted.session.snapshot()
-        hosted.checkpoint = snapshot
-        hosted.ops_since_checkpoint = 0
-        if self.checkpoint_dir is not None:
-            self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            path = self.checkpoint_dir / _checkpoint_filename(name)
-            payload = canonical_json({"session": name, "snapshot": snapshot})
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(payload + "\n", encoding="utf-8")
-            os.replace(tmp, path)
-        return snapshot
-
-    def _remove_checkpoint_file(self, name: str) -> None:
-        if self.checkpoint_dir is None:
-            return
-        path = self.checkpoint_dir / _checkpoint_filename(name)
-        if path.exists():
-            path.unlink()
-
-    @classmethod
-    def recover(
-        cls,
-        checkpoint_dir: "str | os.PathLike",
-        **kwargs: Any,
-    ) -> "SessionManager":
-        """Rebuild a manager from a checkpoint directory.
-
-        Every persisted checkpoint is restored into an open hosted session
-        (deterministic replay), so a crashed server resumes with the exact
-        session states it last persisted.  ``kwargs`` are forwarded to the
-        constructor; ``checkpoint_dir`` is set to the recovered directory so
-        subsequent checkpoints land in the same place.
-        """
-        import json as _json
-
-        manager = cls(checkpoint_dir=checkpoint_dir, **kwargs)
-        directory = Path(checkpoint_dir)
-        if not directory.is_dir():
-            return manager
-        for path in sorted(directory.glob("*.json")):
-            payload = _json.loads(path.read_text(encoding="utf-8"))
-            manager.restore(payload["session"], payload["snapshot"])
-        return manager
-
-    def export_session(self, name: str) -> dict:
-        """Snapshot a live session and release it (the migration source).
-
-        The session is removed from this manager without being finalized;
-        the returned snapshot, restored elsewhere, continues the stream.
-        """
-        hosted = self._require(name)
-        snapshot = hosted.session.snapshot()
-        del self._sessions[name]
-        self._remove_checkpoint_file(name)
-        return snapshot

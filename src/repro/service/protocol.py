@@ -15,7 +15,8 @@ Control messages (``PROTOCOL_VERSION`` = 1)::
 
     {"op": "hello"}                                       -> hello
     {"op": "create", "session": S, "algorithm": ..., "machines": ...,
-     "alpha": ..., "dispatch": ..., "params": {...}}      -> created
+     "alpha": ..., "dispatch": ..., "params": {...},
+     "max_pending": ...}                                  -> created
     {"op": "submit", "session": S, "jobs": [JOB, ...]}    -> accepted | throttled
     {"op": "submit", "session": S, "job": JOB}            -> accepted | throttled
     {"op": "poll", "session": S}                          -> decision* polled
@@ -25,7 +26,6 @@ Control messages (``PROTOCOL_VERSION`` = 1)::
     {"op": "close", "session": S}                         -> decision* final
     {"op": "stats", "session": S}                         -> stats
     {"op": "sessions"}                                    -> sessions
-    {"op": "migrate", "session": S, "target": "H:P"}      -> migrated
     {"op": "shutdown"}                                    -> shutdown
 
 Every request is answered by exactly one **terminator** line (right column;
@@ -45,6 +45,7 @@ line byte-stable for identical histories.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -82,7 +83,6 @@ OPS = (
     "close",
     "stats",
     "sessions",
-    "migrate",
     "shutdown",
 )
 
@@ -98,13 +98,22 @@ TERMINATORS: dict[str, str] = {
     "close": "final",
     "stats": "stats",
     "sessions": "sessions",
-    "migrate": "migrated",
     "shutdown": "shutdown",
+}
+
+#: ``create`` options: JSON type each must have (``bool`` is never a number).
+_CREATE_OPTIONS: dict[str, tuple[Any, str]] = {
+    "algorithm": (str, "a string"),
+    "machines": (int, "an integer"),
+    "alpha": ((int, float), "a number"),
+    "dispatch": (str, "a string"),
+    "params": (Mapping, "an object"),
+    "max_pending": (int, "an integer"),
 }
 
 #: Ops that must name a session.
 _SESSION_OPS = frozenset(
-    {"create", "submit", "poll", "advance", "snapshot", "restore", "close", "stats", "migrate"}
+    {"create", "submit", "poll", "advance", "snapshot", "restore", "close", "stats"}
 )
 
 
@@ -190,9 +199,10 @@ def parse_request(line: str, lineno: int = 0) -> Request:
         jobs = tuple(parsed)
     elif op == "advance":
         t = data.get("t")
-        if not isinstance(t, (int, float)) or isinstance(t, bool):
+        if not isinstance(t, (int, float)) or isinstance(t, bool) or math.isnan(t):
             raise ServiceProtocolError(
-                "op 'advance' requires a numeric 't' field", lineno=lineno
+                "op 'advance' requires a numeric 't' field other than NaN",
+                lineno=lineno,
             )
     elif op == "restore":
         if not isinstance(data.get("snapshot"), Mapping):
@@ -201,20 +211,24 @@ def parse_request(line: str, lineno: int = 0) -> Request:
                 "(a SchedulerSession.snapshot payload)",
                 lineno=lineno,
             )
-    elif op == "migrate":
-        target = data.get("target")
-        if not isinstance(target, str) or ":" not in target:
-            raise ServiceProtocolError(
-                "op 'migrate' requires a 'target' of the form 'host:port'",
-                lineno=lineno,
-            )
     elif op == "create":
-        params = data.get("params")
-        if params is not None and not isinstance(params, Mapping):
-            raise ServiceProtocolError(
-                f"'params' must be an object, got {type(params).__name__}",
-                lineno=lineno,
-            )
+        # An option left out or ``null`` takes the server default.
+        for key, value in data.items():
+            if key in ("op", "session", "v"):
+                continue
+            if key not in _CREATE_OPTIONS:
+                raise ServiceProtocolError(
+                    f"op 'create' has unknown field {key!r}; known options: "
+                    f"{sorted(_CREATE_OPTIONS)}",
+                    lineno=lineno,
+                )
+            kind, description = _CREATE_OPTIONS[key]
+            if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+                raise ServiceProtocolError(
+                    f"op 'create' option {key!r} must be {description}, "
+                    f"got {type(value).__name__}",
+                    lineno=lineno,
+                )
 
     payload = {k: v for k, v in data.items() if k not in ("op", "session", "v")}
     return Request(op=op, session=session, payload=payload, jobs=jobs, lineno=lineno)

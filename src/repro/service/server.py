@@ -4,9 +4,10 @@
 :class:`~repro.service.manager.SessionManager`, many TCP client connections
 speaking the versioned control protocol of :mod:`repro.service.protocol`.
 Sessions are server-global (named, manager-owned), so they survive client
-disconnects, can be listed, snapshotted, and **migrated** to another server
-instance; a connection that speaks only bare job lines gets a private
-implicit session that behaves exactly like the blocking stdio serve.
+disconnects and can be listed and snapshotted; a snapshot the client keeps
+can be ``restore``d on this or another server instance.  A connection that
+speaks only bare job lines gets a private implicit session that behaves
+exactly like the blocking stdio serve.
 
 Flow control happens at two layers: the per-session bounded offer queue
 (the manager refuses over-limit submissions with a ``throttled`` line) and
@@ -29,14 +30,13 @@ Shutdown semantics (the contract the CLI exit code reports):
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
 import sys
 import threading
 from typing import Any, Mapping
 
 from repro.exceptions import ReproError, ServiceError
-from repro.service.manager import SessionManager
+from repro.service.manager import DEFAULT_MAX_PENDING, SessionManager
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     Request,
@@ -47,7 +47,6 @@ from repro.service.protocol import (
     response_line,
 )
 from repro.service.session import streaming_algorithms
-from repro.utils.serialization import canonical_json
 
 __all__ = ["ServiceServer", "ServerHandle", "start_server_thread", "MAX_LINE_BYTES"]
 
@@ -196,12 +195,8 @@ class ServiceServer:
                     lines = self._dispatch_bare(request, implicit_name)
                     await self._send(writer, lines)
                     continue
-                stop_after = False
+                await self._send(writer, self._dispatch(request))
                 if request.op == "shutdown":
-                    stop_after = True
-                lines = await self._dispatch(request)
-                await self._send(writer, lines)
-                if stop_after:
                     self.request_shutdown("shutdown-op")
                     break
             # EOF: a connection that streamed bare job lines gets the stdio
@@ -256,7 +251,7 @@ class ServiceServer:
             return [error_line(str(exc), code="session")]
         return [decision_line(event) for event in events]
 
-    async def _dispatch(self, request: Request) -> list[str]:
+    def _dispatch(self, request: Request) -> list[str]:
         """One control message -> its response lines (terminator last)."""
         op, name, payload = request.op, request.session, request.payload
         try:
@@ -271,17 +266,14 @@ class ServiceServer:
                 ]
             if op == "sessions":
                 return [response_line("sessions", sessions=self.manager.sessions())]
-            if op == "create":
-                hosted = self.manager.create(
-                    name,
-                    algorithm=payload.get("algorithm"),
-                    machines=payload.get("machines"),
-                    alpha=payload.get("alpha"),
-                    dispatch=payload.get("dispatch"),
-                    params=payload.get("params"),
-                    max_pending=payload.get("max_pending"),
-                    checkpoint_every=payload.get("checkpoint_every"),
-                )
+            if op in ("create", "restore"):
+                if op == "create":
+                    # parse_request admits only the create options.
+                    hosted = self.manager.create(name, **payload)
+                    restored = {}
+                else:
+                    hosted = self.manager.restore(name, payload["snapshot"])
+                    restored = {"restored": True, "submitted": hosted.session.num_submitted}
                 return [
                     response_line(
                         "created",
@@ -289,19 +281,7 @@ class ServiceServer:
                         algorithm=hosted.session.algorithm,
                         dispatch=hosted.session.dispatch,
                         max_pending=hosted.max_pending,
-                    )
-                ]
-            if op == "restore":
-                hosted = self.manager.restore(name, payload["snapshot"])
-                return [
-                    response_line(
-                        "created",
-                        name,
-                        algorithm=hosted.session.algorithm,
-                        dispatch=hosted.session.dispatch,
-                        max_pending=hosted.max_pending,
-                        restored=True,
-                        submitted=hosted.session.num_submitted,
+                        **restored,
                     )
                 ]
             if op == "submit":
@@ -343,15 +323,13 @@ class ServiceServer:
                 )
                 return lines
             if op == "snapshot":
-                snapshot = self.manager.checkpoint(name)
+                snapshot = self.manager.snapshot(name)
                 return [response_line("snapshot", name, snapshot=snapshot)]
             if op == "close":
                 row, events = self.manager.close(name)
                 lines = [decision_line(event, name) for event in events]
                 lines.append(final_line(row, name))
                 return lines
-            if op == "migrate":
-                return await self._migrate(name, payload["target"])
             if op == "shutdown":
                 return [
                     response_line(
@@ -366,58 +344,6 @@ class ServiceServer:
         except Exception as exc:  # noqa: BLE001 - one bad request must not kill the server
             return [error_line(f"internal error: {exc}", session=name, code="internal")]
         return [error_line(f"unhandled op {op!r}", code="internal")]
-
-    async def _migrate(self, name: str, target: str) -> list[str]:
-        """Move a live session to another server instance.
-
-        The session is atomically released from this manager first (no new
-        ops can interleave with the transfer), then restored on the target
-        via its ``restore`` op; on any failure it is re-hosted locally from
-        the same snapshot, so the session is never lost.
-        """
-        host, _, port_text = target.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            return [
-                error_line(
-                    f"migrate target must be host:port, got {target!r}",
-                    session=name,
-                    code="protocol",
-                )
-            ]
-        snapshot = self.manager.export_session(name)
-        try:
-            reader, writer = await asyncio.open_connection(host, port, limit=MAX_LINE_BYTES)
-            try:
-                message = canonical_json(
-                    {"op": "restore", "session": name, "snapshot": snapshot}
-                )
-                writer.write((message + "\n").encode("utf-8"))
-                await writer.drain()
-                raw = await reader.readline()
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionResetError, BrokenPipeError):
-                    pass
-            response = json.loads(raw.decode("utf-8")) if raw else {}
-            if response.get("event") != "created":
-                raise ServiceError(
-                    f"target refused the session: {response.get('error', 'no response')}"
-                )
-        except (OSError, ValueError, ServiceError) as exc:
-            # Self-heal: the session keeps living here.
-            self.manager.restore(name, snapshot)
-            return [
-                error_line(
-                    f"migration to {target} failed ({exc}); session restored locally",
-                    session=name,
-                    code="migrate-failed",
-                )
-            ]
-        return [response_line("migrated", name, target=target)]
 
 
 # --------------------------------------------------------------------------------------
@@ -466,17 +392,16 @@ def start_server_thread(
     port: int = 0,
     out=None,
     defaults: "Mapping[str, Any] | None" = None,
-    **manager_kwargs: Any,
+    max_pending: int = DEFAULT_MAX_PENDING,
 ) -> ServerHandle:
     """Start a loopback server on a background thread and wait until it listens.
 
-    ``manager_kwargs`` (``max_pending``, ``checkpoint_every``,
-    ``checkpoint_dir``) build the manager when one is not supplied.  The
-    returned handle is a context manager; leaving the block drains and stops
-    the server.
+    ``defaults`` and ``max_pending`` build the manager when one is not
+    supplied.  The returned handle is a context manager; leaving the block
+    drains and stops the server.
     """
     if manager is None:
-        manager = SessionManager(defaults=defaults, **manager_kwargs)
+        manager = SessionManager(defaults=defaults, max_pending=max_pending)
     if out is None:
         import io
 

@@ -34,22 +34,24 @@ Contracts:
   prefix sums can differ from the batch run's in the last bits; the
   byte-identical-to-batch guarantee is therefore stated for the
   ingest-then-finalize replay pattern.
-* **Checkpointing by replay.**  :meth:`snapshot` captures the session
+* **Snapshots by replay.**  :meth:`snapshot` captures the session
   configuration plus the ingestion/advance operation log as canonical JSON;
   :meth:`SchedulerSession.restore` replays it, which — everything being
   deterministic — reproduces the exact engine state, decision stream and
-  final outcome.  Long-running sessions survive restarts by persisting the
-  snapshot.
+  final outcome.  A session survives a restart only through a snapshot its
+  owner kept; a malformed snapshot is refused with the field named.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping, Sequence
 
 from repro.exceptions import (
     InvalidParameterError,
     SessionStateError,
     StreamingNotSupportedError,
+    TraceSchemaError,
 )
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
@@ -59,11 +61,12 @@ from repro.solvers.facade import _build_policy, _ENGINES, outcome_from_result
 from repro.solvers.outcome import SolveOutcome
 from repro.solvers.registry import available_algorithms, get_solver
 from repro.utils.serialization import canonical_json, jsonify
+from repro.workloads.traces import parse_job_row
 
 __all__ = ["SchedulerSession", "open_session", "streaming_algorithms", "SNAPSHOT_SCHEMA_VERSION"]
 
 #: Bump when the snapshot payload layout changes; restore refuses mismatches
-#: instead of silently misreading an old checkpoint.
+#: instead of silently misreading an old snapshot.
 SNAPSHOT_SCHEMA_VERSION = 1
 
 
@@ -337,9 +340,12 @@ class SchedulerSession:
 
         Advancing past the ingest watermark is the caller's declaration that
         no job with an earlier release will be submitted afterwards (later
-        out-of-order submissions are rejected).
+        out-of-order submissions are rejected).  ``t = inf`` declares the
+        end of the stream; NaN bounds nothing and is refused.
         """
         self._require_open("advance_to")
+        if math.isnan(t):
+            raise InvalidParameterError("cannot advance_to NaN; t must be a number")
         self._stepper.advance_to(t)
         self._watermark = max(self._watermark, t)
         self._record_advance(t)
@@ -429,10 +435,10 @@ class SchedulerSession:
         if self._outcome is not None:
             raise SessionStateError(f"cannot {action} on a finalized session")
 
-    # -- checkpointing -------------------------------------------------------------
+    # -- snapshots -----------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Checkpoint: configuration plus the full ingestion/advance op log.
+        """Configuration plus the full ingestion/advance op log.
 
         The snapshot is plain JSON-able data (canonical through
         :func:`repro.utils.serialization.canonical_json`); floats round-trip
@@ -474,50 +480,67 @@ class SchedulerSession:
         Replays the recorded operations in order; determinism of the engine,
         the policy and the indexed dispatch structures guarantees the
         restored session is in the same state as the one that was
-        snapshotted (including the exact decision-event stream).
+        snapshotted (including the exact decision-event stream).  A
+        malformed snapshot raises :class:`SessionStateError` naming the
+        missing or mistyped field; job rows are decoded with the ``submit``
+        schema (:func:`~repro.workloads.traces.parse_job_row`).
         """
         if isinstance(snapshot, str):
             import json
 
             snapshot = json.loads(snapshot)
-        schema = snapshot.get("schema")
+        schema = _snapshot_field(snapshot, "schema", int, "an integer")
         if schema != SNAPSHOT_SCHEMA_VERSION:
             raise SessionStateError(
                 f"cannot restore snapshot with schema {schema!r}; "
                 f"this version reads schema {SNAPSHOT_SCHEMA_VERSION}"
             )
-        machines = tuple(Machine.from_dict(m) for m in snapshot["machines"])
-        params = {str(k): v for k, v in dict(snapshot["params"]).items()}
+        algorithm = _snapshot_field(snapshot, "algorithm", str, "a string")
+        rows = _snapshot_field(snapshot, "machines", list, "an array")
+        try:
+            machines = tuple(Machine.from_dict(row) for row in rows)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SessionStateError(
+                f"cannot restore snapshot: field 'machines' holds a malformed row ({exc!r})"
+            ) from None
+        params = _snapshot_field(snapshot, "params", Mapping, "an object")
+        ops = _snapshot_field(snapshot, "ops", list, "an array")
+        # A hand-written snapshot may leave ``consumed`` out: nothing handed out.
+        consumed = _snapshot_field({"consumed": 0, **snapshot}, "consumed", int, "an integer")
         if cls is SchedulerSession:
             # Restoring through the base class still honours per-algorithm
             # session classes (the adaptive meta wrapper).
-            cls = _session_class(snapshot["algorithm"])
+            cls = _session_class(algorithm)
         session = cls(
-            snapshot["algorithm"],
+            algorithm,
             machines,
             dispatch=snapshot.get("dispatch"),
             name=snapshot.get("name"),
             retain_events=bool(snapshot.get("retain_events", True)),
-            **params,
+            **{str(k): v for k, v in params.items()},
         )
-        for op in snapshot["ops"]:
-            if op["op"] == "submit_many":
-                session.submit_many([Job.from_dict(row) for row in op["jobs"]])
-            elif op["op"] == "submit_poll_each":
-                for row in op["jobs"]:
-                    session.submit(Job.from_dict(row))
+        for index, op in enumerate(ops):
+            where = f"ops[{index}]: "
+            kind = _snapshot_field(op, "op", str, "a string", where)
+            if kind == "submit_many":
+                session.submit_many(_snapshot_jobs(op, where))
+            elif kind == "submit_poll_each":
+                for job in _snapshot_jobs(op, where):
+                    session.submit(job)
                     session.poll()
-            elif op["op"] == "advance":
-                session._stepper.advance_to(op["t"])
-                session._watermark = max(session._watermark, float(op["t"]))
-                session._ops.append(("advance", float(op["t"])))
+            elif kind == "advance":
+                t = float(_snapshot_field(op, "t", (int, float), "a number", where))
+                session._stepper.advance_to(t)
+                session._watermark = max(session._watermark, t)
+                session._ops.append(("advance", t))
             else:
-                raise SessionStateError(f"unknown snapshot op {op!r}")
+                raise SessionStateError(
+                    f"cannot restore snapshot: {where}field 'op' is {kind!r}, not a snapshot op"
+                )
         # Restore the consume cursor so already-handed-out events are not
         # re-delivered.  Replaying "submit_poll_each" ops consumed events
         # through poll() (tracked in _consumed_total), while raw "advance"
         # ops bypassed the cursor and left their events buffered.
-        consumed = int(snapshot.get("consumed", 0))
         if session._retain_events:
             session._consumed = min(consumed, len(session._events))
         else:
@@ -530,6 +553,36 @@ class SchedulerSession:
             session._consumed = 0
         session._consumed_total = consumed
         return session
+
+
+def _snapshot_field(record: Any, key: str, kind: Any, expected: str, where: str = "") -> Any:
+    """``record[key]`` if ``record`` is an object and the value has JSON type
+    ``kind`` (neither a bool nor NaN is a number); otherwise a
+    :class:`SessionStateError` naming the field."""
+    value = record.get(key) if isinstance(record, Mapping) else None
+    nan = isinstance(value, float) and math.isnan(value)
+    if not isinstance(record, Mapping):
+        problem = f"expected an object, got {type(record).__name__}"
+    elif key not in record:
+        problem = f"field {key!r} is missing"
+    elif nan or isinstance(value, bool) or not isinstance(value, kind):
+        problem = f"field {key!r} must be {expected}, got {'NaN' if nan else type(value).__name__}"
+    else:
+        return value
+    raise SessionStateError(f"cannot restore snapshot: {where}{problem}")
+
+
+def _snapshot_jobs(op: Mapping, where: str) -> list[Job]:
+    """Decode a snapshot op's job rows with the ``submit`` row schema."""
+    jobs = []
+    for index, row in enumerate(_snapshot_field(op, "jobs", list, "an array", where)):
+        try:
+            jobs.append(parse_job_row(row, None))
+        except TraceSchemaError as exc:
+            raise SessionStateError(
+                f"cannot restore snapshot: {where}jobs[{index}]: {exc}"
+            ) from None
+    return jobs
 
 
 def open_session(

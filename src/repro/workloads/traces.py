@@ -99,7 +99,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # --------------------------------------------------------------------------------------
 
 
-def _field_float(value, lineno: int, field: str, allow_inf: bool = False) -> float:
+def _field_float(value, lineno: "int | None", field: str, allow_inf: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise TraceSchemaError(
             f"expected a number, got {type(value).__name__}", lineno=lineno, field=field
@@ -121,7 +121,7 @@ def _field_float(value, lineno: int, field: str, allow_inf: bool = False) -> flo
     return result
 
 
-def parse_job_row(data: Mapping, lineno: int = 0) -> Job:
+def parse_job_row(data: Mapping, lineno: "int | None" = 0) -> Job:
     """Decode one mapping-shaped trace row into a :class:`Job`.
 
     The shared schema behind both trace formats and the ``repro serve``

@@ -17,7 +17,7 @@ Four contracts are enforced here:
 * **Hot switching** — ``MetaSchedulerSession.hot_switch`` at an arbitrary
   index is indistinguishable from a session configured with that switch plan
   from the start (property-based, all dispatch modes), which is what makes
-  snapshots, crash recovery and live re-planning safe.
+  snapshot/restore and live re-planning safe.
 
 The E17 acceptance check — the meta-scheduler's drifting-scenario regret
 stays strictly below the worst fixed policy everywhere and beats every fixed

@@ -528,6 +528,26 @@ class TestCampaignCli:
         assert exc.value.code == 2
         assert not store.exists()
 
+    def test_interrupt_exits_130_without_a_traceback(self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C lands after two tasks were saved: the CLI reports it in one
+        # line and the store holds whole artifacts only.
+        computed = run_campaign
+
+        def interrupted(tasks, store, *, progress=None):
+            computed(tasks[:2], store, progress=progress)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.campaigns.run_campaign", interrupted)
+        store_dir = tmp_path / "store"
+        args = ["campaign", "run", "--grid", "small", "--store", str(store_dir), "--quiet"]
+        assert main(args) == 130
+        err = capsys.readouterr().err
+        assert err == "error: interrupted\n" and "Traceback" not in err
+        store = ArtifactStore(store_dir)
+        keys = list(store.keys())
+        assert len(keys) == 2 and all(store.load(key)["task"] for key in keys)
+        assert all(path.suffix == ".json" for path in _files(store_dir))
+
     @pytest.mark.parametrize(
         "operand",
         ["regular-file", "regular-file/store", "sqlite:grid.db", "memory:grid", "file:grid"],

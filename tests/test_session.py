@@ -1,4 +1,4 @@
-"""Streaming ``SchedulerSession``: batch equivalence, checkpointing, stream.
+"""Streaming ``SchedulerSession``: batch equivalence, snapshots, stream.
 
 The contract of the streaming API (PR: SchedulerSession) is threefold:
 
@@ -7,9 +7,10 @@ The contract of the streaming API (PR: SchedulerSession) is threefold:
   objectives to ``repro.solve()`` for every streaming-capable algorithm, in
   both dispatch modes (property-based below, plus a deep-queue burst that
   exercises the Fenwick order-statistics path);
-* **Checkpointing** — a canonical-JSON ``snapshot()`` taken mid-run and
+* **Snapshots** — a canonical-JSON ``snapshot()`` taken mid-run and
   ``restore()``-d resumes to the same final result and the same
-  decision-event stream;
+  decision-event stream; a malformed snapshot is refused with the field
+  named;
 * **Observability** — the decision-event stream is complete and consistent
   with the per-job records.
 """
@@ -371,6 +372,35 @@ class TestSnapshotRestore:
         with pytest.raises(SessionStateError, match="schema"):
             SchedulerSession.restore(snapshot)
 
+    @pytest.mark.parametrize(
+        ("payload", "cause"),
+        [
+            ("[1, 2]", "expected an object, got list"),
+            ('{"algorithm": "fcfs"}', "field 'schema' is missing"),
+            ('{"schema": 1, "algorithm": "fcfs", "machines": [{"id": 0}], "params": {}, '
+             '"ops": [[]]}', "ops[0]: expected an object, got list"),
+            ('{"schema": 1, "algorithm": "fcfs", "machines": [{"id": 0}], "params": {}, '
+             '"ops": [{"op": "advance", "t": NaN}]}', "ops[0]: field 't' must be a number, got NaN"),
+            ('{"schema": 1, "algorithm": "fcfs", "machines": [{"id": 0}], "params": {}, '
+             '"ops": [{"op": "submit_many", "jobs": [{"id": 0, "release": 0.0}]}]}',
+             "ops[0]: jobs[0]: field 'sizes': required field missing"),
+        ],
+        ids=["array", "no-schema", "op-array", "advance-nan", "job-row"],
+    )
+    def test_restore_names_what_is_malformed(self, payload, cause):
+        with pytest.raises(SessionStateError) as exc:
+            SchedulerSession.restore(payload)
+        assert cause in str(exc.value)
+
+    def test_restore_keeps_infinite_sizes(self):
+        # Job rows decode with the submit schema, which allows a machine a
+        # job cannot run on (infinite size).
+        session = open_session("rejection-flow", 2, epsilon=0.5)
+        session.submit_many([Job(0, 0.0, (1.0, float("inf"))), Job(1, 0.5, (2.0, 1.0))])
+        restored = SchedulerSession.restore(session.to_json())
+        assert restored.to_json() == session.to_json()
+        _assert_outcome_identical(restored.finalize(), session.finalize())
+
     def test_snapshot_after_finalize_rejected(self):
         session = open_session("fcfs", 2)
         session.submit(Job(0, 0.0, (1.0, 2.0)))
@@ -551,6 +581,24 @@ class TestSessionErrors:
         session.advance_to(10.0)
         with pytest.raises(SessionStateError, match="non-decreasing"):
             session.submit(Job(1, 5.0, (1.0, 1.0)))
+
+    @pytest.mark.parametrize("mode", DISPATCH_MODES)
+    def test_advance_to_nan_is_refused_and_infinity_ends_the_stream(self, mode):
+        instance = SCENARIOS["multi-tenant-mix"].instance(12, 2, 7, alpha=3.0)
+        session = open_session("rejection-flow", 2, dispatch=mode, epsilon=0.5)
+        session.submit_many(instance.jobs[:4])
+        before = session.to_json()
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            session.advance_to(float("nan"))
+        assert session.to_json() == before  # nothing processed, nothing logged
+        session.submit_many(instance.jobs[4:])
+        session.advance_to(float("inf"))
+        with pytest.raises(SessionStateError, match="non-decreasing"):
+            session.submit(Job(99, instance.jobs[-1].release, (1.0, 1.0)))
+        restored = SchedulerSession.restore(session.to_json())
+        batch = solve(instance, "rejection-flow", dispatch=mode, epsilon=0.5)
+        _assert_outcome_identical(session.finalize(), batch)
+        _assert_outcome_identical(restored.finalize(), batch)
 
     @pytest.mark.parametrize("mode", DISPATCH_MODES)
     def test_stepper_advance_bound_blocks_late_offers(self, mode):
