@@ -65,13 +65,10 @@ class MetaSchedulerSession(SchedulerSession):
         snapshot["params"]["plan"] = plan
         replacement = type(self).restore(snapshot)
         # Become the replacement in place so the caller's (and the service
-        # manager's) reference stays valid...
+        # manager's) reference stays valid; the stepper's observer appends to
+        # the event buffer this object now holds.
         self.__dict__.clear()
         self.__dict__.update(replacement.__dict__)
-        # ... and rebind the stepper's external observer to *this* object:
-        # it was chained to the replacement's bound method, which would
-        # otherwise keep updating the discarded instance's counters.
-        self._stepper.set_observer(self._observe)
         # The committed switch arms for arrival ``index``, which the replay
         # has not processed yet — so the replayed policy's active algorithm
         # is still the one being switched away from.

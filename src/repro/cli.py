@@ -2,7 +2,7 @@
 
 The subcommands cover the common workflows::
 
-    python -m repro experiments --only E1 E2 --scale small
+    python -m repro experiments --only E1 E2
     python -m repro simulate --jobs 200 --machines 4 --epsilon 0.5 --policy theorem1 --gantt
     python -m repro solve --algorithm rejection-flow --param epsilon=0.5 --jobs 200
     python -m repro serve --algorithm rejection-flow --machines 4 < jobs.ndjson
@@ -522,15 +522,11 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     from repro.workloads.traces import read_trace_jobs
 
     params = dict(_parse_param(raw) for raw in args.param)
-    reserved = {
-        "algorithm", "machines", "alpha", "dispatch", "name", "retain_events",
-    } & params.keys()
+    reserved = {"algorithm", "machines", "alpha", "dispatch", "name"} & params.keys()
     if reserved:
         raise ReproError(
             f"--param cannot set session option(s) {sorted(reserved)}; use the "
-            "dedicated flags (--algorithm, --machines, --alpha, --dispatch, --name). "
-            "retain_events is fixed to false for serve (events are printed once, "
-            "not retained)"
+            "dedicated flags (--algorithm, --machines, --alpha, --dispatch, --name)"
         )
     defaults = {
         "algorithm": args.algorithm,

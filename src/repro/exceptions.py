@@ -96,8 +96,8 @@ class TraceSchemaError(InvalidParameterError):
     """A trace row (NDJSON or CSV) violates the wire schema.
 
     Raised by the trace readers in :mod:`repro.workloads.traces` and by
-    :func:`repro.service.protocol.parse_request` for bare job lines, with the
-    1-based line number and, where attributable, the offending field — so
+    :func:`repro.service.protocol.parse_request` for the job rows of a
+    ``submit``, with the 1-based line number and, where attributable, the offending field — so
     ``repro serve`` and ``repro trace`` report *which* row and *which*
     column broke instead of a raw traceback.  The CLI maps it (like every
     :class:`ReproError`) to exit code 2.
@@ -128,11 +128,9 @@ class ServiceProtocolError(ServiceError):
     """A control-message line violates the service wire protocol.
 
     Raised by :func:`repro.service.protocol.parse_request` with the 1-based
-    line number where attributable: unknown ``op``, missing required fields,
-    an unsupported protocol version, or a payload of the wrong shape.  Bare
-    job lines (no ``op`` key) are *not* protocol errors — they take the
-    backward-compatible single-session path and surface schema problems as
-    :class:`TraceSchemaError` like ``repro serve`` always has.
+    line number where attributable: a line that is not a JSON object, a
+    missing or unknown ``op``, an unsupported protocol version, or a field
+    the op does not read, lacks or has of the wrong type.
     """
 
     def __init__(self, message: str, *, lineno: "int | None" = None):

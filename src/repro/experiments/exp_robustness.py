@@ -79,7 +79,6 @@ def _run_cell(config, scenario_name: str, algorithm: str, params: dict):
             config.num_machines,
             alpha=config.alpha,
             name=label,
-            retain_events=False,
             **params,
         )
         # Ingest-then-finalize (no mid-stream polls): the pattern the session

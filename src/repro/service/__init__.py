@@ -4,13 +4,12 @@ This subpackage is the online-facing API of the reproduction:
 
 * :mod:`repro.service.session` — :func:`open_session` /
   :class:`SchedulerSession`: incremental job ingestion (single jobs or
-  ``JobChunk`` bulk rows), a typed decision-event stream, canonical-JSON
-  snapshot/restore by op-log replay, and ``finalize()`` into the batch
-  facade's :class:`~repro.solvers.outcome.SolveOutcome`;
+  ``JobChunk`` bulk rows), a typed decision-event stream handed out once,
+  canonical-JSON snapshot/restore by op-log replay, and ``finalize()`` into
+  the batch facade's :class:`~repro.solvers.outcome.SolveOutcome`;
 * :mod:`repro.service.protocol` — the newline-delimited JSON wire format:
-  bare job lines in and decision/final lines out (what the stdio
-  ``repro serve`` speaks), plus the versioned control messages of the
-  multi-session service;
+  the versioned control messages of the multi-session service, and the
+  decision/final lines the stdio ``repro serve`` prints;
 * :mod:`repro.service.manager` — :class:`SessionManager`: many named
   concurrent sessions with lifecycle, bounded-queue backpressure and
   client-held snapshots (a session outlives its server only through a

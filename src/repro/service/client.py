@@ -58,7 +58,7 @@ class ServiceClient:
     # -- transport -----------------------------------------------------------------
 
     def send_line(self, line: str) -> None:
-        """Write one raw NDJSON line (bare job lines use this directly)."""
+        """Write one raw NDJSON line."""
         self._file.write((line + "\n").encode("utf-8"))
         self._file.flush()
 

@@ -153,8 +153,7 @@ class SessionManager:
     ----------
     defaults:
         Session options used when ``create`` is called without explicit
-        values (and for the implicit session the bare-line compatibility
-        path creates): ``algorithm``, ``machines``, ``alpha``, ``dispatch``,
+        values: ``algorithm``, ``machines``, ``alpha``, ``dispatch``,
         ``params``.
     max_pending:
         Default bound of the per-session offer queue (see module docstring).
@@ -239,9 +238,6 @@ class SessionManager:
             alpha=alpha if alpha is not None else defaults.get("alpha", 3.0),
             dispatch=dispatch if dispatch is not None else defaults.get("dispatch"),
             name=name,
-            # The manager's consumption point is poll(); retaining the full
-            # decision history would defeat the bounded-memory contract.
-            retain_events=False,
             **merged_params,
         )
         return self._host(name, session, max_pending)

@@ -1,15 +1,11 @@
 """Versioned control-message protocol for the multi-session scheduling service.
 
-The wire is newline-delimited JSON in both directions, layered on the
-stdio ``repro serve`` schema so existing clients keep working:
-
-* a line **without** an ``"op"`` key is a **bare job line** — exactly
-  today's ``repro serve`` input schema (:func:`~repro.workloads.traces.parse_job_row`).
-  It addresses the connection's implicit single session, which is created on
-  first use from the server's defaults; decision lines come back untagged,
-  byte-identical to the blocking stdio serve;
-* a line **with** an ``"op"`` key is a **control message** addressing a named
-  session hosted by the :class:`~repro.service.manager.SessionManager`.
+The wire is newline-delimited JSON in both directions.  Every input line is a
+**control message**: a JSON object whose ``"op"`` names the operation and,
+for the ops that address one, whose ``"session"`` names a session hosted by
+the :class:`~repro.service.manager.SessionManager`.  Job rows travel inside a
+``submit`` op's ``jobs`` array, in the stdio ``repro serve`` row schema
+(:func:`~repro.workloads.traces.parse_job_row`).
 
 Control messages (``PROTOCOL_VERSION`` = 1)::
 
@@ -18,7 +14,6 @@ Control messages (``PROTOCOL_VERSION`` = 1)::
      "alpha": ..., "dispatch": ..., "params": {...},
      "max_pending": ...}                                  -> created
     {"op": "submit", "session": S, "jobs": [JOB, ...]}    -> accepted | throttled
-    {"op": "submit", "session": S, "job": JOB}            -> accepted | throttled
     {"op": "poll", "session": S}                          -> decision* polled
     {"op": "advance", "session": S, "t": T}               -> decision* advanced
     {"op": "snapshot", "session": S}                      -> snapshot
@@ -28,6 +23,10 @@ Control messages (``PROTOCOL_VERSION`` = 1)::
     {"op": "sessions"}                                    -> sessions
     {"op": "shutdown"}                                    -> shutdown
 
+Beside ``op``, ``session`` and the optional version ``v``, an op carries
+exactly the fields shown for it (``create``'s options may be left out or
+``null`` for the server default); any other field is a protocol error.
+
 Every request is answered by exactly one **terminator** line (right column;
 ``error`` on failure), optionally preceded by streamed ``decision`` lines —
 so a blocking request/response client needs no framing beyond "read lines
@@ -35,9 +34,8 @@ until the terminator".  ``throttled`` is the flow-control response of the
 per-session bounded offer queue: the submission was **not** ingested and the
 client must ``poll`` (draining the queue) before retrying.
 
-Responses reuse the established line shapes — ``{"event": "decision", ...}``
-and ``{"event": "final", ...}`` are exactly the stdio serve lines plus a
-``"session"`` tag when they belong to a named session — and control
+Responses reuse the stdio serve line shapes — ``{"event": "decision", ...}``
+and ``{"event": "final", ...}`` plus a ``"session"`` tag — and control
 responses carry ``"event"`` keys of their own.  Canonical JSON keeps every
 line byte-stable for identical histories.
 """
@@ -49,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.exceptions import ServiceProtocolError, TraceSchemaError
+from repro.exceptions import ServiceProtocolError
 from repro.simulation.job import Job
 from repro.simulation.stepper import DecisionEvent
 from repro.utils.serialization import canonical_json
@@ -71,20 +69,35 @@ __all__ = [
 #: advertises it and :func:`parse_request` rejects mismatched ``"v"`` fields.
 PROTOCOL_VERSION = 1
 
+#: The fields each op reads beside the envelope (``op``, ``session``, ``v``):
+#: field -> (JSON type, what the error says it must be).  ``bool`` is never a
+#: number and NaN never a valid one.  ``create``'s options may be left out or
+#: ``null``; every other op's fields are required.  Any other field is refused.
+_FIELDS: dict[str, dict[str, tuple[Any, str]]] = {
+    "hello": {},
+    "create": {
+        "algorithm": (str, "a string"),
+        "machines": (int, "an integer"),
+        "alpha": ((int, float), "a number"),
+        "dispatch": (str, "a string"),
+        "params": (Mapping, "an object"),
+        "max_pending": (int, "an integer"),
+    },
+    "submit": {"jobs": (list, "an array of job objects")},
+    "poll": {},
+    "advance": {"t": ((int, float), "a number other than NaN")},
+    "snapshot": {},
+    "restore": {"snapshot": (Mapping, "an object (a SchedulerSession.snapshot payload)")},
+    "close": {},
+    "stats": {},
+    "sessions": {},
+    "shutdown": {},
+}
+
+_ENVELOPE = ("op", "session", "v")
+
 #: Recognised control operations.
-OPS = (
-    "hello",
-    "create",
-    "submit",
-    "poll",
-    "advance",
-    "snapshot",
-    "restore",
-    "close",
-    "stats",
-    "sessions",
-    "shutdown",
-)
+OPS = tuple(_FIELDS)
 
 #: Response event that terminates each op's reply (``error`` always can).
 TERMINATORS: dict[str, str] = {
@@ -101,16 +114,6 @@ TERMINATORS: dict[str, str] = {
     "shutdown": "shutdown",
 }
 
-#: ``create`` options: JSON type each must have (``bool`` is never a number).
-_CREATE_OPTIONS: dict[str, tuple[Any, str]] = {
-    "algorithm": (str, "a string"),
-    "machines": (int, "an integer"),
-    "alpha": ((int, float), "a number"),
-    "dispatch": (str, "a string"),
-    "params": (Mapping, "an object"),
-    "max_pending": (int, "an integer"),
-}
-
 #: Ops that must name a session.
 _SESSION_OPS = frozenset(
     {"create", "submit", "poll", "advance", "snapshot", "restore", "close", "stats"}
@@ -119,42 +122,40 @@ _SESSION_OPS = frozenset(
 
 @dataclass(frozen=True)
 class Request:
-    """One parsed input line: a control message or a bare job line."""
+    """One parsed control message."""
 
     op: str
     session: str | None = None
-    #: Raw payload fields of the control message (already shape-checked).
+    #: The op's fields (already checked against its field table).
     payload: dict = field(default_factory=dict)
     #: Parsed jobs for ``submit`` requests.
     jobs: tuple[Job, ...] = ()
-    #: ``True`` for a bare job line (the backward-compatible serve schema).
-    bare: bool = False
     lineno: int = 0
 
 
 def parse_request(line: str, lineno: int = 0) -> Request:
     """Parse one input line into a :class:`Request`.
 
-    Bare job lines raise :class:`~repro.exceptions.TraceSchemaError` on
-    schema violations (unchanged serve behaviour); control messages raise
-    :class:`~repro.exceptions.ServiceProtocolError`.
+    A line that is not a well-formed control message raises
+    :class:`~repro.exceptions.ServiceProtocolError` naming the problem; a
+    malformed job row in a ``submit`` raises
+    :class:`~repro.exceptions.TraceSchemaError` naming the field.
     """
     try:
         data = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise TraceSchemaError(f"not valid JSON ({exc})", lineno=lineno) from exc
+        raise ServiceProtocolError(f"not valid JSON ({exc})", lineno=lineno) from None
     if not isinstance(data, dict):
-        raise TraceSchemaError(
+        raise ServiceProtocolError(
             f"expected a JSON object per line, got {type(data).__name__}", lineno=lineno
         )
     if "op" not in data:
-        # Backward-compatible bare job line: the single-session serve schema.
-        return Request(
-            op="submit", jobs=(parse_job_row(data, lineno),), bare=True, lineno=lineno
+        raise ServiceProtocolError(
+            "line has no 'op' field; job rows go in a 'submit' op's 'jobs' array",
+            lineno=lineno,
         )
-
     op = data["op"]
-    if op not in OPS:
+    if not isinstance(op, str) or op not in _FIELDS:
         raise ServiceProtocolError(
             f"unknown op {op!r}; known ops: {sorted(OPS)}", lineno=lineno
         )
@@ -176,61 +177,34 @@ def parse_request(line: str, lineno: int = 0) -> Request:
             f"'session' must be a string, got {type(session).__name__}", lineno=lineno
         )
 
+    fields = _FIELDS[op]
+    payload = {k: v for k, v in data.items() if k not in _ENVELOPE}
+    for key in payload:
+        if key not in fields:
+            raise ServiceProtocolError(
+                f"op {op!r} has unknown field {key!r}; it reads "
+                f"{sorted(fields) or 'none'} beside {list(_ENVELOPE)}",
+                lineno=lineno,
+            )
+    for key, (kind, description) in fields.items():
+        value = payload.get(key)
+        if value is None:
+            if op == "create":
+                continue  # left out or null: the server default
+            raise ServiceProtocolError(
+                f"op {op!r} requires a {key!r} field: {description}", lineno=lineno
+            )
+        nan = isinstance(value, float) and math.isnan(value)
+        if nan or isinstance(value, bool) or not isinstance(value, kind):
+            raise ServiceProtocolError(
+                f"op {op!r} field {key!r} must be {description}, "
+                f"got {'NaN' if nan else type(value).__name__}",
+                lineno=lineno,
+            )
+
     jobs: tuple[Job, ...] = ()
     if op == "submit":
-        if ("jobs" in data) == ("job" in data):
-            raise ServiceProtocolError(
-                "op 'submit' requires exactly one of 'job' (object) or "
-                "'jobs' (array of objects)",
-                lineno=lineno,
-            )
-        rows = data.get("jobs") if "jobs" in data else [data["job"]]
-        if not isinstance(rows, list):
-            raise ServiceProtocolError(
-                f"'jobs' must be an array, got {type(rows).__name__}", lineno=lineno
-            )
-        parsed = []
-        for row in rows:
-            if not isinstance(row, Mapping):
-                raise ServiceProtocolError(
-                    f"job rows must be objects, got {type(row).__name__}", lineno=lineno
-                )
-            parsed.append(parse_job_row(row, lineno))
-        jobs = tuple(parsed)
-    elif op == "advance":
-        t = data.get("t")
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or math.isnan(t):
-            raise ServiceProtocolError(
-                "op 'advance' requires a numeric 't' field other than NaN",
-                lineno=lineno,
-            )
-    elif op == "restore":
-        if not isinstance(data.get("snapshot"), Mapping):
-            raise ServiceProtocolError(
-                "op 'restore' requires a 'snapshot' object "
-                "(a SchedulerSession.snapshot payload)",
-                lineno=lineno,
-            )
-    elif op == "create":
-        # An option left out or ``null`` takes the server default.
-        for key, value in data.items():
-            if key in ("op", "session", "v"):
-                continue
-            if key not in _CREATE_OPTIONS:
-                raise ServiceProtocolError(
-                    f"op 'create' has unknown field {key!r}; known options: "
-                    f"{sorted(_CREATE_OPTIONS)}",
-                    lineno=lineno,
-                )
-            kind, description = _CREATE_OPTIONS[key]
-            if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-                raise ServiceProtocolError(
-                    f"op 'create' option {key!r} must be {description}, "
-                    f"got {type(value).__name__}",
-                    lineno=lineno,
-                )
-
-    payload = {k: v for k, v in data.items() if k not in ("op", "session", "v")}
+        jobs = tuple([parse_job_row(row, lineno) for row in payload["jobs"]])
     return Request(op=op, session=session, payload=payload, jobs=jobs, lineno=lineno)
 
 

@@ -5,9 +5,8 @@
 speaking the versioned control protocol of :mod:`repro.service.protocol`.
 Sessions are server-global (named, manager-owned), so they survive client
 disconnects and can be listed and snapshotted; a snapshot the client keeps
-can be ``restore``d on this or another server instance.  A connection that
-speaks only bare job lines gets a private implicit session that behaves
-exactly like the blocking stdio serve.
+can be ``restore``d on this or another server instance.  Every line a client
+sends is a control message; job rows travel in ``submit`` ops.
 
 Flow control happens at two layers: the per-session bounded offer queue
 (the manager refuses over-limit submissions with a ``throttled`` line) and
@@ -75,7 +74,6 @@ class ServiceServer:
         self._shutdown_reason: "str | None" = None
         self._server: "asyncio.AbstractServer | None" = None
         self._writers: set[asyncio.StreamWriter] = set()
-        self._implicit_counter = 0
         self.exit_code: "int | None" = None
 
     # -- lifecycle -----------------------------------------------------------------
@@ -158,10 +156,6 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._writers.add(writer)
-        self._implicit_counter += 1
-        #: Name of this connection's bare-job-line session, created lazily.
-        implicit_name: "str | None" = None
-        implicit_slot = self._implicit_counter
         try:
             lineno = 0
             while not self._shutdown.is_set():
@@ -181,39 +175,10 @@ class ServiceServer:
                 except ReproError as exc:
                     await self._send(writer, [error_line(str(exc), code="protocol")])
                     continue
-                if request.bare:
-                    if implicit_name is None:
-                        implicit_name = f"serve#{implicit_slot}"
-                        try:
-                            self.manager.create(implicit_name)
-                        except ReproError as exc:
-                            implicit_name = None
-                            await self._send(
-                                writer, [error_line(str(exc), code="create-failed")]
-                            )
-                            continue
-                    lines = self._dispatch_bare(request, implicit_name)
-                    await self._send(writer, lines)
-                    continue
                 await self._send(writer, self._dispatch(request))
                 if request.op == "shutdown":
                     self.request_shutdown("shutdown-op")
                     break
-            # EOF: a connection that streamed bare job lines gets the stdio
-            # serve ending — drain its implicit session and flush the final
-            # summary before the connection goes away.
-            if implicit_name is not None and not self._shutdown.is_set():
-                hosted = self.manager.get(implicit_name)
-                if hosted is not None and hosted.state == "open":
-                    try:
-                        row, events = self.manager.close(implicit_name)
-                        lines = [decision_line(event) for event in events]
-                        lines.append(final_line(row))
-                        await self._send(writer, lines)
-                    except ReproError as exc:
-                        await self._send(
-                            writer, [error_line(str(exc), code="finalize-failed")]
-                        )
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -225,31 +190,12 @@ class ServiceServer:
                 pass
 
     async def _send(self, writer: asyncio.StreamWriter, lines: list[str]) -> None:
-        if not lines:
-            return
         writer.write(("\n".join(lines) + "\n").encode("utf-8"))
         # TCP-level backpressure: a client that stops reading stalls here
         # instead of growing the server's write buffer.
         await writer.drain()
 
     # -- request dispatch ----------------------------------------------------------
-
-    def _dispatch_bare(self, request: Request, session_name: str) -> list[str]:
-        """Bare job line: submit + poll on the implicit session, untagged."""
-        try:
-            outcome = self.manager.submit(session_name, request.jobs)
-            if not outcome.accepted:
-                return [
-                    response_line(
-                        "throttled",
-                        pending=outcome.pending,
-                        max_pending=outcome.max_pending,
-                    )
-                ]
-            events = self.manager.poll(session_name)
-        except ReproError as exc:
-            return [error_line(str(exc), code="session")]
-        return [decision_line(event) for event in events]
 
     def _dispatch(self, request: Request) -> list[str]:
         """One control message -> its response lines (terminator last)."""

@@ -19,7 +19,8 @@ Contracts:
 * **Jobs arrive in release order.**  Submissions must be non-decreasing in
   release date (exactly the :class:`~repro.simulation.instance.Instance`
   invariant); ids must be unique.
-* **Deferred processing.**  ``submit``/``submit_many`` only ingest; events
+* **Deferred processing.**  ``submit``/``submit_many`` only ingest (``submit``
+  is ``submit_many`` of one job, so both check the same contract); events
   are processed when the caller observes the session — :meth:`poll` (process
   everything up to the newest submitted release), :meth:`advance_to` (up to
   an explicit time bound, a declaration that no earlier arrival is coming),
@@ -34,6 +35,11 @@ Contracts:
   prefix sums can differ from the batch run's in the last bits; the
   byte-identical-to-batch guarantee is therefore stated for the
   ingest-then-finalize replay pattern.
+* **Events are handed out once.**  Every decision the stepper makes is
+  buffered until :meth:`poll`, :meth:`advance_to` or :meth:`take_events`
+  hands it out, then freed, so a long-lived stream holds only the events
+  its consumer has not read yet.  :meth:`stats` derives its counters from
+  the stepper's records when called.
 * **Snapshots by replay.**  :meth:`snapshot` captures the session
   configuration plus the ingestion/advance operation log as canonical JSON;
   :meth:`SchedulerSession.restore` replays it, which — everything being
@@ -113,8 +119,8 @@ class SchedulerSession:
     Built through :func:`open_session`; see the module docstring for the
     ingestion/processing contract.  The session owns a policy, an engine in
     the requested dispatch mode, and an :class:`EngineStepper`; every
-    scheduling decision the stepper makes is recorded in the session's
-    decision-event stream (:attr:`events`, :meth:`poll`).
+    scheduling decision the stepper makes is buffered in the session's
+    decision-event stream until :meth:`poll` hands it out.
     """
 
     def __init__(
@@ -125,7 +131,6 @@ class SchedulerSession:
         alpha: float = 3.0,
         dispatch: str | None = None,
         name: str | None = None,
-        retain_events: bool = True,
         **params: Any,
     ) -> None:
         spec = get_solver(algorithm)
@@ -141,23 +146,15 @@ class SchedulerSession:
         self.policy = _build_policy(spec, self.params)
         fleet_instance = Instance(self.machines, (), name=self.name)
         self.engine = _ENGINES[spec.model](fleet_instance, dispatch=dispatch)
+        #: Events emitted but not handed out yet; freed in place once handed
+        #: out (the stepper's observer is this list's ``append``).
         self._events: list[DecisionEvent] = []
-        # O(1) live counters behind stats(); maintained by the observer so
-        # observability never scans the decision history.
-        self._dispatched = 0
-        self._started = 0
-        self._completed = 0
-        self._rejected = 0
-        self._last_event_time = 0.0
-        self._stepper = self.engine.stepper(self.policy, observer=self._observe)
+        self._stepper = self.engine.stepper(self.policy, observer=self._events.append)
         self._jobs: list[Job] = []
         self._watermark = 0.0
-        #: When ``False``, events handed out by poll()/take_events() are
-        #: dropped from the buffer — a long-lived serve stream would
-        #: otherwise retain its whole decision history in memory.
-        self._retain_events = retain_events
+        #: Events handed out so far, and the time of the newest of them.
         self._consumed = 0
-        self._consumed_total = 0
+        self._consumed_time = 0.0
         self._ops: list[tuple] = []
         self._outcome: SolveOutcome | None = None
 
@@ -190,86 +187,64 @@ class SchedulerSession:
 
     @property
     def events(self) -> tuple[DecisionEvent, ...]:
-        """Every decision event emitted so far (dispatch/start/complete/reject).
+        """Decision events emitted but not handed out yet.
 
-        With ``retain_events=False`` only the not-yet-consumed tail remains
-        (events handed out by :meth:`poll`/:meth:`take_events` are freed).
+        Events handed out by :meth:`poll`/:meth:`advance_to`/
+        :meth:`take_events` are freed, so after an ingest-then-finalize run
+        this is the whole stream.
         """
         return tuple(self._events)
 
     @property
     def events_emitted(self) -> int:
-        """Total decision events emitted so far (consumed or still buffered).
+        """Total decision events emitted so far (handed out or still buffered).
 
-        Monotone over the session's lifetime regardless of
-        ``retain_events`` — the service layer reports it per hosted session.
+        Monotone over the session's lifetime — the service layer reports it
+        per hosted session.
         """
-        return self._consumed_total + (len(self._events) - self._consumed)
+        return self._consumed + len(self._events)
 
     def __len__(self) -> int:
         return len(self._jobs)
 
-    def _observe(self, event: DecisionEvent) -> None:
-        """Stepper observer: record the event and bump the live counters."""
-        self._events.append(event)
-        kind = event.kind
-        if kind == "complete":
-            self._completed += 1
-        elif kind == "reject":
-            self._rejected += 1
-        elif kind == "start":
-            self._started += 1
-        else:
-            self._dispatched += 1
-        if event.time > self._last_event_time:
-            self._last_event_time = event.time
-
     def stats(self) -> dict:
-        """Live observability counters (cheap: no decision-history scan).
+        """Live observability counters, derived when called.
 
-        ``backlog`` counts jobs in flight — submitted but neither completed
-        nor rejected; ``last_event_time`` is the timestamp of the newest
-        decision event (0.0 before any).  Also the payload of the service
-        wire protocol's ``stats`` op.
+        ``dispatched``, ``completed`` and ``rejected`` count the stepper's
+        dispatch map and records; ``started`` counts the jobs that completed,
+        were rejected while running or run now.  ``backlog`` counts jobs in
+        flight — submitted but neither completed nor rejected;
+        ``last_event_time`` is the timestamp of the newest decision event
+        (0.0 before any).  Also the payload of the service wire protocol's
+        ``stats`` op.
         """
+        stepper = self._stepper
+        records = stepper.records.values()
+        rejected = sum(record.rejected for record in records)
+        started = sum(record.start is not None for record in records)
+        started += sum(ms.running is not None for ms in stepper.state.machines)
         submitted = len(self._jobs)
         return {
             "algorithm": self.spec.algorithm_id,
             "dispatch": self.engine.dispatch,
             "finalized": self.finalized,
             "submitted": submitted,
-            "dispatched": self._dispatched,
-            "started": self._started,
-            "completed": self._completed,
-            "rejected": self._rejected,
-            "backlog": submitted - self._completed - self._rejected,
+            "dispatched": len(stepper.dispatched),
+            "started": started,
+            "completed": len(records) - rejected,
+            "rejected": rejected,
+            "backlog": submitted - len(records),
             "events_emitted": self.events_emitted,
-            "last_event_time": self._last_event_time,
+            # Decision events are emitted in time order.
+            "last_event_time": self._events[-1].time if self._events else self._consumed_time,
             "watermark": self._watermark,
         }
 
     # -- ingestion -----------------------------------------------------------------
 
     def submit(self, job: Job) -> None:
-        """Ingest one job.  Releases must be non-decreasing across submissions."""
-        self._require_open("submit")
-        if not isinstance(job, Job):
-            raise InvalidParameterError(f"submit expects a Job, got {type(job).__name__}")
-        if len(job.sizes) != len(self.machines):
-            raise InvalidParameterError(
-                f"job {job.id}: size vector has {len(job.sizes)} entries, "
-                f"expected {len(self.machines)}"
-            )
-        if job.release < self._watermark:
-            raise SessionStateError(
-                f"job {job.id} released at {job.release} arrives before the session's "
-                f"ingest watermark {self._watermark}; submissions must be "
-                "non-decreasing in release date"
-            )
-        self._stepper.offer(job)
-        self._jobs.append(job)
-        self._watermark = job.release
-        self._record_jobs(1)
+        """Ingest one job: :meth:`submit_many` of ``[job]``."""
+        self.submit_many((job,))
 
     def submit_many(self, jobs) -> int:
         """Ingest a batch: an iterable of :class:`Job` or a ``JobChunk``.
@@ -279,12 +254,12 @@ class SchedulerSession:
         are bulk-validated once and materialised through the trusted path.
         Returns the number of jobs ingested.
 
-        This is the throughput path: one pass over the rows with the same
-        per-job contract as :meth:`submit` (machine count, non-decreasing
-        releases, unique ids) but without per-job call overhead, and one
-        op-log entry for the whole batch.
+        Every job must match the machine count, keep releases non-decreasing
+        across submissions and carry an unused id; a batch that breaks the
+        contract anywhere is refused whole.  One op-log entry covers the
+        batch.
         """
-        self._require_open("submit_many")
+        self._require_open("submit")
         rows: list[Job]
         if hasattr(jobs, "validate") and hasattr(jobs, "jobs"):  # JobChunk duck type
             jobs.validate()
@@ -296,6 +271,8 @@ class SchedulerSession:
         num_machines = len(self.machines)
         watermark = self._watermark
         for job in rows:
+            if not isinstance(job, Job):
+                raise InvalidParameterError(f"submit expects Job rows, got {type(job).__name__}")
             if len(job.sizes) != num_machines:
                 raise InvalidParameterError(
                     f"job {job.id}: size vector has {len(job.sizes)} entries, "
@@ -319,10 +296,8 @@ class SchedulerSession:
     def poll(self) -> list[DecisionEvent]:
         """Process everything up to the newest submitted release; return new events.
 
-        The returned list contains only events not yet handed out by a
-        previous :meth:`poll`.  With the default ``retain_events=True`` the
-        full stream additionally stays available on :attr:`events`; with
-        ``retain_events=False`` handed-out events are freed.
+        The returned list contains only events not yet handed out; the
+        session frees them.
         """
         self._require_open("poll")
         processed = self._stepper.advance_to(self._watermark)
@@ -399,14 +374,12 @@ class SchedulerSession:
         return self._new_events()
 
     def _new_events(self) -> list[DecisionEvent]:
-        fresh = self._events[self._consumed :]
-        self._consumed_total += len(fresh)
-        if self._retain_events:
-            self._consumed = len(self._events)
-        else:
+        fresh = self._events.copy()
+        if fresh:
+            self._consumed += len(fresh)
+            self._consumed_time = fresh[-1].time
             # The observer holds a reference to the list, so free in place.
             self._events.clear()
-            self._consumed = 0
         return fresh
 
     # -- sealing -------------------------------------------------------------------
@@ -464,8 +437,7 @@ class SchedulerSession:
             "machines": [m.to_dict() for m in self.machines],
             "dispatch": self.engine.dispatch,
             "name": self.name,
-            "retain_events": self._retain_events,
-            "consumed": self._consumed_total,
+            "consumed": self._consumed,
             "ops": ops,
         }
 
@@ -483,7 +455,9 @@ class SchedulerSession:
         snapshotted (including the exact decision-event stream).  A
         malformed snapshot raises :class:`SessionStateError` naming the
         missing or mistyped field; job rows are decoded with the ``submit``
-        schema (:func:`~repro.workloads.traces.parse_job_row`).
+        schema (:func:`~repro.workloads.traces.parse_job_row`).  Keys it does
+        not read, such as the event-buffer flag older versions wrote, are
+        ignored.
         """
         if isinstance(snapshot, str):
             import json
@@ -516,7 +490,6 @@ class SchedulerSession:
             machines,
             dispatch=snapshot.get("dispatch"),
             name=snapshot.get("name"),
-            retain_events=bool(snapshot.get("retain_events", True)),
             **{str(k): v for k, v in params.items()},
         )
         for index, op in enumerate(ops):
@@ -537,21 +510,16 @@ class SchedulerSession:
                 raise SessionStateError(
                     f"cannot restore snapshot: {where}field 'op' is {kind!r}, not a snapshot op"
                 )
-        # Restore the consume cursor so already-handed-out events are not
-        # re-delivered.  Replaying "submit_poll_each" ops consumed events
-        # through poll() (tracked in _consumed_total), while raw "advance"
-        # ops bypassed the cursor and left their events buffered.
-        if session._retain_events:
-            session._consumed = min(consumed, len(session._events))
-        else:
-            # Match the original's freed-buffer state: of the still-buffered
-            # events, the first consumed-but-not-yet-freed ones go (in
-            # place — the observer holds the list); only the unconsumed
-            # tail stays resident.
-            still_buffered = max(0, consumed - session._consumed_total)
-            del session._events[: min(still_buffered, len(session._events))]
-            session._consumed = 0
-        session._consumed_total = consumed
+        # Already-handed-out events are not re-delivered.  Replaying
+        # "submit_poll_each" ops handed theirs out through poll(); raw
+        # "advance" ops left theirs buffered, so the first of those go too
+        # (in place — the observer holds the list), keeping the newest
+        # one's time for stats().
+        drop = min(max(0, consumed - session._consumed), len(session._events))
+        if drop:
+            session._consumed_time = session._events[drop - 1].time
+            del session._events[:drop]
+        session._consumed = consumed
         return session
 
 
@@ -592,7 +560,6 @@ def open_session(
     alpha: float = 3.0,
     dispatch: str | None = None,
     name: str | None = None,
-    retain_events: bool = True,
     **params: Any,
 ) -> SchedulerSession:
     """Open a streaming :class:`SchedulerSession` for a registered algorithm.
@@ -613,11 +580,6 @@ def open_session(
         finalize to byte-identical outcomes.
     name:
         Label used for the assembled instance and result.
-    retain_events:
-        Keep the full decision-event stream on :attr:`SchedulerSession.events`
-        (the default).  Long-lived streams that only consume events through
-        ``poll()`` pass ``False`` to keep memory bounded: handed-out events
-        are freed.
     params:
         Algorithm parameters, validated against the registry schema before
         the session opens.
@@ -628,6 +590,5 @@ def open_session(
         alpha=alpha,
         dispatch=dispatch,
         name=name,
-        retain_events=retain_events,
         **params,
     )

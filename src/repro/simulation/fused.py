@@ -305,7 +305,7 @@ class FusedStepper(EngineStepper):
         pick_start = self.engine._pick_start
         on_arrival = policy.on_arrival
         recheck = self._recheck
-        dispatched = self._dispatched_machine
+        dispatched = self.dispatched
         aq = self.queue
         arr_times = aq._arr_times
         arr_ids = aq._arr_ids

@@ -390,10 +390,6 @@ class EngineState:
         """
         return self._machine(machine).pending
 
-    def pending_ids(self, machine: int) -> tuple[int, ...]:
-        """Ids of jobs dispatched to ``machine`` that are waiting (not running)."""
-        return tuple(self._machine(machine).pending)
-
     def pending_jobs(self, machine: int) -> list[Job]:
         """Waiting jobs of ``machine`` in dispatch order."""
         return [self._jobs[j] for j in self._machine(machine).pending]
@@ -406,23 +402,9 @@ class EngineState:
         """``True`` when ``machine`` executes nothing."""
         return self._machine(machine).is_idle()
 
-    def queue_size(self, machine: int) -> int:
-        """Number of pending (waiting) jobs on ``machine``."""
-        return len(self._machine(machine).pending)
-
     def pending_total_size(self, machine: int) -> float:
         """Total processing time of waiting jobs on ``machine`` (their size there)."""
         return sum(self._jobs[j].size_on(machine) for j in self._machine(machine).pending)
-
-    def pending_total_weight(self, machine: int) -> float:
-        """Total weight of waiting jobs on ``machine``."""
-        return sum(self._jobs[j].weight for j in self._machine(machine).pending)
-
-    def all_pending(self) -> Iterable[tuple[int, int]]:
-        """Yield ``(machine, job_id)`` pairs for every waiting job."""
-        for ms in self.machines:
-            for job_id in ms.pending:
-                yield ms.index, job_id
 
     # -- internal ------------------------------------------------------------------
 

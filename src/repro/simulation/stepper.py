@@ -123,7 +123,22 @@ class EngineStepper:
     def __init__(self, engine, policy, observer: Callable[[DecisionEvent], None] | None = None):
         self.engine = engine
         self.policy = policy
-        self.set_observer(observer)
+        # Policies that watch their own run (the adaptive meta-scheduler's
+        # telemetry monitor) expose ``observe_decision``; it is chained in
+        # front of the external observer so the decision stream feeds the
+        # policy identically on the batch and streaming paths.
+        policy_observer = getattr(policy, "observe_decision", None)
+        if callable(policy_observer):
+            if observer is None:
+                observer = policy_observer
+            else:
+                external = observer
+
+                def observer(event, _policy=policy_observer, _external=external):
+                    _policy(event)
+                    _external(event)
+
+        self.observer = observer
         instance = engine.instance
         policy.reset(instance)
 
@@ -156,7 +171,8 @@ class EngineStepper:
         self.records: dict[int, JobRecord] = {}
         self.intervals: list[ExecutionInterval] = []
         self.event_count = 0
-        self._dispatched_machine: dict[int, int] = {}
+        #: Machine each dispatched job was queued on, by job id.
+        self.dispatched: dict[int, int] = {}
         self._offered: set[int] = set()
         #: Time the simulation is known to have moved past: the latest
         #: processed event or the highest ``advance_to`` bound.  Offers
@@ -167,29 +183,6 @@ class EngineStepper:
         # their answer may depend on global state the event did not touch.
         self._recheck: set[int] = set()
         self._finished = False
-
-    def set_observer(self, observer: Callable[[DecisionEvent], None] | None) -> None:
-        """Install ``observer`` as the external decision-event sink.
-
-        Policies that watch their own run (the adaptive meta-scheduler's
-        telemetry monitor) expose ``observe_decision``; it is chained in
-        front of the external observer so the decision stream feeds the
-        policy identically on the batch and streaming paths.  Sessions that
-        replace themselves in place (``hot_switch``) re-call this to rebind
-        the external sink.
-        """
-        policy_observer = getattr(self.policy, "observe_decision", None)
-        if callable(policy_observer):
-            if observer is None:
-                observer = policy_observer
-            else:
-                external = observer
-
-                def observer(event, _policy=policy_observer, _external=external):
-                    _policy(event)
-                    _external(event)
-
-        self.observer = observer
 
     # -- construction hooks (overridden by the fused stepper) ---------------------
 
@@ -204,35 +197,22 @@ class EngineStepper:
     # -- ingestion -----------------------------------------------------------------
 
     def offer(self, job: Job) -> None:
-        """Ingest ``job``: register it with the state and enqueue its arrival.
+        """Ingest one job: :meth:`offer_many` of ``[job]``."""
+        self.offer_many((job,))
+
+    def offer_many(self, jobs) -> int:
+        """Ingest jobs: register each with the state and enqueue its arrival.
 
         Streaming callers may keep offering jobs between steps; an offer in
         the simulation's past — release earlier than an already-processed
         event or below an :meth:`advance_to` bound — would rewrite observed
-        history and is rejected.
-        """
-        if self._finished:
-            raise SimulationError("cannot offer jobs to a finished stepper")
-        if job.id in self._offered:
-            raise SimulationError(f"job id {job.id} was already offered")
-        if job.release < self._floor:
-            raise SimulationError(
-                f"job {job.id} released at {job.release} but the simulation "
-                f"already reached {self._floor}"
-            )
-        self._offered.add(job.id)
-        self.state.register_job(job)
-        self.queue.push_arrival(job.release, job.id)
-
-    def offer_many(self, jobs) -> int:
-        """Bulk :meth:`offer`: the same contract, atomically.
-
-        The whole batch is validated before anything mutates, so a rejected
-        batch (duplicate id, release in the past) leaves the stepper exactly
-        as it was — callers' bookkeeping cannot drift out of sync with a
-        half-ingested batch.  Ingestion is on the streaming hot path (one
-        call per submitted job otherwise); the cached-locals loops are what
-        keep session ingestion within the batch path's throughput budget.
+        history and is rejected, as is an id offered before.  The whole
+        batch is validated before anything mutates, so a rejected batch
+        leaves the stepper exactly as it was — callers' bookkeeping cannot
+        drift out of sync with a half-ingested batch.  Ingestion is on the
+        streaming hot path; the cached-locals loops are what keep session
+        ingestion within the batch path's throughput budget.  Returns the
+        number of jobs offered.
         """
         if self._finished:
             raise SimulationError("cannot offer jobs to a finished stepper")
@@ -426,7 +406,7 @@ class EngineStepper:
                     f"policy {policy.name!r} dispatched job {job.id} to forbidden machine {machine}"
                 )
             state.add_pending(machine, job)
-            self._dispatched_machine[job.id] = machine
+            self.dispatched[job.id] = machine
             touched.add(machine)
             if self.observer is not None:
                 self.observer(DecisionEvent("dispatch", event.time, job.id, machine))
@@ -476,7 +456,7 @@ class EngineStepper:
                 return ms.index
 
         # Case 2: the job is pending on its dispatched machine.
-        machine = self._dispatched_machine.get(job_id)
+        machine = self.dispatched.get(job_id)
         if machine is None:
             raise SimulationError(f"cannot reject job {job_id}: it was never dispatched")
         ms = state.machines[machine]

@@ -123,10 +123,6 @@ class DiscreteTimeline:
         """Current accumulated speed ``u_i(t)`` of ``machine`` in ``slot``."""
         return float(self._speeds[machine, slot])
 
-    def speed_profile(self, machine: int) -> np.ndarray:
-        """Copy of the speed profile of one machine."""
-        return self._speeds[machine].copy()
-
     def machine_energy(self, machine: int) -> float:
         """Energy currently consumed by ``machine`` over the whole horizon."""
         p = self._powers[machine]

@@ -2,17 +2,18 @@
 
 The service contract under test, layer by layer:
 
-* **Protocol** — bare job lines keep the exact ``repro serve`` schema and
-  error type; control messages are versioned, validated and answered by one
-  terminator line each; untagged decision lines are byte-identical to the
-  stdio serve wire format.
+* **Protocol** — every line is a control message: versioned, checked
+  against the fields its op reads (any other field is refused) and answered
+  by one terminator line; job rows travel in ``submit``'s ``jobs`` array;
+  untagged decision lines are byte-identical to the stdio serve wire format.
 * **Manager** — named-session lifecycle (open/closed/failed), all-or-nothing
   bounded-queue backpressure, and client-held snapshots that ``restore`` on
   another manager by deterministic replay.
 * **Server/client** — many concurrent sessions over loopback TCP finalize
-  byte-identically to the batch ``repro.solve()``; ``create`` refuses
-  unknown and mistyped options, ``advance`` refuses NaN, ``restore`` names
-  the malformed field of a snapshot; killed-mid-stream clients make
+  byte-identically to the batch ``repro.solve()``; every op refuses fields
+  it does not read and hosts nothing, ``create`` refuses mistyped options,
+  ``advance`` refuses NaN, ``restore`` names the malformed field of a
+  snapshot; killed-mid-stream clients make
   shutdown drain the abandoned session, flush its summary, and exit nonzero
   (the clean-shutdown contract).
 * **Restore property** — a snapshot taken at an arbitrary kill point during a
@@ -55,6 +56,7 @@ from repro.exceptions import (
 from repro.service.client import ServiceClient, percentile, run_loadgen
 from repro.service.manager import SessionManager
 from repro.service.protocol import (
+    OPS,
     PROTOCOL_VERSION,
     decision_line,
     final_line,
@@ -101,20 +103,22 @@ def _strip(final_event: dict) -> dict:
 
 
 class TestProtocol:
-    def test_bare_job_line_is_backward_compatible_submit(self):
-        request = parse_request('{"id": 0, "release": 0.0, "sizes": [1.0, 2.0]}', 3)
-        assert request.bare and request.op == "submit"
-        assert len(request.jobs) == 1 and request.jobs[0].id == 0
-        assert request.lineno == 3
+    def test_job_line_without_op_is_a_protocol_error(self):
+        with pytest.raises(ServiceProtocolError, match="line 3: line has no 'op' field"):
+            parse_request('{"id": 0, "release": 0.0, "sizes": [1.0, 2.0]}', 3)
 
-    def test_bad_bare_line_raises_trace_schema_error(self):
-        with pytest.raises(TraceSchemaError):
-            parse_request('{"id": 0, "release": "soon", "sizes": [1.0]}', 9)
+    def test_bad_job_row_raises_trace_schema_error(self):
+        with pytest.raises(TraceSchemaError, match="line 9: field 'release'"):
+            parse_request(
+                '{"op": "submit", "session": "s", "jobs": '
+                '[{"id": 0, "release": "soon", "sizes": [1.0]}]}',
+                9,
+            )
 
-    def test_non_object_line_raises_trace_schema_error(self):
-        with pytest.raises(TraceSchemaError):
+    def test_non_object_line_is_a_protocol_error(self):
+        with pytest.raises(ServiceProtocolError):
             parse_request("[1, 2, 3]")
-        with pytest.raises(TraceSchemaError):
+        with pytest.raises(ServiceProtocolError):
             parse_request("not json {")
 
     @pytest.mark.parametrize(
@@ -141,11 +145,19 @@ class TestProtocol:
             '{"op": "create", "session": "s", "max_pending": 2.5}',
             '{"op": "create", "session": "s", "machines": 2.5}',
             '{"op": "create", "session": "s", "algorithm": ["fcfs"]}',
+            '{"op": ["poll"], "session": "s"}',
         ],
     )
     def test_invalid_control_messages(self, line):
         with pytest.raises(ServiceProtocolError):
             parse_request(line, 5)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_every_op_refuses_a_field_it_does_not_read(self, op):
+        line = {"op": op, "session": "s", "v": 1, **_OP_FIELDS.get(op, {})}
+        assert parse_request(canonical_json(line)).op == op
+        with pytest.raises(ServiceProtocolError, match=f"op '{op}' has unknown field 'bogus'"):
+            parse_request(canonical_json({**line, "bogus": 1}))
 
     def test_create_accepts_every_option_and_null_defaults(self):
         options = {
@@ -169,13 +181,14 @@ class TestProtocol:
             '{"op": "create", "session": "s", "v": 1, "algorithm": "fcfs"}'
         )
         assert request.payload == {"algorithm": "fcfs"}
-        assert request.session == "s" and not request.bare
+        assert request.session == "s"
 
-    def test_submit_accepts_job_or_jobs(self):
+    def test_submit_reads_jobs_not_a_single_job(self):
         row = '{"id": 1, "release": 0.5, "sizes": [1.0]}'
-        single = parse_request(f'{{"op": "submit", "session": "s", "job": {row}}}')
+        with pytest.raises(ServiceProtocolError, match="unknown field 'job'"):
+            parse_request(f'{{"op": "submit", "session": "s", "job": {row}}}')
         many = parse_request(f'{{"op": "submit", "session": "s", "jobs": [{row}]}}')
-        assert len(single.jobs) == len(many.jobs) == 1
+        assert len(many.jobs) == 1
 
     def test_untagged_decision_line_matches_stdio_wire_format(self):
         session = open_session("rejection-flow", 2, epsilon=0.5)
@@ -412,6 +425,31 @@ _MALFORMED_SNAPSHOTS = [
 ]
 
 
+#: The fields an op requires, filled in validly.
+_OP_FIELDS = {"submit": {"jobs": []}, "advance": {"t": 1.0}, "restore": {"snapshot": _GOOD_SNAPSHOT}}
+
+#: (request, the field the refusal must name): every op with a field it does
+#: not read, restore's dropped ``max_pending``, submit's retired single-job
+#: alias and a job row without a control envelope.
+_REFUSED_LINES = [
+    pytest.param(
+        {"op": op, "session": "s", **_OP_FIELDS.get(op, {}), "bogus": 1}, "bogus",
+        id=f"{op}-bogus",
+    )
+    for op in OPS
+] + [
+    pytest.param(
+        {"op": "restore", "session": "s", "snapshot": _GOOD_SNAPSHOT, "max_pending": 2},
+        "max_pending", id="restore-max_pending",
+    ),
+    pytest.param(
+        {"op": "submit", "session": "s", "job": _jobs(1)[0].to_dict()}, "job",
+        id="submit-job",
+    ),
+    pytest.param(_jobs(1)[0].to_dict(), "op", id="job-row"),
+]
+
+
 @pytest.fixture()
 def server():
     handle = start_server_thread(defaults=GOLDEN_OPTS)
@@ -476,20 +514,18 @@ class TestServer:
             with pytest.raises(ServiceError, match="does not support"):
                 client.create("batch-only", algorithm="yds")
 
-    def test_bare_lines_reproduce_the_stdio_golden_transcript(self, server):
-        """A connection speaking only bare job lines gets byte-identical
-        behaviour to `repro serve` (untagged decisions, final at EOF)."""
-        expected = GOLDEN_OUT.read_text(encoding="utf-8")
-        with socket.create_connection((server.host, server.port), timeout=30) as sock:
-            sock.sendall(GOLDEN_TRACE.read_bytes())
-            sock.shutdown(socket.SHUT_WR)  # EOF: the stdio end-of-stream
-            received = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                received += chunk
-        assert received.decode("utf-8") == expected
+    @pytest.mark.parametrize(("line", "field"), _REFUSED_LINES)
+    def test_refused_request_hosts_nothing(self, server, line, field):
+        # Each line names a field its op does not read (or is a job row with
+        # no op at all): refused whole as a protocol error, nothing hosted,
+        # and the connection keeps serving.
+        with ServiceClient(server.host, server.port) as client:
+            client.send_line(canonical_json(line))
+            error = client.read_row()
+            assert error["event"] == "error" and error["code"] == "protocol", error
+            assert repr(field) in error["error"], error
+            assert client.sessions() == []
+            assert client.hello()["sessions"] == 0
 
     def test_snapshot_restore_round_trip_over_the_wire(self, server):
         jobs = _jobs(14)

@@ -12,10 +12,13 @@ The contract of the streaming API (PR: SchedulerSession) is threefold:
   decision-event stream; a malformed snapshot is refused with the field
   named;
 * **Observability** — the decision-event stream is complete and consistent
-  with the per-job records.
+  with the per-job records, each event is handed out once and then freed,
+  and every ``stats()`` counter agrees with the stream handed out so far.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,9 +31,11 @@ from repro.baselines.fcfs import FCFSScheduler
 from repro.core.flow_time import RejectionFlowTimeScheduler
 from repro.exceptions import (
     InvalidParameterError,
+    ServiceProtocolError,
     SessionStateError,
     SimulationError,
     StreamingNotSupportedError,
+    TraceSchemaError,
 )
 from repro.service import DecisionEvent, SchedulerSession, open_session, streaming_algorithms
 from repro.service.protocol import decision_line, parse_request
@@ -332,7 +337,7 @@ class TestSnapshotRestore:
         # One submit + one poll per job (the serve loop) must not grow the
         # op log per job: runs compress to a single submit_poll_each entry,
         # and the snapshot still restores to an identical session.
-        session = open_session("fcfs", 2, retain_events=False)
+        session = open_session("fcfs", 2)
         for i in range(100):
             session.submit(Job(i, float(i), (1.0, 1.0)))
             session.poll()
@@ -342,15 +347,13 @@ class TestSnapshotRestore:
         assert restored.to_json() == session.to_json()
         _assert_outcome_identical(restored.finalize(), session.finalize())
 
-    def test_restore_of_unretained_session_matches_buffer_state(self):
+    def test_restore_matches_freed_buffer_state(self):
         # restore() must reproduce the freed-buffer semantics: events the
         # original handed out (and freed) must not reappear on .events or be
         # re-delivered by take_events().
         instance = InstanceGenerator(num_machines=2, seed=67).generate(40)
         for consume_with in ("advance", "poll"):
-            session = open_session(
-                "fcfs", instance.machines, retain_events=False
-            )
+            session = open_session("fcfs", instance.machines)
             for job in instance.jobs[:20]:
                 session.submit(job)
                 if consume_with == "poll":
@@ -364,6 +367,28 @@ class TestSnapshotRestore:
                 session.submit(job)
                 restored.submit(job)
             _assert_outcome_identical(restored.finalize(), session.finalize())
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_restore_ignores_the_retired_event_buffer_flag(self, flag):
+        # Snapshots written while sessions had an event-retention option
+        # carry it as "retain_events"; they restore, hand out the same
+        # events and finalize byte-identically.
+        instance = overload_burst_instance(num_machines=2, burst_jobs=30, trailing_shorts=30)
+        session = open_session("rejection-flow", instance.machines, epsilon=0.4)
+        for job in instance.jobs[:20]:
+            session.submit(job)
+            session.poll()
+        session.submit_many(instance.jobs[20:40])
+        snapshot = session.snapshot()
+        restored = SchedulerSession.restore({**snapshot, "retain_events": flag})
+        assert restored.to_json() == session.to_json()
+        assert restored.stats() == session.stats()
+        assert restored.take_events() == session.take_events()
+        for job in instance.jobs[40:]:
+            session.submit(job)
+            restored.submit(job)
+        assert restored.finalize().as_row() == session.finalize().as_row()
+        assert restored.take_events() == session.take_events()
 
     def test_restore_rejects_unknown_schema(self):
         session = open_session("fcfs", 2)
@@ -452,13 +477,12 @@ class TestDecisionStream:
         times = [event.time for event in session.events]
         assert times == sorted(times)
 
-    def test_unretained_sessions_free_consumed_events(self):
-        # Long-lived serve streams pass retain_events=False: handed-out
-        # events are dropped from the buffer, so memory stays bounded.
+    def test_handed_out_events_are_freed(self):
+        # A long-lived stream keeps only what its consumer has not read:
+        # handed-out events are dropped from the buffer, so memory stays
+        # bounded.
         instance = InstanceGenerator(num_machines=2, seed=43).generate(200)
-        session = open_session(
-            "rejection-flow", instance.machines, epsilon=0.5, retain_events=False
-        )
+        session = open_session("rejection-flow", instance.machines, epsilon=0.5)
         handed_out = 0
         for job in instance.jobs:
             session.submit(job)
@@ -466,13 +490,15 @@ class TestDecisionStream:
             assert len(session.events) == 0  # everything consumed was freed
         outcome = session.finalize()
         handed_out += len(session.take_events())
-        retained = open_session("rejection-flow", instance.machines, epsilon=0.5)
-        retained.submit_many(instance.jobs)
-        ref = retained.finalize()
-        assert handed_out == len(retained.events)
+        unpolled = open_session("rejection-flow", instance.machines, epsilon=0.5)
+        unpolled.submit_many(instance.jobs)
+        ref = unpolled.finalize()
+        assert handed_out == len(unpolled.events) == session.events_emitted
         _assert_outcome_identical(outcome, ref)
 
     def test_poll_hands_out_each_event_once(self):
+        # The per-job polls hand out exactly the stream an unpolled
+        # ingest-then-finalize run buffers, each event once.
         instance = InstanceGenerator(num_machines=2, seed=41).generate(50)
         session = open_session("rejection-flow", instance.machines, epsilon=0.5)
         handed_out: list[DecisionEvent] = []
@@ -481,7 +507,9 @@ class TestDecisionStream:
             handed_out.extend(session.poll())
         session.finalize()
         handed_out.extend(session.take_events())
-        assert tuple(handed_out) == session.events
+        assert session.take_events() == [] and session.events == ()
+        unpolled, _ = _replay(instance, "rejection-flow", epsilon=0.5)
+        assert tuple(handed_out) == unpolled.events
 
     def test_event_dict_roundtrip(self):
         event = DecisionEvent("reject", 3.5, 7, machine=1, reason="rule2")
@@ -489,6 +517,71 @@ class TestDecisionStream:
         assert DecisionEvent.from_dict(
             {"kind": "start", "time": 1.0, "job_id": 2, "machine": 0, "speed": 2.0}
         ) == DecisionEvent("start", 1.0, 2, machine=0, speed=2.0)
+
+
+# --------------------------------------------------------------------------------------
+# stats() counters against the handed-out stream
+# --------------------------------------------------------------------------------------
+
+
+def _check_stats(session, stream: list) -> None:
+    """Every stats() counter agrees with the decision events handed out so far."""
+    stats = session.stats()
+    kinds = Counter(event.kind for event in stream)
+    assert stats["dispatched"] == kinds["dispatch"]
+    assert stats["started"] == kinds["start"]
+    assert stats["completed"] == kinds["complete"]
+    assert stats["rejected"] == kinds["reject"]
+    assert stats["backlog"] == stats["submitted"] - kinds["complete"] - kinds["reject"]
+    assert stats["events_emitted"] == len(stream)
+    assert stats["last_event_time"] == max((event.time for event in stream), default=0.0)
+
+
+#: (algorithm, params, jobs): Rule 1 rejecting running jobs on a burst,
+#: Theorem 2's speed-scaling engine, and the adaptive meta wrapper.
+_STATS_CASES = {
+    "rejection-flow-burst": (
+        "rejection-flow", {"epsilon": 0.4},
+        overload_burst_instance(num_machines=3, burst_jobs=80, trailing_shorts=120).jobs,
+    ),
+    "rejection-energy-flow": (
+        "rejection-energy-flow", {"epsilon": 0.5},
+        WeightedInstanceGenerator(num_machines=3, seed=5, alpha=2.5).generate(120).jobs,
+    ),
+    "meta": (
+        "meta", {"policy": "threshold", "epsilon": 0.25},
+        SCENARIOS["drift-ramp-heavytail"].instance(300, 3, 5).jobs,
+    ),
+}
+
+
+class TestStatsFromStream:
+    @pytest.mark.parametrize("dispatch", DISPATCH_MODES)
+    @pytest.mark.parametrize("case", sorted(_STATS_CASES))
+    def test_counters_match_handed_out_stream(self, case, dispatch):
+        # The stream is collected with poll()/take_events(); halfway the
+        # session is restored from a snapshot taken after a poll, so every
+        # event it replays was already handed out by the original.
+        algorithm, params, jobs = _STATS_CASES[case]
+        machines = len(jobs[0].sizes)
+        session = open_session(algorithm, machines, dispatch=dispatch, **params)
+        stream: list[DecisionEvent] = []
+        half = len(jobs) // 2
+        for offset in range(0, len(jobs), 7):
+            session.submit_many(jobs[offset : offset + 7])
+            stream.extend(session.poll())
+            _check_stats(session, stream)
+            if offset < half <= offset + 7:
+                session = SchedulerSession.restore(session.to_json())
+                _check_stats(session, stream)
+        session.finalize()
+        stream.extend(session.take_events())
+        _check_stats(session, stream)
+        assert session.stats()["backlog"] == 0
+        started = {event.job_id for event in stream if event.kind == "start"}
+        rejected = {event.job_id for event in stream if event.kind == "reject"}
+        if case == "rejection-flow-burst":
+            assert started & rejected  # some jobs were rejected while running
 
 
 # --------------------------------------------------------------------------------------
@@ -693,19 +786,25 @@ class TestEngineStepper:
 
 
 class TestNdjson:
-    def test_parse_job_line(self):
-        request = parse_request('{"id": 3, "release": 1.5, "sizes": [2.0, 4.0]}')
-        assert request.bare and request.jobs == (Job(3, 1.5, (2.0, 4.0)),)
+    def test_parse_submit_job_rows(self):
+        request = parse_request(
+            '{"op": "submit", "session": "s", "jobs": [{"id": 3, "release": 1.5, '
+            '"sizes": [2.0, 4.0]}]}'
+        )
+        assert request.op == "submit" and request.jobs == (Job(3, 1.5, (2.0, 4.0)),)
 
     def test_parse_errors(self):
-        with pytest.raises(InvalidParameterError, match="not valid JSON"):
+        with pytest.raises(ServiceProtocolError, match="line 7: not valid JSON"):
             parse_request("{nope", lineno=7)
-        with pytest.raises(InvalidParameterError, match="JSON object"):
+        with pytest.raises(ServiceProtocolError, match="line 2: expected a JSON object"):
             parse_request("[1, 2]", lineno=2)
-        # Missing fields are reported with the line number and field name
-        # (the richer TraceSchemaError contract; still an InvalidParameterError).
-        with pytest.raises(InvalidParameterError, match="line 3: field 'release'"):
-            parse_request('{"id": 1}', lineno=3)
+        # A job line without a control envelope is not a request.
+        with pytest.raises(ServiceProtocolError, match="no 'op' field"):
+            parse_request('{"id": 1, "release": 0.0, "sizes": [1.0]}', lineno=4)
+        # A malformed job row is reported with the line number and field
+        # name (the richer TraceSchemaError contract).
+        with pytest.raises(TraceSchemaError, match="line 3: field 'release'"):
+            parse_request('{"op": "submit", "session": "s", "jobs": [{"id": 1}]}', lineno=3)
 
     def test_read_jobs_skips_blank_and_comment_lines(self):
         import io

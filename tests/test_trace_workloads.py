@@ -26,7 +26,6 @@ import repro
 from repro.cli import main
 from repro.exceptions import InvalidParameterError, TraceSchemaError
 from repro.experiments import run_experiment
-from repro.service.protocol import parse_request
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.solvers import solve
@@ -43,6 +42,7 @@ from repro.workloads.suites import WorkloadSuite
 from repro.workloads.traces import (
     chunks_from_jobs,
     chunks_to_instance,
+    iter_ndjson_jobs,
     merge,
     read_trace_chunks,
     read_trace_jobs,
@@ -74,6 +74,12 @@ def _jobs_dicts(instance: Instance) -> list[dict]:
     return [job.to_dict() for job in instance.jobs]
 
 
+def _ndjson_job(line: str, lineno: int = 1) -> Job:
+    """Read ``line`` as line ``lineno`` of an NDJSON trace (the stdio serve input)."""
+    ((_, job),) = iter_ndjson_jobs(io.StringIO("\n" * (lineno - 1) + line))
+    return job
+
+
 # --------------------------------------------------------------------------------------
 # Row schema and error reporting
 # --------------------------------------------------------------------------------------
@@ -82,25 +88,25 @@ def _jobs_dicts(instance: Instance) -> list[dict]:
 class TestSchemaErrors:
     def test_missing_field_names_line_and_field(self):
         with pytest.raises(TraceSchemaError) as err:
-            parse_request('{"id": 1, "sizes": [1.0]}', lineno=7)
+            _ndjson_job('{"id": 1, "sizes": [1.0]}', lineno=7)
         assert "line 7" in str(err.value) and "'release'" in str(err.value)
         assert err.value.lineno == 7 and err.value.field == "release"
 
     def test_bad_type_names_field(self):
         with pytest.raises(TraceSchemaError) as err:
-            parse_request('{"id": 1, "release": "soon", "sizes": [1.0]}', lineno=2)
+            _ndjson_job('{"id": 1, "release": "soon", "sizes": [1.0]}', lineno=2)
         assert err.value.field == "release"
         with pytest.raises(TraceSchemaError) as err:
-            parse_request('{"id": 1, "release": 0.0, "sizes": 3}', lineno=2)
+            _ndjson_job('{"id": 1, "release": 0.0, "sizes": 3}', lineno=2)
         assert err.value.field == "sizes"
         with pytest.raises(TraceSchemaError) as err:
-            parse_request('{"id": "x7", "release": 0.0, "sizes": [1.0]}', lineno=4)
+            _ndjson_job('{"id": "x7", "release": 0.0, "sizes": [1.0]}', lineno=4)
         assert err.value.field == "id"
 
     def test_unknown_fields_tolerated_on_ndjson(self):
         # The serve wire format has always ignored client-side metadata on
         # job lines; the trace reader keeps that compatibility.
-        (job,) = parse_request('{"id": 1, "release": 0.0, "sizes": [1.0], "tenant": "a"}').jobs
+        job = _ndjson_job('{"id": 1, "release": 0.0, "sizes": [1.0], "tenant": "a"}')
         assert job.id == 1 and job.sizes == (1.0,)
 
     def test_non_finite_values_rejected_with_field(self):
@@ -112,22 +118,22 @@ class TestSchemaErrors:
             ("sizes", '{"id": 0, "release": 0.0, "sizes": [NaN]}'),
         ]:
             with pytest.raises(TraceSchemaError) as err:
-                parse_request(line, lineno=5)
+                _ndjson_job(line, lineno=5)
             assert err.value.field == field and err.value.lineno == 5
         # Infinite *sizes* are legitimate: they mark forbidden machines.
-        (job,) = parse_request('{"id": 0, "release": 0.0, "sizes": [1.0, Infinity]}').jobs
+        job = _ndjson_job('{"id": 0, "release": 0.0, "sizes": [1.0, Infinity]}')
         assert math.isinf(job.sizes[1])
 
     def test_invariant_violation_carries_line(self):
         with pytest.raises(TraceSchemaError) as err:
-            parse_request('{"id": 1, "release": -2.0, "sizes": [1.0]}', lineno=3)
+            _ndjson_job('{"id": 1, "release": -2.0, "sizes": [1.0]}', lineno=3)
         assert "line 3" in str(err.value)
 
     def test_not_json_and_not_object(self):
         with pytest.raises(TraceSchemaError):
-            parse_request("{nope", lineno=1)
+            _ndjson_job("{nope", lineno=1)
         with pytest.raises(TraceSchemaError):
-            parse_request("[1, 2]", lineno=1)
+            _ndjson_job("[1, 2]", lineno=1)
 
     def test_trace_schema_error_is_invalid_parameter_error(self):
         # The CLI's exit-2 contract catches ReproError; the subclassing keeps

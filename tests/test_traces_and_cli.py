@@ -398,9 +398,15 @@ class TestServeCommand:
 
     def test_serve_reserved_param_exits_2(self, tmp_path):
         _, path = self._trace_file(tmp_path, num_jobs=3)
-        for raw in ("alpha=2", "retain_events=true", "dispatch=scan"):
+        for raw, cause in (
+            ("alpha=2", "--param cannot set"),
+            ("dispatch=scan", "--param cannot set"),
+            # Sessions have no event-retention option: an algorithm parameter
+            # of that name is unknown like any other.
+            ("retain_events=true", "unknown parameter(s) for algorithm 'rejection-flow'"),
+        ):
             err = io.StringIO()
             code = main(["serve", "--machines", "2", "--param", raw,
                          "--trace", str(path)], out=io.StringIO(), err=err)
             assert code == 2
-            assert "--param cannot set" in err.getvalue()
+            assert cause in err.getvalue()
