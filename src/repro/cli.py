@@ -546,6 +546,10 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         from repro.service.server import ServiceServer
 
         host, port = _parse_host_port(args.listen)
+        # Every ``create`` builds its session from the defaults: build and
+        # drop one now, so a bad default exits 2 before anything listens,
+        # as it does on the stdio path.
+        SessionManager(defaults=defaults).create("defaults")
         server = ServiceServer(manager, host=host, port=port, out=out)
         return asyncio.run(server.run())
 

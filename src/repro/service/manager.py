@@ -52,9 +52,6 @@ __all__ = [
 #: Default bound on jobs submitted but not yet processed, per session.
 DEFAULT_MAX_PENDING = 4096
 
-#: Lifecycle states of a hosted session.
-STATES = ("open", "closed", "failed")
-
 
 @dataclass(frozen=True)
 class SubmitOutcome:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
 from repro.exceptions import ServiceProtocolError
@@ -221,11 +222,45 @@ def response_line(kind: str, session: "str | None" = None, **fields: Any) -> str
     return canonical_json(row)
 
 
+#: A decision line with its keys in canonical (sorted) order.  The fifth slot
+#: holds the whole ``,"session":...`` member, or nothing on an untagged line.
+_DECISION_TEMPLATE = (
+    '{"event":"decision","job_id":%d,"kind":%s,"machine":%s,"reason":%s%s,'
+    '"speed":%s,"time":%r}'
+)
+
+
 def decision_line(event: DecisionEvent, session: "str | None" = None) -> str:
     """Encode one decision event, tagged with its session when named.
 
-    With ``session=None`` this is the stdio ``repro serve`` line.
+    With ``session=None`` this is the stdio ``repro serve`` line.  The line
+    is ``canonical_json`` of ``{"event": "decision", **event.as_dict()}``
+    plus the ``session`` tag, which stays the spec.  A fixed template writes
+    it when every field is an exact ``int``, a finite exact ``float``, an
+    exact ``str`` or ``None``, each spelled as ``json.dumps`` spells it; any
+    other value (a bool, a numpy scalar, a subclass, a non-finite float)
+    goes through ``canonical_json`` itself.
     """
+    kind, time, job_id, machine, speed, reason = event
+    if (
+        type(job_id) is int
+        and type(kind) is str
+        and type(time) is float
+        and math.isfinite(time)
+        and (machine is None or type(machine) is int)
+        and (reason is None or type(reason) is str)
+        and (speed is None or (type(speed) is float and math.isfinite(speed)))
+        and (session is None or type(session) is str)
+    ):
+        return _DECISION_TEMPLATE % (
+            job_id,
+            encode_basestring_ascii(kind),
+            "null" if machine is None else machine,
+            "null" if reason is None else encode_basestring_ascii(reason),
+            "" if session is None else ',"session":' + encode_basestring_ascii(session),
+            "null" if speed is None else repr(speed),
+            time,
+        )
     row: dict[str, Any] = {"event": "decision", **event.as_dict()}
     if session is not None:
         row["session"] = session

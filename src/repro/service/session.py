@@ -454,9 +454,11 @@ class SchedulerSession:
         restored session is in the same state as the one that was
         snapshotted (including the exact decision-event stream).  A
         malformed snapshot raises :class:`SessionStateError` naming the
-        missing or mistyped field; job rows are decoded with the ``submit``
-        schema (:func:`~repro.workloads.traces.parse_job_row`).  Keys it does
-        not read, such as the event-buffer flag older versions wrote, are
+        missing, mistyped or impossible field (such as a ``consumed`` count
+        outside what its replay hands out and emits); job rows are decoded
+        with the ``submit`` schema
+        (:func:`~repro.workloads.traces.parse_job_row`).  Keys it does not
+        read, such as the event-buffer flag older versions wrote, are
         ignored.
         """
         if isinstance(snapshot, str):
@@ -479,8 +481,11 @@ class SchedulerSession:
             ) from None
         params = _snapshot_field(snapshot, "params", Mapping, "an object")
         ops = _snapshot_field(snapshot, "ops", list, "an array")
-        # A hand-written snapshot may leave ``consumed`` out: nothing handed out.
-        consumed = _snapshot_field({"consumed": 0, **snapshot}, "consumed", int, "an integer")
+        # A hand-written snapshot may leave ``consumed`` out: then only the
+        # events its replayed polls hand out count as consumed.
+        consumed = None
+        if "consumed" in snapshot:
+            consumed = _snapshot_field(snapshot, "consumed", int, "an integer")
         if cls is SchedulerSession:
             # Restoring through the base class still honours per-algorithm
             # session classes (the adaptive meta wrapper).
@@ -514,8 +519,18 @@ class SchedulerSession:
         # "submit_poll_each" ops handed theirs out through poll(); raw
         # "advance" ops left theirs buffered, so the first of those go too
         # (in place — the observer holds the list), keeping the newest
-        # one's time for stats().
-        drop = min(max(0, consumed - session._consumed), len(session._events))
+        # one's time for stats().  The session that wrote the snapshot had
+        # handed out at least what those polls did and at most what it
+        # emitted, so any other count is refused.
+        if consumed is None:
+            consumed = session._consumed
+        if not session._consumed <= consumed <= session.events_emitted:
+            raise SessionStateError(
+                f"cannot restore snapshot: field 'consumed' is {consumed}, but its ops "
+                f"emit {session.events_emitted} events and their polls hand out "
+                f"{session._consumed}, so it must lie between the two"
+            )
+        drop = consumed - session._consumed
         if drop:
             session._consumed_time = session._events[drop - 1].time
             del session._events[:drop]

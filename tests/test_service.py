@@ -5,7 +5,9 @@ The service contract under test, layer by layer:
 * **Protocol** — every line is a control message: versioned, checked
   against the fields its op reads (any other field is refused) and answered
   by one terminator line; job rows travel in ``submit``'s ``jobs`` array;
-  untagged decision lines are byte-identical to the stdio serve wire format.
+  untagged decision lines are byte-identical to the stdio serve wire format,
+  and every decision line is the ``canonical_json`` of its row (a hypothesis
+  differential, and raw socket lines of every streaming algorithm).
 * **Manager** — named-session lifecycle (open/closed/failed), all-or-nothing
   bounded-queue backpressure, and client-held snapshots that ``restore`` on
   another manager by deterministic replay.
@@ -23,7 +25,8 @@ The service contract under test, layer by layer:
 * **CLI** — the stdio serve path (now a thin manager client) reproduces a
   pinned golden transcript byte-for-byte; ``--list-algorithms --streaming``
   filters; ``repro loadgen`` verifies and reports; the retired server-side
-  durability flags exit 2.
+  durability flags exit 2, and so do bad session defaults before
+  ``serve --listen`` listens.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import copy
 import gc
 import io
 import json
+import math
 import os
 import signal
 import socket
@@ -42,6 +46,7 @@ import threading
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -58,14 +63,16 @@ from repro.service.manager import SessionManager
 from repro.service.protocol import (
     OPS,
     PROTOCOL_VERSION,
+    TERMINATORS,
     decision_line,
     final_line,
     parse_request,
     response_line,
 )
 from repro.service.server import start_server_thread
-from repro.service.session import open_session
+from repro.service.session import open_session, streaming_algorithms
 from repro.simulation.engine import DISPATCH_MODES
+from repro.simulation.stepper import DecisionEvent
 from repro.solvers import solve
 from repro.utils.serialization import canonical_json
 from repro.workloads.scenarios import get_scenario
@@ -100,6 +107,48 @@ def _strip(final_event: dict) -> dict:
 # --------------------------------------------------------------------------------------
 # Protocol
 # --------------------------------------------------------------------------------------
+
+#: Characters a name, kind or reason may hold: anything, plus the ones JSON
+#: escapes (quotes, backslashes, control characters), non-ASCII ones and lone
+#: surrogates.
+_WIRE_CHARS = (
+    st.characters()
+    | st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\u20ac\U0001f600')
+    | st.characters(categories=["Cs"])
+)
+_WIRE_TEXT = st.text(_WIRE_CHARS, max_size=12)
+_DECISION_TEXT = st.sampled_from(
+    ["dispatch", "start", "complete", "reject", "immediate", "rule1", "rule2", "weighted-rule"]
+) | _WIRE_TEXT
+#: Finite, infinite, NaN, signed-zero and subnormal floats, and ints past 2**63.
+_PLAIN_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan, 1e16, 1.5e-7]
+)
+_PLAIN_INTS = st.integers() | st.integers(min_value=2**63, max_value=2**70)
+#: Numbers the template leaves to ``canonical_json``: bools and numpy scalars.
+_FOREIGN_NUMBERS = (
+    st.booleans()
+    | st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64)
+    | st.floats(allow_nan=False).map(np.float64)
+    | st.floats(width=32).map(np.float32)
+)
+
+
+def _decision_events(floats, ints):
+    return st.builds(
+        DecisionEvent,
+        kind=_DECISION_TEXT,
+        time=floats,
+        job_id=ints,
+        machine=st.none() | ints,
+        speed=st.none() | floats,
+        reason=st.none() | _DECISION_TEXT,
+    )
+
+
+_DECISION_EVENTS = _decision_events(_PLAIN_FLOATS, _PLAIN_INTS) | _decision_events(
+    _PLAIN_FLOATS | st.integers() | _FOREIGN_NUMBERS, _PLAIN_INTS | _FOREIGN_NUMBERS
+)
 
 
 class TestProtocol:
@@ -199,6 +248,16 @@ class TestProtocol:
             assert decision_line(event) == canonical_json({"event": "decision", **event.as_dict()})
             tagged = json.loads(decision_line(event, "tenant-a"))
             assert tagged["session"] == "tenant-a"
+
+    @settings(max_examples=400, deadline=None)
+    @given(event=_DECISION_EVENTS, session=st.none() | _WIRE_TEXT)
+    def test_decision_line_is_the_canonical_json_of_its_row(self, event, session):
+        # canonical_json is the spec; decision_line's template must agree
+        # with it byte for byte, and fall back to it where it cannot.
+        row = {"event": "decision", **event.as_dict()}
+        if session is not None:
+            row["session"] = session
+        assert decision_line(event, session) == canonical_json(row)
 
     def test_response_and_final_lines_are_canonical(self):
         assert response_line("hello", protocol=1) == '{"event":"hello","protocol":1}'
@@ -411,6 +470,8 @@ _MALFORMED_SNAPSHOTS = [
     pytest.param("ops", lambda s: s.pop("ops"), id="no-ops"),
     pytest.param("ops", lambda s: s.update(ops={}), id="ops-object"),
     pytest.param("consumed", lambda s: s.update(consumed="x"), id="consumed-string"),
+    pytest.param("consumed", lambda s: s.update(consumed=-7), id="consumed-negative"),
+    pytest.param("consumed", lambda s: s.update(consumed=10000), id="consumed-past-emitted"),
     pytest.param("op", lambda s: s["ops"][0].pop("op"), id="no-op"),
     pytest.param("op", lambda s: s["ops"][0].update(op=3), id="op-number"),
     pytest.param("op", lambda s: s["ops"][0].update(op="frobnicate"), id="op-unknown"),
@@ -492,6 +553,50 @@ class TestServer:
             polled = client.poll("tagged")
             assert polled.decisions
             assert all(d["session"] == "tagged" for d in polled.decisions)
+
+    @pytest.mark.parametrize("dispatch", DISPATCH_MODES)
+    @pytest.mark.parametrize("algorithm", streaming_algorithms())
+    def test_decision_lines_are_canonical_on_the_wire(self, algorithm, dispatch):
+        # The raw decision lines a plain socket reads are the canonical JSON
+        # of the events the same submit/poll steps emit in-process, for every
+        # streaming algorithm; the session name needs escaping.
+        name = f'{algorithm} "{dispatch}" →'
+        jobs = _jobs(16, scenario="flash-crowd")
+        local = open_session(algorithm, 2, dispatch=dispatch)
+        events, wire = [], []
+        with (
+            start_server_thread() as handle,
+            socket.create_connection((handle.host, handle.port), timeout=30) as sock,
+            sock.makefile("rb") as reader,
+        ):
+
+            def request(op: str, **fields) -> None:
+                line = canonical_json({"op": op, "session": name, **fields})
+                sock.sendall(line.encode("ascii") + b"\n")
+                while True:
+                    raw = reader.readline().decode("ascii").rstrip("\n")
+                    row = json.loads(raw)
+                    assert row["event"] != "error", row
+                    if row["event"] == "decision":
+                        wire.append(raw)
+                    elif row["event"] == TERMINATORS[op]:
+                        return
+
+            request("create", algorithm=algorithm, machines=2, dispatch=dispatch)
+            for offset in range(0, len(jobs), 4):
+                chunk = jobs[offset : offset + 4]
+                request("submit", jobs=[job.to_dict() for job in chunk])
+                request("poll")
+                local.submit_many(chunk)
+                events += local.poll()
+            request("close")
+        local.finalize()
+        events += local.take_events()
+        assert events
+        assert wire == [
+            canonical_json({"event": "decision", **event.as_dict(), "session": name})
+            for event in events
+        ]
 
     def test_backpressure_throttles_over_the_wire(self, server):
         jobs = [j.to_dict() for j in _jobs(12)]
@@ -843,6 +948,24 @@ class TestCLI:
             ["serve", "--listen", "nope:notaport"], out=io.StringIO(), err=err
         )
         assert code == 2 and "HOST:PORT" in err.getvalue()
+
+    @pytest.mark.parametrize(
+        "flags", [["--param", "bogus=1"], ["--algorithm", "nope"]], ids=["param", "algorithm"]
+    )
+    def test_listen_refuses_bad_session_defaults_before_listening(self, flags, monkeypatch):
+        # Every create would fail on these defaults: serve exits 2 with the
+        # stdio path's error line before it builds a server to listen with.
+        def listen(*args, **kwargs):
+            raise AssertionError("serve --listen built a server on bad session defaults")
+
+        monkeypatch.setattr("repro.service.server.ServiceServer", listen)
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(["serve", "--listen", "127.0.0.1:0", *flags], out=out, err=err)
+        stdio_err = io.StringIO()
+        stdio_code = cli.main(["serve", *flags], out=io.StringIO(), err=stdio_err)
+        assert code == stdio_code == 2
+        assert "listening" not in out.getvalue()
+        assert err.getvalue() == stdio_err.getvalue() and err.getvalue().startswith("error: ")
 
     @pytest.mark.parametrize(
         "flags", [["--checkpoint-every", "1"], ["--checkpoint-dir", "D"], ["--recover"]],

@@ -18,6 +18,7 @@ The contract of the streaming API (PR: SchedulerSession) is threefold:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
@@ -389,6 +390,68 @@ class TestSnapshotRestore:
             restored.submit(job)
         assert restored.finalize().as_row() == session.finalize().as_row()
         assert restored.take_events() == session.take_events()
+
+    def test_restore_refuses_an_impossible_consumed_count(self):
+        # The session that wrote a snapshot handed out at least what its
+        # submit_poll_each polls did, and at most every event it emitted.
+        jobs = InstanceGenerator(num_machines=2, seed=31).generate(20).jobs
+        session = open_session("fcfs", 2)
+        low = 0
+        for job in jobs[:10]:
+            session.submit(job)
+            low += len(session.poll())
+        session.submit_many(jobs[10:])
+        session.advance_to(jobs[-1].release)
+        snapshot = session.snapshot()
+        assert [op["op"] for op in snapshot["ops"]] == [
+            "submit_poll_each", "submit_many", "advance",
+        ]
+        high = session.events_emitted
+        assert 0 < low < high == snapshot["consumed"]
+        for consumed in (low, (low + high) // 2, high):
+            restored = SchedulerSession.restore({**snapshot, "consumed": consumed})
+            assert restored.events_emitted == restored.stats()["events_emitted"] == high
+            assert len(restored.take_events()) == high - consumed
+        for consumed in (-7, low - 1, high + 1, 10000):
+            with pytest.raises(SessionStateError, match=f"field 'consumed' is {consumed},"):
+                SchedulerSession.restore({**snapshot, "consumed": consumed})
+        # Left out, it counts what the replayed polls handed out.
+        del snapshot["consumed"]
+        assert len(SchedulerSession.restore(snapshot).take_events()) == high - low
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        algorithm=st.sampled_from(streaming_algorithms()),
+        dispatch=st.sampled_from(DISPATCH_MODES),
+        steps=st.lists(
+            st.sampled_from(["submit", "submit_many", "poll", "advance", "take", "switch"]),
+            max_size=10,
+        ),
+    )
+    def test_every_snapshot_restores(self, algorithm, dispatch, steps):
+        # Whatever a session did before snapshot() (a meta session's
+        # hot_switch restores its own snapshot), the snapshot restores to the
+        # same op log, event count and undelivered events.
+        jobs = list(InstanceGenerator(num_machines=2, seed=37).generate(20).jobs)
+        session = open_session(algorithm, 2, dispatch=dispatch)
+        for step in steps:
+            if step == "submit" and jobs:
+                session.submit(jobs.pop(0))
+            elif step == "submit_many":
+                session.submit_many(jobs[:3])
+                del jobs[:3]
+            elif step == "poll":
+                session.poll()
+            elif step == "advance":
+                session.advance_to(jobs[0].release if jobs else math.inf)
+            elif step == "take":
+                session.take_events()
+            elif step == "switch" and algorithm == "meta":
+                session.hot_switch("greedy")
+            restored = SchedulerSession.restore(session.snapshot())
+            assert restored.to_json() == session.to_json()
+            assert restored.events_emitted == session.events_emitted
+            assert restored.events == session.events
 
     def test_restore_rejects_unknown_schema(self):
         session = open_session("fcfs", 2)
