@@ -70,23 +70,27 @@ __all__ = [
 #: advertises it and :func:`parse_request` rejects mismatched ``"v"`` fields.
 PROTOCOL_VERSION = 1
 
+#: The JSON type of a number field.
+_NUMBER = (int, float)
+
 #: The fields each op reads beside the envelope (``op``, ``session``, ``v``):
 #: field -> (JSON type, what the error says it must be).  ``bool`` is never a
-#: number and NaN never a valid one.  ``create``'s options may be left out or
-#: ``null``; every other op's fields are required.  Any other field is refused.
+#: number, and neither NaN nor an int too large for a float is a valid one.
+#: ``create``'s options may be left out or ``null``; every other op's fields
+#: are required.  Any other field is refused.
 _FIELDS: dict[str, dict[str, tuple[Any, str]]] = {
     "hello": {},
     "create": {
         "algorithm": (str, "a string"),
         "machines": (int, "an integer"),
-        "alpha": ((int, float), "a number"),
+        "alpha": (_NUMBER, "a number"),
         "dispatch": (str, "a string"),
         "params": (Mapping, "an object"),
         "max_pending": (int, "an integer"),
     },
     "submit": {"jobs": (list, "an array of job objects")},
     "poll": {},
-    "advance": {"t": ((int, float), "a number other than NaN")},
+    "advance": {"t": (_NUMBER, "a number other than NaN")},
     "snapshot": {},
     "restore": {"snapshot": (Mapping, "an object (a SchedulerSession.snapshot payload)")},
     "close": {},
@@ -134,6 +138,15 @@ class Request:
     lineno: int = 0
 
 
+def _fits_float(value: int) -> bool:
+    """Whether ``float(value)`` holds the int rather than overflowing."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def parse_request(line: str, lineno: int = 0) -> Request:
     """Parse one input line into a :class:`Request`.
 
@@ -144,7 +157,7 @@ def parse_request(line: str, lineno: int = 0) -> Request:
     """
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ServiceProtocolError(f"not valid JSON ({exc})", lineno=lineno) from None
     if not isinstance(data, dict):
         raise ServiceProtocolError(
@@ -197,11 +210,14 @@ def parse_request(line: str, lineno: int = 0) -> Request:
             )
         nan = isinstance(value, float) and math.isnan(value)
         if nan or isinstance(value, bool) or not isinstance(value, kind):
-            raise ServiceProtocolError(
-                f"op {op!r} field {key!r} must be {description}, "
-                f"got {'NaN' if nan else type(value).__name__}",
-                lineno=lineno,
-            )
+            got = "NaN" if nan else type(value).__name__
+        elif kind is _NUMBER and isinstance(value, int) and not _fits_float(value):
+            got = "an integer too large for a float"
+        else:
+            continue
+        raise ServiceProtocolError(
+            f"op {op!r} field {key!r} must be {description}, got {got}", lineno=lineno
+        )
 
     jobs: tuple[Job, ...] = ()
     if op == "submit":

@@ -507,7 +507,14 @@ class SchedulerSession:
                     session.submit(job)
                     session.poll()
             elif kind == "advance":
-                t = float(_snapshot_field(op, "t", (int, float), "a number", where))
+                t = _snapshot_field(op, "t", (int, float), "a number", where)
+                try:
+                    t = float(t)
+                except OverflowError:
+                    raise SessionStateError(
+                        f"cannot restore snapshot: {where}field 't' must be a number, "
+                        "got an integer too large for a float"
+                    ) from None
                 session._stepper.advance_to(t)
                 session._watermark = max(session._watermark, t)
                 session._ops.append(("advance", t))

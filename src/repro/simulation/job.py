@@ -123,13 +123,15 @@ class Job:
         in :mod:`repro.workloads.generators`) validate whole numpy chunks at
         once and then build rows through this trusted path.  Callers are
         responsible for upholding the invariants ``__post_init__`` enforces.
+        The slots are written through their member descriptors, which the
+        frozen ``__setattr__`` does not guard.
         """
-        job = object.__new__(Job)
-        object.__setattr__(job, "id", job_id)
-        object.__setattr__(job, "release", release)
-        object.__setattr__(job, "sizes", sizes)
-        object.__setattr__(job, "weight", weight)
-        object.__setattr__(job, "deadline", deadline)
+        job = _new_job(Job)
+        _set_id(job, job_id)
+        _set_release(job, release)
+        _set_sizes(job, sizes)
+        _set_weight(job, weight)
+        _set_deadline(job, deadline)
         return job
 
     @staticmethod
@@ -193,3 +195,10 @@ class Job:
             weight=float(data.get("weight", 1.0)),
             deadline=None if data.get("deadline") is None else float(data["deadline"]),
         )
+
+
+#: What :meth:`Job.trusted` builds with: the slots exist once the class does.
+_new_job = object.__new__
+_set_id, _set_release, _set_sizes, _set_weight, _set_deadline = (
+    Job.__dict__[name].__set__ for name in ("id", "release", "sizes", "weight", "deadline")
+)

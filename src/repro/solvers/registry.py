@@ -65,7 +65,12 @@ class ParamSpec:
                 return None
             raise InvalidParameterError(f"parameter {self.name!r} must not be None")
         if self.type is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise InvalidParameterError(
+                    f"parameter {self.name!r} expects float, got an integer too large for a float"
+                ) from None
         if self.type is bool and not isinstance(value, bool):
             raise InvalidParameterError(
                 f"parameter {self.name!r} expects a bool, got {value!r}"

@@ -110,6 +110,13 @@ def _field_float(value, lineno: "int | None", field: str, allow_inf: bool = Fals
         raise TraceSchemaError(
             f"expected a number, got {value!r}", lineno=lineno, field=field
         ) from exc
+    except OverflowError as exc:
+        # An int past float range is refused as "1e999" is, without echoing
+        # its digits.
+        raise TraceSchemaError(
+            "expected a finite number, got an integer too large for a float",
+            lineno=lineno, field=field,
+        ) from exc
     # NaN (and, outside size vectors, infinity) would fail open through the
     # Job invariants — `release < 0` is False for NaN — and corrupt the
     # decision stream downstream, so the schema rejects it here with the
@@ -131,7 +138,35 @@ def parse_job_row(data: Mapping, lineno: "int | None" = 0) -> Job:
     field.  Unknown fields are ignored (the ``repro serve`` wire format has
     always tolerated client-side metadata on job lines; CSV headers, where
     an unknown column is almost certainly a typo, stay strict).
+
+    A valid row exactly as ``json.loads`` gives it — a ``dict`` with an
+    ``int`` id, ``float`` numbers and a ``list`` of sizes — is built with
+    :meth:`Job.trusted` once its values pass the schema's bounds.  Any other
+    row takes the checked path below, which is the schema's spec and the
+    only code that words an error; both paths give the same job.
     """
+    if type(data) is dict:
+        job_id = data.get("id")
+        release = data.get("release")
+        sizes = data.get("sizes")
+        weight = data.get("weight", 1.0)
+        deadline = data.get("deadline")
+        if (
+            type(job_id) is int and job_id >= 0
+            and type(release) is float and 0.0 <= release < math.inf
+            and type(sizes) is list
+            and type(weight) is float and 0.0 < weight < math.inf
+            and (deadline is None or (type(deadline) is float and release < deadline < math.inf))
+        ):
+            finite = False
+            for p in sizes:
+                if type(p) is not float or not p > 0.0:  # NaN fails ``p > 0.0``
+                    break
+                if p < math.inf:
+                    finite = True
+            else:
+                if finite:  # a non-empty vector with a machine the job may run on
+                    return Job.trusted(job_id, release, tuple(sizes), weight, deadline)
     if not isinstance(data, Mapping):
         raise TraceSchemaError(
             f"expected a JSON object, got {type(data).__name__}", lineno=lineno
@@ -193,7 +228,7 @@ def iter_ndjson_jobs(stream: TextIO) -> Iterator[tuple[int, Job]]:
             continue
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise TraceSchemaError(f"not valid JSON ({exc})", lineno=lineno) from exc
         yield lineno, parse_job_row(data, lineno)
 

@@ -151,6 +151,13 @@ _DECISION_EVENTS = _decision_events(_PLAIN_FLOATS, _PLAIN_INTS) | _decision_even
 )
 
 
+#: A 401-digit JSON int, past float range; a job row whose release is one;
+#: and a line holding an int past Python's 4,300-digit limit.
+_PAST_FLOAT = "1" + "0" * 400
+_PAST_FLOAT_ROW = '{"id": 0, "release": %s, "sizes": [1.0, 2.0]}' % _PAST_FLOAT
+_PAST_DIGIT_LIMIT_LINE = '{"id": 0, "release": 0.0, "sizes": [%s]}' % ("9" * 5000)
+
+
 class TestProtocol:
     def test_job_line_without_op_is_a_protocol_error(self):
         with pytest.raises(ServiceProtocolError, match="line 3: line has no 'op' field"):
@@ -195,6 +202,12 @@ class TestProtocol:
             '{"op": "create", "session": "s", "machines": 2.5}',
             '{"op": "create", "session": "s", "algorithm": ["fcfs"]}',
             '{"op": ["poll"], "session": "s"}',
+            pytest.param('{"op": "advance", "session": "s", "t": %s}' % _PAST_FLOAT,
+                         id="advance-t-past-float"),
+            pytest.param('{"op": "create", "session": "s", "alpha": -%s}' % _PAST_FLOAT,
+                         id="create-alpha-past-float"),
+            # json.loads raises a plain ValueError here, not a JSONDecodeError.
+            pytest.param(_PAST_DIGIT_LIMIT_LINE, id="int-past-digit-limit"),
         ],
     )
     def test_invalid_control_messages(self, line):
@@ -483,6 +496,9 @@ _MALFORMED_SNAPSHOTS = [
     pytest.param("t", lambda s: s["ops"][1].pop("t"), id="no-t"),
     pytest.param("t", lambda s: s["ops"][1].update(t="x"), id="t-string"),
     pytest.param("t", lambda s: s["ops"][1].update(t=float("nan")), id="t-nan"),
+    pytest.param("release", lambda s: s["ops"][0]["jobs"][1].update(release=10**400),
+                 id="job-release-past-float"),
+    pytest.param("t", lambda s: s["ops"][1].update(t=10**400), id="t-past-float"),
 ]
 
 
@@ -720,6 +736,42 @@ class TestServer:
             final = client.close_session("r")
             assert canonical_json(_strip(final.event)) == canonical_json(_reference())
 
+    def test_oversized_numbers_get_one_attributed_error_each(self, server):
+        # Ints past float range wherever a number enters, and a line past the
+        # digit limit, all on one connection: each line is answered by exactly
+        # one error naming what is wrong, and the connection keeps serving.
+        job_past_float = copy.deepcopy(_GOOD_SNAPSHOT)
+        job_past_float["ops"][0]["jobs"][1]["release"] = 10**400
+        t_past_float = copy.deepcopy(_GOOD_SNAPSHOT)
+        t_past_float["ops"][1]["t"] = 10**400
+        lines = [
+            ('{"op":"submit","session":"s","jobs":[%s]}' % _PAST_FLOAT_ROW,
+             "protocol", "line 1: field 'release': expected a finite number"),
+            (_PAST_DIGIT_LIMIT_LINE, "protocol", "line 2: not valid JSON"),
+            ('{"op":"advance","session":"s","t":%s}' % _PAST_FLOAT,
+             "protocol", "line 3: op 'advance' field 't'"),
+            ('{"op":"create","session":"s","alpha":%s}' % _PAST_FLOAT,
+             "protocol", "line 4: op 'create' field 'alpha'"),
+            ('{"op":"create","session":"s","params":{"epsilon":%s}}' % _PAST_FLOAT,
+             "session", "parameter 'epsilon'"),
+            (canonical_json({"op": "restore", "session": "s", "snapshot": job_past_float}),
+             "session", "ops[0]: jobs[1]: field 'release'"),
+            (canonical_json({"op": "restore", "session": "s", "snapshot": t_past_float}),
+             "session", "ops[1]: field 't'"),
+        ]
+        with (
+            socket.create_connection((server.host, server.port), timeout=30) as sock,
+            sock.makefile("rb") as reader,
+        ):
+            for line, code, names in lines:
+                sock.sendall(line.encode("ascii") + b"\n")
+                row = json.loads(reader.readline())
+                assert row["event"] == "error" and row["code"] == code, row
+                assert names in row["error"], row
+            sock.sendall(b'{"op":"hello"}\n')
+            hello = json.loads(reader.readline())
+            assert hello["event"] == "hello" and hello["sessions"] == 0, hello
+
     def test_shutdown_op_exits_zero_when_all_sessions_closed(self, server):
         with ServiceClient(server.host, server.port) as client:
             client.create("tidy")
@@ -900,6 +952,17 @@ class TestCLI:
         )
         assert code == 0
         assert out.getvalue() == GOLDEN_OUT.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "line", [_PAST_FLOAT_ROW, _PAST_DIGIT_LIMIT_LINE], ids=["past-float", "past-digit-limit"]
+    )
+    def test_stdio_serve_refuses_an_oversized_number_with_exit_2(self, line, tmp_path):
+        trace = tmp_path / "oversized.ndjson"
+        trace.write_text(line + "\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(["serve", "--machines", "2", "--trace", str(trace)], out=out, err=err)
+        assert code == 2
+        assert err.getvalue().startswith("error: line 1: "), err.getvalue()[:200]
 
     def test_list_algorithms_streaming_filter(self):
         out = io.StringIO()

@@ -227,6 +227,11 @@ class TestParamValidation:
         spec = ParamSpec("x", float, minimum=0.0)
         assert spec.validate(1) == 1.0 and isinstance(spec.validate(1), float)
 
+    def test_int_too_large_for_a_float_names_the_parameter(self, instance):
+        spec = ParamSpec("x", float, minimum=0.0)
+        with pytest.raises(InvalidParameterError, match="'x' expects float, got an integer too"):
+            spec.validate(10**400)
+
 
 class TestModelDispatch:
     def test_model_pin_matches(self, instance):

@@ -10,9 +10,11 @@ experiment E14 and the ``repro trace`` / ``repro serve --trace-format`` CLI.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
+import types
 from typing import Sequence
 from unittest import mock
 
@@ -116,6 +118,9 @@ class TestSchemaErrors:
             ("weight", '{"id": 0, "release": 0.0, "sizes": [1.0], "weight": NaN}'),
             ("deadline", '{"id": 0, "release": 0.0, "sizes": [1.0], "deadline": Infinity}'),
             ("sizes", '{"id": 0, "release": 0.0, "sizes": [NaN]}'),
+            # An int past float range, which float() refuses with OverflowError.
+            ("release", '{"id": 0, "release": 1%s, "sizes": [1.0]}' % ("0" * 400)),
+            ("sizes", '{"id": 0, "release": 0.0, "sizes": [1.0, -1%s]}' % ("0" * 400)),
         ]:
             with pytest.raises(TraceSchemaError) as err:
                 _ndjson_job(line, lineno=5)
@@ -134,6 +139,10 @@ class TestSchemaErrors:
             _ndjson_job("{nope", lineno=1)
         with pytest.raises(TraceSchemaError):
             _ndjson_job("[1, 2]", lineno=1)
+        # json.loads refuses an int literal past Python's 4,300-digit limit
+        # with a plain ValueError rather than a JSONDecodeError.
+        with pytest.raises(TraceSchemaError, match="line 3: not valid JSON"):
+            _ndjson_job('{"id": 0, "release": %s, "sizes": [1.0]}' % ("9" * 5000), lineno=3)
 
     def test_trace_schema_error_is_invalid_parameter_error(self):
         # The CLI's exit-2 contract catches ReproError; the subclassing keeps
@@ -217,6 +226,155 @@ class TestSchemaErrors:
         assert err.value.field == "id"
         assert str(bad_id) in str(err.value)
         assert ("duplicate" in str(err.value)) == reused
+
+
+# --------------------------------------------------------------------------------------
+# Exact-JSON rows against the checked path
+# --------------------------------------------------------------------------------------
+
+
+def _decoded(row) -> tuple:
+    """A row's job as repr and field types, or its error as type, text, line and field."""
+    try:
+        job = traces.parse_job_row(row, 7)
+    except Exception as exc:  # compared, never swallowed: any type must match
+        return ("error", type(exc), str(exc), getattr(exc, "lineno", None),
+                getattr(exc, "field", None))
+    fields = (job.id, job.release, job.sizes, *job.sizes, job.weight, job.deadline)
+    return ("job", repr(job), [type(value) for value in fields])
+
+
+def _checked(row) -> tuple:
+    """:func:`_decoded` through the checked path: a ``MappingProxyType`` is a
+    ``Mapping`` but not a ``dict``, so it never takes the exact-JSON path."""
+    return _decoded(types.MappingProxyType(row) if isinstance(row, dict) else row)
+
+
+#: Values at or next to each bound the fast path tests, of every JSON type:
+#: ints from -1 to past float range, the float specials, strings the checked
+#: path converts, arrays and objects.  2.0 and its successor sit at the base
+#: row's release.
+_EDGE_VALUES = [
+    None, True, False, 0, 1, -1, 2**63, 2**70, -(2**70), 10**400, -(10**400),
+    0.0, -0.0, 5e-324, -5e-324, 1.0, 2.0, math.nextafter(2.0, math.inf), -1.0, 1e308,
+    math.inf, -math.inf, math.nan, "1.5", "7", "-1", " 2 ", "inf", "nan", "", "x",
+    [], [1.0], [math.inf], {}, {"id": 1},
+]
+#: Valid rows with and without the optional fields.
+_BASE_ROWS = [
+    {"id": 4, "release": 2.0, "sizes": [1.0, math.inf], "weight": 1.5, "deadline": 9.0},
+    {"id": 4, "release": 2.0, "sizes": [1.0, math.inf]},
+]
+
+_JSON_SCALARS = (
+    st.sampled_from([v for v in _EDGE_VALUES if not isinstance(v, (list, dict))])
+    | st.integers(-(2**70), 2**70)
+    | st.integers(2**1023, 2**1030).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.text(max_size=3)
+)
+_JSON_VALUES = (
+    _JSON_SCALARS
+    | st.lists(_JSON_SCALARS, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "a"]), _JSON_SCALARS, max_size=2)
+)
+_SIZES = st.floats(min_value=5e-324) | st.sampled_from([math.inf, 5e-324, 2.5])
+
+
+@st.composite
+def _json_rows(draw) -> object:
+    """Valid rows as ``json.loads`` gives them, with up to three fields or
+    size entries replaced by any JSON value or dropped, sometimes with an
+    extra field."""
+    release = draw(st.floats(0.0, 100.0) | st.sampled_from([-0.0, 5e-324]))
+    row: dict = {
+        "id": draw(st.integers(0, 2**70)),
+        "release": release,
+        "sizes": draw(st.lists(_SIZES, min_size=1, max_size=3)),
+    }
+    if draw(st.booleans()):
+        row["weight"] = draw(st.floats(min_value=5e-324, max_value=1e300))
+    if draw(st.booleans()):
+        row["deadline"] = draw(st.none() | st.floats(release, 1e300) | st.just(release))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(["id", "release", "sizes", "size", "weight", "deadline"]))
+        if key == "size" and isinstance(row.get("sizes"), list) and row["sizes"]:
+            row["sizes"][draw(st.integers(0, len(row["sizes"]) - 1))] = draw(_JSON_VALUES)
+        elif key != "size" and draw(st.integers(0, 4)):
+            row[key] = draw(_JSON_VALUES)
+        else:
+            row.pop(key, None)
+    if draw(st.integers(0, 7)) == 0:
+        row["tenant"] = draw(_JSON_VALUES)
+    return row
+
+
+class TestExactJsonRows:
+    """``parse_job_row`` builds exact-JSON rows with ``Job.trusted``; every row
+    decodes, or fails, exactly as through the checked path."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(row=_json_rows() | _JSON_VALUES)
+    def test_differential_against_checked_path(self, row):
+        assert _decoded(row) == _checked(row)
+
+    @pytest.mark.parametrize("key", ["id", "release", "sizes", "size", "weight", "deadline"])
+    def test_every_edge_value_in_every_field(self, key):
+        # A valid row with one field (or its first size) set to each edge
+        # value, or dropped: each decodes, or fails, as the checked path does.
+        dropped = object()
+        for base in _BASE_ROWS:
+            for value in [*_EDGE_VALUES, dropped]:
+                row = copy.deepcopy(base)
+                target, slot = (row["sizes"], 0) if key == "size" else (row, key)
+                if value is not dropped:
+                    target[slot] = value
+                elif key == "size" or key in row:
+                    del target[slot]
+                assert _decoded(row) == _checked(row), (key, value, base)
+
+    # One row per fast-path condition that just misses it, and what the
+    # checked path makes of it.
+    @pytest.mark.parametrize(("line", "expected"), [
+        pytest.param('{"id": 3, "release": 2, "sizes": [1.0, 2.0]}',
+                     Job(3, 2.0, (1.0, 2.0)), id="int-release"),
+        pytest.param('{"id": 3, "release": 2.0, "sizes": [1.0, true]}',
+                     "line 7: field 'sizes': expected a number, got bool", id="bool-size"),
+        pytest.param('{"id": 3, "release": 2.0, "sizes": [1.0], "weight": "2.5"}',
+                     Job(3, 2.0, (1.0,), weight=2.5), id="string-weight"),
+        pytest.param('{"id": 3, "release": 2.0, "sizes": [1.0, NaN]}',
+                     "line 7: field 'sizes': expected a finite number, got nan", id="nan-size"),
+        pytest.param('{"id": 3, "release": 2.0, "sizes": [Infinity, Infinity]}',
+                     "line 7: job 3: job cannot be processed on any machine",
+                     id="all-inf-sizes"),
+        pytest.param('{"id": 3, "release": 2.0, "sizes": [1.0], "deadline": 2.0}',
+                     "line 7: job 3: deadline 2.0 must exceed release 2.0",
+                     id="deadline-at-release"),
+    ])
+    def test_a_row_just_outside_the_fast_path(self, line, expected):
+        row = json.loads(line)
+        assert _decoded(row) == _checked(row)
+        if isinstance(expected, Job):
+            job = traces.parse_job_row(row, 7)
+            assert repr(job) == repr(expected) and type(job.release) is float
+        else:
+            with pytest.raises(TraceSchemaError) as err:
+                traces.parse_job_row(row, 7)
+            assert str(err.value) == expected
+
+    def test_exact_json_rows_skip_the_job_checks(self, monkeypatch):
+        def checked(job):
+            raise AssertionError("Job.__post_init__ ran")
+
+        monkeypatch.setattr(Job, "__post_init__", checked)
+        row = {"id": 4, "release": 0.5, "sizes": [1.0, math.inf], "weight": 2.0,
+               "deadline": 9.0}
+        job = traces.parse_job_row(row, 1)
+        assert repr(job) == "Job(id=4, release=0.5, sizes=(1.0, inf), weight=2.0, deadline=9.0)"
+        # The checked path builds its job through the checks (and words
+        # what they raise).
+        with pytest.raises(TraceSchemaError, match="Job.__post_init__ ran"):
+            traces.parse_job_row({**row, "release": 1}, 1)
 
 
 # --------------------------------------------------------------------------------------
