@@ -1,22 +1,13 @@
 """Analysis utilities: competitive ratios, summary statistics, report tables."""
 
-from repro.analysis.competitive import (
-    CompetitiveEstimate,
-    flow_time_competitive_estimate,
-    weighted_flow_energy_competitive_estimate,
-    energy_competitive_estimate,
-)
-from repro.analysis.statistics import describe, ratio_statistics, geometric_mean
+from repro.analysis.competitive import CompetitiveEstimate, flow_time_competitive_estimate
+from repro.analysis.statistics import describe
 from repro.analysis.reporting import ExperimentTable, render_report
 
 __all__ = [
     "CompetitiveEstimate",
     "flow_time_competitive_estimate",
-    "weighted_flow_energy_competitive_estimate",
-    "energy_competitive_estimate",
     "describe",
-    "ratio_statistics",
-    "geometric_mean",
     "ExperimentTable",
     "render_report",
 ]

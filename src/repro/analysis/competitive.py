@@ -19,14 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.lowerbounds.energy_bounds import (
-    best_energy_lower_bound,
-    per_job_flow_energy_lower_bound,
-)
 from repro.lowerbounds.flow_combinatorial import best_flow_time_lower_bound
 from repro.baselines.offline import offline_list_schedule
-from repro.simulation.instance import Instance
-from repro.simulation.metrics import flow_plus_energy, total_flow_time
+from repro.simulation.metrics import total_flow_time
 from repro.simulation.schedule import SimulationResult
 from repro.utils.numeric import safe_ratio
 
@@ -93,45 +88,6 @@ def flow_time_competitive_estimate(
     return CompetitiveEstimate(
         algorithm=result.algorithm,
         cost=total_flow_time(result),
-        lower_bound=lb,
-        reference_cost=ref,
-        theoretical_bound=theoretical_bound,
-    )
-
-
-def weighted_flow_energy_competitive_estimate(
-    result: SimulationResult,
-    theoretical_bound: float | None = None,
-    lower_bound: float | None = None,
-    reference_cost: float | None = None,
-) -> CompetitiveEstimate:
-    """Competitive estimate for weighted flow time plus energy (Section 3)."""
-    instance = result.instance
-    lb = lower_bound if lower_bound is not None else per_job_flow_energy_lower_bound(instance)
-    ref = reference_cost if reference_cost is not None else lb
-    return CompetitiveEstimate(
-        algorithm=result.algorithm,
-        cost=flow_plus_energy(result),
-        lower_bound=lb,
-        reference_cost=ref,
-        theoretical_bound=theoretical_bound,
-    )
-
-
-def energy_competitive_estimate(
-    instance: Instance,
-    algorithm_energy: float,
-    algorithm: str,
-    theoretical_bound: float | None = None,
-    lower_bound: float | None = None,
-    reference_cost: float | None = None,
-) -> CompetitiveEstimate:
-    """Competitive estimate for energy minimisation with deadlines (Section 4)."""
-    lb = lower_bound if lower_bound is not None else best_energy_lower_bound(instance)
-    ref = reference_cost if reference_cost is not None else lb
-    return CompetitiveEstimate(
-        algorithm=algorithm,
-        cost=algorithm_energy,
         lower_bound=lb,
         reference_cost=ref,
         theoretical_bound=theoretical_bound,

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-from repro.exceptions import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -57,32 +54,3 @@ def describe(values: Iterable[float]) -> Distribution:
         p95=float(np.percentile(data, 95)),
         maximum=float(np.max(data)),
     )
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (the right average for ratios)."""
-    if not values:
-        return 0.0
-    if any(v <= 0 for v in values):
-        raise InvalidParameterError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(np.asarray(values, dtype=float)))))
-
-
-def ratio_statistics(ratios: Sequence[float]) -> dict:
-    """Summary of a collection of competitive ratios (geometric mean + extremes)."""
-    finite = [r for r in ratios if math.isfinite(r)]
-    if not finite:
-        return {"count": 0, "geomean": math.nan, "max": math.nan, "min": math.nan}
-    return {
-        "count": len(finite),
-        "geomean": geometric_mean(finite),
-        "max": max(finite),
-        "min": min(finite),
-    }
-
-
-def relative_regret(cost: float, best: float) -> float:
-    """``cost/best - 1`` — how much worse than the best observed algorithm."""
-    if best <= 0:
-        return math.inf if cost > 0 else 0.0
-    return cost / best - 1.0

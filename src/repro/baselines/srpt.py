@@ -83,23 +83,3 @@ def srpt_unrelated_lower_bound(instance: Instance) -> float:
     if not jobs:
         return 0.0
     return srpt_single_machine_flow_time(jobs, speed=float(m))
-
-
-def srpt_per_machine_assignment_bound(instance: Instance, assignment: dict[int, int]) -> float:
-    """Preemptive SRPT flow time for a *given* job-to-machine assignment.
-
-    Useful to lower-bound the cost of the non-preemptive schedule an online
-    algorithm produced, holding its dispatching decisions fixed: preemptive
-    SRPT per machine is optimal once the assignment is frozen.
-    """
-    per_machine: dict[int, list[tuple[float, float]]] = {}
-    for job in instance.jobs:
-        machine = assignment.get(job.id)
-        if machine is None:
-            continue
-        per_machine.setdefault(machine, []).append((job.release, job.size_on(machine)))
-    total = 0.0
-    for machine, jobs in per_machine.items():
-        speed = instance.machines[machine].speed_factor
-        total += srpt_single_machine_flow_time(jobs, speed=speed)
-    return total

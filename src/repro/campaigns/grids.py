@@ -19,8 +19,7 @@ Shipped grids:
 * ``small``   — every experiment (E1–E7, E9, E10, E14, E15, E17) at
   miniature sweep sizes, two seeds; finishes in well under a minute, the
   acceptance grid for ``repro campaign run``;
-* ``medium``  — the experiments' default sweep sizes, three seeds; the
-  campaign analogue of the benchmark harness;
+* ``medium``  — the experiments' default sweep sizes, three seeds;
 * ``solvers`` — the algorithm axis: one task per registered flow-time
   algorithm, two seeds each, aggregated into per-algorithm report rows;
 * ``e14``     — the robustness frontier on its own: every catalog scenario ×

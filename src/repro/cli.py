@@ -3,8 +3,7 @@
 The subcommands cover the common workflows::
 
     python -m repro experiments --only E1 E2
-    python -m repro simulate --jobs 200 --machines 4 --epsilon 0.5 --policy theorem1 --gantt
-    python -m repro solve --algorithm rejection-flow --param epsilon=0.5 --jobs 200
+    python -m repro solve --algorithm rejection-flow --param epsilon=0.5 --jobs 200 --gantt
     python -m repro serve --algorithm rejection-flow --machines 4 < jobs.ndjson
     python -m repro serve --listen 127.0.0.1:7077
     python -m repro loadgen --sessions 8 --jobs 500 --verify
@@ -16,14 +15,14 @@ The subcommands cover the common workflows::
 
 * ``experiments`` regenerates experiment tables (same engine as
   ``examples/reproduce_experiments.py``).
-* ``simulate`` generates a random workload, runs one of the flow-time policies
-  and prints the summary (optionally an ASCII Gantt chart and a CSV trace).
 * ``solve`` runs *any* registered algorithm through the unified solver
   registry (``--list-algorithms`` enumerates them with their capability
   metadata; ``--param name=value`` passes schema-validated parameters;
   ``--json`` emits the outcome row as canonical JSON for scripted callers).
   Jobs come from the random generator, a catalog scenario (``--scenario``)
-  or a trace file (``--trace``).
+  or a trace file (``--trace``).  ``--gantt`` and ``--schedule-csv`` print
+  the schedule after the summary: an ASCII Gantt chart and a CSV of its
+  events.
 * ``serve`` runs a streaming scheduler session: job rows in (stdin or
   ``--trace FILE``, NDJSON or CSV via ``--trace-format``), decision-event
   lines out as jobs arrive, and a final summary line when the stream ends.
@@ -66,20 +65,11 @@ from repro.core.bounds import (
     flow_time_rejection_budget,
 )
 from repro.exceptions import InvalidParameterError, ReproError
-from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
-from repro.simulation.metrics import summarize
+from repro.simulation.engine import DISPATCH_MODES
 from repro.simulation.validation import validate_result
-from repro.solvers import list_algorithms, make_policy, solve
+from repro.solvers import get_solver, list_algorithms, solve
 from repro.utils.serialization import canonical_json
 from repro.utils.tabulate import format_table
-
-#: CLI policy name -> (registry algorithm id, params drawn from the CLI args).
-_POLICIES = {
-    "theorem1": ("rejection-flow", lambda args: {"epsilon": args.epsilon}),
-    "greedy": ("greedy", lambda args: {}),
-    "fcfs": ("fcfs", lambda args: {}),
-    "immediate": ("immediate-rejection", lambda args: {"epsilon": args.epsilon}),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,19 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument("--only", nargs="*", default=None, help="experiment ids to run")
     experiments.add_argument("--list", action="store_true", help="list experiments and exit")
-
-    simulate = subparsers.add_parser(
-        "simulate", help="run one flow-time policy on a random workload"
-    )
-    simulate.add_argument("--jobs", type=int, default=200)
-    simulate.add_argument("--machines", type=int, default=4)
-    simulate.add_argument("--epsilon", type=float, default=0.5)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--policy", choices=sorted(_POLICIES), default="theorem1")
-    simulate.add_argument("--size-distribution", default="pareto",
-                          choices=("uniform", "exponential", "pareto", "bimodal"))
-    simulate.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
-    simulate.add_argument("--trace", action="store_true", help="print the CSV schedule trace")
 
     solve_cmd = subparsers.add_parser(
         "solve", help="run any registered algorithm via the unified solver registry"
@@ -146,6 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("--dispatch", default=None,
                            choices=DISPATCH_MODES,
                            help="engine dispatch mode (default: indexed, env REPRO_DISPATCH)")
+    solve_cmd.add_argument("--gantt", action="store_true",
+                           help="after the summary, print an ASCII Gantt chart of the schedule")
+    solve_cmd.add_argument("--schedule-csv", action="store_true",
+                           help="after the summary, print the schedule's events as CSV")
 
     serve = subparsers.add_parser(
         "serve", help="stream newline-delimited job JSON through a scheduler session"
@@ -337,15 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_diff.add_argument("store_a", help="first store directory")
     campaign_diff.add_argument("store_b", help="second store directory")
 
-    # ``repro bench`` is dispatched before parsing (see :func:`_main`) so the
-    # harness keeps its own argparse surface; this stub makes it show up in
-    # ``repro --help``.
-    subparsers.add_parser(
-        "bench",
-        help="run the benchmark harness and emit BENCH_<slug>.json artifacts",
-        add_help=False,
-    )
-
     return parser
 
 
@@ -361,44 +333,6 @@ def _cmd_experiments(args: argparse.Namespace, out) -> int:
         result = run_experiment(experiment_id)
         print(result.render(), file=out)
         print("", file=out)
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace, out) -> int:
-    from repro.analysis.traces import ascii_gantt, trace_to_csv
-    from repro.lowerbounds.flow_combinatorial import best_flow_time_lower_bound
-    from repro.workloads.generators import InstanceGenerator
-
-    generator = InstanceGenerator(
-        num_machines=args.machines,
-        size_distribution=args.size_distribution,
-        seed=args.seed,
-    )
-    instance = generator.generate(args.jobs)
-    algorithm, params_of = _POLICIES[args.policy]
-    policy = make_policy(algorithm, **params_of(args))
-    result = FlowTimeEngine(instance).run(policy)
-    validate_result(result)
-    stats = summarize(result)
-
-    lower_bound = best_flow_time_lower_bound(instance)
-    print(f"instance      : {instance.name}", file=out)
-    print(f"policy        : {result.algorithm}", file=out)
-    print(f"total flow    : {stats.total_flow_time:.2f}", file=out)
-    print(f"rejected      : {stats.rejected_count} ({100 * stats.rejected_fraction:.1f}%)", file=out)
-    print(f"ratio vs LB   : {stats.total_flow_time / lower_bound:.3f}", file=out)
-    if args.policy == "theorem1":
-        print(
-            f"paper bound   : {flow_time_competitive_ratio(args.epsilon):.1f} "
-            f"(rejecting at most {100 * flow_time_rejection_budget(args.epsilon):.0f}% of jobs)",
-            file=out,
-        )
-    if args.gantt:
-        print("", file=out)
-        print(ascii_gantt(result), file=out)
-    if args.trace:
-        print("", file=out)
-        print(trace_to_csv(result), file=out, end="")
     return 0
 
 
@@ -441,6 +375,13 @@ def _cmd_solve(args: argparse.Namespace, out) -> int:
         return 0
     if args.streaming:
         raise ReproError("--streaming only filters --list-algorithms output")
+    if args.gantt or args.schedule_csv:
+        if args.json:
+            raise ReproError("--json prints one line; it does not combine with "
+                             "--gantt or --schedule-csv")
+        if get_solver(args.algorithm).model == "reference":
+            raise ReproError(f"algorithm {args.algorithm!r} is a reference solver: it has "
+                             "no schedule for --gantt or --schedule-csv")
 
     params = dict(_parse_param(raw) for raw in args.param)
     instance = _solve_source(args)
@@ -468,6 +409,15 @@ def _cmd_solve(args: argparse.Namespace, out) -> int:
         f"{100 * outcome.rejected_weight_fraction:.1f}% of weight)",
         file=out,
     )
+    if args.gantt or args.schedule_csv:
+        from repro.analysis.traces import ascii_gantt, trace_to_csv
+
+        if args.gantt:
+            print("", file=out)
+            print(ascii_gantt(outcome.result), file=out)
+        if args.schedule_csv:
+            print("", file=out)
+            print(trace_to_csv(outcome.result), file=out, end="")
     return 0
 
 
@@ -893,16 +843,10 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def _main(raw_argv: list[str], out, err) -> int:
-    if raw_argv[:1] == ["bench"]:
-        from repro.benchmarking import main as bench_main
-
-        return bench_main(raw_argv[1:], out=out, err=err)
     args = build_parser().parse_args(raw_argv)
     try:
         if args.command == "experiments":
             return _cmd_experiments(args, out)
-        if args.command == "simulate":
-            return _cmd_simulate(args, out)
         if args.command == "solve":
             return _cmd_solve(args, out)
         if args.command == "serve":

@@ -19,7 +19,7 @@ variable bookkeeping (used to verify Lemma 4 / Lemma 6 empirically), the
 bounds used by the experiments.
 """
 
-from repro.core.ordering import spt_order, density_order, spt_key, density_key
+from repro.core.ordering import spt_key, density_key
 from repro.core.rejection import (
     RunningJobCounter,
     MachineArrivalCounter,
@@ -41,13 +41,10 @@ from repro.core.dual_energy import EnergyFlowDualAccountant
 from repro.core.energy_min import ConfigLPEnergyScheduler, EnergySchedule
 from repro.core.smoothness import (
     smoothness_parameters,
-    verify_smooth_inequality,
     smooth_competitive_ratio,
 )
 
 __all__ = [
-    "spt_order",
-    "density_order",
     "spt_key",
     "density_key",
     "RunningJobCounter",
@@ -68,6 +65,5 @@ __all__ = [
     "ConfigLPEnergyScheduler",
     "EnergySchedule",
     "smoothness_parameters",
-    "verify_smooth_inequality",
     "smooth_competitive_ratio",
 ]

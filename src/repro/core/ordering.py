@@ -12,7 +12,7 @@ implementation is fully deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.simulation.job import Job
 
@@ -25,26 +25,6 @@ def spt_key(job: Job, machine: int) -> tuple[float, float, int]:
 def density_key(job: Job, machine: int) -> tuple[float, float, int]:
     """Sort key realising the Section 3 order (highest density first)."""
     return (-job.density_on(machine), job.release, job.id)
-
-
-def spt_order(jobs: Iterable[Job], machine: int) -> list[Job]:
-    """Jobs sorted by the Section 2 precedence order on ``machine``."""
-    return sorted(jobs, key=lambda job: spt_key(job, machine))
-
-
-def density_order(jobs: Iterable[Job], machine: int) -> list[Job]:
-    """Jobs sorted by the Section 3 precedence order on ``machine``."""
-    return sorted(jobs, key=lambda job: density_key(job, machine))
-
-
-def position_in_spt_order(job: Job, others: Sequence[Job], machine: int) -> int:
-    """Number of jobs in ``others`` that precede ``job`` in the SPT order.
-
-    ``others`` is the pending set the job is (virtually) inserted into; the
-    job itself may or may not be part of it.
-    """
-    key = spt_key(job, machine)
-    return sum(1 for other in others if other.id != job.id and spt_key(other, machine) < key)
 
 
 def split_by_precedence(

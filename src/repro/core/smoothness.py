@@ -23,14 +23,14 @@ with ``mu(alpha) = (alpha-1)/alpha`` and ``lambda(alpha) = Theta(alpha^{alpha-1}
 which yields the ``alpha^alpha`` competitive ratio of Theorem 3.
 
 The Theorem 3 *algorithm* never needs these constants — they appear only in
-the analysis — so this module exists to (a) verify the inequality numerically
-(property tests, experiment E7), and (b) turn smoothness parameters into the
-certified competitive ratio ``lambda / (1 - mu)``.
+the analysis — so this module exists to (a) check the inequality numerically
+(:func:`required_lambda`, used by the property tests), and (b) turn
+smoothness parameters into the certified competitive ratio
+``lambda / (1 - mu)``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -113,13 +113,6 @@ def smooth_inequality_lhs(alpha: float, a: Sequence[float], b: Sequence[float]) 
     return total
 
 
-def smooth_inequality_rhs(
-    alpha: float, a: Sequence[float], b: Sequence[float], lam: float, mu: float
-) -> float:
-    """Right-hand side ``lambda * (sum b)^alpha + mu * (sum a)^alpha``."""
-    return lam * sum(b) ** alpha + mu * sum(a) ** alpha
-
-
 def required_lambda(alpha: float, a: Sequence[float], b: Sequence[float], mu: float) -> float:
     """Smallest λ making the smooth inequality hold for the given sequences."""
     total_b = sum(b)
@@ -130,39 +123,3 @@ def required_lambda(alpha: float, a: Sequence[float], b: Sequence[float], mu: fl
         return 0.0
     lhs = smooth_inequality_lhs(alpha, a, b)
     return max(0.0, (lhs - mu * sum(a) ** alpha) / denominator)
-
-
-def verify_smooth_inequality(
-    alpha: float,
-    a: Sequence[float],
-    b: Sequence[float],
-    lam: float | None = None,
-    mu: float | None = None,
-    tolerance: float = 1e-9,
-) -> bool:
-    """Check the smooth inequality for explicit sequences and parameters.
-
-    ``lam``/``mu`` default to :func:`smoothness_parameters`.  Returns ``True``
-    when the inequality holds within the tolerance.
-    """
-    mu_val = mu_default(alpha) if mu is None else mu
-    lam_val = smoothness_parameters(alpha).lam if lam is None else lam
-    lhs = smooth_inequality_lhs(alpha, a, b)
-    rhs = smooth_inequality_rhs(alpha, a, b, lam_val, mu_val)
-    return lhs <= rhs + tolerance
-
-
-def power_smoothness_certificate(alpha: float) -> dict:
-    """Bundle of the Theorem 3 constants for power functions ``s^alpha``.
-
-    Reports both the paper's headline ``alpha^alpha`` bound and the certified
-    ``lambda/(1-mu)`` bound obtained from the numerically estimated λ.
-    """
-    params = smoothness_parameters(alpha)
-    return {
-        "alpha": alpha,
-        "mu": params.mu,
-        "lambda": params.lam,
-        "certified_ratio": params.competitive_ratio,
-        "paper_ratio": alpha**alpha,
-    }

@@ -56,15 +56,6 @@ class InfeasibleInstanceError(ReproError):
     """
 
 
-class DualFeasibilityError(ReproError):
-    """A dual-fitting certificate violated a dual constraint.
-
-    The analysis of the paper (Lemma 4 and Lemma 6) guarantees feasibility of
-    the constructed dual solutions; this error signals a violation beyond
-    numerical tolerance, i.e. an implementation bug.
-    """
-
-
 class UnknownAlgorithmError(InvalidParameterError):
     """An algorithm id was not found in the solver registry.
 

@@ -5,7 +5,7 @@ one of these bounds, so every function here must be a *true* lower bound on
 the optimal non-preemptive schedule:
 
 * :mod:`repro.lowerbounds.flow_combinatorial` — simple combinatorial bounds
-  for total (weighted) flow time;
+  for total flow time;
 * :mod:`repro.lowerbounds.flow_lp` — the paper's time-indexed LP relaxation
   solved with ``scipy.optimize.linprog`` (its optimum is at most twice OPT,
   so half of it is certified);
@@ -15,7 +15,6 @@ the optimal non-preemptive schedule:
 
 from repro.lowerbounds.flow_combinatorial import (
     total_processing_lower_bound,
-    weighted_processing_lower_bound,
     busy_interval_lower_bound,
     best_flow_time_lower_bound,
 )
@@ -28,7 +27,6 @@ from repro.lowerbounds.energy_bounds import (
 
 __all__ = [
     "total_processing_lower_bound",
-    "weighted_processing_lower_bound",
     "busy_interval_lower_bound",
     "best_flow_time_lower_bound",
     "FlowTimeLPRelaxation",

@@ -1,4 +1,4 @@
-"""Combinatorial lower bounds on the optimal total (weighted) flow time.
+"""Combinatorial lower bounds on the optimal total flow time.
 
 All bounds here hold for *every* schedule of *all* jobs (the adversary in the
 rejection model must complete every job), on unrelated machines, without
@@ -8,20 +8,12 @@ safe to use as competitive-ratio denominators.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 from repro.simulation.instance import Instance
 
 
 def total_processing_lower_bound(instance: Instance) -> float:
     """``sum_j min_i p_ij`` — every job's flow time is at least its best processing time."""
     return sum(job.min_size() for job in instance.jobs)
-
-
-def weighted_processing_lower_bound(instance: Instance) -> float:
-    """``sum_j w_j * min_i p_ij`` — the weighted counterpart."""
-    return sum(job.weight * job.min_size() for job in instance.jobs)
 
 
 def busy_interval_lower_bound(instance: Instance) -> float:

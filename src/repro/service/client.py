@@ -7,12 +7,11 @@ Threads each owning a client is the intended concurrency model — the server
 multiplexes them onto one event loop.
 
 :func:`run_loadgen` is the capacity-measurement harness behind
-``repro loadgen``, the E15 service-capacity experiment and the
-``e15_service`` bench: it drives N concurrent sessions from the scenario
-catalog at a controlled rate, records per-chunk decision latencies, and can
-verify that every session's final summary is byte-identical to the batch
-:func:`repro.solve` of the same instance — the end-to-end determinism claim
-of the service layer.
+``repro loadgen`` and the E15 service-capacity experiment: it drives N
+concurrent sessions from the scenario catalog at a controlled rate, records
+per-chunk decision latencies, and can verify that every session's final
+summary is byte-identical to the batch :func:`repro.solve` of the same
+instance — the end-to-end determinism claim of the service layer.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class ServiceClient:
             raise ServiceError(f"response line longer than {MAX_LINE_BYTES} bytes")
         try:
             row = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ServiceError(f"response line is not JSON: {exc}") from None
         if not isinstance(row, dict):
             raise ServiceError(

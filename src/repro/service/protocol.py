@@ -155,9 +155,11 @@ def parse_request(line: str, lineno: int = 0) -> Request:
     malformed job row in a ``submit`` raises
     :class:`~repro.exceptions.TraceSchemaError` naming the field.
     """
+    # ValueError: malformed JSON or an int past the digit limit;
+    # RecursionError: nesting past the recursion limit.
     try:
         data = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise ServiceProtocolError(f"not valid JSON ({exc})", lineno=lineno) from None
     if not isinstance(data, dict):
         raise ServiceProtocolError(

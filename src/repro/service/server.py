@@ -293,7 +293,7 @@ class ServiceServer:
 
 
 # --------------------------------------------------------------------------------------
-# Thread-hosted loopback server (tests, loadgen --self-host, E15, benches)
+# Thread-hosted loopback server (tests, loadgen --self-host, E15)
 # --------------------------------------------------------------------------------------
 
 

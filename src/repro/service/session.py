@@ -464,7 +464,12 @@ class SchedulerSession:
         if isinstance(snapshot, str):
             import json
 
-            snapshot = json.loads(snapshot)
+            try:
+                snapshot = json.loads(snapshot)
+            except (ValueError, RecursionError) as exc:
+                raise SessionStateError(
+                    f"cannot restore snapshot: not valid JSON ({exc})"
+                ) from None
         schema = _snapshot_field(snapshot, "schema", int, "an integer")
         if schema != SNAPSHOT_SCHEMA_VERSION:
             raise SessionStateError(

@@ -7,12 +7,17 @@ All metrics follow the paper's accounting conventions:
 * energy includes the energy spent on partially executed (rejected) jobs;
 * the rejection budget of Theorem 1 is measured in *number of jobs*, the one
   of Theorem 2 in *total weight*.
+
+Float totals are accumulated left to right with ``+=``, never with ``sum()``:
+Python 3.12 made ``sum()`` of floats compensated, so it would give other bits
+than 3.10 and 3.11, and outcome rows must not depend on the Python version.
+The energy and weight totals start from the int ``0``, as ``sum()`` did, so an
+empty total stays the int ``0`` it always was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.simulation.schedule import SimulationResult
 
@@ -43,8 +48,11 @@ def total_energy(result: SimulationResult) -> float:
     Computed from the execution intervals using each machine's power exponent;
     includes energy spent on jobs that were later rejected while running.
     """
-    instance = result.instance
-    return sum(iv.energy(instance.machines[iv.machine].alpha) for iv in result.intervals)
+    machines = result.instance.machines
+    total = 0
+    for iv in result.intervals:
+        total += iv.energy(machines[iv.machine].alpha)
+    return total
 
 
 def flow_plus_energy(result: SimulationResult, include_rejected: bool = True) -> float:
@@ -67,12 +75,18 @@ def rejected_fraction(result: SimulationResult) -> float:
 
 def rejected_weight(result: SimulationResult) -> float:
     """Total weight of rejected jobs."""
-    return sum(record.weight for record in result.records.values() if record.rejected)
+    total = 0
+    for record in result.records.values():
+        if record.rejected:
+            total += record.weight
+    return total
 
 
 def rejected_weight_fraction(result: SimulationResult) -> float:
     """Fraction of total weight rejected (Theorem 2 budget)."""
-    total = sum(record.weight for record in result.records.values())
+    total = 0
+    for record in result.records.values():
+        total += record.weight
     if total == 0:
         return 0.0
     return rejected_weight(result) / total
@@ -86,30 +100,6 @@ def max_flow_time(result: SimulationResult, include_rejected: bool = True) -> fl
         if include_rejected or not record.rejected
     ]
     return max(flows, default=0.0)
-
-
-def mean_stretch(result: SimulationResult) -> float:
-    """Mean of flow time divided by the job's best processing time (completed jobs)."""
-    instance = result.instance
-    jobs = {job.id: job for job in instance.jobs}
-    stretches = []
-    for record in result.completed_records():
-        best = jobs[record.job_id].min_size()
-        if best > 0:
-            stretches.append(record.flow_time / best)
-    if not stretches:
-        return 0.0
-    return sum(stretches) / len(stretches)
-
-
-def machine_utilisation(result: SimulationResult) -> list[float]:
-    """Busy-time fraction of each machine over the schedule's makespan."""
-    makespan = result.makespan()
-    if makespan <= 0:
-        return [0.0] * result.instance.num_machines
-    return [
-        result.machine_busy_time(i) / makespan for i in range(result.instance.num_machines)
-    ]
 
 
 @dataclass(frozen=True)

@@ -9,22 +9,9 @@ executable comparisons.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 #: Absolute tolerance used across the library when comparing continuous times.
 EPS: float = 1e-9
-
-
-def is_close(a: float, b: float, tol: float = EPS) -> bool:
-    """Return ``True`` when ``a`` and ``b`` differ by at most ``tol`` (absolute)."""
-    return abs(a - b) <= tol
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Integer ceiling division for non-negative integers."""
-    if b <= 0:
-        raise ValueError(f"divisor must be positive, got {b}")
-    return -(-a // b)
 
 
 def integer_threshold(x: float) -> int:
@@ -41,43 +28,8 @@ def integer_threshold(x: float) -> int:
     return max(1, math.ceil(x - EPS))
 
 
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean of positive values; 0.0 for an empty iterable."""
-    vals = [v for v in values]
-    if not vals:
-        return 0.0
-    if any(v <= 0 for v in vals):
-        raise ValueError("harmonic mean requires positive values")
-    return len(vals) / sum(1.0 / v for v in vals)
-
-
 def safe_ratio(numerator: float, denominator: float, default: float = math.inf) -> float:
     """``numerator / denominator`` guarding against a zero denominator."""
     if abs(denominator) <= EPS:
         return default if abs(numerator) > EPS else 1.0
     return numerator / denominator
-
-
-def geometric_grid(low: float, high: float, count: int) -> list[float]:
-    """Geometrically spaced grid of ``count`` values covering ``[low, high]``.
-
-    Used to build discrete speed sets for the Section 4 energy-minimisation
-    scheduler.  Endpoints are always included.
-    """
-    if low <= 0 or high <= 0:
-        raise ValueError("geometric grid requires positive endpoints")
-    if high < low:
-        raise ValueError(f"high ({high}) must be >= low ({low})")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if count == 1 or is_close(low, high):
-        return [low] if is_close(low, high) else [low, high]
-    ratio = (high / low) ** (1.0 / (count - 1))
-    grid = [low * ratio**k for k in range(count)]
-    grid[-1] = high
-    return grid
-
-
-def weighted_sum(weights: Iterable[float], values: Iterable[float]) -> float:
-    """Dot product of two equally long iterables."""
-    return sum(w * v for w, v in zip(weights, values, strict=True))

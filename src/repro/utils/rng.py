@@ -2,17 +2,15 @@
 
 Every stochastic component of the library accepts either an integer seed or a
 :class:`numpy.random.Generator`.  Funnelling construction through
-:func:`make_rng` keeps experiments reproducible and lets a single master seed
-drive arbitrarily many independent streams via :func:`spawn_rngs`.
+:func:`make_rng` keeps experiments reproducible; :func:`seeds_for` derives
+stable per-label seeds from one master seed.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-RngLike = "int | np.random.Generator | None"
 
 
 def make_rng(seed: "int | np.random.Generator | None" = None) -> np.random.Generator:
@@ -29,20 +27,6 @@ def make_rng(seed: "int | np.random.Generator | None" = None) -> np.random.Gener
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: "int | np.random.Generator | None", count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from one seed.
-
-    Uses :meth:`numpy.random.Generator.spawn` under the hood so that streams
-    do not overlap even for large ``count``.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = make_rng(seed)
-    if count == 0:
-        return []
-    return list(parent.spawn(count))
-
-
 def seeds_for(master_seed: int, labels: Sequence[str]) -> dict[str, int]:
     """Map experiment sub-labels to deterministic per-label integer seeds.
 
@@ -56,12 +40,4 @@ def seeds_for(master_seed: int, labels: Sequence[str]) -> dict[str, int]:
         for ch in f"{master_seed}:{label}".encode():
             h = ((h ^ ch) * 1099511628211) & mask
         out[label] = h % (2**31 - 1)
-    return out
-
-
-def shuffled(items: Iterable, seed: "int | np.random.Generator | None" = None) -> list:
-    """Return a shuffled copy of ``items`` using a deterministic generator."""
-    rng = make_rng(seed)
-    out = list(items)
-    rng.shuffle(out)
     return out

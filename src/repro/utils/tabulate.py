@@ -25,7 +25,7 @@ def format_table(
 
     Floats are formatted with ``precision`` digits; very large/small values
     fall back to scientific notation.  The output is used verbatim in
-    EXPERIMENTS.md and by the benchmark harness, so it is deterministic.
+    EXPERIMENTS.md and by the CLI, so it is deterministic.
     """
     str_rows = [[_fmt_cell(c, precision) for c in row] for row in rows]
     widths = [len(h) for h in headers]

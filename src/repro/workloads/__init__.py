@@ -38,7 +38,6 @@ from repro.workloads.machine_models import (
 from repro.workloads.generators import InstanceGenerator, WeightedInstanceGenerator, DeadlineInstanceGenerator
 from repro.workloads.adversarial import (
     lemma1_instance,
-    lemma1_sweep,
     overload_burst_instance,
     Lemma2Adversary,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "WeightedInstanceGenerator",
     "DeadlineInstanceGenerator",
     "lemma1_instance",
-    "lemma1_sweep",
     "overload_burst_instance",
     "Lemma2Adversary",
     "WorkloadSuite",

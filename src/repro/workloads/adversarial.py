@@ -72,11 +72,6 @@ def lemma1_instance(length: float, epsilon: float, small_multiplier: float = 1.0
     return Instance.single_machine(jobs, name=f"lemma1(L={length:g},eps={epsilon:g})")
 
 
-def lemma1_sweep(lengths: list[float], epsilon: float) -> list[Instance]:
-    """Lemma 1 instances for a sweep of ``L`` values (``Delta = L^2`` sweep)."""
-    return [lemma1_instance(length, epsilon) for length in lengths]
-
-
 def overload_burst_instance(
     num_machines: int,
     burst_jobs: int,

@@ -1,11 +1,11 @@
-"""Named workload suites used by the experiments and benchmarks.
+"""Named workload suites used by the experiments.
 
 A :class:`WorkloadSuite` bundles a set of instances (or instance factories)
-under a name, so benchmarks, examples and EXPERIMENTS.md all refer to the same
+under a name, so experiments, examples and EXPERIMENTS.md all refer to the same
 parameterisation.  ``standard_suites()`` returns the suites in three scales:
 
 * ``small``  — seconds to run; used by the test suite and CI;
-* ``medium`` — the default for the benchmark harness;
+* ``medium`` — the experiments' ``scale="medium"`` sweeps;
 * ``large``  — long runs of the E1, E6 and E9 sweeps (``scale="large"``).
 
 Four suites ship per scale: ``flow``, ``weighted``, ``deadline`` and

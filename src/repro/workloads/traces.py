@@ -226,9 +226,11 @@ def iter_ndjson_jobs(stream: TextIO) -> Iterator[tuple[int, Job]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        # ValueError: malformed JSON or an int past the digit limit;
+        # RecursionError: nesting past the recursion limit.
         try:
             data = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:
             raise TraceSchemaError(f"not valid JSON ({exc})", lineno=lineno) from exc
         yield lineno, parse_job_row(data, lineno)
 

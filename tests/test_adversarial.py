@@ -7,7 +7,6 @@ from repro.exceptions import InvalidParameterError
 from repro.workloads.adversarial import (
     Lemma2Adversary,
     lemma1_instance,
-    lemma1_sweep,
     overload_burst_instance,
 )
 
@@ -35,10 +34,6 @@ class TestLemma1Instance:
         base = lemma1_instance(length=8.0, epsilon=0.5)
         doubled = lemma1_instance(length=8.0, epsilon=0.5, small_multiplier=2.0)
         assert doubled.num_jobs > base.num_jobs
-
-    def test_sweep(self):
-        instances = lemma1_sweep([4.0, 8.0], epsilon=0.25)
-        assert [inst.delta() for inst in instances] == [pytest.approx(16.0), pytest.approx(64.0)]
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):

@@ -118,6 +118,25 @@ def test_solve_path_leaves_off_path_modules_unloaded_and_lp_bound_loads_scipy(tm
     assert "scipy.optimize" in result["after_lp"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--gantt", "--schedule-csv"]], ids=["plain", "schedule"])
+def test_solve_command_loads_the_chart_module_only_when_asked(flags):
+    loaded_modules = _run_fresh(
+        """
+        import io
+        from repro.cli import main
+
+        assert main(["solve", "--jobs", "20", *sys.argv[1:]], out=io.StringIO()) == 0
+        print(json.dumps(loaded()))
+        """,
+        *flags,
+        watched=OFF_SOLVE_PATH,
+    )
+    if flags:
+        assert "repro.analysis" in loaded_modules and "scipy" not in loaded_modules
+    else:
+        assert loaded_modules == []
+
+
 def test_serve_path_leaves_off_path_modules_unloaded():
     result = _run_fresh(
         """

@@ -8,7 +8,6 @@ from repro.lowerbounds.flow_combinatorial import (
     best_flow_time_lower_bound,
     busy_interval_lower_bound,
     total_processing_lower_bound,
-    weighted_processing_lower_bound,
 )
 from repro.lowerbounds.flow_lp import FlowTimeLPRelaxation, lp_flow_time_lower_bound
 from repro.simulation.instance import Instance
@@ -21,11 +20,6 @@ class TestCombinatorialBounds:
         jobs = [Job(0, 0.0, (3.0, 5.0)), Job(1, 0.0, (4.0, 2.0))]
         instance = Instance.build(2, jobs)
         assert total_processing_lower_bound(instance) == pytest.approx(5.0)
-
-    def test_weighted_processing(self):
-        jobs = [Job(0, 0.0, (3.0,), weight=2.0), Job(1, 0.0, (4.0,), weight=0.5)]
-        instance = Instance.build(1, jobs)
-        assert weighted_processing_lower_bound(instance) == pytest.approx(8.0)
 
     def test_busy_interval_single_machine_burst(self):
         # Four unit jobs released together on one machine: optimum is 1+2+3+4.

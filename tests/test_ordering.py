@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.core.ordering import (
-    density_key,
-    density_order,
-    position_in_spt_order,
-    split_by_precedence,
-    spt_key,
-    spt_order,
-)
+from repro.core.ordering import density_key, split_by_precedence, spt_key
 from repro.simulation.job import Job
 
 
@@ -20,6 +13,14 @@ def _jobs():
         Job(2, release=0.5, sizes=(3.0, 3.0), weight=3.0),
         Job(3, release=2.0, sizes=(2.0, 4.0), weight=1.0),
     ]
+
+
+def spt_order(jobs, machine):
+    return sorted(jobs, key=lambda job: spt_key(job, machine))
+
+
+def density_order(jobs, machine):
+    return sorted(jobs, key=lambda job: density_key(job, machine))
 
 
 class TestSPTOrder:
@@ -42,10 +43,12 @@ class TestSPTOrder:
         jobs = _jobs()
         assert spt_key(jobs[1], 0) < spt_key(jobs[0], 0)
 
-    def test_position_in_order(self):
+    def test_split_of_a_job_outside_the_set(self):
         jobs = _jobs()
         new = Job(9, release=5.0, sizes=(2.5, 1.0))
-        assert position_in_spt_order(new, jobs, machine=0) == 2
+        preceding, succeeding = split_by_precedence(new, jobs, machine=0)
+        assert {job.id for job in preceding} == {1, 3}
+        assert {job.id for job in succeeding} == {0, 2}
 
 
 class TestDensityOrder:

@@ -156,6 +156,10 @@ _DECISION_EVENTS = _decision_events(_PLAIN_FLOATS, _PLAIN_INTS) | _decision_even
 _PAST_FLOAT = "1" + "0" * 400
 _PAST_FLOAT_ROW = '{"id": 0, "release": %s, "sizes": [1.0, 2.0]}' % _PAST_FLOAT
 _PAST_DIGIT_LIMIT_LINE = '{"id": 0, "release": 0.0, "sizes": [%s]}' % ("9" * 5000)
+#: Arrays and objects nested past the recursion limit: json.loads raises
+#: RecursionError, not a ValueError.
+_NESTED_LINE = "[" * 100_000
+_NESTED_OBJECT_LINE = '{"a":' * 100_000
 
 
 class TestProtocol:
@@ -212,6 +216,13 @@ class TestProtocol:
     )
     def test_invalid_control_messages(self, line):
         with pytest.raises(ServiceProtocolError):
+            parse_request(line, 5)
+
+    @pytest.mark.parametrize(
+        "line", [_NESTED_LINE, _NESTED_OBJECT_LINE], ids=["arrays", "objects"]
+    )
+    def test_nesting_past_the_recursion_limit_is_not_valid_json(self, line):
+        with pytest.raises(ServiceProtocolError, match=r"^line 5: not valid JSON \(maximum"):
             parse_request(line, 5)
 
     @pytest.mark.parametrize("op", OPS)
@@ -772,6 +783,19 @@ class TestServer:
             hello = json.loads(reader.readline())
             assert hello["event"] == "hello" and hello["sessions"] == 0, hello
 
+    def test_nesting_past_the_recursion_limit_gets_one_attributed_error(self, server):
+        with (
+            socket.create_connection((server.host, server.port), timeout=30) as sock,
+            sock.makefile("rb") as reader,
+        ):
+            sock.sendall(_NESTED_LINE.encode("ascii") + b"\n")
+            row = json.loads(reader.readline())
+            assert row["event"] == "error" and row["code"] == "protocol", row
+            assert row["error"].startswith("line 1: not valid JSON"), row
+            sock.sendall(b'{"op":"hello"}\n')
+            hello = json.loads(reader.readline())
+            assert hello["event"] == "hello" and hello["sessions"] == 0, hello
+
     def test_shutdown_op_exits_zero_when_all_sessions_closed(self, server):
         with ServiceClient(server.host, server.port) as client:
             client.create("tidy")
@@ -828,8 +852,9 @@ class TestClientFraming:
             (b"not json\n", "not JSON"),
             (b'["hello"]\n', "JSON list, not an object"),
             (b'{"event":"hello"', "closed the connection mid-line"),
+            (_NESTED_LINE.encode("ascii") + b"\n", "not JSON: maximum recursion depth"),
         ],
-        ids=["non-json", "json-array", "cut-off"],
+        ids=["non-json", "json-array", "cut-off", "nested-past-recursion-limit"],
     )
     def test_bad_response_line_is_a_service_error(self, payload, cause):
         with _one_shot_client(payload) as client:
@@ -931,11 +956,6 @@ class TestE15:
         medium_ids = {entry.experiment_id for entry in GRIDS["medium"].entries}
         assert "E15" in small_ids and "E15" in medium_ids
 
-    def test_e15_bench_registered(self):
-        from repro.benchmarking import SPECS
-
-        assert "e15_service" in SPECS and SPECS["e15_service"].quick
-
 
 # --------------------------------------------------------------------------------------
 # CLI
@@ -954,7 +974,9 @@ class TestCLI:
         assert out.getvalue() == GOLDEN_OUT.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
-        "line", [_PAST_FLOAT_ROW, _PAST_DIGIT_LIMIT_LINE], ids=["past-float", "past-digit-limit"]
+        "line",
+        [_PAST_FLOAT_ROW, _PAST_DIGIT_LIMIT_LINE, _NESTED_LINE],
+        ids=["past-float", "past-digit-limit", "nested-past-recursion-limit"],
     )
     def test_stdio_serve_refuses_an_oversized_number_with_exit_2(self, line, tmp_path):
         trace = tmp_path / "oversized.ndjson"
@@ -963,6 +985,17 @@ class TestCLI:
         code = cli.main(["serve", "--machines", "2", "--trace", str(trace)], out=out, err=err)
         assert code == 2
         assert err.getvalue().startswith("error: line 1: "), err.getvalue()[:200]
+
+    def test_stdio_serve_process_reports_a_nested_line_without_a_traceback(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--machines", "1"],
+            input=_NESTED_LINE + "\n", capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert proc.stderr.startswith("error: line 1: not valid JSON"), proc.stderr[-500:]
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_list_algorithms_streaming_filter(self):
         out = io.StringIO()

@@ -472,8 +472,11 @@ class TestSnapshotRestore:
             ('{"schema": 1, "algorithm": "fcfs", "machines": [{"id": 0}], "params": {}, '
              '"ops": [{"op": "submit_many", "jobs": [{"id": 0, "release": 0.0}]}]}',
              "ops[0]: jobs[0]: field 'sizes': required field missing"),
+            ("not json", "not valid JSON (Expecting value"),
+            ("[" * 100_000, "not valid JSON (maximum recursion depth"),
         ],
-        ids=["array", "no-schema", "op-array", "advance-nan", "job-row"],
+        ids=["array", "no-schema", "op-array", "advance-nan", "job-row", "not-json",
+             "nested-past-recursion-limit"],
     )
     def test_restore_names_what_is_malformed(self, payload, cause):
         with pytest.raises(SessionStateError) as exc:

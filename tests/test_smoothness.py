@@ -5,13 +5,10 @@ import pytest
 from repro.core.smoothness import (
     lambda_single_step,
     mu_default,
-    power_smoothness_certificate,
     required_lambda,
     smooth_competitive_ratio,
     smooth_inequality_lhs,
-    smooth_inequality_rhs,
     smoothness_parameters,
-    verify_smooth_inequality,
 )
 from repro.exceptions import InvalidParameterError
 
@@ -40,22 +37,17 @@ class TestParameters:
         with pytest.raises(InvalidParameterError):
             smooth_competitive_ratio(1.0, 1.0)
 
-    def test_certificate_reports_paper_ratio(self):
-        certificate = power_smoothness_certificate(3.0)
-        assert certificate["paper_ratio"] == pytest.approx(27.0)
-        assert certificate["mu"] == pytest.approx(2.0 / 3.0)
-        assert certificate["lambda"] > 0
+    def test_parameters_certify_lambda_over_one_minus_mu(self):
+        params = smoothness_parameters(3.0)
+        assert params.mu == pytest.approx(2.0 / 3.0)
+        assert params.lam > 0
+        assert params.competitive_ratio == pytest.approx(params.lam / (1.0 - params.mu))
 
 
 class TestSmoothInequality:
     def test_lhs_known_value(self):
         # a=(1,1), b=(1,1), alpha=2: [(1+1)^2 - 1] + [(1+2)^2 - 4] = 3 + 5 = 8.
         assert smooth_inequality_lhs(2.0, [1.0, 1.0], [1.0, 1.0]) == pytest.approx(8.0)
-
-    def test_rhs_known_value(self):
-        assert smooth_inequality_rhs(2.0, [1.0, 1.0], [1.0, 1.0], lam=3.0, mu=0.5) == (
-            pytest.approx(3.0 * 4.0 + 0.5 * 4.0)
-        )
 
     def test_holds_with_default_parameters(self):
         sequences = [
@@ -65,8 +57,9 @@ class TestSmoothInequality:
             ([4.0], [0.1]),
         ]
         for alpha in (1.5, 2.0, 2.5, 3.0):
+            params = smoothness_parameters(alpha)
             for a, b in sequences:
-                assert verify_smooth_inequality(alpha, a, b)
+                assert required_lambda(alpha, a, b, params.mu) <= params.lam + 1e-9
 
     def test_required_lambda_below_parameter(self):
         for alpha in (2.0, 3.0):
@@ -74,8 +67,9 @@ class TestSmoothInequality:
             for a, b in [([1.0, 2.0, 1.0], [2.0, 0.5, 1.0]), ([0.5] * 5, [1.5] * 5)]:
                 assert required_lambda(alpha, a, b, params.mu) <= params.lam + 1e-9
 
-    def test_violations_detected_with_tiny_lambda(self):
-        assert not verify_smooth_inequality(2.0, [2.0], [1.0], lam=0.1, mu=0.0)
+    def test_required_lambda_known_value(self):
+        # a=(2,), b=(1,), alpha=2, mu=0: LHS (1+2)^2 - 2^2 = 5, so lambda = 0.1 fails.
+        assert required_lambda(2.0, [2.0], [1.0], mu=0.0) == pytest.approx(5.0)
 
     def test_rejects_negative_values(self):
         with pytest.raises(InvalidParameterError):

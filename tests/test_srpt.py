@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.baselines.srpt import (
-    srpt_per_machine_assignment_bound,
-    srpt_single_machine_flow_time,
-    srpt_unrelated_lower_bound,
-)
+from repro.baselines.srpt import srpt_single_machine_flow_time, srpt_unrelated_lower_bound
 from repro.exceptions import InvalidParameterError
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
@@ -63,14 +59,3 @@ class TestUnrelatedRelaxations:
 
     def test_empty_instance(self):
         assert srpt_unrelated_lower_bound(Instance.build(2, [])) == 0.0
-
-    def test_per_machine_assignment_bound(self):
-        jobs = [Job(0, 0.0, (2.0, 9.0)), Job(1, 0.0, (9.0, 3.0))]
-        instance = Instance.build(2, jobs)
-        value = srpt_per_machine_assignment_bound(instance, {0: 0, 1: 1})
-        assert value == pytest.approx(2.0 + 3.0)
-
-    def test_per_machine_assignment_ignores_unassigned(self):
-        jobs = [Job(0, 0.0, (2.0,))]
-        instance = Instance.build(1, jobs)
-        assert srpt_per_machine_assignment_bound(instance, {}) == 0.0

@@ -1,22 +1,13 @@
 """Tests for workload suites, competitive estimates, statistics and reporting."""
 
-import math
-
 import pytest
 
-from repro.analysis.competitive import (
-    CompetitiveEstimate,
-    energy_competitive_estimate,
-    flow_time_competitive_estimate,
-    weighted_flow_energy_competitive_estimate,
-)
+from repro.analysis.competitive import CompetitiveEstimate, flow_time_competitive_estimate
 from repro.analysis.reporting import ExperimentTable, render_report
-from repro.analysis.statistics import describe, geometric_mean, ratio_statistics, relative_regret
+from repro.analysis.statistics import describe
 from repro.core.flow_time import RejectionFlowTimeScheduler
-from repro.core.flow_time_energy import RejectionEnergyFlowScheduler
 from repro.exceptions import InvalidParameterError
 from repro.simulation.engine import FlowTimeEngine
-from repro.simulation.speed_engine import SpeedScalingEngine
 from repro.workloads.suites import WorkloadSuite, standard_suites
 
 
@@ -66,20 +57,6 @@ class TestCompetitiveEstimates:
         assert estimate.ratio_vs_lower_bound >= estimate.ratio_vs_reference > 0
         assert estimate.within_theoretical_bound is not None
 
-    def test_weighted_estimate(self, weighted_instance):
-        result = SpeedScalingEngine(weighted_instance).run(
-            RejectionEnergyFlowScheduler(epsilon=0.5)
-        )
-        estimate = weighted_flow_energy_competitive_estimate(result)
-        assert estimate.cost > 0 and estimate.lower_bound > 0
-
-    def test_energy_estimate(self, deadline_instance):
-        estimate = energy_competitive_estimate(
-            deadline_instance, algorithm_energy=42.0, algorithm="greedy"
-        )
-        assert estimate.cost == 42.0
-        assert estimate.ratio_vs_lower_bound >= 1.0 or estimate.lower_bound > 42.0
-
     def test_estimate_row_and_bound_flag(self):
         estimate = CompetitiveEstimate(
             algorithm="x", cost=10.0, lower_bound=2.0, reference_cost=5.0, theoretical_bound=4.0
@@ -100,20 +77,6 @@ class TestStatistics:
 
     def test_describe_empty(self):
         assert describe([]).count == 0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(InvalidParameterError):
-            geometric_mean([1.0, 0.0])
-
-    def test_ratio_statistics(self):
-        stats = ratio_statistics([1.0, 2.0, math.inf])
-        assert stats["count"] == 2
-        assert stats["max"] == 2.0
-
-    def test_relative_regret(self):
-        assert relative_regret(12.0, 10.0) == pytest.approx(0.2)
-        assert relative_regret(5.0, 0.0) == math.inf
 
 
 class TestReporting:

@@ -144,6 +144,11 @@ class TestSchemaErrors:
         with pytest.raises(TraceSchemaError, match="line 3: not valid JSON"):
             _ndjson_job('{"id": 0, "release": %s, "sizes": [1.0]}' % ("9" * 5000), lineno=3)
 
+    def test_nesting_past_the_recursion_limit_is_not_valid_json(self):
+        # json.loads raises RecursionError here, not a ValueError.
+        with pytest.raises(TraceSchemaError, match=r"line 1: not valid JSON \(maximum"):
+            list(read_trace_jobs(io.StringIO("[" * 100_000 + "\n"), "ndjson"))
+
     def test_trace_schema_error_is_invalid_parameter_error(self):
         # The CLI's exit-2 contract catches ReproError; the subclassing keeps
         # pre-existing callers that catch InvalidParameterError working.
@@ -1118,6 +1123,20 @@ class TestTraceCli:
         assert main(["trace", "inspect", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "'release'" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--trace"], ["trace", "inspect"], ["trace", "convert"]],
+        ids=["solve", "inspect", "convert"],
+    )
+    def test_nesting_past_the_recursion_limit_exits_2_with_line(self, tmp_path, capsys, command):
+        path = tmp_path / "nested.ndjson"
+        path.write_text('{"id": 0, "release": 0.0, "sizes": [1.0]}\n' + "[" * 100_000 + "\n")
+        argv = [*command, str(path)]
+        if command[-1] == "convert":
+            argv.append(str(tmp_path / "out.csv"))
+        assert main(argv, out=io.StringIO()) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: not valid JSON (maximum")
 
     @pytest.mark.parametrize("command", [["solve", "--trace"], ["trace", "inspect"]])
     @pytest.mark.parametrize("column, value, field", [

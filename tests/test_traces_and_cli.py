@@ -17,6 +17,7 @@ from repro.exceptions import InvalidParameterError
 from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
+from repro.solvers import get_solver
 from repro.utils.serialization import canonical_json
 from repro.workloads.generators import InstanceGenerator
 from repro.workloads.scenarios import SCENARIOS, get_scenario
@@ -114,9 +115,26 @@ class TestCLI:
             if isinstance(action, argparse._SubParsersAction)
         ]
         assert sorted(subcommands.choices) == [
-            "adaptive", "bench", "bounds", "campaign", "experiments",
-            "loadgen", "serve", "simulate", "solve", "trace",
+            "adaptive", "bounds", "campaign", "experiments",
+            "loadgen", "serve", "solve", "trace",
         ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "--quick"], "invalid choice: 'bench'"),
+            (["simulate", "--gantt"], "invalid choice: 'simulate'"),
+            (["solve", "--policy", "theorem1"], "unrecognized arguments: --policy theorem1"),
+            (["solve", "--epsilon", "0.5"], "unrecognized arguments: --epsilon 0.5"),
+        ],
+    )
+    def test_retired_commands_and_flags_are_refused(self, argv, message, capsys):
+        # `solve` runs every registry policy; `simulate` and its own policy
+        # names are gone, and so is the `bench` timer.
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=io.StringIO())
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -141,22 +159,6 @@ class TestCLI:
         assert "Theorem 1" in text and "50.000" in text
         assert "Theorem 3" in text and "27.000" in text
 
-    def test_simulate_command(self):
-        code, text = self._run(
-            ["simulate", "--jobs", "30", "--machines", "2", "--epsilon", "0.5", "--gantt"]
-        )
-        assert code == 0
-        assert "total flow" in text
-        assert "m0" in text  # the Gantt chart was printed
-
-    def test_simulate_with_trace_and_other_policies(self):
-        for policy in ("greedy", "fcfs", "immediate"):
-            code, text = self._run(
-                ["simulate", "--jobs", "15", "--machines", "2", "--policy", policy, "--trace"]
-            )
-            assert code == 0
-            assert "time,kind,job_id,machine,detail" in text
-
     def test_experiments_list(self):
         code, text = self._run(["experiments", "--list"])
         assert code == 0
@@ -169,10 +171,101 @@ class TestCLI:
 
     @pytest.mark.parametrize("experiment_id", ["E8", "E12"])
     def test_timing_experiments_are_gone(self, experiment_id, capsys):
-        # Timing lives in perfbench and `repro bench`, not in experiments.
+        # Timing lives in perfbench, not in experiments.
         code, text = self._run(["experiments", "--only", experiment_id])
         assert code == 2 and text == ""
         assert f"unknown experiment '{experiment_id}'" in capsys.readouterr().err
+
+
+#: Registry ids by whether an engine runs them (and so leaves a schedule).
+_ENGINE_ALGORITHMS = [
+    row["algorithm"] for row in repro.list_algorithms() if row["model"] != "reference"
+]
+_REFERENCE_ALGORITHMS = [
+    row["algorithm"] for row in repro.list_algorithms() if row["model"] == "reference"
+]
+#: Engine runs under each dispatch mode, or none for an algorithm that builds
+#: its own engine (a runner) and refuses the override.
+_SCHEDULE_RUNS = [
+    (algorithm, dispatch)
+    for algorithm in _ENGINE_ALGORITHMS
+    for dispatch in (DISPATCH_MODES if get_solver(algorithm).runner is None else (None,))
+]
+
+
+class TestSolveSchedule:
+    """``solve --gantt`` / ``--schedule-csv`` print the schedule after the summary."""
+
+    SOURCE = ["--jobs", "30", "--machines", "2", "--seed", "3"]
+
+    def _run(self, argv):
+        out = io.StringIO()
+        code = main(["solve", *self.SOURCE, *argv], out=out)
+        return code, out.getvalue()
+
+    def _result(self, algorithm):
+        instance = InstanceGenerator(num_machines=2, seed=3).generate(30)
+        return repro.solve(instance, algorithm).result
+
+    # Covers the four policies of the retired `simulate` command too: greedy,
+    # fcfs, immediate-rejection and rejection-flow.  Both dispatch modes print
+    # the schedule of the default one.
+    @pytest.mark.parametrize("algorithm, dispatch", _SCHEDULE_RUNS)
+    def test_chart_and_csv_are_those_of_the_solved_schedule(self, algorithm, dispatch):
+        pinned = [] if dispatch is None else ["--dispatch", dispatch]
+        code, text = self._run(["--algorithm", algorithm, *pinned, "--gantt", "--schedule-csv"])
+        assert code == 0
+        summary, schedule = text.split("\n\n", 1)
+        assert summary.startswith("instance      : ")
+        result = self._result(algorithm)
+        assert schedule == ascii_gantt(result) + "\n\n" + trace_to_csv(result)
+
+    def test_scenario_and_trace_sources_print_the_same_schedule(self, tmp_path):
+        source = ["--scenario", "flash-crowd", "--jobs", "40", "--machines", "3"]
+        out = io.StringIO()
+        assert main(["solve", *source, "--gantt", "--schedule-csv"], out=out) == 0
+        from_scenario = out.getvalue()
+        trace = tmp_path / "crowd.csv"
+        assert main(["trace", "generate", *source, "--seed", "0", "--out", str(trace)],
+                    out=io.StringIO()) == 0
+        out = io.StringIO()
+        assert main(["solve", "--trace", str(trace), "--gantt", "--schedule-csv"], out=out) == 0
+        from_trace = out.getvalue()
+        result = repro.solve(trace_instance(trace)).result
+        schedule = ascii_gantt(result) + "\n\n" + trace_to_csv(result)
+        assert from_scenario.split("\n\n", 1)[1] == schedule
+        assert from_trace.split("\n\n", 1)[1] == schedule
+
+    def test_an_empty_schedule_prints_a_header_only(self):
+        out = io.StringIO()
+        assert main(["solve", "--jobs", "0", "--gantt", "--schedule-csv"], out=out) == 0
+        assert out.getvalue().endswith("\n\n(empty schedule)\n\ntime,kind,job_id,machine,detail\n")
+
+    @pytest.mark.parametrize("flag", ["--gantt", "--schedule-csv"])
+    def test_each_flag_prints_only_its_output(self, flag):
+        code, text = self._run([flag])
+        assert code == 0
+        result = self._result("rejection-flow")
+        expected = ascii_gantt(result) + "\n" if flag == "--gantt" else trace_to_csv(result)
+        assert text.split("\n\n", 1)[1] == expected
+
+    def test_summary_is_unchanged_by_the_flags(self):
+        _, plain = self._run([])
+        _, both = self._run(["--gantt", "--schedule-csv"])
+        assert both.startswith(plain)
+
+    @pytest.mark.parametrize("algorithm", _REFERENCE_ALGORITHMS)
+    def test_reference_solvers_have_no_schedule(self, algorithm, capsys):
+        code, text = self._run(["--algorithm", algorithm, "--gantt"])
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: algorithm '{algorithm}' is a reference solver")
+
+    @pytest.mark.parametrize("flag", ["--gantt", "--schedule-csv"])
+    def test_json_output_stays_one_line(self, flag, capsys):
+        code, text = self._run(["--json", flag])
+        assert code == 2 and text == ""
+        assert "--json prints one line" in capsys.readouterr().err
 
 
 class TestClosedStdout:

@@ -4,48 +4,7 @@ import math
 
 import pytest
 
-from repro.utils.numeric import (
-    EPS,
-    ceil_div,
-    geometric_grid,
-    harmonic_mean,
-    integer_threshold,
-    is_close,
-    safe_ratio,
-    weighted_sum,
-)
-
-
-class TestIsClose:
-    def test_equal_values(self):
-        assert is_close(1.0, 1.0)
-
-    def test_within_tolerance(self):
-        assert is_close(1.0, 1.0 + EPS / 2)
-
-    def test_outside_tolerance(self):
-        assert not is_close(1.0, 1.1)
-
-    def test_custom_tolerance(self):
-        assert is_close(1.0, 1.05, tol=0.1)
-
-
-class TestCeilDiv:
-    def test_exact_division(self):
-        assert ceil_div(10, 5) == 2
-
-    def test_rounds_up(self):
-        assert ceil_div(11, 5) == 3
-
-    def test_one(self):
-        assert ceil_div(1, 5) == 1
-
-    def test_zero_numerator(self):
-        assert ceil_div(0, 5) == 0
-
-    def test_rejects_zero_divisor(self):
-        with pytest.raises(ValueError):
-            ceil_div(1, 0)
+from repro.utils.numeric import integer_threshold, safe_ratio
 
 
 class TestIntegerThreshold:
@@ -70,21 +29,6 @@ class TestIntegerThreshold:
             integer_threshold(0.0)
 
 
-class TestHarmonicMean:
-    def test_single_value(self):
-        assert harmonic_mean([4.0]) == pytest.approx(4.0)
-
-    def test_known_value(self):
-        assert harmonic_mean([1.0, 2.0]) == pytest.approx(4.0 / 3.0)
-
-    def test_empty_is_zero(self):
-        assert harmonic_mean([]) == 0.0
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([1.0, 0.0])
-
-
 class TestSafeRatio:
     def test_normal_division(self):
         assert safe_ratio(6.0, 3.0) == pytest.approx(2.0)
@@ -94,37 +38,3 @@ class TestSafeRatio:
 
     def test_zero_over_zero_is_one(self):
         assert safe_ratio(0.0, 0.0) == pytest.approx(1.0)
-
-
-class TestGeometricGrid:
-    def test_endpoints_included(self):
-        grid = geometric_grid(1.0, 8.0, 4)
-        assert grid[0] == pytest.approx(1.0)
-        assert grid[-1] == pytest.approx(8.0)
-
-    def test_count(self):
-        assert len(geometric_grid(1.0, 8.0, 4)) == 4
-
-    def test_geometric_spacing(self):
-        grid = geometric_grid(1.0, 8.0, 4)
-        ratios = [grid[i + 1] / grid[i] for i in range(len(grid) - 1)]
-        assert all(r == pytest.approx(ratios[0]) for r in ratios)
-
-    def test_monotone(self):
-        grid = geometric_grid(0.5, 100.0, 10)
-        assert all(a < b for a, b in zip(grid, grid[1:]))
-
-    def test_rejects_bad_endpoints(self):
-        with pytest.raises(ValueError):
-            geometric_grid(0.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            geometric_grid(2.0, 1.0, 3)
-
-
-class TestWeightedSum:
-    def test_known_value(self):
-        assert weighted_sum([1.0, 2.0], [3.0, 4.0]) == pytest.approx(11.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_sum([1.0], [1.0, 2.0])

@@ -1,9 +1,8 @@
 """Unit tests for :mod:`repro.utils.rng`."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import make_rng, seeds_for, shuffled, spawn_rngs
+from repro.utils.rng import make_rng, seeds_for
 
 
 class TestMakeRng:
@@ -21,27 +20,6 @@ class TestMakeRng:
         assert isinstance(make_rng(None), np.random.Generator)
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_streams_differ(self):
-        a, b = spawn_rngs(0, 2)
-        assert a.random() != b.random()
-
-    def test_reproducible(self):
-        first = [g.random() for g in spawn_rngs(7, 3)]
-        second = [g.random() for g in spawn_rngs(7, 3)]
-        assert first == second
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-
 class TestSeedsFor:
     def test_deterministic(self):
         assert seeds_for(1, ["a", "b"]) == seeds_for(1, ["a", "b"])
@@ -54,17 +32,3 @@ class TestSeedsFor:
     def test_distinct_labels_distinct_seeds(self):
         seeds = seeds_for(1, ["a", "b", "c"])
         assert len(set(seeds.values())) == 3
-
-
-class TestShuffled:
-    def test_preserves_elements(self):
-        items = list(range(20))
-        assert sorted(shuffled(items, seed=3)) == items
-
-    def test_deterministic(self):
-        assert shuffled(range(20), seed=3) == shuffled(range(20), seed=3)
-
-    def test_does_not_mutate_input(self):
-        items = [3, 1, 2]
-        shuffled(items, seed=0)
-        assert items == [3, 1, 2]
