@@ -20,11 +20,7 @@ bounds used by the experiments.
 """
 
 from repro.core.ordering import spt_key, density_key
-from repro.core.rejection import (
-    RunningJobCounter,
-    MachineArrivalCounter,
-    WeightedRunningJobCounter,
-)
+from repro.core.rejection import WeightedRunningJobCounter
 from repro.core.bounds import (
     flow_time_competitive_ratio,
     flow_time_rejection_budget,
@@ -47,8 +43,6 @@ from repro.core.smoothness import (
 __all__ = [
     "spt_key",
     "density_key",
-    "RunningJobCounter",
-    "MachineArrivalCounter",
     "WeightedRunningJobCounter",
     "flow_time_competitive_ratio",
     "flow_time_rejection_budget",

@@ -91,8 +91,11 @@ class FlowTimeDualAccountant:
         self.scheduler = scheduler
         self.epsilon = scheduler.epsilon
         self._jobs = {job.id: job for job in result.instance.jobs}
+        # The algorithm dispatches every job on arrival and a job never
+        # leaves its machine, so its record names it.  Keyed in instance
+        # (arrival) order: the order in which sums over this map add.
         self._dispatch_machine: dict[int, int] = {
-            job_id: choice[0] for job_id, choice in scheduler.lambda_choices.items()
+            job.id: result.records[job.id].machine for job in result.instance.jobs
         }
         self._settle_time: dict[int, float] = {}
         for record in result.records.values():

@@ -80,8 +80,11 @@ class EnergyFlowDualAccountant:
         self.gamma = scheduler.gamma
         self.epsilon = scheduler.epsilon
         self._jobs = {job.id: job for job in result.instance.jobs}
-        self._dispatch_machine = {
-            job_id: choice[0] for job_id, choice in scheduler.lambda_choices.items()
+        # The algorithm dispatches every job on arrival and a job never
+        # leaves its machine, so its record names it.  Keyed in instance
+        # (arrival) order: the order in which sums over this map add.
+        self._dispatch_machine: dict[int, int] = {
+            job.id: result.records[job.id].machine for job in result.instance.jobs
         }
         self._intervals_by_job: dict[int, list] = {}
         for iv in result.intervals:

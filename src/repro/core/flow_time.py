@@ -35,22 +35,18 @@ into the rejection-free greedy baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from repro.core.ordering import spt_key
-from repro.core.rejection import (
-    MachineArrivalCounter,
-    RejectionLog,
-    RunningJobCounter,
-    check_epsilon,
-)
+from repro.core.rejection import RejectionLog, check_epsilon
 from repro.exceptions import InvalidParameterError
 from repro.simulation.decisions import ArrivalDecision, Rejection
 from repro.simulation.engine import FlowTimePolicy
 from repro.simulation.instance import Instance
-from repro.simulation.job import Job
+from repro.simulation.job import Job, trusted_builder
 from repro.simulation.state import EngineState
+from repro.utils.numeric import integer_threshold
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,6 +67,11 @@ class Rule2Event:
     time: float
     job_id: int
     adjustment: float
+
+
+_rejection = trusted_builder(Rejection)
+_rule1_event = trusted_builder(Rule1Event)
+_rule2_event = trusted_builder(Rule2Event)
 
 
 class RejectionFlowTimeScheduler(FlowTimePolicy):
@@ -113,8 +114,17 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
     def reset_state(self) -> None:
         """Clear all per-run bookkeeping."""
         self._instance: Instance | None = None
-        self._rule1: dict[int, RunningJobCounter] = {}
-        self._rule2: dict[int, MachineArrivalCounter] = {}
+        # Rule 1 fires on the ceil(1/eps)-th dispatch during a job's run,
+        # Rule 2 on every ceil(1 + 1/eps)-th dispatch to a machine.
+        self._rule1_threshold = integer_threshold(1.0 / self.epsilon)
+        self._rule2_threshold = integer_threshold(1.0 + 1.0 / self.epsilon)
+        #: Rule 1: ``machine -> (running job id, dispatches since it started)``.
+        self._rule1: dict[int, tuple[int, int]] = {}
+        #: Rule 2: dispatches to each machine since its last eviction.
+        self._rule2: list[int] = []
+        #: The decision of an arrival no rule fires on, per machine; it is
+        #: frozen, so every such arrival shares it.
+        self._plain_dispatch: list[ArrivalDecision] = []
         #: Per-machine lazy max-heaps over dispatched jobs, keyed so the heap
         #: head is the Rule-2 victim (largest processing time, ties by
         #: earliest release then larger id — the order the reference ``max``
@@ -123,7 +133,6 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
         #: set.  Only maintained while Rule 2 is enabled.
         self._victims: list[list[tuple[tuple[float, float, int], Job]]] = []
         self.lambdas: dict[int, float] = {}
-        self.lambda_choices: dict[int, tuple[int, float]] = {}
         self.rule1_events: list[Rule1Event] = []
         self.rule2_events: list[Rule2Event] = []
         self.log = RejectionLog()
@@ -132,9 +141,8 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
         """Engine hook: prepare for a fresh simulation of ``instance``."""
         self.reset_state()
         self._instance = instance
-        self._rule2 = {
-            i: MachineArrivalCounter(self.epsilon) for i in range(instance.num_machines)
-        }
+        self._rule2 = [0] * instance.num_machines
+        self._plain_dispatch = [ArrivalDecision.dispatch(i) for i in range(instance.num_machines)]
         self._victims = [[] for _ in range(instance.num_machines)]
 
     # -- dispatching ---------------------------------------------------------------
@@ -175,52 +183,51 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
             raise InvalidParameterError(f"job {job.id} cannot run on any machine")
 
         self.lambdas[job.id] = (self.epsilon / (1.0 + self.epsilon)) * best_lambda
-        self.lambda_choices[job.id] = (best_machine, best_lambda)
 
-        rejections: list[Rejection] = []
+        rejections: tuple[Rejection, ...] = ()
 
         # Rule 1: the arriving job is one more dispatch during the execution of
         # the running job of the chosen machine.
-        running = state.running(best_machine)
+        running = state.machines[best_machine].running
         if self.enable_rule1 and running is not None:
-            counter = self._rule1.get(best_machine)
-            if counter is not None and counter.job_id == running.job.id:
-                if counter.counter.record_dispatch():
-                    rejections.append(Rejection(running.job.id, reason="rule1"))
+            running_id = running.job.id
+            tracked = self._rule1.get(best_machine)
+            if tracked is not None and tracked[0] == running_id:
+                count = tracked[1] + 1
+                if count >= self._rule1_threshold:
+                    rejections = (_rejection(running_id, "rule1"),)
                     self.rule1_events.append(
-                        Rule1Event(
-                            machine=best_machine,
-                            time=t,
-                            job_id=running.job.id,
-                            remaining_work=running.remaining_work(t),
-                        )
+                        _rule1_event(best_machine, t, running_id, running.remaining_work(t))
                     )
-                    self.log.rule1.append(running.job.id)
+                    self.log.rule1.append(running_id)
                     del self._rule1[best_machine]
+                else:
+                    self._rule1[best_machine] = (running_id, count)
 
         # Rule 2: one more dispatch to the chosen machine; on firing, evict the
         # pending job (including the one arriving right now) with the largest
         # processing time on that machine.
-        push_arriving = True
         if self.enable_rule2:
-            counter2 = self._rule2[best_machine]
-            if counter2.record_dispatch():
+            count = self._rule2[best_machine] + 1
+            push_arriving = True
+            if count < self._rule2_threshold:
+                self._rule2[best_machine] = count
+            else:
+                self._rule2[best_machine] = 0
                 victim = self._rule2_victim(job, best_machine, state)
-                if victim.id == job.id:
-                    # The arriving job is evicted before ever becoming
-                    # pending; keep it out of the victim heap.
-                    push_arriving = False
+                # The arriving job is evicted before ever becoming pending;
+                # keep it out of the victim heap.
+                push_arriving = victim.id != job.id
                 adjustment = self._rule2_adjustment(t, job, victim, best_machine, state)
-                rejections.append(Rejection(victim.id, reason="rule2"))
-                self.rule2_events.append(
-                    Rule2Event(
-                        machine=best_machine, time=t, job_id=victim.id, adjustment=adjustment
-                    )
-                )
+                rejections += (_rejection(victim.id, "rule2"),)
+                self.rule2_events.append(_rule2_event(best_machine, t, victim.id, adjustment))
                 self.log.rule2.append(victim.id)
+            if push_arriving:
+                key = (-job.sizes[best_machine], job.release, -job.id)  # ``_victim_key``
+                heappush(self._victims[best_machine], (key, job))
 
-        if self.enable_rule2 and push_arriving:
-            heappush(self._victims[best_machine], (self._victim_key(job, best_machine), job))
+        if not rejections:
+            return self._plain_dispatch[best_machine]
         return ArrivalDecision.dispatch(best_machine, rejections)
 
     @staticmethod
@@ -270,11 +277,11 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
             # pending yet, so no exclusion is needed.
             pending_total = state.pending_size_sum(machine)
         else:
-            pending_total = sum(
-                other.size_on(machine)
-                for other in state.pending_jobs(machine)
-                if other.id != arriving.id
-            )
+            # Left to right, as 3.10 and 3.11 ``sum`` adds (3.12 compensates).
+            pending_total = 0
+            for other in state.pending_jobs(machine):
+                if other.id != arriving.id:
+                    pending_total += other.size_on(machine)
         return remaining + pending_total + victim.size_on(machine)
 
     # -- local scheduling ----------------------------------------------------------
@@ -289,9 +296,7 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
         if chosen is None:
             return None
         if self.enable_rule1:
-            self._rule1[machine] = _TrackedCounter(
-                job_id=chosen.id, counter=RunningJobCounter(self.epsilon)
-            )
+            self._rule1[machine] = (chosen.id, 0)
         return chosen.id
 
     # -- reporting -----------------------------------------------------------------
@@ -304,11 +309,3 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
             "rule1_events": len(self.rule1_events),
             "rule2_events": len(self.rule2_events),
         }
-
-
-@dataclass
-class _TrackedCounter:
-    """A Rule-1 counter together with the job it belongs to."""
-
-    job_id: int
-    counter: RunningJobCounter

@@ -103,7 +103,6 @@ class RejectionEnergyFlowScheduler(SpeedScalingPolicy):
         self.gamma: float = 1.0
         self._counters: dict[int, _TrackedWeightedCounter] = {}
         self.lambdas: dict[int, float] = {}
-        self.lambda_choices: dict[int, tuple[int, float]] = {}
         self.rejection_events: list[WeightedRejectionEvent] = []
         self.log = RejectionLog()
 
@@ -173,7 +172,6 @@ class RejectionEnergyFlowScheduler(SpeedScalingPolicy):
             raise InvalidParameterError(f"job {job.id} cannot run on any machine")
 
         self.lambdas[job.id] = (self.epsilon / (1.0 + self.epsilon)) * best_lambda
-        self.lambda_choices[job.id] = (best_machine, best_lambda)
 
         rejections: list[Rejection] = []
         running = state.running(best_machine)
@@ -207,12 +205,16 @@ class RejectionEnergyFlowScheduler(SpeedScalingPolicy):
         The argmin comes from the indexed pending state; the weight total —
         which feeds the chosen speed — is still summed over the pending set
         in dispatch order, so the float result matches the scan path exactly.
+        It is added left to right: Python 3.12's compensated ``sum`` would
+        give other bits, and so other speeds, than 3.10 and 3.11.
         """
         chosen = state.pending_argmin(machine, self.priority_key)
         if chosen is None:
             return None
         jobs = state.jobs_by_id
-        total_weight = sum(jobs[job_id].weight for job_id in state.machine_pending(machine))
+        total_weight = 0
+        for job_id in state.machine_pending(machine):
+            total_weight += jobs[job_id].weight
         speed = self.gamma * total_weight ** (1.0 / self.alpha)
         if self.enable_rejection:
             self._counters[machine] = _TrackedWeightedCounter(

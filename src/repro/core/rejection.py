@@ -1,4 +1,4 @@
-"""Rejection rules of the paper, as reusable counter objects.
+"""Rejection rules of the paper: parameter checks, the Section 3 counter and the log.
 
 Section 2 uses two rules:
 
@@ -13,9 +13,14 @@ Section 2 uses two rules:
   ``1 + 1/epsilon`` the pending job with the largest processing time on ``i``
   (excluding the running job) is rejected and ``c_i`` resets to zero.
 
-Section 3 replaces Rule 1 with a *weighted* rule: ``v_j`` increases by the
-weight of the dispatched job and ``j`` is rejected the first time
-``v_j > w_j / epsilon``.
+Both are plain per-machine integers inside
+:class:`~repro.core.flow_time.RejectionFlowTimeScheduler`: Rule 1 a
+``(running job id, count)`` pair and Rule 2 a count, against thresholds the
+scheduler computes once per run.
+
+Section 3 replaces Rule 1 with a *weighted* rule
+(:class:`WeightedRunningJobCounter`): ``v_j`` increases by the weight of the
+dispatched job and ``j`` is rejected the first time ``v_j > w_j / epsilon``.
 
 Because ``1/epsilon`` is generally not an integer while the counters are, the
 "first time the counter equals the threshold" is implemented as "the first
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exceptions import InvalidParameterError
-from repro.utils.numeric import EPS, integer_threshold
+from repro.utils.numeric import EPS
 
 
 def check_epsilon(epsilon: float) -> float:
@@ -41,61 +46,6 @@ def check_epsilon(epsilon: float) -> float:
     if not (epsilon > 0):
         raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
     return float(epsilon)
-
-
-@dataclass
-class RunningJobCounter:
-    """Rule 1 counter attached to the job currently running on one machine.
-
-    Parameters
-    ----------
-    epsilon:
-        The rejection parameter; the rule fires once ``ceil(1/epsilon)``
-        dispatches have been observed during the execution.
-    """
-
-    epsilon: float
-    count: int = 0
-
-    def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
-        self.threshold = integer_threshold(1.0 / self.epsilon)
-
-    def record_dispatch(self) -> bool:
-        """Register one dispatch to the machine; return ``True`` when the rule fires."""
-        self.count += 1
-        return self.count >= self.threshold
-
-    @property
-    def fired(self) -> bool:
-        """``True`` once the threshold has been reached."""
-        return self.count >= self.threshold
-
-
-@dataclass
-class MachineArrivalCounter:
-    """Rule 2 per-machine counter.
-
-    The rule fires (and the counter resets) once ``ceil(1 + 1/epsilon)``
-    dispatches have accumulated since the last reset.
-    """
-
-    epsilon: float
-    count: int = 0
-    fired_times: int = 0
-
-    def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
-        self.threshold = integer_threshold(1.0 + 1.0 / self.epsilon)
-
-    def record_dispatch(self) -> bool:
-        """Register one dispatch; return ``True`` (and reset) when the rule fires."""
-        self.count += 1
-        if self.count >= self.threshold:
-            self.count = 0
-            self.fired_times += 1
-            return True
-        return False
 
 
 @dataclass

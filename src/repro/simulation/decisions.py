@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.exceptions import SimulationError
+from repro.simulation.job import trusted_builder
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,12 +45,17 @@ class ArrivalDecision:
     @staticmethod
     def dispatch(machine: int, rejections: Sequence[Rejection] = ()) -> "ArrivalDecision":
         """Dispatch the arriving job to ``machine`` with optional extra rejections."""
-        return ArrivalDecision(machine=machine, rejections=tuple(rejections))
+        return _build_decision(machine, tuple(rejections))
 
     @staticmethod
     def reject(rejections: Sequence[Rejection] = ()) -> "ArrivalDecision":
         """Reject the arriving job immediately."""
-        return ArrivalDecision(machine=None, rejections=tuple(rejections))
+        return _build_decision(None, tuple(rejections))
+
+
+#: Every policy decides each arrival through ``dispatch``/``reject``; the
+#: class has no checks, so building through its slots drops only cost.
+_build_decision = trusted_builder(ArrivalDecision)
 
 
 @dataclass(frozen=True, slots=True)

@@ -193,14 +193,16 @@ class FlowTimeEngine(NonPreemptiveEngine):
                 f"policy {policy.name!r} started job {job_id} which is not pending "
                 f"on machine {ms.index}"
             )
-        job = state.job(job_id)
-        machine_spec = self.instance.machines[ms.index]
-        duration = machine_spec.processing_duration(job.size_on(ms.index))
+        job = state.jobs_by_id[job_id]
+        # ``Machine.processing_duration`` of the size: the speed factor was
+        # checked positive when the machine was built.
+        speed = self.instance.machines[ms.index].speed_factor
+        duration = job.sizes[ms.index] / speed
         if not math.isfinite(duration):
             raise SimulationError(
                 f"job {job_id} has infinite processing time on machine {ms.index}"
             )
-        return job, machine_spec.speed_factor, duration
+        return job, speed, duration
 
 
 def run_policy(

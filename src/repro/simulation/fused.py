@@ -19,6 +19,10 @@ is the per-event Python frame count:
 * **A fused event loop** (:meth:`FusedStepper._run_core`): ``drain`` /
   ``advance_to`` process events without constructing ``Event`` objects or
   dispatching through ``step()``, with the same handler bodies inlined.
+  Its records and intervals are built through their slots
+  (``JobRecord.trusted``, ``ExecutionInterval.trusted``) and its decision
+  events with ``tuple.__new__``; the reference handlers keep the checked
+  constructors as the spec.
 
 Select-next argmins come from the lazily-invalidated heaps of
 :mod:`repro.simulation.indexed`, as in the base stepper's indexed branch.
@@ -302,6 +306,10 @@ class FusedStepper(EngineStepper):
         records = self.records
         intervals = self.intervals
         jobs = state.jobs_by_id
+        pending_items = state._pending_items
+        new_interval = ExecutionInterval.trusted
+        new_record = JobRecord.trusted
+        new_tuple = tuple.__new__
         pick_start = self.engine._pick_start
         on_arrival = policy.on_arrival
         recheck = self._recheck
@@ -337,28 +345,17 @@ class FusedStepper(EngineStepper):
                 if ms.version == version and info is not None and info.job.id == job_id:
                     ms.running = None
                     ms.version += 1
-                    intervals.append(
-                        ExecutionInterval(
-                            machine=machine,
-                            job_id=job_id,
-                            start=info.start,
-                            end=t,
-                            speed=info.speed,
-                            completed=True,
-                        )
-                    )
+                    start = info.start
+                    speed = info.speed
+                    intervals.append(new_interval(machine, job_id, start, t, speed, True))
                     job = info.job
-                    records[job_id] = JobRecord(
-                        job_id=job_id,
-                        weight=job.weight,
-                        release=job.release,
-                        machine=machine,
-                        start=info.start,
-                        completion=t,
-                        rejected=False,
+                    records[job_id] = new_record(
+                        job_id, job.weight, job.release, machine, start, t, False, None, None
                     )
                     if observer is not None:
-                        observer(DecisionEvent("complete", t, job_id, machine, info.speed))
+                        observer(
+                            new_tuple(DecisionEvent, ("complete", t, job_id, machine, speed, None))
+                        )
                 # A stale completion still re-offers its machine, exactly
                 # like the event-object loop does.
                 if recheck:
@@ -382,36 +379,33 @@ class FusedStepper(EngineStepper):
                 job = jobs[arr_ids[pos]]
                 decision = on_arrival(t, job, state)
                 machine = decision.machine
+                job_id = job.id
                 if machine is None:
-                    records[job.id] = JobRecord(
-                        job_id=job.id,
-                        weight=job.weight,
-                        release=job.release,
-                        machine=None,
-                        start=None,
-                        completion=None,
-                        rejected=True,
-                        rejection_time=t,
-                        rejection_reason="immediate",
+                    records[job_id] = new_record(
+                        job_id, job.weight, job.release, None, None, None, True, t, "immediate"
                     )
                     if observer is not None:
-                        observer(DecisionEvent("reject", t, job.id, None, None, "immediate"))
+                        observer(
+                            new_tuple(DecisionEvent, ("reject", t, job_id, None, None, "immediate"))
+                        )
                     touched: list[int] = []
                 else:
                     if not (0 <= machine < num_machines):
                         raise SimulationError(
-                            f"policy {policy.name!r} dispatched job {job.id} "
+                            f"policy {policy.name!r} dispatched job {job_id} "
                             f"to invalid machine {machine}"
                         )
                     if math.isinf(job.sizes[machine]):
                         raise SimulationError(
-                            f"policy {policy.name!r} dispatched job {job.id} "
+                            f"policy {policy.name!r} dispatched job {job_id} "
                             f"to forbidden machine {machine}"
                         )
                     state.add_pending(machine, job)
-                    dispatched[job.id] = machine
+                    dispatched[job_id] = machine
                     if observer is not None:
-                        observer(DecisionEvent("dispatch", t, job.id, machine))
+                        observer(
+                            new_tuple(DecisionEvent, ("dispatch", t, job_id, machine, None, None))
+                        )
                     touched = [machine]
                 rejections = decision.rejections
                 if rejections:
@@ -427,7 +421,7 @@ class FusedStepper(EngineStepper):
 
             for machine in to_try:
                 ms = machines[machine]
-                if ms.running is not None or not ms.pending:
+                if ms.running is not None or not pending_items[machine]:
                     recheck.discard(machine)
                     continue
                 started = pick_start(t, policy, ms, state)
@@ -438,10 +432,10 @@ class FusedStepper(EngineStepper):
                 sjob, speed, duration = started
                 state.remove_pending(machine, sjob.id)
                 finish = t + duration
-                ms.running = RunningInfo(job=sjob, start=t, finish=finish, speed=speed)
+                ms.running = RunningInfo(sjob, t, finish, speed)
                 aq.push_completion(finish, sjob.id, machine, ms.version)
                 if observer is not None:
-                    observer(DecisionEvent("start", t, sjob.id, machine, speed))
+                    observer(new_tuple(DecisionEvent, ("start", t, sjob.id, machine, speed, None)))
 
         self._floor = floor
         self.event_count = event_count

@@ -65,7 +65,8 @@ class IndexedPending:
     def argmin(self, machine: int, live: Container[int]) -> Job | None:
         """The live pending job with the smallest key on ``machine``.
 
-        ``live`` is the authoritative pending set (membership by job id);
+        ``live`` is the authoritative pending set, or the dict behind it
+        (membership by job id);
         stale heap heads — jobs that started or were rejected since they were
         pushed — are discarded on the way.  Returns ``None`` when nothing
         live remains in the heap (the caller checks the pending set first, so

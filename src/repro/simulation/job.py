@@ -9,8 +9,8 @@ models of Sections 3 and 4), a weight (Section 3) and an optional deadline
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Mapping, Sequence
 
 from repro.exceptions import InvalidInstanceError
 
@@ -109,32 +109,6 @@ class Job:
     # -- construction helpers ------------------------------------------------------
 
     @staticmethod
-    def trusted(
-        job_id: int,
-        release: float,
-        sizes: tuple[float, ...],
-        weight: float = 1.0,
-        deadline: float | None = None,
-    ) -> "Job":
-        """Construct a job **without** per-field validation.
-
-        The dataclass ``__post_init__`` checks cost more than everything else
-        in a 100k-job generator loop; bulk producers (the chunked generators
-        in :mod:`repro.workloads.generators`) validate whole numpy chunks at
-        once and then build rows through this trusted path.  Callers are
-        responsible for upholding the invariants ``__post_init__`` enforces.
-        The slots are written through their member descriptors, which the
-        frozen ``__setattr__`` does not guard.
-        """
-        job = _new_job(Job)
-        _set_id(job, job_id)
-        _set_release(job, release)
-        _set_sizes(job, sizes)
-        _set_weight(job, weight)
-        _set_deadline(job, deadline)
-        return job
-
-    @staticmethod
     def uniform(
         job_id: int,
         release: float,
@@ -197,8 +171,34 @@ class Job:
         )
 
 
-#: What :meth:`Job.trusted` builds with: the slots exist once the class does.
-_new_job = object.__new__
-_set_id, _set_release, _set_sizes, _set_weight, _set_deadline = (
-    Job.__dict__[name].__set__ for name in ("id", "release", "sizes", "weight", "deadline")
-)
+def trusted_builder(cls: type) -> Callable:
+    """A constructor of the frozen slots dataclass ``cls`` that checks nothing.
+
+    It takes the fields in declaration order, with the class's defaults, and
+    writes each slot through its member descriptor, which the frozen
+    ``__setattr__`` does not guard.  Neither ``__init__`` nor
+    ``__post_init__`` runs, so callers uphold the invariants the checked
+    constructor enforces; the checked constructor stays the spec.  Compiled
+    once per class, the way :mod:`dataclasses` builds ``__init__``, so the
+    slot writes are unrolled.
+    """
+    namespace: dict = {"_new": object.__new__, "_cls": cls}
+    params, writes = [], []
+    for f in fields(cls):
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        writes.append(f"\n    _set_{f.name}(obj, {f.name})")
+    header = f"def trusted({', '.join(params)}):\n    obj = _new(_cls)"
+    exec(header + "".join(writes) + "\n    return obj\n", namespace)
+    return namespace["trusted"]
+
+
+#: :class:`Job` without per-field validation.  The ``__post_init__`` checks
+#: cost more than everything else in a 100k-job generator loop; bulk
+#: producers (the chunked generators in :mod:`repro.workloads.generators`,
+#: exact-JSON wire rows) validate their values first and then build rows here.
+Job.trusted = staticmethod(trusted_builder(Job))

@@ -7,6 +7,7 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.exceptions import SimulationError
 from repro.simulation.instance import Instance
+from repro.simulation.job import trusted_builder
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,6 +34,19 @@ class ExecutionInterval:
             )
         if self.speed <= 0:
             raise SimulationError(f"interval speed must be positive, got {self.speed}")
+
+    @staticmethod
+    def trusted(
+        machine: int, job_id: int, start: float, end: float, speed: float, completed: bool
+    ) -> "ExecutionInterval":
+        """The interval built through its slots, with the two checks kept.
+
+        Values that fail a check go through the checked constructor, which
+        raises its error; so no invariant is dropped, only ``__init__``'s cost.
+        """
+        if end < start or speed <= 0:
+            return ExecutionInterval(machine, job_id, start, end, speed, completed)
+        return _build_interval(machine, job_id, start, end, speed, completed)
 
     @property
     def duration(self) -> float:
@@ -98,6 +112,14 @@ class JobRecord:
         return self.weight * self.flow_time
 
 
+_build_interval = trusted_builder(ExecutionInterval)
+
+#: :class:`JobRecord` built through its slots, every field given: the fused
+#: loop and the shared rejection path build with it, and the reference
+#: stepper's handlers keep the checked constructor.
+JobRecord.trusted = staticmethod(trusted_builder(JobRecord))
+
+
 @dataclass
 class SimulationResult:
     """Everything an engine run produces.
@@ -148,10 +170,6 @@ class SimulationResult:
         return sorted(
             (iv for iv in self.intervals if iv.machine == machine), key=lambda iv: iv.start
         )
-
-    def machine_busy_time(self, machine: int) -> float:
-        """Total busy time of a machine."""
-        return sum(iv.duration for iv in self.intervals if iv.machine == machine)
 
     def makespan(self) -> float:
         """Completion time of the last interval (0 for an empty schedule)."""

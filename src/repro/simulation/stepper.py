@@ -416,69 +416,43 @@ class EngineStepper:
         return touched
 
     def _apply_rejection(self, t: float, rejection) -> int:
+        """Reject a running or pending job now; returns its machine.
+
+        Both dispatch modes run this.  A job waits and runs only on the
+        machine it was dispatched to, so ``dispatched`` finds it in O(1).
+        """
         state = self.state
         job_id = rejection.job_id
         if job_id in self.records:
             raise SimulationError(f"job {job_id} rejected after it already finished/was rejected")
-
-        # Case 1: the job is running somewhere -> interrupt it (Rule 1).
-        for ms in state.machines:
-            if ms.running is not None and ms.running.job.id == job_id:
-                info = ms.running
-                ms.running = None
-                ms.version += 1
-                if t > info.start:
-                    self.intervals.append(
-                        ExecutionInterval(
-                            machine=ms.index,
-                            job_id=job_id,
-                            start=info.start,
-                            end=t,
-                            speed=info.speed,
-                            completed=False,
-                        )
-                    )
-                self.records[job_id] = JobRecord(
-                    job_id=job_id,
-                    weight=info.job.weight,
-                    release=info.job.release,
-                    machine=ms.index,
-                    start=info.start,
-                    completion=None,
-                    rejected=True,
-                    rejection_time=t,
-                    rejection_reason=rejection.reason,
-                )
-                if self.observer is not None:
-                    self.observer(
-                        DecisionEvent("reject", t, job_id, ms.index, None, rejection.reason)
-                    )
-                return ms.index
-
-        # Case 2: the job is pending on its dispatched machine.
         machine = self.dispatched.get(job_id)
         if machine is None:
             raise SimulationError(f"cannot reject job {job_id}: it was never dispatched")
         ms = state.machines[machine]
-        if job_id not in ms.pending:
-            raise SimulationError(
-                f"cannot reject job {job_id}: not pending on machine {machine}"
-            )
-        state.remove_pending(machine, job_id)
-        job = state.job(job_id)
-        self.records[job_id] = JobRecord(
-            job_id=job_id,
-            weight=job.weight,
-            release=job.release,
-            machine=machine,
-            start=None,
-            completion=None,
-            rejected=True,
-            rejection_time=t,
-            rejection_reason=rejection.reason,
+        info = ms.running
+        if info is not None and info.job.id == job_id:
+            # Case 1: the job is running -> interrupt it (Rule 1).
+            ms.running = None
+            ms.version += 1
+            if t > info.start:
+                self.intervals.append(
+                    ExecutionInterval.trusted(machine, job_id, info.start, t, info.speed, False)
+                )
+            job, start = info.job, info.start
+        else:
+            # Case 2: the job is pending on its dispatched machine.
+            if job_id not in ms.pending:
+                raise SimulationError(
+                    f"cannot reject job {job_id}: not pending on machine {machine}"
+                )
+            state.remove_pending(machine, job_id)
+            job, start = state.jobs_by_id[job_id], None
+        reason = rejection.reason
+        self.records[job_id] = JobRecord.trusted(
+            job_id, job.weight, job.release, machine, start, None, True, t, reason
         )
         if self.observer is not None:
-            self.observer(DecisionEvent("reject", t, job_id, machine, None, rejection.reason))
+            self.observer(tuple.__new__(DecisionEvent, ("reject", t, job_id, machine, None, reason)))
         return machine
 
     def _start_idle_machines(self, t: float, machines: set[int]) -> None:

@@ -36,6 +36,21 @@ class TestEnergyDualFeasibility:
 
 
 class TestEnergyDualQuantities:
+    def test_dispatch_machines_are_the_dispatch_decisions(self):
+        # As for Theorem 1: the run's dispatches, in arrival order.
+        instance = WeightedInstanceGenerator(num_machines=3, alpha=2.5, seed=17).generate(120)
+        scheduler = RejectionEnergyFlowScheduler(epsilon=0.2)
+        events = []
+        stepper = SpeedScalingEngine(instance).stepper(scheduler, events.append)
+        stepper.offer_many(instance.jobs)
+        stepper.drain()
+        result = stepper.finish()
+        accountant = EnergyFlowDualAccountant(result, scheduler)
+        dispatched = [(e.job_id, e.machine) for e in events if e.kind == "dispatch"]
+        assert list(accountant._dispatch_machine.items()) == dispatched
+        assert dict(dispatched) == {r.job_id: r.machine for r in result.records.values()}
+        assert scheduler.log.weighted
+
     def test_remaining_volume_decreases(self):
         jobs = [Job(0, 0.0, (6.0,), weight=2.0)]
         instance = Instance.build(Machine.fleet(1, alpha=2.0), jobs)

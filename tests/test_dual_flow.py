@@ -39,6 +39,22 @@ class TestDualFeasibility:
 
 
 class TestDualQuantities:
+    def test_dispatch_machines_are_the_dispatch_decisions(self):
+        # The machine of each job, in arrival order (the order the
+        # accountant's sums add in): what the run dispatched.
+        instance = InstanceGenerator(num_machines=3, seed=8).generate(120)
+        scheduler = RejectionFlowTimeScheduler(epsilon=0.25)
+        events = []
+        stepper = FlowTimeEngine(instance).stepper(scheduler, events.append)
+        stepper.offer_many(instance.jobs)
+        stepper.drain()
+        result = stepper.finish()
+        accountant = FlowTimeDualAccountant(result, scheduler)
+        dispatched = [(e.job_id, e.machine) for e in events if e.kind == "dispatch"]
+        assert list(accountant._dispatch_machine.items()) == dispatched
+        assert dict(dispatched) == {r.job_id: r.machine for r in result.records.values()}
+        assert scheduler.log.rule1 and scheduler.log.rule2
+
     def test_beta_integral_matches_definitive_flow(self):
         instance = InstanceGenerator(num_machines=2, seed=4).generate(30)
         accountant, result = _run(instance, 0.5)

@@ -14,6 +14,7 @@ from repro.simulation.metrics import (
     total_energy,
 )
 from repro.simulation.speed_engine import SpeedScalingEngine
+from repro.simulation.state import EngineState
 from repro.simulation.validation import validate_result
 from repro.workloads.generators import WeightedInstanceGenerator
 
@@ -53,6 +54,21 @@ class TestSpeedChoice:
         scheduler = RejectionEnergyFlowScheduler(epsilon=0.3)
         SpeedScalingEngine(instance).run(scheduler)
         assert scheduler.gamma == pytest.approx(energy_flow_gamma(0.3, 2.5))
+
+    def test_pending_weights_add_left_to_right(self):
+        # 1.0 then ten 1e-16 add to 1.0 left to right, as ``sum`` does on
+        # 3.10 and 3.11; 3.12's compensated ``sum`` gives 1.000000000000001,
+        # which would start the job at another speed.
+        jobs = [Job(0, 0.0, (1.0,), weight=1.0)]
+        jobs += [Job(k, 0.0, (1.0,), weight=1e-16) for k in range(1, 11)]
+        instance = _instance(jobs, alpha=3.0)
+        scheduler = RejectionEnergyFlowScheduler(epsilon=0.5)
+        scheduler.reset(instance)
+        state = EngineState(instance)
+        state.machines[0].pending.extend(range(11))
+        decision = scheduler.select_next(0.0, 0, state)
+        assert decision.job_id == 0
+        assert decision.speed == scheduler.gamma * 1.0 ** (1.0 / 3.0)
 
     def test_density_order_execution(self):
         # While job 0 runs, two jobs queue up; the higher-density one (job 2)

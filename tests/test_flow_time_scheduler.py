@@ -39,6 +39,14 @@ class TestLambdaComputation:
         expected = 3.0 / 0.5 + (2.0 + 3.0) + 1 * 3.0
         assert scheduler.lambda_ij(new_job, 0, state) == pytest.approx(expected)
 
+    def test_pending_total_size_adds_left_to_right(self):
+        # As ``sum`` adds on 3.10 and 3.11; 3.12's compensated ``sum`` gives
+        # 1.000000000000001 here.
+        jobs = [Job(0, 0.0, (1.0,))] + [Job(k, 0.0, (1e-16,)) for k in range(1, 11)]
+        state = EngineState(Instance.build(1, jobs))
+        state.machines[0].pending.extend(range(11))
+        assert state.pending_total_size(0) == 1.0
+
     def test_dispatch_to_argmin(self):
         jobs = [Job(0, 0.0, (10.0, 1.0))]
         instance = Instance.build(2, jobs)

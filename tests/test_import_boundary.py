@@ -131,10 +131,7 @@ def test_solve_command_loads_the_chart_module_only_when_asked(flags):
         *flags,
         watched=OFF_SOLVE_PATH,
     )
-    if flags:
-        assert "repro.analysis" in loaded_modules and "scipy" not in loaded_modules
-    else:
-        assert loaded_modules == []
+    assert loaded_modules == (["repro.analysis"] if flags else [])
 
 
 def test_serve_path_leaves_off_path_modules_unloaded():

@@ -1,15 +1,18 @@
-"""Unit tests for the rejection counters of Sections 2 and 3."""
+"""The rejection rules of Sections 2 and 3.
+
+Rules 1 and 2 are per-machine integers inside the Theorem 1 scheduler, so
+they are tested through it: one machine, one dispatch per arrival, in both
+dispatch modes.
+"""
 
 import pytest
 
-from repro.core.rejection import (
-    MachineArrivalCounter,
-    RejectionLog,
-    RunningJobCounter,
-    WeightedRunningJobCounter,
-    check_epsilon,
-)
+from repro.core.flow_time import RejectionFlowTimeScheduler
+from repro.core.rejection import RejectionLog, WeightedRunningJobCounter, check_epsilon
 from repro.exceptions import InvalidParameterError
+from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
+from repro.simulation.instance import Instance
+from repro.simulation.job import Job
 
 
 class TestCheckEpsilon:
@@ -25,44 +28,48 @@ class TestCheckEpsilon:
             check_epsilon(-0.1)
 
 
-class TestRule1Counter:
-    def test_threshold_half(self):
-        counter = RunningJobCounter(epsilon=0.5)
-        assert not counter.record_dispatch()  # 1 < 2
-        assert counter.record_dispatch()  # 2 >= 2
+@pytest.mark.parametrize("dispatch", DISPATCH_MODES)
+class TestRule1:
+    @pytest.mark.parametrize(
+        "epsilon, threshold", [(0.5, 2), (0.25, 4), (0.3, 4), (1.0, 1)]
+    )
+    def test_rejects_the_running_job_on_the_threshold_dispatch(
+        self, dispatch, epsilon, threshold
+    ):
+        # Job 0 runs from 0 to 100; job k arrives at time k, the k-th
+        # dispatch during its run.  ceil(1/eps) of them reject it.
+        jobs = [Job(0, 0.0, (100.0,))] + [Job(k, float(k), (1.0,)) for k in range(1, 6)]
+        scheduler = RejectionFlowTimeScheduler(epsilon, enable_rule2=False)
+        result = FlowTimeEngine(Instance.build(1, jobs), dispatch=dispatch).run(scheduler)
+        first = scheduler.rule1_events[0]
+        assert (first.job_id, first.time) == (0, float(threshold))
+        assert first.remaining_work == pytest.approx(100.0 - threshold)
+        record = result.record(0)
+        assert record.rejected and record.rejection_reason == "rule1"
+        assert record.rejection_time == float(threshold)
+        assert not scheduler.rule2_events
 
-    def test_threshold_quarter(self):
-        counter = RunningJobCounter(epsilon=0.25)
-        fired = [counter.record_dispatch() for _ in range(4)]
-        assert fired == [False, False, False, True]
 
-    def test_non_integer_threshold_rounds_up(self):
-        counter = RunningJobCounter(epsilon=0.3)  # 1/eps = 3.33 -> fires at 4
-        fired = [counter.record_dispatch() for _ in range(4)]
-        assert fired == [False, False, False, True]
-
-    def test_fired_property(self):
-        counter = RunningJobCounter(epsilon=1.0)
-        assert not counter.fired
-        counter.record_dispatch()
-        assert counter.fired
-
-
-class TestRule2Counter:
-    def test_threshold_and_reset(self):
-        counter = MachineArrivalCounter(epsilon=0.5)  # threshold ceil(1 + 2) = 3
-        assert [counter.record_dispatch() for _ in range(3)] == [False, False, True]
-        # After firing the counter resets and needs another 3 dispatches.
-        assert [counter.record_dispatch() for _ in range(3)] == [False, False, True]
-        assert counter.fired_times == 2
-
-    def test_rejection_rate_bounded_by_epsilon(self):
-        # Over n dispatches the rule fires at most n / ceil(1 + 1/eps) <= eps * n times.
-        for epsilon in (0.2, 0.35, 0.5, 0.9):
-            counter = MachineArrivalCounter(epsilon=epsilon)
-            n = 1000
-            fires = sum(counter.record_dispatch() for _ in range(n))
-            assert fires <= epsilon * n + 1
+@pytest.mark.parametrize("dispatch", DISPATCH_MODES)
+class TestRule2:
+    @pytest.mark.parametrize(
+        "epsilon, threshold", [(0.2, 6), (0.35, 4), (0.5, 3), (0.9, 3)]
+    )
+    def test_fires_on_every_threshold_dispatch_within_the_budget(
+        self, dispatch, epsilon, threshold
+    ):
+        # One arrival per time unit, each three units long, so the queue
+        # builds: every ceil(1 + 1/eps)-th dispatch evicts one job, and over
+        # n dispatches that is at most eps * n + 1 evictions.
+        n = 1000
+        jobs = [Job(k, float(k), (3.0,)) for k in range(n)]
+        scheduler = RejectionFlowTimeScheduler(epsilon, enable_rule1=False)
+        result = FlowTimeEngine(Instance.build(1, jobs), dispatch=dispatch).run(scheduler)
+        times = [event.time for event in scheduler.rule2_events]
+        assert times == [float(k) for k in range(threshold - 1, n, threshold)]
+        assert len(times) <= epsilon * n + 1
+        reasons = [r.rejection_reason for r in result.records.values() if r.rejected]
+        assert reasons == ["rule2"] * len(times)
 
 
 class TestWeightedCounter:

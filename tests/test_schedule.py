@@ -97,10 +97,6 @@ class TestSimulationResult:
     def test_makespan(self):
         assert self._result().makespan() == pytest.approx(1.0)
 
-    def test_machine_busy_time(self):
-        result = self._result()
-        assert result.machine_busy_time(1) == pytest.approx(0.5)
-
     def test_unknown_job_record_rejected(self):
         instance = Instance.build(1, [Job(0, 0.0, (1.0,))])
         bad_records = {5: JobRecord(5, 1.0, 0.0, 0, 0.0, 1.0, False)}

@@ -537,6 +537,19 @@ class TestDecisionStream:
                 assert record.job_id in by_kind["start"]
                 assert record.job_id in by_kind["complete"]
 
+    def test_stream_is_the_same_decision_events_in_both_modes(self):
+        # The fused path builds events with ``tuple.__new__`` and its
+        # records through their slots; the reference stepper uses the
+        # constructors.  Both streams must hold the very same events.
+        instance = SCENARIOS["multi-tenant-mix"].instance(400, num_machines=4, seed=2018)
+        streams = {}
+        for dispatch in DISPATCH_MODES:
+            session, _ = _replay(instance, "rejection-flow", dispatch=dispatch, epsilon=0.5)
+            streams[dispatch] = session.events
+            assert all(type(event) is DecisionEvent for event in session.events)
+        assert streams["indexed"] == streams["scan"]
+        assert {event.reason for event in streams["indexed"]} == {None, "rule1", "rule2"}
+
     def test_stream_is_time_ordered(self):
         instance = InstanceGenerator(num_machines=2, seed=37).generate(60)
         session, _ = _replay(instance, "fcfs")
