@@ -44,8 +44,9 @@ command line) enumerates every registered scheduler with its execution model,
 objective and parameter schema.
 
 ``import repro`` loads only the solve path (:mod:`repro.simulation`,
-:mod:`repro.core`, :mod:`repro.solvers` and numpy); every other subpackage
-loads on first use.
+:mod:`repro.core` and :mod:`repro.solvers`); every other subpackage loads on
+first use, and numpy loads where an array is first built: a trace chunk, a
+generated instance, a discrete timeline or a Fenwick rank build.
 """
 
 from repro.simulation import (

@@ -469,7 +469,6 @@ def _parse_host_port(value: str) -> tuple[str, int]:
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     from repro.service.manager import SessionManager
     from repro.service.protocol import decision_line, final_line
-    from repro.workloads.traces import read_trace_jobs
 
     params = dict(_parse_param(raw) for raw in args.param)
     reserved = {"algorithm", "machines", "alpha", "dispatch", "name"} & params.keys()
@@ -505,6 +504,8 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
 
     # Stdio path: a thin single-session client of the same SessionManager the
     # network service uses, so the two share lifecycle and error semantics.
+    from repro.workloads.traces import read_trace_jobs
+
     name = args.name or "serve"
     manager.create(name)
     fmt = None if args.trace_format == "auto" else args.trace_format

@@ -27,7 +27,6 @@ from repro.exceptions import ServiceError
 from repro.service.protocol import PROTOCOL_VERSION, TERMINATORS
 from repro.service.server import MAX_LINE_BYTES
 from repro.utils.serialization import canonical_json
-from repro.workloads.scenarios import SCENARIOS, get_scenario
 
 __all__ = [
     "ServiceClient",
@@ -370,6 +369,8 @@ def run_loadgen(
         raise ServiceError(f"sessions must be positive, got {sessions}")
     if chunk_size <= 0:
         raise ServiceError(f"chunk_size must be positive, got {chunk_size}")
+    from repro.workloads.scenarios import SCENARIOS, get_scenario
+
     names = list(scenarios) if scenarios else sorted(SCENARIOS)
     catalog = [get_scenario(name) for name in names]
     params = dict(params or {})

@@ -43,6 +43,7 @@ from repro.simulation.stepper import DecisionEvent
 
 __all__ = [
     "DEFAULT_MAX_PENDING",
+    "MAX_MACHINES",
     "ClosedSession",
     "HostedSession",
     "SessionManager",
@@ -51,6 +52,12 @@ __all__ = [
 
 #: Default bound on jobs submitted but not yet processed, per session.
 DEFAULT_MAX_PENDING = 4096
+
+#: Most machines one session may have.  Building a fleet costs time and memory
+#: linearly on the server's event loop (200,000 machines took 1.4 s of CPU and
+#: 156 MiB on a 2-vCPU x86-64 host), and the largest fleet the shipped grids
+#: and benchmarks run is 16.
+MAX_MACHINES = 1024
 
 
 @dataclass(frozen=True)
@@ -221,17 +228,22 @@ class SessionManager:
 
         Unset options fall back to the manager's ``defaults``.  Names are
         unique across the manager's lifetime — re-using the name of a closed
-        session is refused so listing rows stay unambiguous.
+        session is refused so listing rows stay unambiguous.  A machine count
+        above :data:`MAX_MACHINES` is refused before any machine is built.
         """
         self._check_new_name(name)
         defaults = self.defaults
+        if machines is None:
+            machines = defaults.get("machines", 4)
+        if isinstance(machines, int) and machines > MAX_MACHINES:
+            raise ServiceError(f"machines must be at most {MAX_MACHINES}, got {machines}")
         merged_params = dict(defaults.get("params") or {})
         merged_params.update(params or {})
         # open_session rather than direct construction: per-algorithm session
         # classes (the adaptive meta wrapper) apply to hosted sessions too.
         session = open_session(
             algorithm if algorithm is not None else defaults.get("algorithm", "rejection-flow"),
-            machines if machines is not None else defaults.get("machines", 4),
+            machines,
             alpha=alpha if alpha is not None else defaults.get("alpha", 3.0),
             dispatch=dispatch if dispatch is not None else defaults.get("dispatch"),
             name=name,

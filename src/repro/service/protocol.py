@@ -5,7 +5,7 @@ The wire is newline-delimited JSON in both directions.  Every input line is a
 for the ops that address one, whose ``"session"`` names a session hosted by
 the :class:`~repro.service.manager.SessionManager`.  Job rows travel inside a
 ``submit`` op's ``jobs`` array, in the stdio ``repro serve`` row schema
-(:func:`~repro.workloads.traces.parse_job_row`).
+(:func:`~repro.workloads.rows.parse_job_row`).
 
 Control messages (``PROTOCOL_VERSION`` = 1)::
 
@@ -52,7 +52,7 @@ from repro.exceptions import ServiceProtocolError
 from repro.simulation.job import Job
 from repro.simulation.stepper import DecisionEvent
 from repro.utils.serialization import canonical_json
-from repro.workloads.traces import parse_job_row
+from repro.workloads.rows import parse_job_row
 
 __all__ = [
     "PROTOCOL_VERSION",

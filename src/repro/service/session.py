@@ -67,7 +67,7 @@ from repro.solvers.facade import _build_policy, _ENGINES, outcome_from_result
 from repro.solvers.outcome import SolveOutcome
 from repro.solvers.registry import available_algorithms, get_solver
 from repro.utils.serialization import canonical_json, jsonify
-from repro.workloads.traces import parse_job_row
+from repro.workloads.rows import parse_job_row
 
 __all__ = ["SchedulerSession", "open_session", "streaming_algorithms", "SNAPSHOT_SCHEMA_VERSION"]
 
@@ -457,7 +457,7 @@ class SchedulerSession:
         missing, mistyped or impossible field (such as a ``consumed`` count
         outside what its replay hands out and emits); job rows are decoded
         with the ``submit`` schema
-        (:func:`~repro.workloads.traces.parse_job_row`).  Keys it does not
+        (:func:`~repro.workloads.rows.parse_job_row`).  Keys it does not
         read, such as the event-buffer flag older versions wrote, are
         ignored.
         """

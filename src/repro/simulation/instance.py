@@ -92,7 +92,10 @@ class Instance:
     @property
     def total_weight(self) -> float:
         """Sum of job weights."""
-        return sum(job.weight for job in self.jobs)
+        total = 0
+        for job in self.jobs:
+            total += job.weight
+        return total
 
     def job_by_id(self, job_id: int) -> Job:
         """Return the job with the given id (O(n); cached lookups belong to engines)."""
@@ -123,7 +126,9 @@ class Instance:
     def stats(self) -> InstanceStats:
         """Aggregate statistics used by workload suites and reports."""
         sizes = self.finite_sizes()
-        total_min = sum(job.min_size() for job in self.jobs)
+        total_min = 0
+        for job in self.jobs:
+            total_min += job.min_size()
         return InstanceStats(
             num_jobs=self.num_jobs,
             num_machines=self.num_machines,
@@ -148,9 +153,9 @@ class Instance:
         Sum of the largest release date and the total of worst-case finite
         processing times; used to size discrete timelines and LP horizons.
         """
-        total_worst = sum(
-            max((p for p in job.sizes if math.isfinite(p)), default=0.0) for job in self.jobs
-        )
+        total_worst = 0
+        for job in self.jobs:
+            total_worst += max((p for p in job.sizes if math.isfinite(p)), default=0.0)
         max_release = max((job.release for job in self.jobs), default=0.0)
         max_deadline = max(
             (job.deadline for job in self.jobs if job.deadline is not None), default=0.0

@@ -138,18 +138,49 @@ class ResultSummary:
 
 
 def summarize(result: SimulationResult) -> ResultSummary:
-    """Compute every standard metric of a simulation result at once."""
+    """Compute every standard metric of a simulation result at once.
+
+    One pass over the records and one over the intervals.  Each total adds
+    in the order and from the start value of its function above, and the
+    maxima keep the first of equal values as ``max`` does, so every field
+    has the bits and type those functions give.
+    """
+    flow = 0.0
+    weighted_flow = 0.0
+    rejected = 0
+    weight = 0
+    rejected_weight_total = 0
+    max_flow = None
+    for record in result.records.values():
+        record_flow = record.flow_time
+        record_weight = record.weight
+        flow += record_flow
+        weighted_flow += record_weight * record_flow
+        weight += record_weight
+        if record.rejected:
+            rejected += 1
+            rejected_weight_total += record_weight
+        if max_flow is None or record_flow > max_flow:
+            max_flow = record_flow
+    machines = result.instance.machines
+    energy = 0
+    makespan = None
+    for iv in result.intervals:
+        energy += iv.energy(machines[iv.machine].alpha)
+        if makespan is None or iv.end > makespan:
+            makespan = iv.end
+    num_jobs = len(result.records)
     return ResultSummary(
         algorithm=result.algorithm,
-        num_jobs=len(result.records),
+        num_jobs=num_jobs,
         num_machines=result.instance.num_machines,
-        total_flow_time=total_flow_time(result),
-        total_weighted_flow_time=total_weighted_flow_time(result),
-        total_energy=total_energy(result),
-        flow_plus_energy=flow_plus_energy(result),
-        rejected_count=rejected_count(result),
-        rejected_fraction=rejected_fraction(result),
-        rejected_weight_fraction=rejected_weight_fraction(result),
-        max_flow_time=max_flow_time(result),
-        makespan=result.makespan(),
+        total_flow_time=flow,
+        total_weighted_flow_time=weighted_flow,
+        total_energy=energy,
+        flow_plus_energy=weighted_flow + energy,
+        rejected_count=rejected,
+        rejected_fraction=rejected / num_jobs if num_jobs else 0.0,
+        rejected_weight_fraction=rejected_weight_total / weight if weight != 0 else 0.0,
+        max_flow_time=0.0 if max_flow is None else max_flow,
+        makespan=0.0 if makespan is None else makespan,
     )

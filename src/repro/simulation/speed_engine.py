@@ -85,9 +85,10 @@ class SpeedScalingEngine(NonPreemptiveEngine):
         return job, decision.speed, duration
 
     def _result_extras(self, intervals: list[ExecutionInterval], event_count: int) -> dict:
-        energy = sum(
-            iv.energy(self.instance.machines[iv.machine].alpha) for iv in intervals
-        )
+        machines = self.instance.machines
+        energy = 0
+        for iv in intervals:
+            energy += iv.energy(machines[iv.machine].alpha)
         return {"events": event_count, "energy": energy}
 
 

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from repro.exceptions import InfeasibleInstanceError, InvalidParameterError, SimulationError
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
@@ -84,6 +82,9 @@ class DiscreteTimeline:
         self.num_machines = num_machines
         self.num_slots = num_slots
         self.slot_length = slot_length
+        # numpy loads here, with the first timeline, not on ``import repro``.
+        import numpy as np
+
         self._speeds = np.zeros((num_machines, num_slots), dtype=float)
 
         if power is None:

@@ -158,8 +158,12 @@ def assert_rejection_budget(
     ``epsilon`` for Theorem 2 (weight fraction, ``weighted=True``).
     """
     if weighted:
-        total = sum(r.weight for r in result.records.values())
-        rejected = sum(r.weight for r in result.records.values() if r.rejected)
+        total = 0
+        rejected = 0
+        for r in result.records.values():
+            total += r.weight
+            if r.rejected:
+                rejected += r.weight
     else:
         total = float(len(result.records))
         rejected = float(sum(1 for r in result.records.values() if r.rejected))

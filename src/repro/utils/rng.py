@@ -8,13 +8,16 @@ stable per-label seeds from one master seed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def make_rng(seed: "int | np.random.Generator | None" = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` from a seed or pass one through.
+
+    numpy loads on the first call, not on import.
 
     Parameters
     ----------
@@ -22,6 +25,8 @@ def make_rng(seed: "int | np.random.Generator | None" = None) -> np.random.Gener
         ``None`` (fresh entropy), an integer seed, or an existing generator
         (returned unchanged so callers can share a stream deliberately).
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)

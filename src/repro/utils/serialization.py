@@ -17,10 +17,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import PurePath
 from typing import Any
-
-import numpy as np
 
 
 def tuplify(value: Any) -> Any:
@@ -44,12 +43,16 @@ def jsonify(value: Any) -> Any:
     """
     if isinstance(value, (str, bool, int, float)) or value is None:
         return value
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [jsonify(v) for v in value.tolist()]
+    # A numpy value exists only once numpy is imported, so an unloaded numpy
+    # needs no checks (and is not loaded for them).
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            return float(value)
+        if isinstance(value, np.ndarray):
+            return [jsonify(v) for v in value.tolist()]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonify(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):

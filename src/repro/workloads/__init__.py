@@ -15,76 +15,60 @@ exercise the regimes its theory speaks about:
 * trace ingestion/export and deterministic trace transforms
   (:mod:`repro.workloads.traces`) plus the named heavy-traffic scenario
   catalog built on them (:mod:`repro.workloads.scenarios`).
+
+The re-exports load on first access (PEP 562): the job-row schema
+(:mod:`repro.workloads.rows`), which the service imports, loads neither the
+generators nor numpy.
 """
 
-from repro.workloads.arrival_processes import (
-    poisson_arrivals,
-    bursty_arrivals,
-    batched_arrivals,
-    deterministic_arrivals,
-)
-from repro.workloads.processing_times import (
-    uniform_sizes,
-    exponential_sizes,
-    bounded_pareto_sizes,
-    bimodal_sizes,
-)
-from repro.workloads.machine_models import (
-    identical_matrix,
-    uniform_related_matrix,
-    unrelated_matrix,
-    restricted_assignment_matrix,
-)
-from repro.workloads.generators import InstanceGenerator, WeightedInstanceGenerator, DeadlineInstanceGenerator
-from repro.workloads.adversarial import (
-    lemma1_instance,
-    overload_burst_instance,
-    Lemma2Adversary,
-)
-from repro.workloads.suites import WorkloadSuite, standard_suites, validate_unique_suites
-from repro.workloads.traces import (
-    TraceStats,
-    read_trace_chunks,
-    read_trace_jobs,
-    trace_instance,
-    trace_stats,
-    write_trace,
-)
-from repro.workloads.scenarios import (
-    Scenario,
-    available_scenarios,
-    get_scenario,
-)
+#: Public names and the submodule each loads from.
+_LAZY = {
+    "poisson_arrivals": "repro.workloads.arrival_processes",
+    "bursty_arrivals": "repro.workloads.arrival_processes",
+    "batched_arrivals": "repro.workloads.arrival_processes",
+    "deterministic_arrivals": "repro.workloads.arrival_processes",
+    "uniform_sizes": "repro.workloads.processing_times",
+    "exponential_sizes": "repro.workloads.processing_times",
+    "bounded_pareto_sizes": "repro.workloads.processing_times",
+    "bimodal_sizes": "repro.workloads.processing_times",
+    "identical_matrix": "repro.workloads.machine_models",
+    "uniform_related_matrix": "repro.workloads.machine_models",
+    "unrelated_matrix": "repro.workloads.machine_models",
+    "restricted_assignment_matrix": "repro.workloads.machine_models",
+    "InstanceGenerator": "repro.workloads.generators",
+    "WeightedInstanceGenerator": "repro.workloads.generators",
+    "DeadlineInstanceGenerator": "repro.workloads.generators",
+    "lemma1_instance": "repro.workloads.adversarial",
+    "overload_burst_instance": "repro.workloads.adversarial",
+    "Lemma2Adversary": "repro.workloads.adversarial",
+    "WorkloadSuite": "repro.workloads.suites",
+    "standard_suites": "repro.workloads.suites",
+    "validate_unique_suites": "repro.workloads.suites",
+    "TraceStats": "repro.workloads.traces",
+    "read_trace_chunks": "repro.workloads.traces",
+    "read_trace_jobs": "repro.workloads.traces",
+    "trace_instance": "repro.workloads.traces",
+    "trace_stats": "repro.workloads.traces",
+    "write_trace": "repro.workloads.traces",
+    "Scenario": "repro.workloads.scenarios",
+    "available_scenarios": "repro.workloads.scenarios",
+    "get_scenario": "repro.workloads.scenarios",
+}
 
-__all__ = [
-    "poisson_arrivals",
-    "bursty_arrivals",
-    "batched_arrivals",
-    "deterministic_arrivals",
-    "uniform_sizes",
-    "exponential_sizes",
-    "bounded_pareto_sizes",
-    "bimodal_sizes",
-    "identical_matrix",
-    "uniform_related_matrix",
-    "unrelated_matrix",
-    "restricted_assignment_matrix",
-    "InstanceGenerator",
-    "WeightedInstanceGenerator",
-    "DeadlineInstanceGenerator",
-    "lemma1_instance",
-    "overload_burst_instance",
-    "Lemma2Adversary",
-    "WorkloadSuite",
-    "standard_suites",
-    "validate_unique_suites",
-    "TraceStats",
-    "read_trace_chunks",
-    "read_trace_jobs",
-    "trace_instance",
-    "trace_stats",
-    "write_trace",
-    "Scenario",
-    "available_scenarios",
-    "get_scenario",
-]
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
+
+__all__ = list(_LAZY)

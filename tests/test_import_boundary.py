@@ -3,8 +3,10 @@
 Every ``repro solve``, ``repro serve`` and spawned worker pays its imports
 before it schedules a job, so the solve and serve paths load only what they
 run.  scipy (the Section 2 LP lower bound), the service, campaigns,
-experiments and analysis load on first use.  These checks run
-fresh interpreters and gate on exact module sets, not on time.
+experiments and analysis load on first use, and numpy loads where an array
+is first built: a trace chunk, a generated instance, a Fenwick rank build.
+These checks run fresh interpreters and gate on exact module sets, not on
+time.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import repro
 from repro.lowerbounds.flow_lp import lp_flow_time_lower_bound
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
+from repro.simulation.state import PREFIX_SCAN_CUTOFF
 from repro.utils.serialization import canonical_json
 from repro.workloads.scenarios import get_scenario
 from repro.workloads.traces import trace_instance, write_trace
@@ -41,6 +44,7 @@ OFF_SOLVE_PATH = (
 
 #: Modules the serve path never runs.
 OFF_SERVE_PATH = (
+    "numpy",
     "scipy",
     "repro.campaigns",
     "repro.experiments",
@@ -159,3 +163,140 @@ def test_public_surface_resolves_lazily_exported_names():
     assert repro.open_session is open_session
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(repro, "no_such_name")
+
+
+def test_import_repro_a_solver_lookup_and_the_cli_parser_load_no_numpy():
+    result = _run_fresh(
+        """
+        import io
+        import repro
+
+        repro.solvers.get_solver("rejection-flow")
+        after_lookup = loaded()
+        from repro.cli import main
+
+        assert main(["solve", "--list-algorithms"], out=io.StringIO()) == 0
+        print(json.dumps({"after_lookup": after_lookup, "after_cli": loaded()}))
+        """,
+        watched=("numpy",),
+    )
+    assert result == {"after_lookup": [], "after_cli": []}
+
+
+def _rows(count: int, spacing: float) -> list[dict]:
+    """Job rows for three machines, released ``spacing`` apart."""
+    return [
+        {"id": j, "release": spacing * j, "sizes": [1.0 + j % 3, 2.0, 3.5 - j % 2]}
+        for j in range(count)
+    ]
+
+
+def _batch_row(rows: list[dict], algorithm: str, epsilon: float) -> str:
+    instance = Instance.build(3, [Job.from_dict(row) for row in rows])
+    return canonical_json(repro.solve(instance, algorithm, epsilon=epsilon).as_row())
+
+
+def test_tcp_service_runs_every_op_without_numpy():
+    # Jobs 4 time units apart and at most 3.5 long: no queue nears
+    # PREFIX_SCAN_CUTOFF, so no Fenwick rank build runs.
+    rows = _rows(24, spacing=4.0)
+    result = _run_fresh(
+        """
+        from repro.service.client import ServiceClient
+        from repro.service.server import start_server_thread
+        from repro.utils.serialization import canonical_json
+
+        rows = json.loads(sys.argv[1])
+        finals = {}
+        handle = start_server_thread()
+        with ServiceClient(handle.host, handle.port) as client:
+            client.hello()
+            for algorithm in ("rejection-flow", "rejection-energy-flow"):
+                client.create(algorithm, algorithm=algorithm, machines=3,
+                              params={"epsilon": 0.5})
+                client.submit(algorithm, rows[:12])
+                client.poll(algorithm)
+                client.stats(algorithm)
+                client.sessions()
+                snapshot = client.snapshot(algorithm)
+                client.close_session(algorithm)
+                moved = algorithm + "-restored"
+                client.restore(moved, snapshot)
+                client.submit(moved, rows[12:])
+                client.advance(moved, rows[18]["release"])
+                final = client.close_session(moved).event
+                finals[algorithm] = canonical_json(
+                    {k: v for k, v in final.items() if k not in ("event", "session")}
+                )
+        assert handle.stop() == 0
+        print(json.dumps({"finals": finals, "loaded": loaded()}))
+        """,
+        json.dumps(rows),
+        watched=OFF_SERVE_PATH,
+    )
+    assert result["loaded"] == []
+    for algorithm, row in result["finals"].items():
+        assert row == _batch_row(rows, algorithm, epsilon=0.5), algorithm
+
+
+def test_numpy_loads_on_a_servers_first_deep_queue():
+    # Jobs a millisecond apart queue up past PREFIX_SCAN_CUTOFF, which builds
+    # the Fenwick ranks with numpy inside the poll that first needs them.
+    rows = _rows(4 * PREFIX_SCAN_CUTOFF, spacing=0.001)
+    result = _run_fresh(
+        """
+        from repro.service.client import ServiceClient
+        from repro.service.server import start_server_thread
+        from repro.utils.serialization import canonical_json
+
+        rows = json.loads(sys.argv[1])
+        cutoff = int(sys.argv[2])
+        handle = start_server_thread()
+        with ServiceClient(handle.host, handle.port) as client:
+            client.create("deep", algorithm="rejection-flow", machines=3,
+                          params={"epsilon": 0.1})
+            client.submit("deep", rows[:cutoff])  # no machine can queue more
+            client.poll("deep")
+            shallow = loaded()
+            client.submit("deep", rows[cutoff:])
+            client.poll("deep")
+            deep = loaded()
+            final = client.close_session("deep").event
+        handle.stop()
+        row = canonical_json({k: v for k, v in final.items() if k not in ("event", "session")})
+        print(json.dumps({"shallow": shallow, "deep": deep, "row": row}))
+        """,
+        json.dumps(rows),
+        str(PREFIX_SCAN_CUTOFF),
+        watched=("numpy",),
+    )
+    assert result["shallow"] == [] and result["deep"] == ["numpy"]
+    assert result["row"] == _batch_row(rows, "rejection-flow", epsilon=0.1)
+
+
+#: Statements that build a first array, each after ``import repro``.
+_FIRST_ARRAYS = {
+    "csv-trace": "from repro.workloads.traces import trace_instance; trace_instance(sys.argv[1])",
+    "generator": (
+        "from repro.workloads.generators import InstanceGenerator; "
+        "InstanceGenerator(num_machines=2, seed=0).generate(20)"
+    ),
+}
+
+
+@pytest.mark.parametrize("build", list(_FIRST_ARRAYS.values()), ids=list(_FIRST_ARRAYS))
+def test_numpy_loads_on_first_array_use(build, tmp_path):
+    trace = tmp_path / "jobs.csv"
+    write_trace(get_scenario("flash-crowd").instance(40, 3, 3, alpha=3.0), trace)
+    result = _run_fresh(
+        f"""
+        import repro
+
+        before = loaded()
+        {build}
+        print(json.dumps({{"before": before, "after": loaded()}}))
+        """,
+        str(trace),
+        watched=("numpy",),
+    )
+    assert result == {"before": [], "after": ["numpy"]}

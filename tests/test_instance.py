@@ -81,6 +81,37 @@ class TestInstanceStatistics:
         assert not Instance.build(2, _jobs()).has_deadlines()
 
 
+#: 1.0, then ten 1e-16.  Added left to right each 1e-16 is under half an ulp
+#: of 1.0 and vanishes; Python 3.12's compensated ``sum()`` keeps them
+#: (1.000000000000001).
+_TINY_TAIL = [1.0] + [1e-16] * 10
+
+
+def _tail_sized_jobs() -> list[Job]:
+    """Jobs whose only finite size (so both their least and worst) is the tail."""
+    return [Job(j, 0.0, (p, math.inf)) for j, p in enumerate(_TINY_TAIL)]
+
+
+class TestTotalsAreLeftToRight:
+    """Instance totals have the same bits on every Python version.
+
+    These fail on Python 3.12 if a total uses ``sum()`` of floats.
+    """
+
+    def test_total_weight(self):
+        jobs = [Job(j, 0.0, (1.0,), weight=w) for j, w in enumerate(_TINY_TAIL)]
+        assert Instance.build(1, jobs).total_weight == 1.0
+
+    def test_stats_total_min_size(self):
+        stats = Instance.build(2, _tail_sized_jobs()).stats()
+        assert stats.total_min_size == 1.0
+        assert stats.makespan_lower_bound == 0.5
+
+    def test_horizon_total_of_worst_sizes(self):
+        # Every release is 0, so the horizon is the total of worst finite sizes.
+        assert Instance.build(2, _tail_sized_jobs()).horizon() == 1.0
+
+
 class TestInstanceTransformations:
     def test_with_speed_factor(self):
         inst = Instance.build(2, _jobs()).with_speed_factor(2.0)

@@ -1,7 +1,11 @@
 """Unit tests for :mod:`repro.simulation.metrics`."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.flow_time import RejectionFlowTimeScheduler
+from repro.core.flow_time_energy import RejectionEnergyFlowScheduler
 from repro.simulation.engine import ArrivalDecision, FlowTimeEngine, FlowTimePolicy
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
@@ -19,6 +23,7 @@ from repro.simulation.metrics import (
     total_weighted_flow_time,
 )
 from repro.simulation.schedule import ExecutionInterval, JobRecord, SimulationResult
+from repro.simulation.speed_engine import SpeedScalingEngine
 
 
 def _manual_result() -> SimulationResult:
@@ -147,3 +152,70 @@ class TestSummary:
         empty = SimulationResult(instance, {}, [], algorithm="empty")
         assert total_flow_time(empty) == 0.0
         assert rejected_fraction(empty) == 0.0
+
+
+def _spec_summary(result: SimulationResult) -> dict:
+    """Every summary field computed by the standalone metric functions (the spec)."""
+    return {
+        "algorithm": result.algorithm,
+        "num_jobs": len(result.records),
+        "num_machines": result.instance.num_machines,
+        "total_flow_time": total_flow_time(result),
+        "total_weighted_flow_time": total_weighted_flow_time(result),
+        "total_energy": total_energy(result),
+        "flow_plus_energy": flow_plus_energy(result),
+        "rejected_count": rejected_count(result),
+        "rejected_fraction": rejected_fraction(result),
+        "rejected_weight_fraction": rejected_weight_fraction(result),
+        "max_flow_time": max_flow_time(result),
+        "makespan": result.makespan(),
+    }
+
+
+def assert_summary_is_the_spec(result: SimulationResult) -> None:
+    """``summarize``'s one pass gives each field's bits and type."""
+    got = summarize(result).as_dict()
+    want = _spec_summary(result)
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert type(got[name]) is type(value), name
+        assert repr(got[name]) == repr(value), name
+
+
+@st.composite
+def _dense_instances(draw) -> Instance:
+    """Small instances whose jobs arrive close together, so the rules reject."""
+    num_machines = draw(st.integers(min_value=1, max_value=3))
+    alpha = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    sizes = st.floats(min_value=0.1, max_value=20.0)
+    jobs = [
+        Job(
+            job_id,
+            draw(st.floats(min_value=0.0, max_value=5.0)),
+            tuple(draw(sizes) for _ in range(num_machines)),
+            weight=draw(st.floats(min_value=0.1, max_value=5.0)),
+        )
+        for job_id in range(draw(st.integers(min_value=1, max_value=14)))
+    ]
+    return Instance.build(Machine.fleet(num_machines, alpha=alpha), jobs)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance=_dense_instances(), epsilon=st.floats(min_value=0.3, max_value=0.95))
+def test_summarize_equals_the_metric_functions(instance, epsilon):
+    # Theorem 1: counted rejections at unit speed.
+    assert_summary_is_the_spec(FlowTimeEngine(instance).run(RejectionFlowTimeScheduler(epsilon)))
+    # Theorem 2: weighted rejections at non-unit speeds.
+    assert_summary_is_the_spec(
+        SpeedScalingEngine(instance).run(RejectionEnergyFlowScheduler(epsilon))
+    )
+
+
+def test_summarize_of_a_result_with_rejections_equals_the_metric_functions():
+    assert_summary_is_the_spec(_manual_result())
+    assert_summary_is_the_spec(_tiny_tail_result(rejected_head=False))
+
+
+def test_summarize_of_an_empty_result_equals_the_metric_functions():
+    empty = SimulationResult(Instance.build(2, []), {}, [], algorithm="empty")
+    assert_summary_is_the_spec(empty)

@@ -59,7 +59,7 @@ from repro.exceptions import (
     TraceSchemaError,
 )
 from repro.service.client import ServiceClient, percentile, run_loadgen
-from repro.service.manager import SessionManager
+from repro.service.manager import MAX_MACHINES, SessionManager
 from repro.service.protocol import (
     OPS,
     PROTOCOL_VERSION,
@@ -72,6 +72,8 @@ from repro.service.protocol import (
 from repro.service.server import start_server_thread
 from repro.service.session import open_session, streaming_algorithms
 from repro.simulation.engine import DISPATCH_MODES
+from repro.simulation.instance import Instance
+from repro.simulation.job import Job
 from repro.simulation.stepper import DecisionEvent
 from repro.solvers import solve
 from repro.utils.serialization import canonical_json
@@ -424,6 +426,11 @@ class TestSessionManager:
         manager = SessionManager(defaults=GOLDEN_OPTS)
         with pytest.raises(ServiceError):
             manager.create("t", max_pending=-1)
+        with pytest.raises(ServiceError, match=f"machines must be at most {MAX_MACHINES}"):
+            manager.create("t", machines=MAX_MACHINES + 1)
+        with pytest.raises(ServiceError, match=f"machines must be at most {MAX_MACHINES}"):
+            SessionManager(defaults={"machines": MAX_MACHINES + 1}).create("t")
+        assert manager.sessions() == []
 
 
 # --------------------------------------------------------------------------------------
@@ -795,6 +802,32 @@ class TestServer:
             sock.sendall(b'{"op":"hello"}\n')
             hello = json.loads(reader.readline())
             assert hello["event"] == "hello" and hello["sessions"] == 0, hello
+
+    def test_a_fleet_past_the_machine_ceiling_gets_one_attributed_error(self, server):
+        # Building 200,000 machines would hold the event loop for over a
+        # second and take 150 MiB; the refusal comes before any is built.
+        with (
+            socket.create_connection((server.host, server.port), timeout=30) as sock,
+            sock.makefile("rb") as reader,
+        ):
+            sock.sendall(b'{"op":"create","session":"s","machines":200000}\n')
+            row = json.loads(reader.readline())
+            assert row["event"] == "error" and row["code"] == "session", row
+            assert row["error"] == f"machines must be at most {MAX_MACHINES}, got 200000", row
+            sock.sendall(b'{"op":"hello"}\n')
+            hello = json.loads(reader.readline())
+            assert hello["event"] == "hello" and hello["sessions"] == 0, hello
+
+    def test_a_fleet_at_the_machine_ceiling_is_created(self, server):
+        with ServiceClient(server.host, server.port) as client:
+            assert client.create("wide", machines=MAX_MACHINES)["event"] == "created"
+            # The job may run only on the last machine.
+            job = Job(0, 0.0, (math.inf,) * (MAX_MACHINES - 1) + (1.0,))
+            client.submit("wide", [job.to_dict()])
+            final = client.close_session("wide")
+        assert {event["machine"] for event in final.decisions} == {MAX_MACHINES - 1}
+        batch = solve(Instance.build(MAX_MACHINES, [job]), "rejection-flow", epsilon=0.5)
+        assert canonical_json(_strip(final.event)) == canonical_json(batch.as_row())
 
     def test_shutdown_op_exits_zero_when_all_sessions_closed(self, server):
         with ServiceClient(server.host, server.port) as client:

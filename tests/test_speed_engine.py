@@ -8,6 +8,7 @@ from repro.simulation.job import Job
 from repro.simulation.machine import Machine
 from repro.simulation.metrics import total_energy, total_weighted_flow_time
 from repro.simulation.decisions import ArrivalDecision, Rejection, StartDecision
+from repro.simulation.schedule import ExecutionInterval
 from repro.simulation.speed_engine import SpeedScalingEngine, SpeedScalingPolicy
 from repro.simulation.validation import validate_result
 
@@ -87,6 +88,17 @@ class TestSpeedExecution:
         # Job 0 ran at speed 1 for 3 time units before being rejected.
         assert total_energy(result) == pytest.approx(3.0 + 1.0)
         assert result.record(0).rejected
+
+
+def test_energy_extra_adds_left_to_right():
+    # One interval of energy 1.0, then ten of 1e-16: added left to right each
+    # 1e-16 vanishes; Python 3.12's compensated ``sum()`` keeps them.
+    instance = _single(2.0, [Job(j, 0.0, (1.0,)) for j in range(11)])
+    intervals = [ExecutionInterval(0, 0, 0.0, 1.0, speed=1.0)] + [
+        ExecutionInterval(0, j, 0.0, 1e-16, speed=1.0) for j in range(1, 11)
+    ]
+    extras = SpeedScalingEngine(instance)._result_extras(intervals, 0)
+    assert extras["energy"] == 1.0
 
 
 class TestSpeedEngineErrors:

@@ -1,5 +1,7 @@
 """Unit tests for the schedule validator."""
 
+import math
+
 import pytest
 
 from repro.exceptions import ScheduleValidationError
@@ -94,6 +96,24 @@ class TestRejectionBudget:
     def test_count_budget_violated(self):
         with pytest.raises(ScheduleValidationError):
             assert_rejection_budget(self._result_with_rejection(), max_fraction=0.4)
+
+    def test_weight_totals_add_left_to_right(self):
+        # Job 0 (weight 1.0) is rejected, then ten jobs of weight 1e-16 run.
+        # Left to right the total weight is 1.0, so the rejected fraction is
+        # exactly 1.0 and a budget one ulp below it is exceeded; Python 3.12's
+        # compensated ``sum()`` would give 1.000000000000001 and let it pass.
+        weights = [1.0] + [1e-16] * 10
+        instance = Instance.build(1, [Job(j, 0.0, (1.0,), weight=w) for j, w in enumerate(weights)])
+        records = {
+            j: JobRecord(j, w, 0.0, 0, 0.0, 1.0, False) for j, w in enumerate(weights)
+        }
+        records[0] = JobRecord(0, 1.0, 0.0, 0, None, None, True, rejection_time=0.0)
+        result = SimulationResult(instance, records, [])
+        assert_rejection_budget(result, max_fraction=1.0, weighted=True, tol=0.0)
+        with pytest.raises(ScheduleValidationError):
+            assert_rejection_budget(
+                result, max_fraction=math.nextafter(1.0, 0.0), weighted=True, tol=0.0
+            )
 
     def test_weight_budget(self):
         result = self._result_with_rejection()
