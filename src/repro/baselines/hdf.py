@@ -41,6 +41,18 @@ class _PendingJob:
     completion: float | None = None
 
 
+def _total_weight(queue: list[_PendingJob]) -> float:
+    """Total pending weight, added left to right from the int 0.
+
+    Python 3.12's ``sum()`` of floats is compensated, so it can give other
+    bits than 3.10 and 3.11; this loop gives the same bits on every version.
+    """
+    total = 0
+    for p in queue:
+        total += p.weight
+    return total
+
+
 @dataclass
 class HDFResult:
     """Output of the preemptive HDF reference simulation."""
@@ -88,7 +100,7 @@ class HighestDensityFirstScheduler:
         def dispatch(job) -> int:
             best, best_value = None, -math.inf
             for machine in job.eligible_machines():
-                backlog = sum(p.weight for p in pending[machine])
+                backlog = _total_weight(pending[machine])
                 value = job.density_on(machine) - 1e-3 * backlog
                 if value > best_value:
                     best, best_value = machine, value
@@ -117,22 +129,21 @@ class HighestDensityFirstScheduler:
             next_release = arrivals[arrival_idx].release if arrival_idx < n else math.inf
             # Determine, per machine, the current speed and the running job.
             horizon = next_release
-            running: dict[int, tuple[_PendingJob, float]] = {}
+            running: dict[int, tuple[_PendingJob, float, float]] = {}
             for machine, queue in pending.items():
                 if not queue:
                     continue
-                total_weight = sum(p.weight for p in queue)
+                total_weight = _total_weight(queue)
                 speed = total_weight ** (1.0 / alpha)
                 current = max(queue, key=lambda p: (p.weight / p.volume, -p.release, -p.job_id))
-                running[machine] = (current, speed)
+                running[machine] = (current, speed, total_weight)
                 horizon = min(horizon, time + current.remaining / speed)
             if not running:
                 time = next_release
                 continue
 
             dt = max(0.0, horizon - time)
-            for machine, (current, speed) in running.items():
-                total_weight = sum(p.weight for p in pending[machine])
+            for machine, (current, speed, total_weight) in running.items():
                 weighted_flow += total_weight * dt
                 energy += speed**alpha * dt
                 current.remaining -= speed * dt

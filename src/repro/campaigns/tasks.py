@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.analysis.reporting import ExperimentTable
-from repro.experiments.registry import ExperimentResult, ExperimentRunUnit
+from repro.experiments.registry import ExperimentResult, run_experiment
 from repro.utils.serialization import jsonify, stable_hash, tuplify
 
 #: Bump when the payload schema changes; part of the artifact key so stale
 #: artifacts are recomputed instead of misread.
-ARTIFACT_SCHEMA_VERSION = 2
+ARTIFACT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,6 @@ class CampaignTask:
             overrides["seed"] = self.seed
         return overrides
 
-    def to_unit(self) -> ExperimentRunUnit:
-        """The picklable run unit executing this task."""
-        return ExperimentRunUnit.create(self.experiment_id, self.effective_overrides())
-
     def key(self) -> str:
         """Content-addressed artifact key: a hash of everything that shapes
         the result (experiment, config overrides, payload schema version)."""
@@ -89,7 +85,7 @@ class CampaignTask:
 
 def run_task(task: CampaignTask) -> dict:
     """Execute ``task`` and return its JSON artifact payload."""
-    result = task.to_unit().run()
+    result = run_experiment(task.experiment_id, **task.effective_overrides())
     return payload_from_result(task, result)
 
 

@@ -21,7 +21,6 @@ examples do.
 from repro.experiments.registry import (
     EXPERIMENTS,
     ExperimentResult,
-    ExperimentRunUnit,
     ExperimentSpec,
     available_experiments,
     get_spec,
@@ -33,7 +32,6 @@ from repro.experiments.registry import (
 __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
-    "ExperimentRunUnit",
     "ExperimentSpec",
     "available_experiments",
     "get_spec",

@@ -1,13 +1,11 @@
 """Experiment registry: ids, descriptions and uniform run entry points.
 
 Every experiment module exposes a ``*Config`` dataclass plus ``run(config)``.
-The registry maps experiment ids onto those modules and offers three layers
-of entry point, from most to least convenient:
+The registry maps experiment ids onto those modules and offers two layers
+of entry point:
 
 * :func:`run_experiment` — build a config from keyword overrides and run it;
-* :class:`ExperimentRunUnit` — a picklable ``(experiment_id, overrides)``
-  bundle whose :meth:`~ExperimentRunUnit.run` does the same; this is what a
-  campaign task runs;
+  this is what a campaign task runs;
 * :func:`make_config` / :func:`run_config` — the underlying pieces, for
   callers that want to inspect or mutate the config before running.
 """
@@ -17,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.analysis.reporting import ExperimentTable, render_report
 from repro.exceptions import InvalidParameterError
@@ -196,38 +194,3 @@ def run_experiment(experiment_id: str, **config_overrides) -> ExperimentResult:
     """
     return run_config(experiment_id, make_config(experiment_id, **config_overrides))
 
-
-@dataclass(frozen=True)
-class ExperimentRunUnit:
-    """A picklable, self-contained unit of experiment work.
-
-    Plain data only (an experiment id plus a JSON-able overrides mapping), so
-    instances cross process boundaries and hash stably — a campaign task
-    runs one and keys its artifact off the same overrides.
-    """
-
-    experiment_id: str
-    overrides: tuple[tuple[str, Any], ...] = ()
-
-    @classmethod
-    def create(cls, experiment_id: str, overrides: Mapping[str, Any] | None = None
-               ) -> "ExperimentRunUnit":
-        """Build a unit, normalising the overrides mapping to sorted hashable
-        items (list values from JSON round trips become tuples)."""
-        items = tuple(
-            sorted((name, tuplify(value)) for name, value in (overrides or {}).items())
-        )
-        return cls(experiment_id=experiment_id.upper(), overrides=items)
-
-    @property
-    def overrides_dict(self) -> dict[str, Any]:
-        """The overrides as a plain dict."""
-        return dict(self.overrides)
-
-    def config(self):
-        """Instantiate the experiment's config dataclass for this unit."""
-        return make_config(self.experiment_id, **self.overrides_dict)
-
-    def run(self) -> ExperimentResult:
-        """Execute the unit and return the experiment result."""
-        return run_config(self.experiment_id, self.config())

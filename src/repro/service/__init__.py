@@ -22,41 +22,47 @@ This subpackage is the online-facing API of the reproduction:
 The decision-event type itself
 (:class:`~repro.simulation.stepper.DecisionEvent`) lives with its emitter in
 the simulation layer and is re-exported here.
+
+The re-exports load on first access (PEP 562), so a user of sessions or of
+the manager (``repro.open_session``, stdio ``repro serve``) loads neither
+the TCP server, its client nor asyncio.
 """
 
-from repro.simulation.stepper import DECISION_KINDS, DecisionEvent
-from repro.service.client import LoadgenReport, ServiceClient, run_loadgen
-from repro.service.manager import (
-    DEFAULT_MAX_PENDING,
-    HostedSession,
-    SessionManager,
-    SubmitOutcome,
-)
-from repro.service.protocol import PROTOCOL_VERSION
-from repro.service.server import ServerHandle, ServiceServer, start_server_thread
-from repro.service.session import (
-    SNAPSHOT_SCHEMA_VERSION,
-    SchedulerSession,
-    open_session,
-    streaming_algorithms,
-)
+#: Public names and the submodule each loads from.
+_LAZY = {
+    "DECISION_KINDS": "repro.simulation.stepper",
+    "DecisionEvent": "repro.simulation.stepper",
+    "LoadgenReport": "repro.service.client",
+    "ServiceClient": "repro.service.client",
+    "run_loadgen": "repro.service.client",
+    "DEFAULT_MAX_PENDING": "repro.service.manager",
+    "HostedSession": "repro.service.manager",
+    "SessionManager": "repro.service.manager",
+    "SubmitOutcome": "repro.service.manager",
+    "PROTOCOL_VERSION": "repro.service.protocol",
+    "ServerHandle": "repro.service.server",
+    "ServiceServer": "repro.service.server",
+    "start_server_thread": "repro.service.server",
+    "SNAPSHOT_SCHEMA_VERSION": "repro.service.session",
+    "SchedulerSession": "repro.service.session",
+    "open_session": "repro.service.session",
+    "streaming_algorithms": "repro.service.session",
+}
 
-__all__ = [
-    "DECISION_KINDS",
-    "DEFAULT_MAX_PENDING",
-    "DecisionEvent",
-    "HostedSession",
-    "LoadgenReport",
-    "PROTOCOL_VERSION",
-    "SNAPSHOT_SCHEMA_VERSION",
-    "SchedulerSession",
-    "ServerHandle",
-    "ServiceClient",
-    "ServiceServer",
-    "SessionManager",
-    "SubmitOutcome",
-    "open_session",
-    "run_loadgen",
-    "start_server_thread",
-    "streaming_algorithms",
-]
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
+
+__all__ = sorted(_LAZY)

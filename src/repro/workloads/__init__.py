@@ -23,18 +23,6 @@ generators nor numpy.
 
 #: Public names and the submodule each loads from.
 _LAZY = {
-    "poisson_arrivals": "repro.workloads.arrival_processes",
-    "bursty_arrivals": "repro.workloads.arrival_processes",
-    "batched_arrivals": "repro.workloads.arrival_processes",
-    "deterministic_arrivals": "repro.workloads.arrival_processes",
-    "uniform_sizes": "repro.workloads.processing_times",
-    "exponential_sizes": "repro.workloads.processing_times",
-    "bounded_pareto_sizes": "repro.workloads.processing_times",
-    "bimodal_sizes": "repro.workloads.processing_times",
-    "identical_matrix": "repro.workloads.machine_models",
-    "uniform_related_matrix": "repro.workloads.machine_models",
-    "unrelated_matrix": "repro.workloads.machine_models",
-    "restricted_assignment_matrix": "repro.workloads.machine_models",
     "InstanceGenerator": "repro.workloads.generators",
     "WeightedInstanceGenerator": "repro.workloads.generators",
     "DeadlineInstanceGenerator": "repro.workloads.generators",

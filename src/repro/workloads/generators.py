@@ -8,20 +8,25 @@ Three generators cover the three problems of the paper:
 * :class:`DeadlineInstanceGenerator` — instances with deadlines for the
   energy-minimisation problem (Section 4).
 
-Each generator offers two sampling paths:
+One sampler draws every instance, under two seedings.  It produces the
+release dates, the base sizes (rescaled to the target load), the ``(n, m)``
+size matrix, the weights and the deadlines as numpy columns, validates each
+:class:`JobChunk` at once and turns its rows into jobs through
+:meth:`Job.trusted`.  Each component draws from a named stream, and the two
+seedings differ only in where the streams come from:
 
-* :meth:`InstanceGenerator.generate` — the original per-job path, unchanged
-  so existing seeds reproduce exactly;
-* :meth:`InstanceGenerator.generate_large` /
-  :meth:`InstanceGenerator.iter_job_chunks` — a chunked, numpy-backed path
-  for large instances (100k jobs and beyond): arrivals, sizes and the
-  machine matrix are produced as arrays, whole chunks are validated at once,
-  and rows become jobs through :meth:`Job.trusted` without per-job
-  validation churn.  The chunked path derives independent sub-streams per
-  component from the generator's seed and consumes each stream sequentially
-  across chunks, so the resulting instance does not depend on ``chunk_size``.
-  The two paths draw different samples for the same seed — each is
-  individually deterministic.
+* :meth:`InstanceGenerator.generate` shares ``make_rng(seed)`` between
+  arrivals, sizes and the matrix, draws weights from ``make_rng(seed + 1)``
+  and deadlines from ``make_rng(seed + 2)``, and samples the instance as one
+  chunk;
+* :meth:`InstanceGenerator.iter_job_chunks` derives an independent stream
+  per component from the seed (:func:`~repro.utils.rng.seeds_for`) and
+  consumes each one left to right across chunks, so its output does not
+  depend on ``chunk_size``.  The scenario catalog and the streaming surface
+  build on it.
+
+The two seedings draw different samples for the same seed; each is
+deterministic.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.simulation.machine import Machine
 from repro.utils.rng import make_rng, seeds_for
-from repro.workloads import arrival_processes, machine_models, processing_times
+from repro.workloads import machine_models, processing_times
 
-#: Default number of jobs materialised per chunk on the large-instance path.
+#: Default number of jobs per chunk of :meth:`InstanceGenerator.iter_job_chunks`.
 DEFAULT_CHUNK_SIZE = 16384
 
 
@@ -47,7 +52,7 @@ _ARRIVALS = ("poisson", "bursty", "batched", "deterministic")
 _SIZES = ("uniform", "exponential", "pareto", "bimodal")
 _MACHINE_MODELS = ("identical", "related", "unrelated", "restricted")
 
-#: Components with independent random sub-streams on the chunked path.
+#: The sampler's random streams, one per component.
 _STREAMS = ("arrivals", "sizes", "matrix", "matrix_fixup", "weights", "deadlines")
 
 
@@ -140,7 +145,8 @@ class InstanceGenerator:
     arrival_process / arrival_rate:
         Arrival model; the rate is jobs per time unit (``poisson``/``bursty``)
         or the batch gap (``batched``: ``1/arrival_rate`` per batch of
-        ``batch_size``).
+        ``batch_size``).  It must be finite and positive, and ``batch_size``
+        at least 1.
     size_distribution:
         ``uniform``, ``exponential``, ``pareto`` (heavy tail) or ``bimodal``.
     machine_model:
@@ -148,7 +154,8 @@ class InstanceGenerator:
     load:
         Target average system load (total work rate divided by number of
         machines); the base sizes are rescaled to hit it, which keeps
-        different configurations comparable.
+        different configurations comparable.  Finite and positive, or
+        ``None`` to keep the sampled sizes.
     """
 
     num_machines: int = 4
@@ -164,68 +171,26 @@ class InstanceGenerator:
     seed: int | None = None
     name: str | None = None
 
+    #: Appended to the name of every generated instance.
+    _name_suffix = ""
+
     def __post_init__(self) -> None:
         if self.num_machines <= 0:
             raise InvalidParameterError("num_machines must be positive")
         if self.arrival_process not in _ARRIVALS:
             raise InvalidParameterError(f"unknown arrival process {self.arrival_process!r}")
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
+            raise InvalidParameterError(
+                f"arrival_rate must be finite and positive, got {self.arrival_rate}"
+            )
+        if self.batch_size < 1:
+            raise InvalidParameterError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.load is not None and not (math.isfinite(self.load) and self.load > 0):
+            raise InvalidParameterError(f"load must be finite and positive, got {self.load}")
         if self.size_distribution not in _SIZES:
             raise InvalidParameterError(f"unknown size distribution {self.size_distribution!r}")
         if self.machine_model not in _MACHINE_MODELS:
             raise InvalidParameterError(f"unknown machine model {self.machine_model!r}")
-
-    # -- pieces --------------------------------------------------------------------
-
-    def _arrivals(self, count: int, rng) -> list[float]:
-        if self.arrival_process == "poisson":
-            return arrival_processes.poisson_arrivals(count, self.arrival_rate, seed=rng)
-        if self.arrival_process == "bursty":
-            return arrival_processes.bursty_arrivals(
-                count, rate_on=self.arrival_rate * 10, rate_off=self.arrival_rate / 4, seed=rng
-            )
-        if self.arrival_process == "batched":
-            return arrival_processes.batched_arrivals(
-                count, batch_size=self.batch_size, batch_gap=1.0 / self.arrival_rate, seed=rng
-            )
-        return arrival_processes.deterministic_arrivals(count, gap=1.0 / self.arrival_rate)
-
-    def _base_sizes(self, count: int, rng) -> list[float]:
-        params = dict(self.size_params or {})
-        if self.size_distribution == "uniform":
-            return processing_times.uniform_sizes(count, seed=rng, **params)
-        if self.size_distribution == "exponential":
-            return processing_times.exponential_sizes(count, seed=rng, **params)
-        if self.size_distribution == "pareto":
-            params.setdefault("shape", 1.5)
-            params.setdefault("high", 100.0)
-            return processing_times.bounded_pareto_sizes(count, seed=rng, **params)
-        return processing_times.bimodal_sizes(count, seed=rng, **params)
-
-    def _size_matrix(self, base_sizes: list[float], rng) -> list[tuple[float, ...]]:
-        if self.machine_model == "identical":
-            return machine_models.identical_matrix(base_sizes, self.num_machines)
-        if self.machine_model == "related":
-            return machine_models.uniform_related_matrix(
-                base_sizes, self.num_machines, seed=rng
-            )
-        if self.machine_model == "unrelated":
-            return machine_models.unrelated_matrix(
-                base_sizes, self.num_machines, correlation=self.machine_correlation, seed=rng
-            )
-        return machine_models.restricted_assignment_matrix(
-            base_sizes, self.num_machines, seed=rng
-        )
-
-    def _rescale_for_load(self, base_sizes: list[float]) -> list[float]:
-        if self.load is None or not base_sizes:
-            return base_sizes
-        mean_size = float(np.mean(base_sizes))
-        # arrival_rate jobs/time * mean_size work/job spread over m machines.
-        current_load = self.arrival_rate * mean_size / self.num_machines
-        if current_load <= 0:
-            return base_sizes
-        factor = self.load / current_load
-        return [p * factor for p in base_sizes]
 
     # -- public API ----------------------------------------------------------------
 
@@ -234,23 +199,47 @@ class InstanceGenerator:
         return Machine.fleet(self.num_machines, alpha=self.alpha)
 
     def generate(self, num_jobs: int) -> Instance:
-        """Generate an instance with ``num_jobs`` jobs."""
-        if num_jobs < 0:
-            raise InvalidParameterError(f"num_jobs must be non-negative, got {num_jobs}")
-        rng = make_rng(self.seed)
-        arrivals = self._arrivals(num_jobs, rng)
-        base_sizes = self._rescale_for_load(self._base_sizes(num_jobs, rng))
-        matrix = self._size_matrix(base_sizes, rng)
-        jobs = [
-            Job(id=j, release=float(arrivals[j]), sizes=matrix[j]) for j in range(num_jobs)
-        ]
+        """Generate an instance with ``num_jobs`` jobs, sampled as one chunk.
+
+        Arrivals, sizes and the matrix share ``make_rng(seed)``; weights draw
+        from ``make_rng(seed + 1)`` and deadlines from ``make_rng(seed + 2)``.
+        """
+        seed = self.seed
+        shared = make_rng(seed)
+        streams = {
+            "arrivals": shared,
+            "sizes": shared,
+            "matrix": shared,
+            "matrix_fixup": shared,
+            "weights": make_rng(None if seed is None else seed + 1),
+            "deadlines": make_rng(None if seed is None else seed + 2),
+        }
+        jobs: list[Job] = []
+        for chunk in self._sample(num_jobs, streams, max(1, num_jobs)):
+            jobs.extend(chunk.jobs())
         label = self.name or (
             f"{self.size_distribution}-{self.arrival_process}-{self.machine_model}"
             f"(m={self.num_machines},n={num_jobs})"
         )
-        return Instance.build(self.machines(), jobs, name=label)
+        return Instance(self.machines(), tuple(jobs), name=label + self._name_suffix)
 
-    # -- chunked large-instance path -----------------------------------------------
+    def iter_job_chunks(
+        self, num_jobs: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ) -> Iterator[JobChunk]:
+        """Generate ``num_jobs`` jobs as validated numpy chunks.
+
+        Each component draws from its own stream, derived from the seed, so
+        the jobs do not depend on ``chunk_size``.  Arrivals and base sizes are
+        sampled up front as flat arrays (O(n) floats); the ``(chunk, m)``
+        size matrix, weights and deadlines are produced chunk by chunk, so
+        peak memory stays bounded by ``chunk_size * num_machines`` regardless
+        of instance size.
+        """
+        if chunk_size <= 0:
+            raise InvalidParameterError(f"chunk_size must be positive, got {chunk_size}")
+        yield from self._sample(num_jobs, self._chunk_streams(), chunk_size)
+
+    # -- the sampler ---------------------------------------------------------------
 
     def _chunk_streams(self) -> dict[str, np.random.Generator]:
         """One independent generator per sampled component.
@@ -264,24 +253,57 @@ class InstanceGenerator:
         derived = seeds_for(self.seed, list(_STREAMS))
         return {label: make_rng(derived[label]) for label in _STREAMS}
 
+    def _sample(
+        self, num_jobs: int, rngs: dict[str, np.random.Generator], chunk_size: int
+    ) -> Iterator[JobChunk]:
+        """``num_jobs`` jobs in validated chunks of ``chunk_size``, each
+        component drawn from its entry of ``rngs`` (see :data:`_STREAMS`)."""
+        if num_jobs < 0:
+            raise InvalidParameterError(f"num_jobs must be non-negative, got {num_jobs}")
+        arrivals = self._arrivals_array(num_jobs, rngs["arrivals"])
+        base = self._base_sizes_array(num_jobs, rngs["sizes"])
+        if self.load is not None and num_jobs > 0:
+            # arrival_rate jobs/time * mean_size work/job spread over m machines.
+            current_load = self.arrival_rate * float(np.mean(base)) / self.num_machines
+            if current_load > 0:
+                base = base * (self.load / current_load)
+        related_speeds = None
+        if self.machine_model == "related":
+            related_speeds = rngs["matrix"].uniform(1.0, 4.0, size=self.num_machines)
+            related_speeds[0] = 1.0  # keep one reference machine at unit speed
+        for start in range(0, num_jobs, chunk_size):
+            stop = min(start + chunk_size, num_jobs)
+            sizes = self._matrix_chunk(base[start:stop], rngs, related_speeds)
+            chunk = JobChunk(
+                start=start,
+                releases=arrivals[start:stop],
+                sizes=sizes,
+                weights=self._weights_chunk(stop - start, rngs["weights"]),
+                deadlines=self._deadlines_chunk(
+                    arrivals[start:stop], sizes, rngs["deadlines"]
+                ),
+            )
+            chunk.validate()
+            yield chunk
+
     def _arrivals_array(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """All release dates as one sorted float64 array."""
+        gap = 1.0 / self.arrival_rate
         if self.arrival_process == "poisson":
-            return np.cumsum(rng.exponential(1.0 / self.arrival_rate, size=count))
+            return np.cumsum(rng.exponential(gap, size=count))
         if self.arrival_process == "bursty":
-            rate_on = self.arrival_rate * 10
-            rate_off = self.arrival_rate / 4
+            # Bursts of 20 jobs at 10x the rate, each followed by one quiet
+            # gap at a quarter of it.
             burst_length = 20
-            gaps = rng.exponential(1.0 / rate_on, size=count)
+            gaps = rng.exponential(1.0 / (self.arrival_rate * 10), size=count)
             num_bursts = max(1, -(-count // burst_length))
-            offs = rng.exponential(1.0 / rate_off, size=num_bursts)
+            offs = rng.exponential(1.0 / (self.arrival_rate / 4), size=num_bursts)
             off_prefix = np.concatenate([[0.0], np.cumsum(offs)])
             burst_of = np.arange(count) // burst_length
             return np.cumsum(gaps) + off_prefix[burst_of]
         if self.arrival_process == "batched":
-            base = (np.arange(count) // self.batch_size) * (1.0 / self.arrival_rate)
-            return np.sort(base)
-        return np.arange(count) * (1.0 / self.arrival_rate)
+            return (np.arange(count) // self.batch_size) * gap
+        return np.arange(count) * gap
 
     def _base_sizes_array(self, count: int, rng: np.random.Generator) -> np.ndarray:
         params = dict(self.size_params or {})
@@ -312,9 +334,11 @@ class InstanceGenerator:
                 correlation=self.machine_correlation,
                 seed=rngs["matrix"],
             )
-        # Restricted assignment: eligibility comes from the matrix stream and
-        # the all-forbidden fix-ups from a dedicated stream, so the position
-        # of every draw is independent of where chunk boundaries fall.
+        # Restricted assignment: each machine is eligible with probability
+        # 1/2, drawn from the matrix stream; a job left with none gets one
+        # machine from the fix-up stream, so under iter_job_chunks the
+        # position of every draw is independent of where chunk boundaries
+        # fall.
         eligible = (
             rngs["matrix"].uniform(0.0, 1.0, size=(len(base_chunk), self.num_machines)) < 0.5
         )
@@ -334,66 +358,6 @@ class InstanceGenerator:
         """Per-job deadlines for the chunk (``None``: no deadlines)."""
         return None
 
-    def iter_job_chunks(
-        self, num_jobs: int, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> Iterator[JobChunk]:
-        """Generate ``num_jobs`` jobs as validated numpy chunks.
-
-        Arrivals and base sizes are sampled up front as flat arrays (O(n)
-        floats); the ``(chunk, m)`` size matrix, weights and deadlines are
-        produced chunk by chunk so peak memory stays bounded by
-        ``chunk_size * num_machines`` regardless of instance size.
-        """
-        if num_jobs < 0:
-            raise InvalidParameterError(f"num_jobs must be non-negative, got {num_jobs}")
-        if chunk_size <= 0:
-            raise InvalidParameterError(f"chunk_size must be positive, got {chunk_size}")
-        rngs = self._chunk_streams()
-        arrivals = self._arrivals_array(num_jobs, rngs["arrivals"])
-        base = self._base_sizes_array(num_jobs, rngs["sizes"])
-        if self.load is not None and num_jobs > 0:
-            mean_size = float(np.mean(base))
-            current_load = self.arrival_rate * mean_size / self.num_machines
-            if current_load > 0:
-                base = base * (self.load / current_load)
-        related_speeds = None
-        if self.machine_model == "related":
-            related_speeds = rngs["matrix"].uniform(1.0, 4.0, size=self.num_machines)
-            related_speeds[0] = 1.0
-        for start in range(0, num_jobs, chunk_size):
-            stop = min(start + chunk_size, num_jobs)
-            sizes = self._matrix_chunk(base[start:stop], rngs, related_speeds)
-            chunk = JobChunk(
-                start=start,
-                releases=arrivals[start:stop],
-                sizes=sizes,
-                weights=self._weights_chunk(stop - start, rngs["weights"]),
-                deadlines=self._deadlines_chunk(
-                    arrivals[start:stop], sizes, rngs["deadlines"]
-                ),
-            )
-            chunk.validate()
-            yield chunk
-
-    def generate_large(
-        self, num_jobs: int, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> Instance:
-        """Chunked numpy-backed generation for large instances.
-
-        Samples differ from :meth:`generate` for the same seed (each path is
-        individually deterministic); on 100k-job instances this path is an
-        order of magnitude faster because no per-job Python validation or
-        intermediate lists are built in the generator loop.
-        """
-        jobs: list[Job] = []
-        for chunk in self.iter_job_chunks(num_jobs, chunk_size):
-            jobs.extend(chunk.jobs())
-        label = self.name or (
-            f"{self.size_distribution}-{self.arrival_process}-{self.machine_model}"
-            f"(m={self.num_machines},n={num_jobs},chunked)"
-        )
-        return Instance(self.machines(), tuple(jobs), name=label)
-
 
 @dataclass
 class WeightedInstanceGenerator(InstanceGenerator):
@@ -406,26 +370,14 @@ class WeightedInstanceGenerator(InstanceGenerator):
     weight_high: float = 4.0
     alpha: float = 2.5
 
-    def generate(self, num_jobs: int) -> Instance:
-        """Generate a weighted instance with ``num_jobs`` jobs."""
-        base = super().generate(num_jobs)
-        rng = make_rng(None if self.seed is None else self.seed + 1)
-        if not (0 < self.weight_low <= self.weight_high):
-            raise InvalidParameterError("need 0 < weight_low <= weight_high")
-        jobs = [
-            Job(
-                id=job.id,
-                release=job.release,
-                sizes=job.sizes,
-                weight=float(rng.uniform(self.weight_low, self.weight_high)),
-            )
-            for job in base.jobs
-        ]
-        return Instance.build(self.machines(), jobs, name=base.name + "+weights")
+    _name_suffix = "+weights"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (0 < self.weight_low <= self.weight_high < math.inf):
+            raise InvalidParameterError("need 0 < weight_low <= weight_high < inf")
 
     def _weights_chunk(self, count: int, rng: np.random.Generator) -> np.ndarray | None:
-        if not (0 < self.weight_low <= self.weight_high):
-            raise InvalidParameterError("need 0 < weight_low <= weight_high")
         return rng.uniform(self.weight_low, self.weight_high, size=count)
 
 
@@ -434,8 +386,9 @@ class DeadlineInstanceGenerator(InstanceGenerator):
     """Instances with deadlines for the Section 4 energy-minimisation problem.
 
     Each job's window length is ``slack`` times the time it would take to run
-    the job at unit speed on its best machine (plus jitter), so ``slack``
-    directly controls how much speed flexibility the scheduler has.
+    the job at unit speed on its best machine, times a jitter drawn from
+    ``[1 - slack_jitter, 1 + slack_jitter]``, so ``slack`` directly controls
+    how much speed flexibility the scheduler has.
     """
 
     slack: float = 4.0
@@ -443,32 +396,18 @@ class DeadlineInstanceGenerator(InstanceGenerator):
     alpha: float = 2.0
     size_distribution: str = "uniform"
 
-    def generate(self, num_jobs: int) -> Instance:
-        """Generate a deadline instance with ``num_jobs`` jobs."""
+    _name_suffix = "+deadlines"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.slack <= 1:
             raise InvalidParameterError(f"slack must exceed 1, got {self.slack}")
-        base = super().generate(num_jobs)
-        rng = make_rng(None if self.seed is None else self.seed + 2)
-        jobs = []
-        for job in base.jobs:
-            jitter = float(rng.uniform(1.0 - self.slack_jitter, 1.0 + self.slack_jitter))
-            window = max(1e-6, self.slack * jitter * job.min_size())
-            jobs.append(
-                Job(
-                    id=job.id,
-                    release=job.release,
-                    sizes=job.sizes,
-                    weight=job.weight,
-                    deadline=job.release + window,
-                )
-            )
-        return Instance.build(self.machines(), jobs, name=base.name + "+deadlines")
+        if not (0 <= self.slack_jitter < 1):
+            raise InvalidParameterError(f"slack_jitter must be in [0, 1), got {self.slack_jitter}")
 
     def _deadlines_chunk(
         self, releases: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray | None:
-        if self.slack <= 1:
-            raise InvalidParameterError(f"slack must exceed 1, got {self.slack}")
         jitter = rng.uniform(1.0 - self.slack_jitter, 1.0 + self.slack_jitter, size=len(releases))
         min_sizes = np.where(np.isfinite(sizes), sizes, np.inf).min(axis=1)
         window = np.maximum(1e-6, self.slack * jitter * min_sizes)

@@ -1,11 +1,10 @@
 """Processing-time (volume) distributions for synthetic workloads.
 
-Every distribution comes in two flavours: a ``*_sizes`` function returning a
-list (the original API) and a ``*_sizes_array`` function returning the
-underlying :class:`numpy.ndarray` without per-element Python float churn —
-the building block of the chunked large-instance generators.  The list
-functions are thin wrappers over the array functions and consume the random
-stream identically, so existing seeds reproduce exactly.
+Each function draws ``count`` base sizes from ``seed`` (an integer or a
+:class:`numpy.random.Generator` whose stream it advances) as one float64
+array.  They are the size stage of the generators' one sampler
+(:mod:`repro.workloads.generators`), which rescales the sizes to a target
+load and spreads them over the machines.
 """
 
 from __future__ import annotations
@@ -24,17 +23,12 @@ def _check(count: int) -> None:
 def uniform_sizes_array(
     count: int, low: float = 1.0, high: float = 10.0, seed=None
 ) -> np.ndarray:
-    """Sizes drawn uniformly from ``[low, high]`` as a float64 array."""
+    """Sizes drawn uniformly from ``[low, high]``."""
     _check(count)
     if low <= 0 or high < low:
         raise InvalidParameterError(f"need 0 < low <= high, got [{low}, {high}]")
     rng = make_rng(seed)
     return rng.uniform(low, high, size=count)
-
-
-def uniform_sizes(count: int, low: float = 1.0, high: float = 10.0, seed=None) -> list[float]:
-    """Sizes drawn uniformly from ``[low, high]``."""
-    return [float(x) for x in uniform_sizes_array(count, low=low, high=high, seed=seed)]
 
 
 def exponential_sizes_array(
@@ -48,11 +42,6 @@ def exponential_sizes_array(
     return np.maximum(minimum, rng.exponential(mean, size=count))
 
 
-def exponential_sizes(count: int, mean: float = 5.0, minimum: float = 0.1, seed=None) -> list[float]:
-    """Exponentially distributed sizes with the given mean, clipped below at ``minimum``."""
-    return [float(x) for x in exponential_sizes_array(count, mean=mean, minimum=minimum, seed=seed)]
-
-
 def bounded_pareto_sizes_array(
     count: int,
     shape: float = 1.5,
@@ -60,7 +49,13 @@ def bounded_pareto_sizes_array(
     high: float = 1000.0,
     seed=None,
 ) -> np.ndarray:
-    """Bounded-Pareto sizes as a float64 array (see :func:`bounded_pareto_sizes`)."""
+    """Bounded-Pareto sizes in ``[low, high]`` — the classic heavy-tailed
+    workload of systems papers.
+
+    Heavy tails are the regime where non-preemptive scheduling is hardest
+    (short jobs stuck behind long ones), i.e. where the paper's rejection
+    rules matter most.
+    """
     _check(count)
     if shape <= 0:
         raise InvalidParameterError(f"shape must be positive, got {shape}")
@@ -73,25 +68,6 @@ def bounded_pareto_sizes_array(
     return (-(u * h_a - u * l_a - h_a) / (h_a * l_a)) ** (-1.0 / shape)
 
 
-def bounded_pareto_sizes(
-    count: int,
-    shape: float = 1.5,
-    low: float = 1.0,
-    high: float = 1000.0,
-    seed=None,
-) -> list[float]:
-    """Bounded-Pareto sizes — the classic heavy-tailed workload of systems papers.
-
-    Heavy tails are the regime where non-preemptive scheduling is hardest
-    (short jobs stuck behind long ones), i.e. where the paper's rejection
-    rules matter most.
-    """
-    return [
-        float(v)
-        for v in bounded_pareto_sizes_array(count, shape=shape, low=low, high=high, seed=seed)
-    ]
-
-
 def bimodal_sizes_array(
     count: int,
     short: float = 1.0,
@@ -99,7 +75,7 @@ def bimodal_sizes_array(
     long_fraction: float = 0.1,
     seed=None,
 ) -> np.ndarray:
-    """Mixture of short and long jobs as a float64 array."""
+    """A mixture of short and long jobs (the Lemma 1 flavour of heterogeneity)."""
     _check(count)
     if short <= 0 or long <= 0:
         raise InvalidParameterError("sizes must be positive")
@@ -108,19 +84,3 @@ def bimodal_sizes_array(
     rng = make_rng(seed)
     draws = rng.uniform(0.0, 1.0, size=count)
     return np.where(draws < long_fraction, float(long), float(short))
-
-
-def bimodal_sizes(
-    count: int,
-    short: float = 1.0,
-    long: float = 50.0,
-    long_fraction: float = 0.1,
-    seed=None,
-) -> list[float]:
-    """Mixture of short and long jobs (the Lemma 1 flavour of heterogeneity)."""
-    return [
-        float(x)
-        for x in bimodal_sizes_array(
-            count, short=short, long=long, long_fraction=long_fraction, seed=seed
-        )
-    ]

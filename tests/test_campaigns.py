@@ -2,7 +2,6 @@
 
 import hashlib
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +25,7 @@ from repro.campaigns import (
 )
 from repro.cli import main
 from repro.exceptions import InvalidParameterError
-from repro.experiments import ExperimentRunUnit, make_config
+from repro.experiments import make_config, run_experiment
 from repro.utils.serialization import canonical_json, stable_hash
 
 TINY_E1 = {"epsilons": (0.5,), "workloads": ("poisson-pareto",)}
@@ -52,12 +51,12 @@ CHEAP_GRIDS = ("smoke", "small", "solvers", "e14", "e17")
 #: earlier is read by, so a moved pin turns every stored artifact into a
 #: cache miss; the change that moves one says why in CHANGES.md.
 GRID_KEY_PINS = {
-    "smoke": (1, "d0ebfdb69defce66"),
-    "small": (22, "ecb2f65d990ce194"),
-    "medium": (32, "8b9c4a9a09c8be95"),
-    "solvers": (14, "cd7cbc2ea5a77ca2"),
-    "e14": (2, "0e041c87cb6c4005"),
-    "e17": (2, "c46a4d17795e9e8d"),
+    "smoke": (1, "c8be47acdd5a89f8"),
+    "small": (22, "5ec6e22c012314db"),
+    "medium": (32, "a2b094f0c321df3c"),
+    "solvers": (14, "28b927b1e5b3286f"),
+    "e14": (2, "3b91cad1ef45f3ef"),
+    "e17": (2, "bf5b3e3c48987657"),
 }
 
 #: An artifact key that needs no experiment run behind it.
@@ -111,7 +110,7 @@ class TestSerialization:
             canonical_json({"f": lambda: None})
 
 
-class TestRegistryRunUnits:
+class TestRegistryAndTaskOverrides:
     def test_make_config_coerces_lists_to_tuples(self):
         config = make_config("E1", epsilons=[0.25, 0.5])
         assert config.epsilons == (0.25, 0.5)
@@ -120,22 +119,26 @@ class TestRegistryRunUnits:
         with pytest.raises(InvalidParameterError):
             make_config("E1", not_a_field=1)
 
-    def test_run_unit_normalises_list_overrides(self):
-        from_lists = ExperimentRunUnit.create("E1", {"epsilons": [0.25, 0.5]})
-        from_tuples = ExperimentRunUnit.create("E1", {"epsilons": (0.25, 0.5)})
+    def test_make_config_is_case_insensitive(self):
+        assert make_config("e1", epsilons=(0.5,), seed=3) == make_config(
+            "E1", epsilons=(0.5,), seed=3
+        )
+
+    def test_task_normalises_list_overrides(self):
+        from_lists = CampaignTask.create("E1", overrides={"epsilons": [0.25, 0.5]})
+        from_tuples = CampaignTask.create("E1", overrides={"epsilons": (0.25, 0.5)})
         assert from_lists == from_tuples
         assert len({from_lists, from_tuples}) == 1
+        assert from_lists.key() == from_tuples.key()
 
-    def test_run_unit_round_trips_through_pickle(self):
-        unit = ExperimentRunUnit.create("e1", {"epsilons": (0.5,), "seed": 3})
-        clone = pickle.loads(pickle.dumps(unit))
-        assert clone == unit
-        assert clone.experiment_id == "E1"
-        assert clone.overrides_dict == {"epsilons": (0.5,), "seed": 3}
+    def test_task_id_is_case_insensitive_and_folds_in_the_seed(self):
+        task = CampaignTask.create("e1", seed=3, overrides={"epsilons": (0.5,)})
+        assert task.experiment_id == "E1"
+        assert task.effective_overrides() == {"epsilons": (0.5,), "seed": 3}
+        assert task.key() == CampaignTask.create("E1", seed=3, overrides={"epsilons": (0.5,)}).key()
 
-    def test_run_unit_runs(self):
-        unit = ExperimentRunUnit.create("E1", {**TINY_E1, "seed": 7})
-        result = unit.run()
+    def test_task_runs(self):
+        result = result_from_payload(run_task(_tiny_task(seed=7)))
         assert result.experiment_id == "E1"
         assert result.tables and result.tables[0].rows
 
@@ -170,7 +173,7 @@ class TestTasksAndKeys:
         task = SMALL_TASK_BY_EXPERIMENT[experiment_id]
         payload = run_task(task)
         rebuilt = result_from_payload(payload)
-        direct = task.to_unit().run()
+        direct = run_experiment(task.experiment_id, **task.effective_overrides())
         assert rebuilt.render() == direct.render()
 
 

@@ -1,5 +1,7 @@
 """Tests for the preemptive references: HDF, AVR and YDS."""
 
+import math
+
 import pytest
 
 from repro.baselines.avr import average_rate_energy, average_rate_schedule
@@ -46,6 +48,41 @@ class TestHDF:
         instance = Instance.build(machines, [Job(0, 0.0, (1.0, 1.0))])
         with pytest.raises(InvalidParameterError):
             HighestDensityFirstScheduler().run(instance)
+
+
+#: 1.0, then ten 1e-16.  Added left to right each 1e-16 is under half an ulp
+#: of 1.0 and vanishes; Python 3.12's compensated ``sum()`` keeps them
+#: (1.000000000000001).
+_TINY_TAIL = [1.0] + [1e-16] * 10
+
+
+class TestHDFWeightTotalsAreLeftToRight:
+    """HDF's pending-weight totals have the same bits on every Python version.
+
+    These fail on Python 3.12 if a total uses ``sum()`` of floats.
+    """
+
+    def test_speed_flow_and_energy(self):
+        # Every job has density 1, so job 0 runs first (lowest id), at speed
+        # total ** (1/2): exactly 1.0 while the tail vanishes from the total.
+        jobs = [Job(j, 0.0, (w,), weight=w) for j, w in enumerate(_TINY_TAIL)]
+        instance = Instance.build(Machine.fleet(1, alpha=2.0), jobs)
+        result = HighestDensityFirstScheduler().run(instance)
+        assert result.completions[0] == 1.0
+        assert result.weighted_flow_time == 1.0
+        assert result.energy == 1.0
+
+    def test_dispatch_backlog(self):
+        # Machine 0 queues the tail, machine 1 one job of weight 1.0: their
+        # backlogs tie at 1.0, so job 12, equally dense on both, joins
+        # machine 0, the first of the tie.  A compensated total breaks the
+        # tie toward machine 1, whose job 11 then runs faster and ends early.
+        jobs = [Job(j, 0.0, (w, math.inf), weight=w) for j, w in enumerate(_TINY_TAIL)]
+        jobs.append(Job(11, 0.0, (math.inf, 1.0), weight=1.0))
+        jobs.append(Job(12, 0.0, (1.0, 1.0), weight=1e-3))
+        instance = Instance.build(Machine.fleet(2, alpha=2.0), jobs)
+        result = HighestDensityFirstScheduler().run(instance)
+        assert result.completions[11] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestAVR:

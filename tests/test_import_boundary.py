@@ -150,6 +150,39 @@ def test_serve_path_leaves_off_path_modules_unloaded():
     assert result == []
 
 
+#: What a session or manager user never runs: the TCP server, its client
+#: and the event loop.
+OFF_SESSION_PATH = ("asyncio", "repro.service.server", "repro.service.client")
+
+
+def test_sessions_and_the_manager_leave_the_tcp_layer_unloaded():
+    result = _run_fresh(
+        """
+        import repro
+
+        session = repro.open_session("rejection-flow", 2, epsilon=0.5)
+        session.submit(repro.Job(0, 0.0, (1.0, 2.0)))
+        session.finalize()
+        after_session = loaded()
+        import repro.service.manager
+
+        print(json.dumps({"after_session": after_session, "after_manager": loaded()}))
+        """,
+        watched=OFF_SESSION_PATH,
+    )
+    assert result == {"after_session": [], "after_manager": []}
+
+
+def test_service_package_resolves_lazily_exported_names():
+    import repro.service
+
+    for name in repro.service.__all__:
+        getattr(repro.service, name)
+    assert set(repro.service.__all__) <= set(dir(repro.service))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(repro.service, "no_such_name")
+
+
 def test_public_surface_resolves_lazily_exported_names():
     for name in repro.__all__:
         getattr(repro, name)

@@ -48,6 +48,7 @@ from repro.simulation.stepper import EngineStepper
 from repro.workloads.adversarial import overload_burst_instance
 from repro.workloads.generators import InstanceGenerator
 from repro.workloads.scenarios import SCENARIOS, get_scenario
+from repro.workloads.traces import chunks_to_instance
 
 _EPSILONS = st.sampled_from([0.1, 0.3, 0.5, 0.8])
 
@@ -148,9 +149,12 @@ class TestDispatchEquivalence:
         _assert_identical(*_run_modes(instance, RejectionFlowTimeScheduler(epsilon=0.5)))
         # Greedy on a chunk-generated instance: deeper queues than the at
         # most 12 jobs test_baselines_identical draws.
-        chunked = InstanceGenerator(
+        generator = InstanceGenerator(
             num_machines=8, seed=2018, size_distribution="pareto", load=0.9
-        ).generate_large(300)
+        )
+        chunked = chunks_to_instance(
+            generator.iter_job_chunks(300), machines=generator.machines()
+        )
         _assert_identical(*_run_modes(chunked, GreedyDispatchScheduler("spt")))
 
     @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))

@@ -47,7 +47,7 @@ from repro.solvers import get_solver, solve
 from repro.workloads.adversarial import overload_burst_instance
 from repro.workloads.generators import InstanceGenerator, WeightedInstanceGenerator
 from repro.workloads.scenarios import SCENARIOS
-from repro.workloads.traces import iter_ndjson_jobs
+from repro.workloads.traces import chunks_to_instance, iter_ndjson_jobs
 
 #: Streaming algorithms with their parameter sets used across the suite.
 _FLOW_STREAMING = [
@@ -204,7 +204,9 @@ class TestBatchEquivalence:
 class TestChunkIngestion:
     def test_submit_many_accepts_job_chunks(self):
         generator = InstanceGenerator(num_machines=4, seed=11)
-        instance = generator.generate_large(600, chunk_size=128)
+        instance = chunks_to_instance(
+            generator.iter_job_chunks(600, chunk_size=128), machines=generator.machines()
+        )
         session = open_session("rejection-flow", generator.machines(), epsilon=0.5)
         total = 0
         for chunk in generator.iter_job_chunks(600, chunk_size=128):
@@ -216,7 +218,9 @@ class TestChunkIngestion:
 
     def test_chunked_and_listwise_agree(self):
         generator = InstanceGenerator(num_machines=2, seed=3)
-        instance = generator.generate_large(100, chunk_size=32)
+        instance = chunks_to_instance(
+            generator.iter_job_chunks(100, chunk_size=32), machines=generator.machines()
+        )
         by_chunk = open_session("fcfs", generator.machines())
         for chunk in generator.iter_job_chunks(100, chunk_size=32):
             by_chunk.submit_many(chunk)
@@ -229,7 +233,9 @@ class TestChunkIngestion:
         # once; the outcome must stay byte-identical to the batch facade and
         # to listwise submission.
         generator = InstanceGenerator(num_machines=4, seed=11)
-        instance = generator.generate_large(600, chunk_size=128)
+        instance = chunks_to_instance(
+            generator.iter_job_chunks(600, chunk_size=128), machines=generator.machines()
+        )
         batch = solve(instance, "rejection-flow", epsilon=0.5)
         by_chunk = open_session("rejection-flow", generator.machines(), epsilon=0.5)
         for chunk in generator.iter_job_chunks(600, chunk_size=128):
@@ -243,7 +249,9 @@ class TestChunkIngestion:
         # Poll between chunks so the job universe grows while the Fenwick
         # stats are already materialised (the `repro serve` hot path).
         generator = InstanceGenerator(num_machines=3, seed=29)
-        instance = generator.generate_large(400, chunk_size=64)
+        instance = chunks_to_instance(
+            generator.iter_job_chunks(400, chunk_size=64), machines=generator.machines()
+        )
         batch = solve(instance, "rejection-flow", epsilon=0.4)
         session = open_session("rejection-flow", generator.machines(), epsilon=0.4)
         for chunk in generator.iter_job_chunks(400, chunk_size=64):

@@ -15,25 +15,33 @@ from repro.workloads.generators import (
     JobChunk,
     WeightedInstanceGenerator,
 )
+from repro.workloads.traces import chunks_to_instance
 
 
 def _hash(instance) -> str:
     return stable_hash(instance.to_dict())
 
 
-class TestGenerateLarge:
+def _chunked(generator, num_jobs: int, chunk_size: int = DEFAULT_CHUNK_SIZE):
+    """The instance of ``generator.iter_job_chunks(num_jobs, chunk_size)``."""
+    return chunks_to_instance(
+        generator.iter_job_chunks(num_jobs, chunk_size), machines=generator.machines()
+    )
+
+
+class TestChunkedInstances:
     def test_deterministic_for_fixed_seed(self):
-        make = lambda: InstanceGenerator(num_machines=4, seed=7).generate_large(2_000)
+        make = lambda: _chunked(InstanceGenerator(num_machines=4, seed=7), 2_000)
         assert _hash(make()) == _hash(make())
 
     def test_chunk_size_invariant(self):
         generator = InstanceGenerator(num_machines=4, seed=7)
-        reference = _hash(generator.generate_large(2_000))
+        reference = _hash(_chunked(generator, 2_000))
         for chunk_size in (127, 500, 2_000, 10_000):
-            assert _hash(generator.generate_large(2_000, chunk_size=chunk_size)) == reference
+            assert _hash(_chunked(generator, 2_000, chunk_size=chunk_size)) == reference
 
     def test_instance_is_valid(self):
-        instance = InstanceGenerator(num_machines=3, seed=1).generate_large(1_500)
+        instance = _chunked(InstanceGenerator(num_machines=3, seed=1), 1_500)
         assert instance.num_jobs == 1_500
         releases = [job.release for job in instance.jobs]
         assert releases == sorted(releases)
@@ -42,9 +50,9 @@ class TestGenerateLarge:
 
     @pytest.mark.parametrize("machine_model", ["identical", "related", "unrelated", "restricted"])
     def test_all_machine_models(self, machine_model):
-        instance = InstanceGenerator(
-            num_machines=3, seed=5, machine_model=machine_model
-        ).generate_large(300)
+        instance = _chunked(
+            InstanceGenerator(num_machines=3, seed=5, machine_model=machine_model), 300
+        )
         assert instance.num_jobs == 300
         if machine_model == "identical":
             assert all(len(set(job.sizes)) == 1 for job in instance.jobs)
@@ -53,41 +61,42 @@ class TestGenerateLarge:
 
     @pytest.mark.parametrize("arrival_process", ["poisson", "bursty", "batched", "deterministic"])
     def test_all_arrival_processes(self, arrival_process):
-        instance = InstanceGenerator(
-            num_machines=2, seed=5, arrival_process=arrival_process
-        ).generate_large(300)
+        instance = _chunked(
+            InstanceGenerator(num_machines=2, seed=5, arrival_process=arrival_process), 300
+        )
         releases = [job.release for job in instance.jobs]
         assert releases == sorted(releases)
         assert releases[0] >= 0
 
     def test_load_rescaling_applies(self):
-        low = InstanceGenerator(num_machines=2, seed=3, load=0.2).generate_large(500)
-        high = InstanceGenerator(num_machines=2, seed=3, load=2.0).generate_large(500)
+        low = _chunked(InstanceGenerator(num_machines=2, seed=3, load=0.2), 500)
+        high = _chunked(InstanceGenerator(num_machines=2, seed=3, load=2.0), 500)
         total = lambda inst: sum(job.min_size() for job in inst.jobs)
         assert total(high) > 5 * total(low)
 
     def test_weighted_generator_draws_weights(self):
-        instance = WeightedInstanceGenerator(
-            num_machines=2, seed=9, weight_low=0.5, weight_high=4.0
-        ).generate_large(400)
+        instance = _chunked(
+            WeightedInstanceGenerator(num_machines=2, seed=9, weight_low=0.5, weight_high=4.0),
+            400,
+        )
         weights = [job.weight for job in instance.jobs]
         assert all(0.5 <= w <= 4.0 for w in weights)
         assert len(set(weights)) > 100  # actually random, not the default 1.0
 
     def test_deadline_generator_sets_feasible_deadlines(self):
-        instance = DeadlineInstanceGenerator(num_machines=2, seed=9).generate_large(200)
+        instance = _chunked(DeadlineInstanceGenerator(num_machines=2, seed=9), 200)
         assert instance.has_deadlines()
         assert all(job.deadline > job.release for job in instance.jobs)
 
     def test_invalid_arguments(self):
         generator = InstanceGenerator(num_machines=2, seed=1)
         with pytest.raises(InvalidParameterError):
-            generator.generate_large(-1)
+            list(generator.iter_job_chunks(-1))
         with pytest.raises(InvalidParameterError):
-            generator.generate_large(10, chunk_size=0)
+            list(generator.iter_job_chunks(10, chunk_size=0))
 
     def test_zero_jobs(self):
-        instance = InstanceGenerator(num_machines=2, seed=1).generate_large(0)
+        instance = _chunked(InstanceGenerator(num_machines=2, seed=1), 0)
         assert instance.num_jobs == 0
 
 

@@ -30,6 +30,10 @@ def _scenario(name: str):
     return chunks_to_instance(chunks, machines=8)
 
 
+def _chunked(generator, num_jobs: int):
+    return chunks_to_instance(generator.iter_job_chunks(num_jobs), machines=generator.machines())
+
+
 #: Workload name -> a builder of its instance.
 WORKLOADS = {
     "overload-burst": lambda: overload_burst_instance(
@@ -38,18 +42,20 @@ WORKLOADS = {
     "pareto": lambda: InstanceGenerator(
         num_machines=8, seed=1, size_distribution="pareto"
     ).generate(500),
-    "exponential-overload": lambda: InstanceGenerator(
-        num_machines=8, seed=5, size_distribution="exponential", load=1.2
-    ).generate_large(500),
-    "weighted": lambda: WeightedInstanceGenerator(
-        num_machines=4, seed=9, alpha=2.5
-    ).generate_large(200),
+    "exponential-overload": lambda: _chunked(
+        InstanceGenerator(num_machines=8, seed=5, size_distribution="exponential", load=1.2),
+        500,
+    ),
+    "weighted": lambda: _chunked(
+        WeightedInstanceGenerator(num_machines=4, seed=9, alpha=2.5), 200
+    ),
     "uniform": lambda: InstanceGenerator(
         num_machines=4, seed=11, size_distribution="uniform"
     ).generate(100),
-    "pareto-5k": lambda: InstanceGenerator(
-        num_machines=8, seed=2018, size_distribution="pareto", load=0.9
-    ).generate_large(5000),
+    "pareto-5k": lambda: _chunked(
+        InstanceGenerator(num_machines=8, seed=2018, size_distribution="pareto", load=0.9),
+        5000,
+    ),
     "multi-tenant-mix": lambda: _scenario("multi-tenant-mix"),
     "drift-ramp-heavytail": lambda: _scenario("drift-ramp-heavytail"),
 }

@@ -2,122 +2,182 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.workloads.arrival_processes import (
-    batched_arrivals,
-    bursty_arrivals,
-    deterministic_arrivals,
-    poisson_arrivals,
-)
 from repro.workloads.generators import (
     DeadlineInstanceGenerator,
     InstanceGenerator,
     WeightedInstanceGenerator,
 )
-from repro.workloads.machine_models import (
-    identical_matrix,
-    restricted_assignment_matrix,
-    unrelated_matrix,
-    uniform_related_matrix,
-)
+from repro.workloads.machine_models import identical_matrix_array, unrelated_matrix_array
 from repro.workloads.processing_times import (
-    bimodal_sizes,
-    bounded_pareto_sizes,
-    exponential_sizes,
-    uniform_sizes,
+    bimodal_sizes_array,
+    bounded_pareto_sizes_array,
+    exponential_sizes_array,
+    uniform_sizes_array,
 )
+from repro.workloads.traces import chunks_to_instance
+
+#: Both seedings of the one sampler, each drawing a whole instance.
+DRAWS = {
+    "generate": lambda generator, n: generator.generate(n),
+    "iter_job_chunks": lambda generator, n: chunks_to_instance(
+        generator.iter_job_chunks(n, chunk_size=16), machines=generator.machines()
+    ),
+}
+draws = pytest.mark.parametrize("draw", list(DRAWS.values()), ids=list(DRAWS))
+
+
+def _releases(draw, n: int, **kwargs) -> list[float]:
+    return [job.release for job in draw(InstanceGenerator(num_machines=2, **kwargs), n).jobs]
 
 
 class TestArrivalProcesses:
-    def test_poisson_count_and_monotone(self):
-        times = poisson_arrivals(50, rate=2.0, seed=0)
-        assert len(times) == 50
+    @draws
+    @pytest.mark.parametrize("process", ["poisson", "bursty", "batched", "deterministic"])
+    def test_count_and_monotone(self, process, draw):
+        times = _releases(draw, 60, arrival_process=process, arrival_rate=2.0, seed=2)
+        assert len(times) == 60 and times[0] >= 0
         assert all(a <= b for a, b in zip(times, times[1:]))
 
-    def test_poisson_rate_controls_density(self):
-        slow = poisson_arrivals(200, rate=0.5, seed=1)[-1]
-        fast = poisson_arrivals(200, rate=5.0, seed=1)[-1]
+    @draws
+    @pytest.mark.parametrize("process", ["poisson", "bursty"])
+    def test_rate_controls_density(self, process, draw):
+        slow = _releases(draw, 200, arrival_process=process, arrival_rate=0.5, seed=1)[-1]
+        fast = _releases(draw, 200, arrival_process=process, arrival_rate=5.0, seed=1)[-1]
         assert fast < slow
 
-    def test_bursty_structure(self):
-        times = bursty_arrivals(60, rate_on=10.0, rate_off=0.1, burst_length=20, seed=2)
-        assert len(times) == 60 and all(a <= b for a, b in zip(times, times[1:]))
+    @draws
+    def test_bursty_quiet_gaps_follow_bursts_of_twenty(self, draw):
+        times = _releases(draw, 60, arrival_process="bursty", arrival_rate=1.0, seed=2)
+        gaps = np.diff(times)
+        # Quiet gaps run at a quarter of the rate, in-burst gaps at ten times
+        # it, so the two longest gaps are the two burst boundaries.
+        assert sorted(np.argsort(gaps)[-2:] + 1) == [20, 40]
 
-    def test_batched(self):
-        times = batched_arrivals(9, batch_size=3, batch_gap=5.0)
-        assert times[:3] == [0.0, 0.0, 0.0]
-        assert times[3:6] == [5.0, 5.0, 5.0]
+    @draws
+    def test_batched_groups(self, draw):
+        times = _releases(
+            draw, 9, arrival_process="batched", batch_size=3, arrival_rate=0.2, seed=0
+        )
+        assert times == [0.0, 0.0, 0.0, 5.0, 5.0, 5.0, 10.0, 10.0, 10.0]
 
-    def test_deterministic(self):
-        assert deterministic_arrivals(3, gap=2.0, start=1.0) == [1.0, 3.0, 5.0]
+    @draws
+    def test_deterministic_spacing(self, draw):
+        times = _releases(draw, 3, arrival_process="deterministic", arrival_rate=0.5, seed=0)
+        assert times == [0.0, 2.0, 4.0]
 
-    def test_invalid_parameters(self):
+    @draws
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"arrival_rate": 0.0},
+            {"arrival_rate": -1.0},
+            {"arrival_rate": math.inf},
+            {"arrival_rate": math.nan},
+            {"arrival_process": "batched", "batch_size": 0},
+            {"load": 0.0, "machine_model": "related"},
+            {"load": math.nan},
+        ],
+        ids=[
+            "rate-zero", "rate-negative", "rate-inf", "rate-nan", "batch-size-zero",
+            "load-zero", "load-nan",
+        ],
+    )
+    def test_invalid_parameters_raise_at_construction(self, kwargs, draw):
         with pytest.raises(InvalidParameterError):
-            poisson_arrivals(5, rate=0.0)
-        with pytest.raises(InvalidParameterError):
-            batched_arrivals(5, batch_size=0, batch_gap=1.0)
-        with pytest.raises(InvalidParameterError):
-            bursty_arrivals(5, rate_on=1.0, rate_off=-1.0)
+            draw(InstanceGenerator(num_machines=2, seed=1, **kwargs), 5)
 
 
 class TestProcessingTimes:
     def test_uniform_range(self):
-        sizes = uniform_sizes(100, low=2.0, high=3.0, seed=0)
-        assert all(2.0 <= p <= 3.0 for p in sizes)
+        sizes = uniform_sizes_array(100, low=2.0, high=3.0, seed=0)
+        assert ((2.0 <= sizes) & (sizes <= 3.0)).all()
 
     def test_exponential_clipped(self):
-        sizes = exponential_sizes(100, mean=1.0, minimum=0.5, seed=0)
-        assert all(p >= 0.5 for p in sizes)
+        sizes = exponential_sizes_array(100, mean=1.0, minimum=0.5, seed=0)
+        assert (sizes >= 0.5).all() and (sizes == 0.5).any()
 
     def test_pareto_bounded_and_heavy(self):
-        sizes = bounded_pareto_sizes(2000, shape=1.5, low=1.0, high=100.0, seed=0)
-        assert all(1.0 - 1e-9 <= p <= 100.0 + 1e-9 for p in sizes)
-        assert max(sizes) > 20.0  # the tail is actually exercised
+        sizes = bounded_pareto_sizes_array(2000, shape=1.5, low=1.0, high=100.0, seed=0)
+        assert ((1.0 - 1e-9 <= sizes) & (sizes <= 100.0 + 1e-9)).all()
+        assert sizes.max() > 20.0  # the tail is actually exercised
 
     def test_bimodal_values(self):
-        sizes = bimodal_sizes(500, short=1.0, long=50.0, long_fraction=0.2, seed=0)
-        assert set(sizes) == {1.0, 50.0}
-        long_count = sum(1 for p in sizes if p == 50.0)
-        assert 0.1 <= long_count / 500 <= 0.3
+        sizes = bimodal_sizes_array(500, short=1.0, long=50.0, long_fraction=0.2, seed=0)
+        assert set(sizes.tolist()) == {1.0, 50.0}
+        assert 0.1 <= (sizes == 50.0).mean() <= 0.3
+
+    def test_a_generator_stream_is_advanced_not_copied(self):
+        rng = np.random.default_rng(4)
+        first = uniform_sizes_array(3, seed=rng)
+        second = uniform_sizes_array(3, seed=rng)
+        assert np.array_equal(np.concatenate([first, second]), uniform_sizes_array(6, seed=4))
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
-            uniform_sizes(5, low=0.0, high=1.0)
+            uniform_sizes_array(5, low=0.0, high=1.0)
         with pytest.raises(InvalidParameterError):
-            bounded_pareto_sizes(5, low=2.0, high=1.0)
+            bounded_pareto_sizes_array(5, low=2.0, high=1.0)
         with pytest.raises(InvalidParameterError):
-            bimodal_sizes(5, long_fraction=1.5)
+            bimodal_sizes_array(5, long_fraction=1.5)
+        with pytest.raises(InvalidParameterError):
+            exponential_sizes_array(-1)
 
 
 class TestMachineModels:
     def test_identical(self):
-        rows = identical_matrix([2.0, 3.0], num_machines=3)
-        assert rows[0] == (2.0, 2.0, 2.0)
+        rows = identical_matrix_array([2.0, 3.0], num_machines=3)
+        assert rows.tolist() == [[2.0, 2.0, 2.0], [3.0, 3.0, 3.0]]
 
-    def test_related_has_unit_reference(self):
-        rows = uniform_related_matrix([4.0], num_machines=3, seed=0)
-        assert rows[0][0] == pytest.approx(4.0)
+    @draws
+    def test_related_has_unit_reference_and_fixed_speeds(self, draw):
+        generator = InstanceGenerator(
+            num_machines=3,
+            machine_model="related",
+            size_distribution="bimodal",
+            size_params={"short": 4.0, "long_fraction": 0.0},
+            load=None,
+            seed=0,
+        )
+        rows = {job.sizes for job in draw(generator, 20).jobs}
+        (row,) = rows  # every job sees the same speeds
+        assert row[0] == 4.0 and all(1.0 <= 4.0 / p <= 4.0 for p in row)
 
     def test_unrelated_correlation_one_is_identical(self):
-        rows = unrelated_matrix([2.0, 3.0], num_machines=3, correlation=1.0, seed=0)
-        assert rows == identical_matrix([2.0, 3.0], 3)
+        rows = unrelated_matrix_array([2.0, 3.0], num_machines=3, correlation=1.0, seed=0)
+        assert np.array_equal(rows, identical_matrix_array([2.0, 3.0], 3))
+
+    @draws
+    def test_generated_correlation_one_is_identical(self, draw):
+        def jobs(**kwargs):
+            generator = InstanceGenerator(num_machines=3, seed=8, **kwargs)
+            return [(j.release, j.sizes) for j in draw(generator, 40).jobs]
+
+        assert jobs(machine_model="unrelated", machine_correlation=1.0) == jobs(
+            machine_model="identical"
+        )
 
     def test_unrelated_entries_positive(self):
-        rows = unrelated_matrix([2.0] * 50, num_machines=4, correlation=0.2, seed=1)
-        assert all(all(p > 0 for p in row) for row in rows)
+        rows = unrelated_matrix_array([2.0] * 50, num_machines=4, correlation=0.2, seed=1)
+        assert (rows > 0).all() and len(np.unique(rows)) > 100
 
-    def test_restricted_has_at_least_one_eligible(self):
-        rows = restricted_assignment_matrix([1.0] * 100, num_machines=4, eligible_fraction=0.2, seed=3)
+    @draws
+    def test_restricted_has_at_least_one_eligible(self, draw):
+        generator = InstanceGenerator(num_machines=4, machine_model="restricted", seed=3)
+        rows = [job.sizes for job in draw(generator, 100).jobs]
         assert all(any(math.isfinite(p) for p in row) for row in rows)
         assert any(any(math.isinf(p) for p in row) for row in rows)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
-            unrelated_matrix([1.0], num_machines=0)
+            unrelated_matrix_array([1.0], num_machines=0)
         with pytest.raises(InvalidParameterError):
-            restricted_assignment_matrix([1.0], num_machines=2, eligible_fraction=0.0)
+            unrelated_matrix_array([1.0], num_machines=2, correlation=1.5)
+        with pytest.raises(InvalidParameterError, match="base sizes must be positive, got 0.0"):
+            identical_matrix_array([1.0, 0.0], num_machines=2)
 
 
 class TestGenerators:
@@ -153,9 +213,48 @@ class TestGenerators:
         for job in instance.jobs:
             assert job.window() >= 1.99 * job.min_size()  # slack 4 with +-50% jitter
 
+    def test_weights_and_deadlines_leave_the_base_draws_alone(self):
+        # generate draws weights from seed + 1 and deadlines from seed + 2,
+        # so arrivals and sizes are those of the unweighted generator.
+        def base(cls, **kwargs):
+            instance = cls(num_machines=3, size_distribution="uniform", seed=4, **kwargs)
+            return [(j.id, j.release, j.sizes) for j in instance.generate(50).jobs]
+
+        plain = base(InstanceGenerator)
+        assert base(WeightedInstanceGenerator) == plain
+        assert base(DeadlineInstanceGenerator) == plain
+
+    def test_instance_names(self):
+        plain = InstanceGenerator(num_machines=2, seed=1).generate(3)
+        assert plain.name == "pareto-poisson-unrelated(m=2,n=3)"
+        assert WeightedInstanceGenerator(num_machines=2, seed=1, name="w").generate(3).name == (
+            "w+weights"
+        )
+        assert DeadlineInstanceGenerator(num_machines=2, seed=1).generate(3).name == (
+            "uniform-poisson-unrelated(m=2,n=3)+deadlines"
+        )
+
+    def test_zero_jobs(self):
+        instance = DeadlineInstanceGenerator(num_machines=2, seed=1).generate(0)
+        assert instance.num_jobs == 0 and instance.num_machines == 2
+
     def test_deadline_generator_requires_slack(self):
         with pytest.raises(InvalidParameterError):
             DeadlineInstanceGenerator(slack=1.0).generate(5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"weight_low": 3.0, "weight_high": 1.0}, {"weight_low": 0.0}, {"weight_high": math.inf}],
+    )
+    def test_weighted_generator_requires_ordered_finite_positive_weights(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            WeightedInstanceGenerator(**kwargs)
+
+    @pytest.mark.parametrize("slack_jitter", [-0.1, 1.0, 1.5])
+    def test_deadline_generator_requires_jitter_below_one(self, slack_jitter):
+        # A jitter of 1 or more would draw windows of zero or less.
+        with pytest.raises(InvalidParameterError):
+            DeadlineInstanceGenerator(slack_jitter=slack_jitter)
 
     def test_invalid_configuration(self):
         with pytest.raises(InvalidParameterError):
@@ -164,3 +263,5 @@ class TestGenerators:
             InstanceGenerator(size_distribution="cauchy")
         with pytest.raises(InvalidParameterError):
             InstanceGenerator(machine_model="quantum")
+        with pytest.raises(InvalidParameterError):
+            InstanceGenerator(num_machines=2, seed=1).generate(-1)
