@@ -33,8 +33,16 @@ class AVRSchedule:
 
 
 def _interval_energy(profile: list[tuple[float, float, float]], alpha: float) -> float:
-    """Energy of a piecewise-constant speed profile given as (start, end, speed)."""
-    return sum((speed**alpha) * (end - start) for start, end, speed in profile if end > start)
+    """Energy of a piecewise-constant speed profile given as (start, end, speed).
+
+    Added left to right, as is the stacked speed below: Python 3.12's
+    compensated ``sum`` would give other bits than 3.10 and 3.11.
+    """
+    total = 0
+    for start, end, speed in profile:
+        if end > start:
+            total += (speed**alpha) * (end - start)
+    return total
 
 
 def _profile_from_rectangles(
@@ -43,7 +51,10 @@ def _profile_from_rectangles(
     """Piecewise-constant profile obtained by stacking density rectangles."""
     profile = []
     for start, end in zip(breakpoints, breakpoints[1:]):
-        speed = sum(d for (r, dl, d) in rectangles if r <= start + 1e-12 and end <= dl + 1e-12)
+        speed = 0
+        for r, dl, d in rectangles:
+            if r <= start + 1e-12 and end <= dl + 1e-12:
+                speed += d
         profile.append((start, end, speed))
     return profile
 

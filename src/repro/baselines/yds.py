@@ -46,8 +46,15 @@ class YDSSchedule:
 
     @property
     def energy(self) -> float:
-        """Total energy ``sum speed^alpha * length`` over the critical blocks."""
-        return sum((b.speed**self.alpha) * b.length for b in self.blocks)
+        """Total energy ``sum speed^alpha * length`` over the critical blocks.
+
+        Added left to right: Python 3.12's compensated ``sum`` would give
+        other bits than 3.10 and 3.11.
+        """
+        total = 0
+        for b in self.blocks:
+            total += (b.speed**self.alpha) * b.length
+        return total
 
     def max_speed(self) -> float:
         """Largest speed used (the first block's speed, by construction)."""
@@ -93,7 +100,10 @@ def yds_schedule(
                 inside = [job for job in remaining if job[1] >= t1 - 1e-12 and job[2] <= t2 + 1e-12]
                 if not inside:
                     continue
-                intensity = sum(job[3] for job in inside) / (t2 - t1)
+                volume = 0  # left to right, the same bits on every Python
+                for job in inside:
+                    volume += job[3]
+                intensity = volume / (t2 - t1)
                 if intensity > best_intensity + 1e-12:
                     best_intensity = intensity
                     best_span = (t1, t2)

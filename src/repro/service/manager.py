@@ -44,6 +44,7 @@ from repro.simulation.stepper import DecisionEvent
 __all__ = [
     "DEFAULT_MAX_PENDING",
     "MAX_MACHINES",
+    "MAX_PENDING",
     "ClosedSession",
     "HostedSession",
     "SessionManager",
@@ -53,11 +54,27 @@ __all__ = [
 #: Default bound on jobs submitted but not yet processed, per session.
 DEFAULT_MAX_PENDING = 4096
 
+#: Largest ``max_pending`` a server or session may ask for: 16 ×
+#: :data:`DEFAULT_MAX_PENDING`.  An offered, unpolled job held about 550 B on
+#: 8 machines (tracemalloc, Python 3.11 on x86-64), so a session at the
+#: ceiling holds about 34 MiB of offers; with no ceiling, a bound of 10**12
+#: turns backpressure off.
+MAX_PENDING = 16 * DEFAULT_MAX_PENDING
+
 #: Most machines one session may have.  Building a fleet costs time and memory
 #: linearly on the server's event loop (200,000 machines took 1.4 s of CPU and
 #: 156 MiB on a 2-vCPU x86-64 host), and the largest fleet the shipped grids
 #: and benchmarks run is 16.
 MAX_MACHINES = 1024
+
+
+def _check_max_pending(max_pending: int) -> int:
+    """``max_pending`` if it lies in ``1..MAX_PENDING``; a ``ServiceError`` otherwise."""
+    if max_pending <= 0:
+        raise ServiceError(f"max_pending must be positive, got {max_pending}")
+    if max_pending > MAX_PENDING:
+        raise ServiceError(f"max_pending must be at most {MAX_PENDING}, got {max_pending}")
+    return max_pending
 
 
 @dataclass(frozen=True)
@@ -160,7 +177,8 @@ class SessionManager:
         values: ``algorithm``, ``machines``, ``alpha``, ``dispatch``,
         ``params``.
     max_pending:
-        Default bound of the per-session offer queue (see module docstring).
+        Default bound of the per-session offer queue (see module docstring),
+        at most :data:`MAX_PENDING`.
     """
 
     def __init__(
@@ -169,10 +187,8 @@ class SessionManager:
         defaults: "Mapping[str, Any] | None" = None,
         max_pending: int = DEFAULT_MAX_PENDING,
     ) -> None:
-        if max_pending <= 0:
-            raise ServiceError(f"max_pending must be positive, got {max_pending}")
         self.defaults = dict(defaults or {})
-        self.max_pending = max_pending
+        self.max_pending = _check_max_pending(max_pending)
         self._sessions: dict[str, HostedSession] = {}
 
     # -- lookup --------------------------------------------------------------------
@@ -229,9 +245,11 @@ class SessionManager:
         Unset options fall back to the manager's ``defaults``.  Names are
         unique across the manager's lifetime — re-using the name of a closed
         session is refused so listing rows stay unambiguous.  A machine count
-        above :data:`MAX_MACHINES` is refused before any machine is built.
+        above :data:`MAX_MACHINES` and a ``max_pending`` above
+        :data:`MAX_PENDING` are refused before any machine is built.
         """
         self._check_new_name(name)
+        bound = self._bound(max_pending)
         defaults = self.defaults
         if machines is None:
             machines = defaults.get("machines", 4)
@@ -249,7 +267,7 @@ class SessionManager:
             name=name,
             **merged_params,
         )
-        return self._host(name, session, max_pending)
+        return self._host(name, session, bound)
 
     def restore(
         self,
@@ -265,7 +283,8 @@ class SessionManager:
         which is how a session outlives its server.
         """
         self._check_new_name(name)
-        return self._host(name, SchedulerSession.restore(snapshot), max_pending)
+        bound = self._bound(max_pending)
+        return self._host(name, SchedulerSession.restore(snapshot), bound)
 
     def _check_new_name(self, name: str) -> None:
         if not name or not isinstance(name, str):
@@ -276,15 +295,11 @@ class SessionManager:
                 f"(state {self._sessions[name].state}); session names are unique"
             )
 
-    def _host(
-        self,
-        name: str,
-        session: SchedulerSession,
-        max_pending: "int | None",
-    ) -> HostedSession:
-        bound = max_pending if max_pending is not None else self.max_pending
-        if bound <= 0:
-            raise ServiceError(f"max_pending must be positive, got {bound}")
+    def _bound(self, max_pending: "int | None") -> int:
+        """A session's offer-queue bound: ``max_pending``, or the default."""
+        return self.max_pending if max_pending is None else _check_max_pending(max_pending)
+
+    def _host(self, name: str, session: SchedulerSession, bound: int) -> HostedSession:
         hosted = HostedSession(name=name, session=session, max_pending=bound)
         self._sessions[name] = hosted
         return hosted

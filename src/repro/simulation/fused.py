@@ -10,7 +10,10 @@ is the per-event Python frame count:
   scan below :data:`~repro.simulation.state.PREFIX_SCAN_CUTOFF`, Fenwick
   prefix walk above it) and the ``lambda_ij`` argmin — replacing the
   ``on_arrival -> lambda_ij -> pending_spt_stats -> pending_prefix ->
-  prefix_of`` chain of ~5 Python frames per machine per arrival.
+  prefix_of`` chain of ~5 Python frames per machine per arrival.  The
+  arriving job's rank row is looked up once per arrival; its rank on each
+  machine is then one index into the flat rank array of
+  :func:`~repro.simulation.indexed.build_priority_ranks`.
 * **An array event queue** (:class:`ArrayEventQueue`): arrivals live in two
   parallel sorted lists consumed by a cursor (releases are non-decreasing on
   every shipped ingestion path, so pushes are appends); completions live in
@@ -35,6 +38,7 @@ identical tie-breaks — and is enforced by the differential harness in
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from heapq import heappop, heappush
 
@@ -70,7 +74,8 @@ class FusedState(EngineState):
         # Refreshed whenever ``prefix_stats`` changes identity (first
         # materialisation or an amortised rebuild).
         self._fen_stats: PendingPrefixStats | None = None
-        self._fen_ranks: list[dict[int, int]] | None = None
+        self._fen_rows: dict[int, int] | None = None
+        self._fen_ranks: "array[int] | None" = None
         self._fen_counts: list[list[int]] | None = None
         self._fen_sizes: list[list[float]] | None = None
 
@@ -78,6 +83,7 @@ class FusedState(EngineState):
         stats = self.prefix_stats
         if stats is not None and stats is not self._fen_stats:
             self._fen_stats = stats
+            self._fen_rows = stats._rows
             self._fen_ranks = stats._ranks
             self._fen_counts = stats._count
             self._fen_sizes = stats._size
@@ -96,6 +102,10 @@ class FusedState(EngineState):
         :meth:`pending_prefix` off the fast path), and float expressions are
         evaluated in the same order.  Returns ``(None, inf)`` when no machine
         is eligible.
+
+        The arriving job's rank row is looked up once per arrival; its rank
+        on each machine past the cutoff is then one index into the flat rank
+        array.
         """
         pending_items = self._pending_items
         jobs = self._jobs
@@ -104,15 +114,19 @@ class FusedState(EngineState):
         job_id = job.id
         inf = math.inf
         cutoff = PREFIX_SCAN_CUTOFF
+        num_machines = len(pending_items)
         stats = self._fen_cache()
         unranked = self._stats_unranked
+        fen_rows = self._fen_rows
         fen_ranks = self._fen_ranks
         fen_counts = self._fen_counts
         fen_sizes = self._fen_sizes
+        # ``None`` before the ranks are built and for a job outside them.
+        row = None if stats is None else fen_rows.get(job_id)
         best_machine: int | None = None
         best_lambda = inf
 
-        for machine in range(self.num_machines):
+        for machine in range(num_machines):
             p_ij = sizes[machine]
             if p_ij == inf:
                 continue
@@ -120,19 +134,17 @@ class FusedState(EngineState):
             q = len(pending)
             prefix = None
             if q > cutoff:
-                if stats is not None and not unranked[machine]:
-                    rank = fen_ranks[machine].get(job_id)
-                    if rank is not None:
-                        ctree = fen_counts[machine]
-                        stree = fen_sizes[machine]
-                        pos = rank
-                        count = 0
-                        total = 0.0
-                        while pos > 0:
-                            count += ctree[pos]
-                            total += stree[pos]
-                            pos -= pos & -pos
-                        prefix = (count, total)
+                if row is not None and not unranked[machine]:
+                    ctree = fen_counts[machine]
+                    stree = fen_sizes[machine]
+                    pos = fen_ranks[row * num_machines + machine]
+                    count = 0
+                    total = 0.0
+                    while pos > 0:
+                        count += ctree[pos]
+                        total += stree[pos]
+                        pos -= pos & -pos
+                    prefix = (count, total)
                 if prefix is None:
                     # Not materialised yet, an unranked job in play, or a
                     # job outside the rank universe: the slow path owns the
@@ -141,9 +153,11 @@ class FusedState(EngineState):
                     prefix = self.pending_prefix(machine, job_id)
                     if self.prefix_stats is not stats:
                         stats = self._fen_cache()
+                        fen_rows = self._fen_rows
                         fen_ranks = self._fen_ranks
                         fen_counts = self._fen_counts
                         fen_sizes = self._fen_sizes
+                        row = fen_rows.get(job_id)
             if prefix is not None:
                 preceding, waiting = prefix
                 succeeding = q - preceding

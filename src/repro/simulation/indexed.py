@@ -28,10 +28,18 @@ both guarantees uniqueness and realises the deterministic ``(key, job.id)``
 tie-break of the scan path, so indexing changes *how* the argmin is found but
 never *which* job wins.  Policies whose keys change over time (none shipped)
 simply keep ``priority_key = None`` and fall back to scan semantics.
+
+The module also holds the order statistics of the Theorem 1 dispatch rule:
+:class:`PendingPrefixStats`, per-machine Fenwick trees over the SPT ranks of
+:func:`build_priority_ranks`.  The ranks of a universe of n jobs on m
+machines are one ``id -> row`` dict shared by every machine and one flat
+row-major ``array('q')`` of n·m ranks: 8 bytes per (job, machine) plus one
+dict entry per job.
 """
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappop, heappush
 from typing import Callable, Container, Sequence
 
@@ -85,16 +93,22 @@ class IndexedPending:
         return len(self._heaps[machine])
 
 
-def build_priority_ranks(jobs: "Sequence[Job]", num_machines: int) -> list[dict[int, int]]:
-    """Per-machine rank of every job in the SPT order ``(size, release, id)``.
+def build_priority_ranks(
+    jobs: "Sequence[Job]", num_machines: int
+) -> tuple[dict[int, int], "array[int]"]:
+    """Rank of every job on every machine in the SPT order ``(size, release, id)``.
 
-    ``ranks[machine][job_id]`` is the position of the job in the sorted order
-    of :func:`~repro.core.ordering.spt_key` over *all* given jobs.  Keys are
-    unique (they end in ``job.id``), so ranks are a faithful integer encoding
-    of the order: ``rank(a) < rank(b)  <=>  spt_key(a) < spt_key(b)``.  Every
-    policy that sets ``wants_prefix_stats`` ranks its pending set this way,
-    which is the order :meth:`~repro.simulation.state.EngineState.pending_spt_stats`
-    assumes.
+    Returns ``(rows, ranks)``: ``rows`` maps each job id to its position in
+    ``jobs``, one dict shared by every machine, and ``ranks`` is one
+    row-major ``array('q')`` of ``len(jobs) * num_machines`` ranks, read as
+    ``ranks[rows[job_id] * num_machines + machine]``.  A rank is the
+    position of the job in the sorted order of
+    :func:`~repro.core.ordering.spt_key` over *all* given jobs on that
+    machine.  Keys are unique (they end in ``job.id``), so ranks are a
+    faithful integer encoding of the order: ``rank(a) < rank(b)  <=>
+    spt_key(a) < spt_key(b)``.  Every policy that sets ``wants_prefix_stats``
+    ranks its pending set this way, which is the order
+    :meth:`~repro.simulation.state.EngineState.pending_spt_stats` assumes.
 
     Computed once per Fenwick (re)build: one ``numpy.lexsort`` per machine
     over the size column, with releases and ids as tie-breaks, keeps the
@@ -102,21 +116,21 @@ def build_priority_ranks(jobs: "Sequence[Job]", num_machines: int) -> list[dict[
     """
     import numpy as np
 
-    if not jobs:
-        return [{} for _ in range(num_machines)]
     ids = [job.id for job in jobs]
+    rows = dict(zip(ids, range(len(ids))))
+    ranks = array("q", [0]) * (len(ids) * num_machines)
+    if not jobs:
+        return rows, ranks
     id_col = np.array(ids)
     releases = np.array([job.release for job in jobs], dtype=float)
     sizes = np.array([job.sizes for job in jobs], dtype=float)
-    positions = np.arange(len(jobs))
-    ranks: list[dict[int, int]] = []
+    # A writable view of the rank array: the ranks are written in place.
+    table = np.frombuffer(ranks, dtype=np.int64).reshape(len(ids), num_machines)
+    positions = np.arange(len(ids))
     for machine in range(num_machines):
         # lexsort sorts by the LAST key first: size is the primary key.
-        order = np.lexsort((id_col, releases, sizes[:, machine]))
-        rank_of = np.empty(len(jobs), dtype=np.int64)
-        rank_of[order] = positions
-        ranks.append(dict(zip(ids, rank_of.tolist())))
-    return ranks
+        table[np.lexsort((id_col, releases, sizes[:, machine])), machine] = positions
+    return rows, ranks
 
 
 class PendingPrefixStats:
@@ -131,8 +145,9 @@ class PendingPrefixStats:
     * how many pending jobs succeed it (``lambda_ij``'s delay multiplier).
 
     One Fenwick pair per machine, indexed by the precomputed priority ranks
-    (:func:`build_priority_ranks`).  Counts are exact integers; size sums are
-    float accumulations in Fenwick-node order, which is deterministic but may
+    (:func:`build_priority_ranks`: the shared ``id -> row`` dict and the flat
+    rank array).  Counts are exact integers; size sums are float
+    accumulations in Fenwick-node order, which is deterministic but may
     differ from a left-to-right scan in the last bits — both dispatch modes
     share these trees, so indexed and scan runs stay byte-identical.
 
@@ -141,17 +156,19 @@ class PendingPrefixStats:
     deletion, so no lazy invalidation is needed.
     """
 
-    __slots__ = ("_ranks", "_size", "_count", "_n")
+    __slots__ = ("_rows", "_ranks", "_m", "_size", "_count", "_n")
 
-    def __init__(self, ranks: list[dict[int, int]], num_jobs: int) -> None:
+    def __init__(self, rows: dict[int, int], ranks: "array[int]", num_machines: int) -> None:
+        self._rows = rows
         self._ranks = ranks
-        self._n = num_jobs
-        self._size: list[list[float]] = [[0.0] * (num_jobs + 1) for _ in ranks]
-        self._count: list[list[int]] = [[0] * (num_jobs + 1) for _ in ranks]
+        self._m = num_machines
+        self._n = num_jobs = len(rows)
+        self._size: list[list[float]] = [[0.0] * (num_jobs + 1) for _ in range(num_machines)]
+        self._count: list[list[int]] = [[0] * (num_jobs + 1) for _ in range(num_machines)]
 
     def rank(self, machine: int, job_id: int) -> int:
         """Priority rank of ``job_id`` on ``machine`` (0-based, unique)."""
-        return self._ranks[machine][job_id]
+        return self._ranks[self._rows[job_id] * self._m + machine]
 
     @property
     def universe_size(self) -> int:
@@ -163,18 +180,17 @@ class PendingPrefixStats:
 
         Jobs registered after the build (streaming ingestion) have no rank;
         the engine state routes them to the scan fallback until the trees
-        are rebuilt over the grown universe.  Rank dicts share one key set
-        across machines, so checking machine 0 suffices.
+        are rebuilt over the grown universe.
         """
-        return job_id in self._ranks[0]
+        return job_id in self._rows
 
     def add(self, machine: int, job_id: int, size: float) -> None:
         """Record that the job became pending on ``machine``."""
-        self._update(machine, self._ranks[machine][job_id], size, 1)
+        self._update(machine, self._ranks[self._rows[job_id] * self._m + machine], size, 1)
 
     def remove(self, machine: int, job_id: int, size: float) -> None:
         """Record that the job left the pending set (started or rejected)."""
-        self._update(machine, self._ranks[machine][job_id], -size, -1)
+        self._update(machine, self._ranks[self._rows[job_id] * self._m + machine], -size, -1)
 
     def _update(self, machine: int, rank: int, size: float, delta: int) -> None:
         size_tree = self._size[machine]
@@ -190,7 +206,7 @@ class PendingPrefixStats:
         """``(count, size sum)`` of pending jobs ranked strictly below ``job_id``."""
         size_tree = self._size[machine]
         count_tree = self._count[machine]
-        position = self._ranks[machine][job_id]
+        position = self._ranks[self._rows[job_id] * self._m + machine]
         count = 0
         total = 0.0
         while position > 0:

@@ -4,6 +4,14 @@ The engines own all mutation; policies observe the state through
 :class:`EngineState` and return decisions.  This keeps the paper's algorithms,
 the baselines and the ablations side-effect free with respect to the engine's
 bookkeeping, which in turn makes the validators meaningful.
+
+The state also carries the engine's indexed structures: the select-next heaps
+and the Fenwick prefix stats, whose SPT ranks it builds itself the first time
+a queue outgrows :data:`PREFIX_SCAN_CUTOFF` (see
+:mod:`repro.simulation.indexed`).  It holds no callable that refers back to
+it, so a finished run's state, and whatever only it keeps alive, is freed by
+reference counting as soon as its last reference goes, not at the cyclic
+collector's next pass.
 """
 
 from __future__ import annotations
@@ -12,11 +20,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.exceptions import SimulationError
+from repro.simulation.indexed import PendingPrefixStats, build_priority_ranks
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 
 if TYPE_CHECKING:
-    from repro.simulation.indexed import IndexedPending, PendingPrefixStats
+    from repro.simulation.indexed import IndexedPending
 
 #: Queue length above which :meth:`EngineState.pending_spt_stats` switches
 #: from the dispatch-order scan to the Fenwick prefix query.  The scan is
@@ -132,8 +141,9 @@ class EngineState:
         #: lazily (same in both dispatch modes) the first time a pending set
         #: outgrows :data:`PREFIX_SCAN_CUTOFF`, so smooth workloads whose
         #: queues stay short never pay for rank building or tree updates.
-        self.prefix_stats: "PendingPrefixStats | None" = None
-        self._stats_factory: Callable[[], "PendingPrefixStats"] | None = None
+        self.prefix_stats: PendingPrefixStats | None = None
+        #: Whether the running policy opted into the prefix stats.
+        self._wants_prefix_stats = False
         #: Per-machine pending job ids outside the materialised rank
         #: universe (streaming ingestion after materialisation).  While a
         #: machine has any, its prefix queries fall back to the scan;
@@ -154,20 +164,23 @@ class EngineState:
         self,
         key_fn: Callable[[Job, int], tuple] | None,
         index: "IndexedPending | None",
-        stats_factory: Callable[[], "PendingPrefixStats"] | None = None,
+        prefix_stats: bool = False,
     ) -> None:
         """Engine hook: install the policy's static priority key (and heaps).
 
         With ``index`` set, :meth:`pending_argmin` answers from the heaps;
         with only ``key_fn`` set it scans the pending set — same argmin,
         different mechanics (the scan reference path used by the equivalence
-        tests).  ``stats_factory`` builds the Fenwick order statistics on
-        first demand; it is mode-independent: it serves the dispatch
-        surrogates (``lambda_ij``), not the argmin.
+        tests).  ``prefix_stats`` opts into the Fenwick order statistics,
+        built on first demand; it is mode-independent: it serves the
+        dispatch surrogates (``lambda_ij``), not the argmin.
+
+        The state keeps no callable that refers back to itself, so a
+        finished run's state is freed by reference counting alone.
         """
         self._priority_key = key_fn
         self._index = index
-        self._stats_factory = stats_factory
+        self._wants_prefix_stats = prefix_stats
         self.engine_attached = True
 
     def register_job(self, job: Job) -> None:
@@ -289,10 +302,9 @@ class EngineState:
             return None
         stats = self.prefix_stats
         if stats is None:
-            factory = self._stats_factory
-            if factory is None:
+            if not self._wants_prefix_stats:
                 return None
-            stats = self._materialise_stats(factory)
+            stats = self._materialise_stats()
         if self._stats_unranked[machine] or not stats.knows(job_id):
             # Streaming ingestion grew the job universe past what the trees
             # were ranked over.  Rebuilding per new job would be quadratic
@@ -302,24 +314,31 @@ class EngineState:
             # take the scan fallback, which is correct at any queue length.
             if len(self._jobs) < 2 * stats.universe_size:
                 return None
-            stats = self._materialise_stats(self._stats_factory)
+            stats = self._materialise_stats()
         return stats.prefix_of(machine, job_id)
 
-    def _materialise_stats(self, factory: Callable[[], "PendingPrefixStats"]) -> "PendingPrefixStats":
+    def _materialise_stats(self) -> PendingPrefixStats:
         """Build the Fenwick trees and load the current pending sets into them.
+
+        The ranks cover every job registered with the state: the full
+        instance on the batch path (all jobs are offered before any event
+        runs), everything ingested so far on a streaming session.
 
         Bulk-adds follow machine order then dispatch order, so right after
         materialisation every tree sum equals the dispatch-order scan sum
         exactly; drift (float accumulation order) only appears with later
         removals, and identically in both dispatch modes.
 
-        The factory is kept installed: streaming ingestion grows the job
-        universe, and :meth:`pending_prefix`'s amortised rebuild policy
-        re-invokes it here over the grown universe (clearing the unranked
-        overflow sets — every registered job is rankable again).
+        Streaming ingestion grows the job universe, and
+        :meth:`pending_prefix`'s amortised rebuild policy calls this again
+        over the grown universe (clearing the unranked overflow sets — every
+        registered job is rankable again).
         """
-        stats = factory()
         jobs = self._jobs
+        num_machines = len(self.machines)
+        stats = PendingPrefixStats(
+            *build_priority_ranks(list(jobs.values()), num_machines), num_machines
+        )
         for ms in self.machines:
             for job_id in ms.pending:
                 stats.add(ms.index, job_id, jobs[job_id].sizes[ms.index])

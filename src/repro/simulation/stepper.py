@@ -37,7 +37,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from repro.exceptions import SimulationError
 from repro.simulation.events import Event, EventKind, EventQueue
-from repro.simulation.indexed import IndexedPending, PendingPrefixStats, build_priority_ranks
+from repro.simulation.indexed import IndexedPending
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.simulation.schedule import ExecutionInterval, JobRecord, SimulationResult
@@ -147,24 +147,12 @@ class EngineStepper:
         if not callable(key_fn):
             key_fn = None
         index: IndexedPending | None = None
-        stats_factory = None
-        if key_fn is not None:
+        if key_fn is not None and engine.dispatch == "indexed":
             # The indexed mode answers select-next argmins from the
             # lazily-invalidated heaps; scan keeps the reference linear scans.
-            if engine.dispatch == "indexed":
-                index = IndexedPending(instance.num_machines, key_fn)
-            if getattr(policy, "wants_prefix_stats", False):
-                num_machines = instance.num_machines
-
-                def stats_factory(state=state, num_machines=num_machines):
-                    # Ranks cover every job registered with the state at
-                    # materialisation time: the full instance on the batch
-                    # path (all jobs are offered before any event runs),
-                    # everything ingested so far on a streaming session.
-                    jobs = list(state.jobs_by_id.values())
-                    return PendingPrefixStats(build_priority_ranks(jobs, num_machines), len(jobs))
-
-        state.install_priority(key_fn, index, stats_factory)
+            index = IndexedPending(instance.num_machines, key_fn)
+        prefix_stats = key_fn is not None and bool(getattr(policy, "wants_prefix_stats", False))
+        state.install_priority(key_fn, index, prefix_stats)
 
         self.state = state
         self.queue = self._make_queue()

@@ -49,11 +49,27 @@ DEFAULT_CHUNK_SIZE = 16384
 
 
 _ARRIVALS = ("poisson", "bursty", "batched", "deterministic")
-_SIZES = ("uniform", "exponential", "pareto", "bimodal")
+#: Each size distribution and the ``size_params`` keys its sampler takes.
+_SIZES = {
+    "uniform": ("low", "high"),
+    "exponential": ("mean", "minimum"),
+    "pareto": ("shape", "low", "high"),
+    "bimodal": ("short", "long", "long_fraction"),
+}
 _MACHINE_MODELS = ("identical", "related", "unrelated", "restricted")
 
 #: The sampler's random streams, one per component.
 _STREAMS = ("arrivals", "sizes", "matrix", "matrix_fixup", "weights", "deadlines")
+
+
+def _is_finite_number(value: object) -> bool:
+    """Whether ``value`` is a real number (not a bool) that is finite as a float."""
+    if isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -149,6 +165,13 @@ class InstanceGenerator:
         at least 1.
     size_distribution:
         ``uniform``, ``exponential``, ``pareto`` (heavy tail) or ``bimodal``.
+    size_params:
+        Keyword arguments of the distribution's sampler in
+        :mod:`repro.workloads.processing_times`, each a finite number:
+        ``low``/``high`` (uniform), ``mean``/``minimum`` (exponential),
+        ``shape``/``low``/``high`` (pareto) or
+        ``short``/``long``/``long_fraction`` (bimodal).  Any other key is
+        refused at construction.
     machine_model:
         ``identical``, ``related``, ``unrelated`` or ``restricted``.
     load:
@@ -189,6 +212,17 @@ class InstanceGenerator:
             raise InvalidParameterError(f"load must be finite and positive, got {self.load}")
         if self.size_distribution not in _SIZES:
             raise InvalidParameterError(f"unknown size distribution {self.size_distribution!r}")
+        accepted = _SIZES[self.size_distribution]
+        for key, value in (self.size_params or {}).items():
+            if key not in accepted:
+                raise InvalidParameterError(
+                    f"size_params key {key!r} is not a parameter of the "
+                    f"{self.size_distribution} distribution (takes {', '.join(accepted)})"
+                )
+            if not _is_finite_number(value):
+                raise InvalidParameterError(
+                    f"size_params[{key!r}] must be a finite number, got {value!r}"
+                )
         if self.machine_model not in _MACHINE_MODELS:
             raise InvalidParameterError(f"unknown machine model {self.machine_model!r}")
 

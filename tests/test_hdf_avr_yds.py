@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.avr import average_rate_energy, average_rate_schedule
 from repro.baselines.hdf import HighestDensityFirstScheduler, NoRejectionEnergyFlowScheduler
-from repro.baselines.yds import yds_energy, yds_schedule
+from repro.baselines.yds import YDSBlock, YDSSchedule, yds_energy, yds_schedule
 from repro.exceptions import InfeasibleInstanceError, InvalidParameterError
 from repro.lowerbounds.energy_bounds import per_job_deadline_energy_lower_bound
 from repro.simulation.instance import Instance
@@ -122,6 +122,27 @@ class TestAVR:
         ) - 1e-9
 
 
+class TestAVRTotalsAreLeftToRight:
+    """AVR's energy and stacked speeds have the same bits on every Python.
+
+    These fail on Python 3.12 if a total uses ``sum()`` of floats.
+    """
+
+    def test_energy(self):
+        # At alpha 1 a segment's energy is its speed times its length: job 0
+        # runs at density 1.0 over [0, 1], job k at density 1e-16 over
+        # [k, k + 1], so the segment energies are the tail.
+        jobs = [Job(k, float(k), (w,), deadline=k + 1.0) for k, w in enumerate(_TINY_TAIL)]
+        instance = Instance.build(Machine.fleet(1, alpha=1.0), jobs)
+        assert average_rate_energy(instance) == 1.0
+
+    def test_stacked_speed(self):
+        # Every window is [0, 1]: the one segment's speed is the tail's total.
+        jobs = [Job(k, 0.0, (w,), deadline=1.0) for k, w in enumerate(_TINY_TAIL)]
+        instance = Instance.build(Machine.fleet(1, alpha=2.0), jobs)
+        assert average_rate_energy(instance) == 1.0
+
+
 class TestYDS:
     def test_single_job(self):
         jobs = [Job(0, 0.0, (2.0,), deadline=4.0)]
@@ -165,3 +186,22 @@ class TestYDS:
     def test_infeasible_window_rejected(self):
         with pytest.raises(InfeasibleInstanceError):
             yds_schedule(jobs=[(0, 5.0, 5.0, 1.0)], alpha=2.0)
+
+
+class TestYDSTotalsAreLeftToRight:
+    """YDS's energy and interval intensities have the same bits on every Python.
+
+    These fail on Python 3.12 if a total uses ``sum()`` of floats.
+    """
+
+    def test_energy(self):
+        # At alpha 1 a block's energy is its speed times its unit length.
+        blocks = [YDSBlock(0.0, 1.0, w) for w in _TINY_TAIL]
+        assert YDSSchedule(blocks, alpha=1.0).energy == 1.0
+
+    def test_intensity(self):
+        # Every window is [0, 1], so one block runs all jobs at their total
+        # volume.
+        jobs = [(k, 0.0, 1.0, w) for k, w in enumerate(_TINY_TAIL)]
+        schedule = yds_schedule(jobs=jobs, alpha=2.0)
+        assert [block.speed for block in schedule.blocks] == [1.0]

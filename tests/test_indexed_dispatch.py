@@ -43,7 +43,7 @@ from repro.simulation.fused import FusedStepper
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.simulation.speed_engine import SpeedScalingEngine
-from repro.simulation.state import PendingSet
+from repro.simulation.state import PREFIX_SCAN_CUTOFF, EngineState, PendingSet
 from repro.simulation.stepper import EngineStepper
 from repro.workloads.adversarial import overload_burst_instance
 from repro.workloads.generators import InstanceGenerator
@@ -189,6 +189,46 @@ class TestDispatchEquivalence:
         assert any(d.kind == "reject" for d in decisions)
         _assert_identical(result, other)
 
+    def test_streaming_rank_rebuilds_identical(self, monkeypatch):
+        # Chunked offers of a stream whose queues stay past the cutoff: jobs
+        # ingested after the ranks were built arrive outside the rank
+        # universe and take the scan fallback until the registered universe
+        # has doubled, when the ranks are rebuilt.  Both paths must run in
+        # both modes, and the two modes must agree on every call.
+        reached = {"builds": 0, "outside": 0}
+        materialise = EngineState._materialise_stats
+        pending_prefix = EngineState.pending_prefix
+
+        def counting_materialise(state):
+            reached["builds"] += 1
+            return materialise(state)
+
+        def counting_prefix(state, machine, job_id):
+            stats = state.prefix_stats
+            deep = len(state.machines[machine].pending) > PREFIX_SCAN_CUTOFF
+            if deep and stats is not None and not stats.knows(job_id):
+                reached["outside"] += 1
+            return pending_prefix(state, machine, job_id)
+
+        monkeypatch.setattr(EngineState, "_materialise_stats", counting_materialise)
+        monkeypatch.setattr(EngineState, "pending_prefix", counting_prefix)
+        jobs = [Job(i, 0.01 * i, (40.0 + i % 7, 45.0 + i % 5)) for i in range(200)]
+        fleet = Instance.build(2, [])
+        runs = []
+        for mode in DISPATCH_MODES:
+            reached.update(builds=0, outside=0)
+            decisions = []
+            policy = RejectionFlowTimeScheduler(epsilon=0.3)
+            stepper = FlowTimeEngine(fleet, dispatch=mode).stepper(policy, decisions.append)
+            seen = _drive(stepper, jobs, "shuffled-chunks")
+            assert reached["builds"] >= 2, (mode, reached)
+            assert reached["outside"] >= 1, (mode, reached)
+            runs.append((seen, decisions, stepper.finish(Instance.build(2, jobs))))
+        (seen, decisions, result), (other_seen, other_decisions, other) = runs
+        assert seen == other_seen and decisions == other_decisions
+        assert any(d.kind == "reject" for d in decisions)
+        _assert_identical(result, other)
+
 
 # --------------------------------------------------------------------------------------
 # Rule-2 victim heap vs brute force
@@ -285,7 +325,9 @@ class TestIndexedPending:
 class TestPendingPrefixStats:
     def test_ranks_match_sorted_order(self):
         # Ties on size break by release, then by id; each machine ranks by
-        # its own size column; ids need not be dense or sorted.
+        # its own size column; ids need not be dense or sorted.  One
+        # ``id -> row`` dict serves every machine, and the ranks are one
+        # row-major array read as ``ranks[row * m + machine]``.
         jobs = [
             Job(9, 1.0, (2.0, 7.0)),
             Job(4, 0.0, (2.0, 7.0)),
@@ -293,15 +335,43 @@ class TestPendingPrefixStats:
             Job(2, 3.0, (1.0, float("inf"))),
             Job(0, 0.0, (5.0, 9.0)),
         ]
-        ranks = build_priority_ranks(jobs, 2)
+        rows, ranks = build_priority_ranks(jobs, 2)
+        assert rows == {9: 0, 4: 1, 6: 2, 2: 3, 0: 4}
+        assert ranks.typecode == "q" and len(ranks) == 2 * len(jobs)
+        stats = PendingPrefixStats(rows, ranks, 2)
+        assert stats.universe_size == len(jobs)
         for machine in range(2):
             expected = sorted(jobs, key=lambda j, m=machine: spt_key(j, m))
-            assert [ranks[machine][j.id] for j in expected] == list(range(len(jobs)))
-        assert build_priority_ranks([], 3) == [{}, {}, {}]
+            assert [ranks[rows[j.id] * 2 + machine] for j in expected] == list(range(len(jobs)))
+            assert [stats.rank(machine, j.id) for j in expected] == list(range(len(jobs)))
+        assert all(stats.knows(job.id) for job in jobs) and not stats.knows(1)
+        rows, ranks = build_priority_ranks([], 3)
+        assert rows == {} and len(ranks) == 0
+
+    def test_ranks_of_a_large_universe_stay_small(self):
+        # 20,000 jobs on 8 machines: the shared row dict and the flat array
+        # of 8-byte ranks retain about 2.4 MiB, where one dict of boxed ints
+        # per machine would retain 9.3 MiB.
+        import tracemalloc
+
+        jobs = [
+            Job.trusted(i, float(i // 4), tuple(float(1 + (i * 7 + m * 13) % 101) for m in range(8)))
+            for i in range(20_000)
+        ]
+        build_priority_ranks(jobs[:50], 8)  # numpy and its sort kernels load outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ranks = build_priority_ranks(jobs, 8)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ranks[1]) == 8 * len(jobs)
+        assert retained < 4 * 2**20, f"{retained / 2**20:.2f} MiB retained"
 
     def test_stats_below_counts_and_sums(self):
         jobs = [_job(0, 5.0), _job(1, 2.0), _job(2, 3.0), _job(3, 9.0)]
-        stats = PendingPrefixStats(build_priority_ranks(jobs, 1), len(jobs))
+        stats = PendingPrefixStats(*build_priority_ranks(jobs, 1), 1)
         for job in jobs[:3]:
             stats.add(0, job.id, job.sizes[0])
         # Job 3 (size 9) is preceded by all three pending jobs.

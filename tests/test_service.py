@@ -59,7 +59,7 @@ from repro.exceptions import (
     TraceSchemaError,
 )
 from repro.service.client import ServiceClient, percentile, run_loadgen
-from repro.service.manager import MAX_MACHINES, SessionManager
+from repro.service.manager import MAX_MACHINES, MAX_PENDING, SessionManager
 from repro.service.protocol import (
     OPS,
     PROTOCOL_VERSION,
@@ -431,6 +431,23 @@ class TestSessionManager:
         with pytest.raises(ServiceError, match=f"machines must be at most {MAX_MACHINES}"):
             SessionManager(defaults={"machines": MAX_MACHINES + 1}).create("t")
         assert manager.sessions() == []
+
+    def test_max_pending_has_a_ceiling(self):
+        # A bound of 10**12 would turn backpressure off; each refusal names
+        # the field and the limit, and hosts nothing.
+        limit = f"max_pending must be at most {MAX_PENDING}, got {10**12}"
+        with pytest.raises(ServiceError, match=limit):
+            SessionManager(max_pending=10**12)
+        manager = SessionManager(defaults=GOLDEN_OPTS)
+        with pytest.raises(ServiceError, match=limit):
+            manager.create("t", max_pending=10**12)
+        source = SessionManager(defaults=GOLDEN_OPTS)
+        source.create("s")
+        with pytest.raises(ServiceError, match=limit):
+            manager.restore("t", source.snapshot("s"), max_pending=10**12)
+        assert manager.sessions() == []
+        assert manager.create("t", max_pending=MAX_PENDING).max_pending == MAX_PENDING
+        assert SessionManager(max_pending=MAX_PENDING).max_pending == MAX_PENDING
 
 
 # --------------------------------------------------------------------------------------
@@ -818,6 +835,21 @@ class TestServer:
             hello = json.loads(reader.readline())
             assert hello["event"] == "hello" and hello["sessions"] == 0, hello
 
+    def test_max_pending_past_the_ceiling_gets_one_attributed_error(self, server):
+        with (
+            socket.create_connection((server.host, server.port), timeout=30) as sock,
+            sock.makefile("rb") as reader,
+        ):
+            sock.sendall(b'{"op":"create","session":"s","max_pending":1000000000000}\n')
+            row = json.loads(reader.readline())
+            assert row["event"] == "error" and row["code"] == "session", row
+            assert row["error"] == (
+                f"max_pending must be at most {MAX_PENDING}, got 1000000000000"
+            ), row
+            sock.sendall(b'{"op":"hello"}\n')
+            hello = json.loads(reader.readline())
+            assert hello["event"] == "hello" and hello["sessions"] == 0, hello
+
     def test_a_fleet_at_the_machine_ceiling_is_created(self, server):
         with ServiceClient(server.host, server.port) as client:
             assert client.create("wide", machines=MAX_MACHINES)["event"] == "created"
@@ -1079,7 +1111,14 @@ class TestCLI:
         assert code == 2 and "HOST:PORT" in err.getvalue()
 
     @pytest.mark.parametrize(
-        "flags", [["--param", "bogus=1"], ["--algorithm", "nope"]], ids=["param", "algorithm"]
+        "flags",
+        [
+            ["--param", "bogus=1"],
+            ["--algorithm", "nope"],
+            ["--max-pending", "0"],
+            ["--max-pending", str(MAX_PENDING + 1)],
+        ],
+        ids=["param", "algorithm", "max-pending-zero", "max-pending-past-ceiling"],
     )
     def test_listen_refuses_bad_session_defaults_before_listening(self, flags, monkeypatch):
         # Every create would fail on these defaults: serve exits 2 with the

@@ -116,6 +116,44 @@ class TestProcessingTimes:
         second = uniform_sizes_array(3, seed=rng)
         assert np.array_equal(np.concatenate([first, second]), uniform_sizes_array(6, seed=4))
 
+    @draws
+    @pytest.mark.parametrize(
+        ("distribution", "params", "key"),
+        [
+            ("uniform", {"bogus": 1}, "bogus"),
+            ("pareto", {"mean": 5.0}, "mean"),
+            ("uniform", {"high": math.inf}, "high"),
+            ("uniform", {"low": math.nan}, "low"),
+            ("pareto", {"high": 10**400}, "high"),
+            ("exponential", {"mean": "5"}, "mean"),
+            ("bimodal", {"short": None}, "short"),
+            ("bimodal", {"long_fraction": True}, "long_fraction"),
+        ],
+        ids=[
+            "unknown-key", "other-distributions-key", "inf", "nan", "int-past-float",
+            "string", "none", "bool",
+        ],
+    )
+    def test_invalid_size_params_raise_at_construction(self, distribution, params, key, draw):
+        with pytest.raises(InvalidParameterError, match=repr(key)):
+            generator = InstanceGenerator(
+                num_machines=2, seed=1, size_distribution=distribution, size_params=params
+            )
+            draw(generator, 5)
+
+    @draws
+    def test_every_sampler_keyword_is_accepted(self, draw):
+        for distribution, params in {
+            "uniform": {"low": 1, "high": 3.0},
+            "exponential": {"mean": 2.0, "minimum": 0.5},
+            "pareto": {"shape": 1.2, "low": 1.0, "high": 50},
+            "bimodal": {"short": 1.0, "long": 9.0, "long_fraction": 0.25},
+        }.items():
+            generator = InstanceGenerator(
+                num_machines=2, seed=1, size_distribution=distribution, size_params=params
+            )
+            assert len(draw(generator, 20).jobs) == 20
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             uniform_sizes_array(5, low=0.0, high=1.0)
