@@ -46,7 +46,7 @@ objective and parameter schema.
 ``import repro`` loads only the solve path (:mod:`repro.simulation`,
 :mod:`repro.core` and :mod:`repro.solvers`); every other subpackage loads on
 first use, and numpy loads where an array is first built: a trace chunk, a
-generated instance, a discrete timeline or a Fenwick rank build.
+generated instance or a discrete timeline.  A trace solve builds none.
 """
 
 from repro.simulation import (

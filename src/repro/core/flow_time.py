@@ -302,9 +302,16 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
     # -- reporting -----------------------------------------------------------------
 
     def diagnostics(self) -> dict:
-        """Per-run diagnostics merged into the simulation result's extras."""
+        """Per-run diagnostics merged into the simulation result's extras.
+
+        ``lambda_sum`` adds left to right: Python 3.12's compensated ``sum``
+        would give other bits than 3.10 and 3.11.
+        """
+        lambda_sum = 0
+        for value in self.lambdas.values():
+            lambda_sum += value
         return {
-            "lambda_sum": sum(self.lambdas.values()),
+            "lambda_sum": lambda_sum,
             **self.log.as_dict(),
             "rule1_events": len(self.rule1_events),
             "rule2_events": len(self.rule2_events),

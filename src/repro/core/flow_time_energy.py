@@ -226,10 +226,17 @@ class RejectionEnergyFlowScheduler(SpeedScalingPolicy):
     # -- reporting -----------------------------------------------------------------
 
     def diagnostics(self) -> dict:
-        """Per-run diagnostics for experiment reports."""
+        """Per-run diagnostics for experiment reports.
+
+        ``lambda_sum`` adds left to right: Python 3.12's compensated ``sum``
+        would give other bits than 3.10 and 3.11.
+        """
+        lambda_sum = 0
+        for value in self.lambdas.values():
+            lambda_sum += value
         return {
             "alpha": self.alpha,
             "gamma": self.gamma,
-            "lambda_sum": sum(self.lambdas.values()),
+            "lambda_sum": lambda_sum,
             **self.log.as_dict(),
         }

@@ -44,6 +44,7 @@ from repro.simulation.stepper import DecisionEvent
 __all__ = [
     "DEFAULT_MAX_PENDING",
     "MAX_MACHINES",
+    "MAX_OPEN_SESSIONS",
     "MAX_PENDING",
     "ClosedSession",
     "HostedSession",
@@ -66,6 +67,13 @@ MAX_PENDING = 16 * DEFAULT_MAX_PENDING
 #: 156 MiB on a 2-vCPU x86-64 host), and the largest fleet the shipped grids
 #: and benchmarks run is 16.
 MAX_MACHINES = 1024
+
+#: Most sessions one manager keeps open at once; closed and failed sessions do
+#: not count.  An open 8-machine session held about 8.9 KiB and a ``create``
+#: took 120–180 µs of CPU (tracemalloc and process time, Python 3.11 on a
+#: 2-vCPU x86-64 host), so open sessions at the ceiling hold about 9 MiB.  The
+#: largest ladder the shipped experiments run opens 32.
+MAX_OPEN_SESSIONS = 1024
 
 
 def _check_max_pending(max_pending: int) -> int:
@@ -190,6 +198,8 @@ class SessionManager:
         self.defaults = dict(defaults or {})
         self.max_pending = _check_max_pending(max_pending)
         self._sessions: dict[str, HostedSession] = {}
+        #: Sessions in the ``open`` state, counted up by ``_host`` and down by ``close``.
+        self._open = 0
 
     # -- lookup --------------------------------------------------------------------
 
@@ -245,11 +255,13 @@ class SessionManager:
         Unset options fall back to the manager's ``defaults``.  Names are
         unique across the manager's lifetime — re-using the name of a closed
         session is refused so listing rows stay unambiguous.  A machine count
-        above :data:`MAX_MACHINES` and a ``max_pending`` above
-        :data:`MAX_PENDING` are refused before any machine is built.
+        above :data:`MAX_MACHINES`, a ``max_pending`` above
+        :data:`MAX_PENDING` and a session past :data:`MAX_OPEN_SESSIONS` are
+        refused before any machine is built.
         """
         self._check_new_name(name)
         bound = self._bound(max_pending)
+        self._check_capacity()
         defaults = self.defaults
         if machines is None:
             machines = defaults.get("machines", 4)
@@ -280,10 +292,12 @@ class SessionManager:
 
         The restored session continues exactly where the snapshot left off
         (deterministic op-log replay) — on this manager or on another one,
-        which is how a session outlives its server.
+        which is how a session outlives its server.  Past
+        :data:`MAX_OPEN_SESSIONS` the snapshot is refused before it is read.
         """
         self._check_new_name(name)
         bound = self._bound(max_pending)
+        self._check_capacity()
         return self._host(name, SchedulerSession.restore(snapshot), bound)
 
     def _check_new_name(self, name: str) -> None:
@@ -295,6 +309,13 @@ class SessionManager:
                 f"(state {self._sessions[name].state}); session names are unique"
             )
 
+    def _check_capacity(self) -> None:
+        if self._open >= MAX_OPEN_SESSIONS:
+            raise ServiceError(
+                f"open sessions must be at most {MAX_OPEN_SESSIONS}; "
+                "close one before opening another"
+            )
+
     def _bound(self, max_pending: "int | None") -> int:
         """A session's offer-queue bound: ``max_pending``, or the default."""
         return self.max_pending if max_pending is None else _check_max_pending(max_pending)
@@ -302,6 +323,7 @@ class SessionManager:
     def _host(self, name: str, session: SchedulerSession, bound: int) -> HostedSession:
         hosted = HostedSession(name=name, session=session, max_pending=bound)
         self._sessions[name] = hosted
+        self._open += 1
         return hosted
 
     # -- operations ----------------------------------------------------------------
@@ -383,9 +405,11 @@ class SessionManager:
             events = hosted.session.take_events()
         except Exception as exc:
             hosted.state = "failed"
+            self._open -= 1
             hosted.error = str(exc)
             raise
         hosted.state = "closed"
+        self._open -= 1
         hosted.pending_offers = 0
         hosted.final_row = outcome.as_row()
         hosted.session = ClosedSession.freeze(hosted.session)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from array import array
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable, Container, Sequence
 
 from repro.simulation.job import Job
@@ -110,26 +111,25 @@ def build_priority_ranks(
     ranks its pending set this way, which is the order
     :meth:`~repro.simulation.state.EngineState.pending_spt_stats` assumes.
 
-    Computed once per Fenwick (re)build: one ``numpy.lexsort`` per machine
-    over the size column, with releases and ids as tie-breaks, keeps the
-    O(m · n log n) rank build cheap next to the simulation even at 100k jobs.
+    Computed once per Fenwick (re)build with stable sorts of row positions:
+    by id, then by release, gives the ``(release, id)`` order every machine
+    breaks size ties by; per machine, a stable sort of that order by size is
+    the SPT order, whose inverse permutation is the machine's rank column.
     """
-    import numpy as np
-
     ids = [job.id for job in jobs]
-    rows = dict(zip(ids, range(len(ids))))
-    ranks = array("q", [0]) * (len(ids) * num_machines)
-    if not jobs:
-        return rows, ranks
-    id_col = np.array(ids)
-    releases = np.array([job.release for job in jobs], dtype=float)
-    sizes = np.array([job.sizes for job in jobs], dtype=float)
-    # A writable view of the rank array: the ranks are written in place.
-    table = np.frombuffer(ranks, dtype=np.int64).reshape(len(ids), num_machines)
-    positions = np.arange(len(ids))
+    n = len(ids)
+    rows = dict(zip(ids, range(n)))
+    ranks = array("q", [0]) * (n * num_machines)
+    releases = [job.release for job in jobs]
+    tie_order = sorted(range(n), key=ids.__getitem__)
+    tie_order.sort(key=releases.__getitem__)
+    sizes = [job.sizes for job in jobs]
+    rank_of = [0] * n
     for machine in range(num_machines):
-        # lexsort sorts by the LAST key first: size is the primary key.
-        table[np.lexsort((id_col, releases, sizes[:, machine])), machine] = positions
+        column = list(map(itemgetter(machine), sizes))
+        for rank, row in enumerate(sorted(tie_order, key=column.__getitem__)):
+            rank_of[row] = rank
+        ranks[machine::num_machines] = array("q", rank_of)
     return rows, ranks
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from repro.exceptions import SimulationError
@@ -146,10 +147,16 @@ class SimulationResult:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        job_ids = {job.id for job in self.instance.jobs}
-        for job_id in self.records:
-            if job_id not in job_ids:
-                raise SimulationError(f"record for unknown job id {job_id}")
+        # Instance ids are unique, so every record names a job exactly when
+        # as many instance ids have a record as there are records.  The set
+        # of ids is built only to name the first unknown one.
+        records = self.records
+        ids = map(attrgetter("id"), self.instance.jobs)
+        if sum(map(records.__contains__, ids)) != len(records):
+            job_ids = {job.id for job in self.instance.jobs}
+            for job_id in records:
+                if job_id not in job_ids:
+                    raise SimulationError(f"record for unknown job id {job_id}")
 
     # -- convenience accessors -----------------------------------------------------
 

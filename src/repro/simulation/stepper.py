@@ -33,6 +33,7 @@ per decision.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple
 
 from repro.exceptions import SimulationError
@@ -322,10 +323,13 @@ class EngineStepper:
                 tuple(sorted(self.state.jobs_by_id.values(), key=lambda j: (j.release, j.id))),
                 name=result_instance.name,
             )
+        # Chronological by (start, machine), by two stable sorts: no key tuples.
+        intervals = sorted(self.intervals, key=attrgetter("machine"))
+        intervals.sort(key=attrgetter("start"))
         return SimulationResult(
             instance=result_instance,
             records=self.records,
-            intervals=sorted(self.intervals, key=lambda iv: (iv.start, iv.machine)),
+            intervals=intervals,
             algorithm=self.policy.name,
             extras=self.engine._result_extras(self.intervals, self.event_count),
         )

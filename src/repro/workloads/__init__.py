@@ -18,7 +18,9 @@ exercise the regimes its theory speaks about:
 
 The re-exports load on first access (PEP 562): the job-row schema
 (:mod:`repro.workloads.rows`), which the service imports, loads neither the
-generators nor numpy.
+generators nor numpy, and the trace readers load numpy only where they
+build a chunk, so :func:`~repro.workloads.traces.trace_instance` runs
+without it.
 """
 
 #: Public names and the submodule each loads from.

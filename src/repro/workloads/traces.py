@@ -20,10 +20,13 @@ Formats
   and ``inf`` marks a forbidden machine.
 
 Both readers raise :class:`~repro.exceptions.TraceSchemaError` with the
-1-based line number and the offending field on malformed rows.
-:func:`read_trace_chunks` decodes CSV files a block of rows at a time into
-numpy columns; a block that fails a conversion or a check is decoded again
-row by row, so errors name the same line and field as the per-row reader's.
+1-based line number and the offending field on malformed rows.  CSV files
+are decoded a block of rows at a time into Python columns with ``float()``
+and ``int()`` and checked in bulk; a block that fails a conversion or a
+check is decoded again row by row, so errors name the same line and field
+as the per-row reader's.  :func:`trace_instance` builds its jobs straight
+from the decoded rows and loads no numpy; :func:`read_trace_chunks` turns
+the same blocks into numpy columns.
 The exporters (:func:`write_ndjson_trace` / :func:`write_csv_trace`) emit
 byte-stable text (canonical JSON, shortest round-tripping float repr), so an
 export → ingest round trip reproduces the source jobs **exactly** — the
@@ -46,18 +49,21 @@ import csv
 import math
 import os
 from dataclasses import dataclass, replace
+from itertools import islice
+from operator import attrgetter, le, lt
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-import numpy as np
-
-from repro.exceptions import InvalidInstanceError, InvalidParameterError, TraceSchemaError
+from repro.exceptions import InvalidParameterError, TraceSchemaError
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.simulation.machine import Machine
 from repro.utils.serialization import canonical_json
-from repro.workloads.generators import DEFAULT_CHUNK_SIZE, JobChunk
+from repro.workloads.chunks import DEFAULT_CHUNK_SIZE, JobChunk
 from repro.workloads.rows import parse_job_row
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TRACE_FORMATS",
@@ -88,7 +94,7 @@ TRACE_FORMATS = ("ndjson", "csv")
 _NDJSON_SUFFIXES = {".ndjson", ".jsonl", ".json"}
 
 #: Largest id a chunk's int64 ``ids`` column holds.
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
 
 
 # --------------------------------------------------------------------------------------
@@ -158,6 +164,54 @@ def _csv_columns(header: Sequence[str]) -> tuple[list[str], int]:
     return columns, len(size_indices)
 
 
+class _Block(NamedTuple):
+    """Decoded trace rows as Python columns: one list per field, ``sizes``
+    one list per machine.
+
+    What a CSV block decodes to, and what both :func:`trace_instance` (jobs)
+    and :func:`read_trace_chunks` (numpy columns) build from.
+    """
+
+    ids: list[int]
+    releases: list[float]
+    sizes: list[list[float]]
+    weights: list[float]
+    deadlines: "list[float] | None"
+
+    @classmethod
+    def of(cls, jobs: Sequence[Job]) -> "_Block":
+        """The columns of admitted jobs (all with deadlines or all without)."""
+        return cls(
+            ids=[job.id for job in jobs],
+            releases=[job.release for job in jobs],
+            sizes=list(map(list, zip(*[job.sizes for job in jobs]))),
+            weights=[job.weight for job in jobs],
+            deadlines=None if jobs[0].deadline is None else [job.deadline for job in jobs],
+        )
+
+    def jobs(self) -> list[Job]:
+        """The rows as :class:`Job` objects (trusted: the rows were admitted)."""
+        columns = [self.ids, self.releases, zip(*self.sizes), self.weights]
+        if self.deadlines is not None:
+            columns.append(self.deadlines)
+        return list(map(Job.trusted, *columns))
+
+    def chunk(self, start: int) -> JobChunk:
+        """The rows as a :class:`JobChunk` whose first row is job ``start`` of the trace."""
+        import numpy as np
+
+        return JobChunk(
+            start=start,
+            releases=np.array(self.releases, dtype=np.float64),
+            sizes=np.ascontiguousarray(np.array(self.sizes, dtype=np.float64).T),
+            weights=np.array(self.weights, dtype=np.float64),
+            deadlines=(
+                None if self.deadlines is None else np.array(self.deadlines, dtype=np.float64)
+            ),
+            ids=np.array(self.ids, dtype=np.int64),
+        )
+
+
 @dataclass(frozen=True)
 class _CsvLayout:
     """A validated CSV header: the cell index of every job field.
@@ -201,68 +255,61 @@ class _CsvLayout:
             data["deadline"] = row[self.deadline].strip()
         return parse_job_row(data, lineno)
 
-    def block(self, rows: Sequence[Sequence[str]], start: int) -> "JobChunk | None":
+    def block(self, rows: Sequence[Sequence[str]]) -> "_Block | None":
         """Convert data rows column by column; ``None`` if a cell does not convert.
 
-        ``np.array(cells, dtype=np.float64)`` calls ``float()`` on each cell
-        and ``np.int64`` calls ``int()``, so a cell converts exactly when the
-        per-row path accepts its spelling.  Cells the per-row path reads
-        differently (blank optional cells, ids past int64) fail to convert.
-        The chunk is not validated.
+        Cells go through ``float()`` and ``int()``, as on the per-row path,
+        which strips them first; both functions ignore the same surrounding
+        whitespace.  Cells the per-row path reads differently (blank
+        optional cells) fail to convert.  The block is not checked.
         """
         if set(map(len, rows)) != {self.width}:
             return None
         columns = list(zip(*rows))
         try:
-            ids = np.array(columns[self.id], dtype=np.int64)
-            releases = np.array(columns[self.release], dtype=np.float64)
+            ids = list(map(int, columns[self.id]))
+            releases = list(map(float, columns[self.release]))
             weights = (
-                np.ones(len(rows), dtype=np.float64)
+                [1.0] * len(rows)
                 if self.weight is None
-                else np.array(columns[self.weight], dtype=np.float64)
+                else list(map(float, columns[self.weight]))
             )
             deadlines = None
             if self.deadline is not None and any(columns[self.deadline]):
-                deadlines = np.array(columns[self.deadline], dtype=np.float64)
-            sizes = np.array([columns[k] for k in self.sizes], dtype=np.float64)
-        except (ValueError, OverflowError):
+                deadlines = list(map(float, columns[self.deadline]))
+            sizes = [list(map(float, columns[k])) for k in self.sizes]
+        except ValueError:
             return None
-        return JobChunk(
-            start=start,
-            releases=releases,
-            sizes=np.ascontiguousarray(sizes.T),
-            weights=weights,
-            deadlines=deadlines,
-            ids=ids,
-        )
+        return _Block(ids, releases, sizes, weights, deadlines)
 
 
-def _csv_rows(stream: TextIO) -> "tuple[_CsvLayout, Iterator[tuple[int, list[str]]]] | None":
-    """The header's layout and the ``(lineno, cells)`` data rows; ``None`` if empty.
+def _csv_records(stream: TextIO) -> "tuple[_CsvLayout, Iterator[list[str]]] | None":
+    """The header's layout and a reader over the records after it; ``None`` if empty.
 
-    Blank lines are skipped; line numbers count the header as line 1.
+    Line numbers count records, the header as line 1; blank records
+    (:func:`_is_blank`) are skipped but counted.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
         return None
-    layout = _CsvLayout.from_header(header)
-    rows = (
-        (lineno, row)
-        for lineno, row in enumerate(reader, start=2)
-        if row and (len(row) != 1 or row[0].strip())
-    )
-    return layout, rows
+    return _CsvLayout.from_header(header), reader
+
+
+def _is_blank(record: Sequence[str]) -> bool:
+    """Whether a CSV record is a blank line: no cell, or one blank cell."""
+    return not record or (len(record) == 1 and not record[0].strip())
 
 
 def iter_csv_jobs(stream: TextIO) -> Iterator[tuple[int, Job]]:
     """Yield ``(lineno, Job)`` per CSV row (cluster-trace-style header)."""
-    parsed = _csv_rows(stream)
+    parsed = _csv_records(stream)
     if parsed is None:
         return
-    layout, rows = parsed
-    for lineno, row in rows:
-        yield lineno, layout.job(row, lineno)
+    layout, records = parsed
+    for lineno, row in enumerate(records, start=2):
+        if not _is_blank(row):
+            yield lineno, layout.job(row, lineno)
 
 
 def _check_format(fmt: str) -> str:
@@ -309,18 +356,17 @@ def _check_chunk_size(chunk_size: int) -> None:
 
 
 class _TraceRules:
-    """The trace-wide invariants no single row can check, carried across chunks.
+    """The trace-wide invariants no single row can check, carried across blocks.
 
     One instance per read holds a constant machine count, releases
-    non-decreasing **across** chunk boundaries, all-or-none deadlines (a
-    :class:`JobChunk` cannot represent a mixed column) and ids that are
-    unique over the whole trace and fit the chunks' int64 id column (one
-    set of seen ids).  Rows are checked one at a time by :meth:`admit`;
+    non-decreasing **across** block and chunk boundaries, all-or-none
+    deadlines (a :class:`JobChunk` cannot represent a mixed column) and ids
+    that are unique over the whole trace and fit the chunks' int64 id column
+    (one set of seen ids).  Rows are checked one at a time by :meth:`admit`;
     :meth:`admit_block` checks a whole decoded block without attributing.
     """
 
     def __init__(self) -> None:
-        self.start = 0
         self.num_machines: int | None = None
         self.has_deadlines: bool | None = None
         self.last_release = -math.inf
@@ -361,51 +407,49 @@ class _TraceRules:
         self.seen_ids.add(job.id)
         self.last_release = job.release
 
-    def chunk(self, jobs: Sequence[Job]) -> JobChunk:
-        """The next chunk (or CSV block) of rows that passed :meth:`admit`."""
-        chunk = JobChunk(
-            start=self.start,
-            releases=np.array([job.release for job in jobs], dtype=np.float64),
-            sizes=np.array([job.sizes for job in jobs], dtype=np.float64),
-            weights=np.array([job.weight for job in jobs], dtype=np.float64),
-            deadlines=(
-                np.array([job.deadline for job in jobs], dtype=np.float64)
-                if self.has_deadlines
-                else None
-            ),
-            ids=np.array([job.id for job in jobs], dtype=np.int64),
-        )
-        chunk.validate()
-        self.start += len(jobs)
-        return chunk
+    def admit_block(self, block: _Block) -> bool:
+        """Take a whole block if every row passes; ``False`` leaves the state as is.
 
-    def admit_block(self, block: JobChunk) -> bool:
-        """Take a whole block if it keeps every rule; ``False`` leaves the state as is.
-
-        ``block`` must start at :attr:`start`.  :meth:`JobChunk.validate`
-        plus finite deadlines covers the per-row schema; the trace-wide rules
-        are checked here.
+        The bulk counterpart of :func:`parse_job_row`'s bounds, the
+        :class:`Job` invariants and :meth:`admit`, each a pass of builtins
+        over a column.  A float column is first summed: a NaN anywhere makes
+        the sum NaN, so once the sum is a number no NaN can hide in a
+        ``min`` or ``max``.  A column whose finite values sum past the float
+        range reads as not finite, which only sends the block down the
+        per-row path.
         """
-        try:
-            block.validate()
-        except InvalidInstanceError:
-            return False
-        width = block.sizes.shape[1]
-        has_deadlines = block.deadlines is not None
-        if has_deadlines and not np.isfinite(block.deadlines).all():
-            return False
+        ids, releases, sizes, weights, deadlines = block
+        has_deadlines = deadlines is not None
         if self.num_machines is not None and (
-            width != self.num_machines or has_deadlines != self.has_deadlines
+            len(sizes) != self.num_machines or has_deadlines != self.has_deadlines
         ):
             return False
-        ids = block.ids.tolist()
-        if float(block.releases[0]) < self.last_release or not self.seen_ids.isdisjoint(ids):
+        id_set = set(ids)
+        if not (
+            0 <= min(ids) and max(ids) <= _INT64_MAX
+            and len(id_set) == len(ids) and self.seen_ids.isdisjoint(id_set)
+            and math.isfinite(sum(releases))
+            and releases[0] >= 0.0 and releases[0] >= self.last_release
+            and all(map(le, releases, islice(releases, 1, None)))
+            and math.isfinite(sum(weights)) and min(weights) > 0.0
+            and (
+                deadlines is None
+                or (math.isfinite(sum(deadlines)) and all(map(lt, releases, deadlines)))
+            )
+        ):
             return False
-        self.num_machines = width
+        forbidden = False  # whether some size is inf (a machine the job may not use)
+        for column in sizes:
+            total = sum(column)
+            if total != total or not min(column) > 0.0:
+                return False
+            forbidden = forbidden or total == math.inf
+        if forbidden and not max(map(min, zip(*sizes))) < math.inf:
+            return False  # a job with no machine it may run on
+        self.num_machines = len(sizes)
         self.has_deadlines = has_deadlines
-        self.last_release = float(block.releases[-1])
-        self.seen_ids.update(ids)
-        self.start += len(block)
+        self.last_release = releases[-1]
+        self.seen_ids |= id_set
         return True
 
 
@@ -421,27 +465,97 @@ def chunks_from_jobs(
     """
     _check_chunk_size(chunk_size)
     rules = _TraceRules()
+    start = 0
     buffer: list[Job] = []
+
+    def chunk() -> JobChunk:
+        built = _Block.of(buffer).chunk(start)
+        built.validate()
+        return built
+
     for lineno, job in rows:
         rules.admit(lineno, job)
         buffer.append(job)
         if len(buffer) >= chunk_size:
-            yield rules.chunk(buffer)
+            yield chunk()
+            start += len(buffer)
             buffer = []
     if buffer:
-        yield rules.chunk(buffer)
+        yield chunk()
 
 
-#: Most CSV rows converted at once.  A chunk is the concatenation of its
+#: Most CSV records converted at once.  A chunk is the concatenation of its
 #: blocks, so the text cells held at a time stay bounded (about 3.5 MiB at
 #: eight machines) whatever ``chunk_size`` is.
 _BLOCK_ROWS = 4096
+
+
+def _csv_blocks(stream: TextIO, chunk_size: int) -> Iterator[_Block]:
+    """Decode a CSV trace a block of at most :data:`_BLOCK_ROWS` records at a time.
+
+    Each block becomes Python columns in one conversion per field, checked
+    in bulk by :meth:`_TraceRules.admit_block`.  A block that fails a
+    conversion or a check is decoded again row by row
+    (:meth:`_CsvLayout.job` + :meth:`_TraceRules.admit`), which raises the
+    attributed :class:`TraceSchemaError` of its first bad row — the per-row
+    path stays the only place that words an error.  Blocks end at every
+    multiple of ``chunk_size`` data rows, so a chunk is whole blocks.
+    """
+    parsed = _csv_records(stream)
+    if parsed is None:
+        return
+    layout, reader = parsed
+    rules = _TraceRules()
+
+    def decode(lineno: int, records: list[list[str]]) -> "_Block | None":
+        """The block of ``records``, the first on line ``lineno``; ``None`` if all blank."""
+        lines: Sequence[int] = range(lineno, lineno + len(records))
+        if records and min(map(len, records)) < 2:  # maybe blank lines: drop them
+            kept = [(n, row) for n, row in zip(lines, records) if not _is_blank(row)]
+            lines = [n for n, _ in kept]
+            records = [row for _, row in kept]
+        if not records:
+            return None
+        block = layout.block(records)
+        if block is not None and rules.admit_block(block):
+            return block
+        jobs = []
+        for n, row in zip(lines, records):
+            job = layout.job(row, n)
+            rules.admit(n, job)
+            jobs.append(job)
+        return _Block.of(jobs)
+
+    held = 0
+    lineno = 2
+    while True:
+        wanted = min(_BLOCK_ROWS, chunk_size - held)
+        records: list[list[str]] = []
+        try:
+            # ``list.extend`` appends as it iterates, so the records read
+            # before a reader error stay in ``records``.
+            records.extend(islice(reader, wanted))
+        except Exception:
+            # The per-row path meets the records read so far before the
+            # reader's own error (undecodable bytes, a csv.Error), so a bad
+            # row among them is reported first; otherwise the reader's error
+            # stands.
+            decode(lineno, records)
+            raise
+        block = decode(lineno, records)
+        if block is not None:
+            yield block
+            held = (held + len(block.ids)) % chunk_size
+        lineno += len(records)
+        if len(records) < wanted:
+            return
 
 
 def _concatenate(blocks: Sequence[JobChunk]) -> JobChunk:
     """One chunk from consecutive blocks that each passed the trace rules."""
     if len(blocks) == 1:
         return blocks[0]
+    import numpy as np
 
     def column(name: str) -> "np.ndarray | None":
         arrays = [getattr(block, name) for block in blocks]
@@ -458,59 +572,17 @@ def _concatenate(blocks: Sequence[JobChunk]) -> JobChunk:
 
 
 def _csv_chunks(stream: TextIO, chunk_size: int) -> Iterator[JobChunk]:
-    """Decode a CSV trace a block of at most :data:`_BLOCK_ROWS` rows at a time.
-
-    Each block becomes numpy columns in one conversion per field, checked in
-    bulk.  A block that fails a conversion or a check is decoded again row by
-    row (:meth:`_CsvLayout.job` + :meth:`_TraceRules.admit`), which raises
-    the attributed :class:`TraceSchemaError` of its first bad row — the
-    per-row path stays the only place that words an error.
-    """
-    parsed = _csv_rows(stream)
-    if parsed is None:
-        return
-    layout, numbered = parsed
-    rules = _TraceRules()
-
-    def decode(lines: list[int], rows: list[list[str]]) -> JobChunk:
-        block = layout.block(rows, rules.start)
-        if block is not None and rules.admit_block(block):
-            return block
-        jobs = []
-        for lineno, row in zip(lines, rows):
-            job = layout.job(row, lineno)
-            rules.admit(lineno, job)
-            jobs.append(job)
-        return rules.chunk(jobs)
-
-    blocks: list[JobChunk] = []
-    held = 0
-    while True:
-        wanted = min(_BLOCK_ROWS, chunk_size - held)
-        lines: list[int] = []
-        rows: list[list[str]] = []
-        try:
-            for lineno, row in numbered:
-                lines.append(lineno)
-                rows.append(row)
-                if len(rows) == wanted:
-                    break
-        except Exception:
-            # The per-row path meets the rows read so far before the reader's
-            # own error (undecodable bytes, a csv.Error), so a bad row among
-            # them is reported first; otherwise the reader's error stands.
-            if rows:
-                decode(lines, rows)
-            raise
-        if rows:
-            blocks.append(decode(lines, rows))
-            held += len(rows)
-        exhausted = len(rows) < wanted
-        if held == chunk_size or (exhausted and blocks):
-            yield _concatenate(blocks)
-            blocks, held = [], 0
-        if exhausted:
-            return
+    """The CSV blocks of :func:`_csv_blocks` as numpy chunks of ``chunk_size`` rows."""
+    start = 0
+    pending: list[JobChunk] = []
+    for block in _csv_blocks(stream, chunk_size):
+        pending.append(block.chunk(start))
+        start += len(block.ids)
+        if start % chunk_size == 0:
+            yield _concatenate(pending)
+            pending = []
+    if pending:
+        yield _concatenate(pending)
 
 
 def read_trace_chunks(
@@ -543,6 +615,21 @@ def read_trace_chunks(
 # --------------------------------------------------------------------------------------
 
 
+def _fleet(
+    width: "int | None", machines: "int | Sequence[Machine] | None", alpha: float
+) -> tuple[Machine, ...]:
+    """The fleet of a trace ``width`` machines wide (``None``: no rows)."""
+    if machines is None:
+        if width is None:
+            raise InvalidParameterError(
+                "empty trace: pass machines= to build an instance with no jobs"
+            )
+        return Machine.fleet(width, alpha=alpha)
+    if isinstance(machines, int):
+        return Machine.fleet(machines, alpha=alpha)
+    return tuple(machines)
+
+
 def chunks_to_instance(
     chunks: Iterable[JobChunk],
     machines: "int | Sequence[Machine] | None" = None,
@@ -560,17 +647,7 @@ def chunks_to_instance(
         if width is None:
             width = chunk.sizes.shape[1]
         jobs.extend(chunk.jobs())
-    if machines is None:
-        if width is None:
-            raise InvalidParameterError(
-                "empty trace: pass machines= to build an instance with no jobs"
-            )
-        fleet: tuple[Machine, ...] = Machine.fleet(width, alpha=alpha)
-    elif isinstance(machines, int):
-        fleet = Machine.fleet(machines, alpha=alpha)
-    else:
-        fleet = tuple(machines)
-    return Instance.build(fleet, jobs, name=name)
+    return Instance.build(_fleet(width, machines, alpha), jobs, name=name)
 
 
 def trace_instance(
@@ -580,12 +657,37 @@ def trace_instance(
     alpha: float = 3.0,
     name: "str | None" = None,
 ) -> Instance:
-    """Read a whole trace into an :class:`Instance` (convenience wrapper)."""
+    """Read a whole trace into an :class:`Instance`.
+
+    Equal to ``chunks_to_instance(read_trace_chunks(source, fmt), ...)``,
+    errors included, without the chunks: CSV blocks decode straight to
+    jobs and NDJSON rows pass :meth:`_TraceRules.admit` one at a time, so
+    no numpy loads.  The reader's rules already hold a constant width,
+    unique ids and non-decreasing releases, so the checked
+    :class:`Instance` constructor runs on the fleet and the first job only.
+    """
     if name is None:
         name = Path(source).name if not hasattr(source, "read") else "trace"
-    return chunks_to_instance(
-        read_trace_chunks(source, fmt), machines=machines, alpha=alpha, name=name
-    )
+    stream, fmt, should_close = _open_source(source, fmt)
+    try:
+        jobs: list[Job] = []
+        if fmt == "csv":
+            for block in _csv_blocks(stream, DEFAULT_CHUNK_SIZE):
+                jobs += block.jobs()
+        else:
+            rules = _TraceRules()
+            for lineno, job in iter_ndjson_jobs(stream):
+                rules.admit(lineno, job)
+                jobs.append(job)
+    finally:
+        if should_close:
+            stream.close()
+    fleet = _fleet(len(jobs[0].sizes) if jobs else None, machines, alpha)
+    # Instance.build's order, by two stable sorts: release, ties by id.
+    jobs.sort(key=attrgetter("id"))
+    jobs.sort(key=attrgetter("release"))
+    Instance(fleet, tuple(jobs[:1]), name)  # raises Instance.build's fleet and width errors
+    return Instance.trusted(fleet, tuple(jobs), name)
 
 
 @dataclass(frozen=True)
@@ -619,6 +721,8 @@ class TraceStats:
 
 def trace_stats(chunks: Iterable[JobChunk]) -> TraceStats:
     """Aggregate a chunk stream into :class:`TraceStats` in one pass."""
+    import numpy as np
+
     num_jobs = 0
     num_machines = 0
     first_release = math.inf
@@ -796,6 +900,8 @@ def time_warp(
     columns — the scenario catalog uses piecewise-linear warps to carve
     diurnal cycles and load ramps out of stationary traces.
     """
+    import numpy as np
+
     if callable(warp):
         fn = warp
     else:
@@ -828,6 +934,8 @@ def truncate(
     """Stop a trace after ``max_jobs`` rows and/or releases past ``max_time``."""
     if max_jobs is not None and max_jobs < 0:
         raise InvalidParameterError(f"max_jobs must be non-negative, got {max_jobs}")
+    import numpy as np
+
     taken = 0
     for chunk in chunks:
         stop = len(chunk)
@@ -873,6 +981,8 @@ def shard(chunks: Iterable[JobChunk], num_shards: int, index: int) -> Iterator[J
         raise InvalidParameterError(
             f"shard index must be in [0, {num_shards}), got {index}"
         )
+    import numpy as np
+
     position = 0
     taken = 0
     for chunk in chunks:
@@ -921,6 +1031,8 @@ def merge(
     """
     if not streams:
         raise InvalidParameterError("merge needs at least one input trace")
+    import numpy as np
+
     cursors = [_MergeCursor(iter(stream)) for stream in streams]
     live = [cursor for cursor in cursors if cursor.refill()]
     width: int | None = None

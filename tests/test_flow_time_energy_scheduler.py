@@ -1,5 +1,7 @@
 """Tests for the Theorem 2 scheduler (Section 3 algorithm)."""
 
+import math
+
 import pytest
 
 from repro.core.bounds import energy_flow_gamma
@@ -69,6 +71,21 @@ class TestSpeedChoice:
         decision = scheduler.select_next(0.0, 0, state)
         assert decision.job_id == 0
         assert decision.speed == scheduler.gamma * 1.0 ** (1.0 / 3.0)
+
+    def test_lambda_sum_adds_left_to_right(self):
+        # Each job arrives to an empty queue: one lambda near 1.26, then ten
+        # near 1.26e-16, each over half an ulp of the total.  Left to right,
+        # as ``sum`` adds on 3.10 and 3.11, each rounds the total up one ulp;
+        # 3.12's compensated ``sum`` rounds once, to other bits.
+        jobs = [Job(0, 0.0, (1.0,))] + [Job(k, 10.0 * k, (1e-16,)) for k in range(1, 11)]
+        scheduler = RejectionEnergyFlowScheduler(epsilon=0.5)
+        SpeedScalingEngine(_instance(jobs, alpha=3.0)).run(scheduler)
+        lambdas = list(scheduler.lambdas.values())
+        expected = 0
+        for value in lambdas:
+            expected += value
+        assert expected != math.fsum(lambdas)
+        assert scheduler.diagnostics()["lambda_sum"] == expected
 
     def test_density_order_execution(self):
         # While job 0 runs, two jobs queue up; the higher-density one (job 2)

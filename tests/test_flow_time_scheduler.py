@@ -47,6 +47,16 @@ class TestLambdaComputation:
         state.machines[0].pending.extend(range(11))
         assert state.pending_total_size(0) == 1.0
 
+    def test_lambda_sum_adds_left_to_right(self):
+        # Each job arrives to an empty queue, so its lambda is its size: 1.0,
+        # then ten 1e-16.  Left to right, as ``sum`` adds on 3.10 and 3.11,
+        # the ten vanish; 3.12's compensated ``sum`` gives 1.000000000000001.
+        jobs = [Job(0, 0.0, (1.0,))] + [Job(k, 10.0 * k, (1e-16,)) for k in range(1, 11)]
+        scheduler = RejectionFlowTimeScheduler(epsilon=0.5)
+        FlowTimeEngine(Instance.build(1, jobs)).run(scheduler)
+        assert list(scheduler.lambdas.values()) == [1.0] + [1e-16] * 10
+        assert scheduler.diagnostics()["lambda_sum"] == 1.0
+
     def test_dispatch_to_argmin(self):
         jobs = [Job(0, 0.0, (10.0, 1.0))]
         instance = Instance.build(2, jobs)

@@ -4,9 +4,9 @@ Every ``repro solve``, ``repro serve`` and spawned worker pays its imports
 before it schedules a job, so the solve and serve paths load only what they
 run.  scipy (the Section 2 LP lower bound), the service, campaigns,
 experiments and analysis load on first use, and numpy loads where an array
-is first built: a trace chunk, a generated instance, a Fenwick rank build.
-These checks run fresh interpreters and gate on exact module sets, not on
-time.
+is first built: a trace chunk or a generated instance.  A trace solve builds
+no array, Theorem 1's rank build included, so it never loads numpy.  These
+checks run fresh interpreters and gate on exact module sets, not on time.
 """
 
 from __future__ import annotations
@@ -272,16 +272,21 @@ def test_tcp_service_runs_every_op_without_numpy():
         assert row == _batch_row(rows, algorithm, epsilon=0.5), algorithm
 
 
-def test_numpy_loads_on_a_servers_first_deep_queue():
+def test_a_servers_first_deep_queue_loads_no_numpy():
     # Jobs a millisecond apart queue up past PREFIX_SCAN_CUTOFF, which builds
-    # the Fenwick ranks with numpy inside the poll that first needs them.
+    # the Fenwick ranks inside the poll that first needs them: with stable
+    # sorts, not numpy.
     rows = _rows(4 * PREFIX_SCAN_CUTOFF, spacing=0.001)
     result = _run_fresh(
         """
+        import repro.simulation.state as state_module
         from repro.service.client import ServiceClient
         from repro.service.server import start_server_thread
         from repro.utils.serialization import canonical_json
 
+        builds = []
+        build = state_module.build_priority_ranks
+        state_module.build_priority_ranks = lambda jobs, m: builds.append(m) or build(jobs, m)
         rows = json.loads(sys.argv[1])
         cutoff = int(sys.argv[2])
         handle = start_server_thread()
@@ -290,26 +295,63 @@ def test_numpy_loads_on_a_servers_first_deep_queue():
                           params={"epsilon": 0.1})
             client.submit("deep", rows[:cutoff])  # no machine can queue more
             client.poll("deep")
-            shallow = loaded()
+            shallow = len(builds)
             client.submit("deep", rows[cutoff:])
             client.poll("deep")
-            deep = loaded()
             final = client.close_session("deep").event
         handle.stop()
         row = canonical_json({k: v for k, v in final.items() if k not in ("event", "session")})
-        print(json.dumps({"shallow": shallow, "deep": deep, "row": row}))
+        print(json.dumps({"builds": [shallow, len(builds)], "loaded": loaded(), "row": row}))
         """,
         json.dumps(rows),
         str(PREFIX_SCAN_CUTOFF),
         watched=("numpy",),
     )
-    assert result["shallow"] == [] and result["deep"] == ["numpy"]
+    assert result["builds"][0] == 0 and result["builds"][1] > 0
+    assert result["loaded"] == []
+    assert result["row"] == _batch_row(rows, "rejection-flow", epsilon=0.1)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+def test_a_trace_solve_and_its_checks_load_no_numpy(fmt, tmp_path):
+    # Jobs a millisecond apart on three machines: the queues pass
+    # PREFIX_SCAN_CUTOFF, so the solve builds Theorem 1's SPT ranks.
+    trace = tmp_path / f"deep.{fmt}"
+    rows = _rows(4 * PREFIX_SCAN_CUTOFF, spacing=0.001)
+    write_trace([Job.from_dict(row) for row in rows], trace)
+    result = _run_fresh(
+        """
+        import repro
+        import repro.simulation.state as state_module
+        from repro.simulation.validation import assert_rejection_budget, validate_result
+        from repro.utils.serialization import canonical_json
+        from repro.workloads.traces import trace_instance
+
+        builds = []
+        build = state_module.build_priority_ranks
+        state_module.build_priority_ranks = lambda jobs, m: builds.append(m) or build(jobs, m)
+        outcome = repro.solve(trace_instance(sys.argv[1]), "rejection-flow", epsilon=0.1)
+        validate_result(outcome.result)
+        assert_rejection_budget(outcome.result, 0.2)
+        row = canonical_json(outcome.as_row())
+        print(json.dumps({"builds": len(builds), "loaded": loaded(), "row": row}))
+        """,
+        str(trace),
+        watched=("numpy",),
+    )
+    assert result["builds"] > 0
+    assert result["loaded"] == []
+    expected = repro.solve(trace_instance(trace), "rejection-flow", epsilon=0.1)
+    assert result["row"] == canonical_json(expected.as_row())
     assert result["row"] == _batch_row(rows, "rejection-flow", epsilon=0.1)
 
 
 #: Statements that build a first array, each after ``import repro``.
 _FIRST_ARRAYS = {
-    "csv-trace": "from repro.workloads.traces import trace_instance; trace_instance(sys.argv[1])",
+    "trace-chunks": (
+        "from repro.workloads.traces import read_trace_chunks; "
+        "list(read_trace_chunks(sys.argv[1]))"
+    ),
     "generator": (
         "from repro.workloads.generators import InstanceGenerator; "
         "InstanceGenerator(num_machines=2, seed=0).generate(20)"

@@ -15,7 +15,9 @@ Rule-1 rejection.
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -322,6 +324,42 @@ class TestIndexedPending:
         _assert_identical(*results)
 
 
+def _lexsort_ranks(jobs, num_machines):
+    """The oracle: :func:`build_priority_ranks` as one ``np.lexsort`` per machine."""
+    import numpy as np
+
+    ids = [job.id for job in jobs]
+    rows = dict(zip(ids, range(len(ids))))
+    ranks = array("q", [0]) * (len(ids) * num_machines)
+    if not jobs:
+        return rows, ranks
+    id_col = np.array(ids)
+    releases = np.array([job.release for job in jobs], dtype=float)
+    sizes = np.array([job.sizes for job in jobs], dtype=float)
+    table = np.frombuffer(ranks, dtype=np.int64).reshape(len(ids), num_machines)
+    positions = np.arange(len(ids))
+    for machine in range(num_machines):
+        # lexsort sorts by the LAST key first: size is the primary key.
+        table[np.lexsort((id_col, releases, sizes[:, machine])), machine] = positions
+    return rows, ranks
+
+
+@st.composite
+def _rank_universes(draw) -> tuple[list[Job], int]:
+    """Jobs registered in no particular order, with tied sizes and releases and
+    forbidden (``inf``) machines."""
+    num_machines = draw(st.integers(1, 4))
+    sizes = st.lists(
+        st.sampled_from([0.25, 1.0, 3.0, math.inf]), min_size=num_machines, max_size=num_machines
+    ).filter(lambda vector: min(vector) < math.inf)
+    ids = draw(st.lists(st.integers(0, 10**6), max_size=40, unique=True))
+    jobs = [
+        Job(job_id, draw(st.sampled_from([0.0, 0.5, 2.5, 7.0])), tuple(draw(sizes)))
+        for job_id in ids
+    ]
+    return jobs, num_machines
+
+
 class TestPendingPrefixStats:
     def test_ranks_match_sorted_order(self):
         # Ties on size break by release, then by id; each machine ranks by
@@ -358,7 +396,6 @@ class TestPendingPrefixStats:
             Job.trusted(i, float(i // 4), tuple(float(1 + (i * 7 + m * 13) % 101) for m in range(8)))
             for i in range(20_000)
         ]
-        build_priority_ranks(jobs[:50], 8)  # numpy and its sort kernels load outside the trace
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -368,6 +405,12 @@ class TestPendingPrefixStats:
             tracemalloc.stop()
         assert len(ranks[1]) == 8 * len(jobs)
         assert retained < 4 * 2**20, f"{retained / 2**20:.2f} MiB retained"
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(universe=_rank_universes())
+    def test_ranks_equal_the_lexsort_oracle(self, universe):
+        jobs, num_machines = universe
+        assert build_priority_ranks(jobs, num_machines) == _lexsort_ranks(jobs, num_machines)
 
     def test_stats_below_counts_and_sums(self):
         jobs = [_job(0, 5.0), _job(1, 2.0), _job(2, 3.0), _job(3, 9.0)]

@@ -102,3 +102,13 @@ class TestSimulationResult:
         bad_records = {5: JobRecord(5, 1.0, 0.0, 0, 0.0, 1.0, False)}
         with pytest.raises(SimulationError):
             SimulationResult(instance, bad_records, [])
+
+    def test_unknown_job_record_is_named(self):
+        # Records for jobs 0 and 1 and for two unknown ids: the error names
+        # the first unknown id in record order.
+        instance = Instance.build(1, [Job(0, 0.0, (1.0,)), Job(1, 0.0, (1.0,))])
+        records = {
+            job_id: JobRecord(job_id, 1.0, 0.0, 0, 0.0, 1.0, False) for job_id in (0, 7, 1, 5)
+        }
+        with pytest.raises(SimulationError, match=r"^record for unknown job id 7$"):
+            SimulationResult(instance, records, [])

@@ -58,6 +58,7 @@ from repro.exceptions import (
     SessionStateError,
     TraceSchemaError,
 )
+from repro.service import manager as manager_module
 from repro.service.client import ServiceClient, percentile, run_loadgen
 from repro.service.manager import MAX_MACHINES, MAX_PENDING, SessionManager
 from repro.service.protocol import (
@@ -449,6 +450,31 @@ class TestSessionManager:
         assert manager.create("t", max_pending=MAX_PENDING).max_pending == MAX_PENDING
         assert SessionManager(max_pending=MAX_PENDING).max_pending == MAX_PENDING
 
+    def test_open_sessions_have_a_ceiling(self, monkeypatch):
+        # Closed and failed sessions free their place; each refusal names the
+        # limit, and neither create nor restore hosts anything past it.
+        monkeypatch.setattr(manager_module, "MAX_OPEN_SESSIONS", 2)
+        limit = "open sessions must be at most 2"
+        manager = SessionManager(defaults=GOLDEN_OPTS)
+        manager.create("a")
+        manager.create("b")
+        snapshot = manager.snapshot("a")
+        with pytest.raises(ServiceError, match=limit):
+            manager.create("c")
+        with pytest.raises(ServiceError, match=limit):
+            manager.restore("c", snapshot)
+        assert manager.open_sessions() == ["a", "b"] and len(manager) == 2
+        manager.close("a")
+        manager.restore("c", snapshot)
+        manager.get("b").session.finalize = lambda: 1 / 0
+        with pytest.raises(ZeroDivisionError):
+            manager.close("b")
+        assert manager.unclean_sessions() == ["b"]
+        manager.create("d")
+        assert manager.open_sessions() == ["c", "d"]
+        with pytest.raises(ServiceError, match=limit):
+            manager.create("e")
+
 
 # --------------------------------------------------------------------------------------
 # Kill-point restore property (arbitrary crash, all dispatch modes)
@@ -834,6 +860,26 @@ class TestServer:
             sock.sendall(b'{"op":"hello"}\n')
             hello = json.loads(reader.readline())
             assert hello["event"] == "hello" and hello["sessions"] == 0, hello
+
+    def test_a_session_past_the_open_ceiling_gets_one_attributed_error(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(manager_module, "MAX_OPEN_SESSIONS", 1)
+        with (
+            socket.create_connection((server.host, server.port), timeout=30) as sock,
+            sock.makefile("rb") as reader,
+        ):
+            sock.sendall(b'{"op":"create","session":"s"}\n{"op":"create","session":"t"}\n')
+            assert json.loads(reader.readline())["event"] == "created"
+            row = json.loads(reader.readline())
+            assert row["event"] == "error" and row["code"] == "session", row
+            assert row["session"] == "t", row
+            assert row["error"] == (
+                "open sessions must be at most 1; close one before opening another"
+            ), row
+            sock.sendall(b'{"op":"hello"}\n')
+            hello = json.loads(reader.readline())
+            assert hello["event"] == "hello" and hello["sessions"] == 1, hello
 
     def test_max_pending_past_the_ceiling_gets_one_attributed_error(self, server):
         with (

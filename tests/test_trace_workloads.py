@@ -30,6 +30,7 @@ from repro.exceptions import InvalidParameterError, TraceSchemaError
 from repro.experiments import run_experiment
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
+from repro.simulation.machine import Machine
 from repro.solvers import solve
 from repro.utils.serialization import canonical_json
 from repro.workloads import standard_suites, traces, validate_unique_suites
@@ -567,6 +568,148 @@ class TestCsvBlockDecoder:
         with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
             block = _outcome(_block_path, text, chunk_size)
         assert block == _outcome(_row_path, text, chunk_size)
+
+
+def _instance_outcome(build, text: str, fmt: str, **options):
+    """An instance's name, fleet and exact job reprs, or its error as in :func:`_outcome`."""
+    try:
+        instance = build(io.StringIO(text), fmt, **options)
+    except Exception as exc:  # compared, never swallowed: any type must match
+        return ("error", type(exc), getattr(exc, "lineno", None),
+                getattr(exc, "field", None), str(exc))
+    return ("instance", instance.name, instance.machines, [repr(job) for job in instance.jobs])
+
+
+def _via_chunks(stream, fmt: str, **options) -> Instance:
+    """The reference for :func:`trace_instance`: chunks, then an instance."""
+    return chunks_to_instance(read_trace_chunks(stream, fmt), name="trace", **options)
+
+
+def _assert_same_instance(text: str, fmt: str, **options):
+    expected = _instance_outcome(_via_chunks, text, fmt, **options)
+    assert _instance_outcome(trace_instance, text, fmt, **options) == expected
+    return expected
+
+
+def _ndjson_text(rows: Sequence[dict]) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def _good_ndjson_rows(count: int = 10) -> list[dict]:
+    return [
+        {"id": k, "release": k + 1.0, "sizes": [2.0, "inf"], "weight": 1.5, "deadline": k + 60.0}
+        for k in range(count)
+    ]
+
+
+class TestTraceInstance:
+    """``trace_instance`` equals ``chunks_to_instance(read_trace_chunks(...))``.
+
+    Jobs (by exact repr), fleet and name, or the error's type, text, line and
+    field, on the block decoder's corpora and on NDJSON.
+    """
+
+    _CSV_DEFECTS = {**_DEFECTS, "id negative": (_with(0, "-1"), None)}
+
+    @pytest.mark.parametrize("position", [1, 3, 4, 6])
+    @pytest.mark.parametrize("defect", sorted(_CSV_DEFECTS))
+    def test_csv_errors(self, monkeypatch, defect, position):
+        monkeypatch.setattr(traces, "_BLOCK_ROWS", 2)
+        rows = _good_rows()
+        rows[position] = self._CSV_DEFECTS[defect][0](rows[position])
+        expected = _assert_same_instance(_csv_text(_HEADER, rows), "csv")
+        assert expected[:3] == ("error", TraceSchemaError, position + 2)
+
+    @pytest.mark.parametrize("release", ["-1.0", "-inf"])
+    def test_csv_negative_first_release(self, release):
+        # The first row has no earlier release to be out of order with.
+        rows = _good_rows()
+        rows[0][_RELEASE] = release
+        expected = _assert_same_instance(_csv_text(_HEADER, rows), "csv")
+        assert expected[:3] == ("error", TraceSchemaError, 2)
+
+    @pytest.mark.parametrize("block_rows", [2, traces._BLOCK_ROWS])
+    @pytest.mark.parametrize("edit", [
+        "none", "blank weight", "blank deadlines", "blank rows", "padded cells", "ids descending",
+    ])
+    def test_csv_accepted_rows(self, monkeypatch, edit, block_rows):
+        monkeypatch.setattr(traces, "_BLOCK_ROWS", block_rows)
+        rows = _good_rows()
+        if edit == "blank weight":
+            rows[5][_WEIGHT] = ""
+        elif edit == "blank deadlines":
+            for row in rows:
+                row[_DEADLINE] = " "
+        elif edit == "padded cells":
+            rows[2] = [f"\u2003{cell} " for cell in rows[2]]
+        elif edit == "ids descending":  # tied releases: the instance orders them by id
+            for k, row in enumerate(rows):
+                row[0] = str(len(rows) - k)
+                row[_RELEASE] = f"{k // 4}.0"
+        text = _csv_text(_HEADER, rows)
+        if edit == "blank rows":
+            text = text.replace("\n", "\n\n  \n", 3)
+        assert _assert_same_instance(text, "csv")[0] == "instance"
+
+    @pytest.mark.parametrize("machines", [
+        None, 2, 3, 0, [Machine(0), Machine(1)], [Machine(1), Machine(0)],
+    ], ids=["width", "two", "three", "zero", "fleet", "fleet-misnumbered"])
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    def test_fleets(self, fmt, machines):
+        if fmt == "csv":
+            text = _csv_text(_HEADER, _good_rows())
+        else:
+            text = _ndjson_text(_good_ndjson_rows())
+        _assert_same_instance(text, fmt, machines=machines, alpha=2.5)
+        empty = _csv_text(_HEADER, []) if fmt == "csv" else ""
+        _assert_same_instance(empty, fmt, machines=machines, alpha=2.5)
+
+    @pytest.mark.parametrize("defect", [
+        "none", "not json", "size nan", "release out of order", "id repeated",
+        "deadline missing", "sizes wider", "id past int64", "ids descending",
+    ])
+    def test_ndjson(self, defect):
+        rows = _good_ndjson_rows()
+        row = rows[4]
+        if defect == "not json":
+            text = _ndjson_text(rows).replace('"id": 4,', '"id": 4', 1)
+        else:
+            if defect == "size nan":
+                row["sizes"] = ["nan", 1.0]
+            elif defect == "release out of order":
+                row["release"] = 0.5
+            elif defect == "id repeated":
+                row["id"] = 1
+            elif defect == "deadline missing":
+                del row["deadline"]
+            elif defect == "sizes wider":
+                row["sizes"] = [2.0, 1.0, 1.0]
+            elif defect == "id past int64":
+                row["id"] = 2**63
+            elif defect == "ids descending":
+                for k, each in enumerate(rows):
+                    each["id"], each["release"] = len(rows) - k, float(k // 4)
+            text = _ndjson_text(rows)
+        expected = _assert_same_instance(text, "ndjson")
+        assert expected[0] == ("instance" if defect in ("none", "ids descending") else "error")
+
+    @pytest.mark.parametrize("block_rows", [2, traces._BLOCK_ROWS])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=_csv_traces())
+    def test_differential_on_csv(self, block_rows, text):
+        with mock.patch.object(traces, "_BLOCK_ROWS", block_rows):
+            _assert_same_instance(text, "csv", machines=4)
+            _assert_same_instance(text, "csv")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(instance=flow_instances(max_jobs=12, max_machines=3))
+    def test_differential_on_ndjson(self, instance):
+        buf = io.StringIO()
+        write_ndjson_trace(instance.jobs, buf)
+        expected = _assert_same_instance(buf.getvalue(), "ndjson", machines=instance.machines)
+        assert expected[3] == [repr(job) for job in instance.jobs]
 
 
 # --------------------------------------------------------------------------------------
