@@ -26,7 +26,7 @@ The subcommands cover the common workflows::
 * ``serve`` runs a streaming scheduler session: job rows in (stdin or
   ``--trace FILE``, NDJSON or CSV via ``--trace-format``), decision-event
   lines out as jobs arrive, and a final summary line when the stream ends.
-  With ``--listen HOST:PORT`` it instead hosts the multi-session asyncio
+  With ``--listen HOST:PORT`` it instead hosts the multi-session TCP
   service (many named concurrent sessions, bounded-queue backpressure,
   ``snapshot``/``restore`` for sessions that must outlive the server).
 * ``loadgen`` drives N concurrent scenario streams against a service server
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-decision event lines (only the final summary)")
     serve.add_argument("--listen", default=None, metavar="HOST:PORT",
-                       help="host the multi-session asyncio service on HOST:PORT "
+                       help="host the multi-session TCP service on HOST:PORT "
                             "(port 0 = ephemeral) instead of a stdio session; the "
                             "other flags become the defaults for created sessions")
     serve.add_argument("--max-pending", type=int, default=None, metavar="N",
@@ -490,8 +490,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     manager = SessionManager(**manager_kwargs)
 
     if args.listen is not None:
-        import asyncio
-
         from repro.service.server import ServiceServer
 
         host, port = _parse_host_port(args.listen)
@@ -500,7 +498,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         # as it does on the stdio path.
         SessionManager(defaults=defaults).create("defaults")
         server = ServiceServer(manager, host=host, port=port, out=out)
-        return asyncio.run(server.run())
+        return server.run()
 
     # Stdio path: a thin single-session client of the same SessionManager the
     # network service uses, so the two share lifecycle and error semantics.

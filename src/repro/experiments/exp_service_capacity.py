@@ -82,7 +82,11 @@ def _run_row(config: ServiceCapacityConfig, sessions: int) -> dict:
             chunk_size=config.chunk_size,
             verify=config.verify,
         )
-    objective_sum = sum(r.final_row["objective_value"] for r in report.sessions)
+    # Added left to right from the int 0: Python 3.12's compensated ``sum``
+    # would give other bits than 3.10 and 3.11.
+    objective_sum = 0
+    for r in report.sessions:
+        objective_sum += r.final_row["objective_value"]
     rejected = sum(r.final_row["rejected_count"] for r in report.sessions)
     return {
         "sessions": sessions,

@@ -14,8 +14,9 @@ This subpackage is the online-facing API of the reproduction:
   concurrent sessions with lifecycle, bounded-queue backpressure and
   client-held snapshots (a session outlives its server only through a
   ``snapshot`` its client keeps and ``restore``s);
-* :mod:`repro.service.server` — the asyncio NDJSON TCP server
-  (``repro serve --listen``) hosting one manager for many clients;
+* :mod:`repro.service.server` — the NDJSON TCP server (``repro serve
+  --listen``): one ``selectors`` loop on one thread hosting one manager for
+  many clients;
 * :mod:`repro.service.client` — the blocking reference client and the
   ``repro loadgen`` capacity harness.
 
@@ -25,7 +26,7 @@ the simulation layer and is re-exported here.
 
 The re-exports load on first access (PEP 562), so a user of sessions or of
 the manager (``repro.open_session``, stdio ``repro serve``) loads neither
-the TCP server, its client nor asyncio.
+the TCP server nor its client.
 """
 
 #: Public names and the submodule each loads from.

@@ -25,7 +25,7 @@ and owns everything about them except the wire:
   byte-identically.  The manager persists nothing: a session outlives its
   server only through a snapshot its client kept.
 
-Everything here is synchronous and deterministic; the asyncio server in
+Everything here is synchronous and deterministic; the TCP server in
 :mod:`repro.service.server` and the blocking stdio ``repro serve`` path are
 both thin clients of this class, so the two share error handling and
 lifecycle semantics by construction.

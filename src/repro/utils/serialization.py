@@ -15,7 +15,6 @@ The campaign artifact store needs two properties from its serialisation:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import PurePath
@@ -82,5 +81,7 @@ def stable_hash(value: Any, length: int = 16) -> str:
     ``length`` trims the sha256 hex digest (64 chars) for readable artifact
     file names; 16 hex chars keep collision odds negligible at campaign scale.
     """
+    import hashlib  # here: it maps OpenSSL's libcrypto, which only campaign keys need
+
     digest = hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
     return digest[:length]

@@ -5,8 +5,10 @@ before it schedules a job, so the solve and serve paths load only what they
 run.  scipy (the Section 2 LP lower bound), the service, campaigns,
 experiments and analysis load on first use, and numpy loads where an array
 is first built: a trace chunk or a generated instance.  A trace solve builds
-no array, Theorem 1's rank build included, so it never loads numpy.  These
-checks run fresh interpreters and gate on exact module sets, not on time.
+no array, Theorem 1's rank build included, so it never loads numpy.  The
+TCP server maps no OpenSSL: it runs no asyncio (which loads ``ssl``), and
+``hashlib`` loads only when a campaign key is hashed.  These checks run
+fresh interpreters and gate on exact module sets, not on time.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ OFF_SOLVE_PATH = (
     "repro.lowerbounds",
 )
 
+#: The modules that map OpenSSL's libssl and libcrypto: ``asyncio`` loads
+#: ``ssl``, and ``hashlib`` loads ``_hashlib``.
+OPENSSL = ("asyncio", "ssl", "_ssl", "_hashlib")
+
 #: Modules the serve path never runs.
 OFF_SERVE_PATH = (
     "numpy",
@@ -49,7 +55,7 @@ OFF_SERVE_PATH = (
     "repro.campaigns",
     "repro.experiments",
     "repro.analysis",
-)
+) + OPENSSL
 
 
 def _run_fresh(script: str, *argv: str, watched) -> dict:
@@ -150,9 +156,8 @@ def test_serve_path_leaves_off_path_modules_unloaded():
     assert result == []
 
 
-#: What a session or manager user never runs: the TCP server, its client
-#: and the event loop.
-OFF_SESSION_PATH = ("asyncio", "repro.service.server", "repro.service.client")
+#: What a session or manager user never runs: the TCP server and its client.
+OFF_SESSION_PATH = ("repro.service.server", "repro.service.client") + OPENSSL
 
 
 def test_sessions_and_the_manager_leave_the_tcp_layer_unloaded():
@@ -171,6 +176,22 @@ def test_sessions_and_the_manager_leave_the_tcp_layer_unloaded():
         watched=OFF_SESSION_PATH,
     )
     assert result == {"after_session": [], "after_manager": []}
+
+
+def test_stable_hash_loads_hashlib_on_first_call_and_keeps_its_keys():
+    value = {"experiment": "E1", "seed": 2018, "overrides": [0.5, None]}
+    result = _run_fresh(
+        """
+        from repro.utils.serialization import stable_hash
+
+        before = loaded()
+        key = stable_hash(json.loads(sys.argv[1]))
+        print(json.dumps({"before": before, "key": key, "after": loaded()}))
+        """,
+        json.dumps(value),
+        watched=OPENSSL,
+    )
+    assert result == {"before": [], "key": "555511285c231629", "after": ["_hashlib"]}
 
 
 def test_service_package_resolves_lazily_exported_names():
@@ -229,7 +250,7 @@ def _batch_row(rows: list[dict], algorithm: str, epsilon: float) -> str:
     return canonical_json(repro.solve(instance, algorithm, epsilon=epsilon).as_row())
 
 
-def test_tcp_service_runs_every_op_without_numpy():
+def test_tcp_service_runs_every_op_without_numpy_or_openssl():
     # Jobs 4 time units apart and at most 3.5 long: no queue nears
     # PREFIX_SCAN_CUTOFF, so no Fenwick rank build runs.
     rows = _rows(24, spacing=4.0)

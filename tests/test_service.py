@@ -40,9 +40,11 @@ import math
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -931,6 +933,150 @@ class TestServer:
 
 
 # --------------------------------------------------------------------------------------
+# Server framing on the raw wire: line splitting, the line limit, slow readers, EOF
+# --------------------------------------------------------------------------------------
+
+
+def _read_until(reader, event: str) -> list[dict]:
+    """Rows up to and including the first one whose ``event`` is ``event``."""
+    rows = [json.loads(reader.readline())]
+    while rows[-1]["event"] != event:
+        rows.append(json.loads(reader.readline()))
+    return rows
+
+
+def _loopback_buffering() -> int:
+    """Bytes a loopback sender can queue toward a peer with a 4 KiB
+    ``SO_RCVBUF`` that reads nothing: the kernel's send and receive buffers."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with socket.socket() as peer:
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            peer.connect(listener.getsockname())
+            sender, _ = listener.accept()
+            with sender:
+                sender.setblocking(False)
+                queued, chunk = 0, b"x" * 65536
+                while True:
+                    try:
+                        queued += sender.send(chunk)
+                    except BlockingIOError:
+                        return queued
+
+
+class TestServerWire:
+    def test_pipelined_and_split_requests_are_answered_in_order(self, server):
+        submit = canonical_json(
+            {"op": "submit", "session": "s", "jobs": [j.to_dict() for j in _jobs()]}
+        ).encode("ascii") + b"\n"
+        with (
+            socket.create_connection((server.host, server.port), timeout=30) as sock,
+            sock.makefile("rb") as reader,
+        ):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # Several requests in one send.  Comment and blank lines get no
+            # reply but count toward the line numbers errors name.
+            sock.sendall(
+                b'{"op":"create","session":"s"}\n# a comment\n\n{"op":"nope"}\n'
+                + b'{"op":"stats","session":"s"}\n{"op":"hello"}\n' * 20
+            )
+            rows = [json.loads(reader.readline()) for _ in range(42)]
+            assert rows[0]["event"] == "created"
+            assert rows[1]["event"] == "error" and rows[1]["code"] == "protocol", rows[1]
+            assert rows[1]["error"].startswith("line 4: "), rows[1]
+            assert [row["event"] for row in rows[2:]] == ["stats", "hello"] * 20
+            # One request over many sends.
+            for start in range(0, len(submit), 97):
+                sock.sendall(submit[start:start + 97])
+                time.sleep(0.001)
+            accepted = json.loads(reader.readline())
+            assert accepted["event"] == "accepted" and accepted["count"] == 24, accepted
+            sock.sendall(b'{"op":"close","session":"s"}\n')
+            final = _read_until(reader, "final")[-1]
+        assert canonical_json(_strip(final)) == canonical_json(_reference())
+
+    @pytest.mark.parametrize("terminated", [True, False], ids=["terminated", "unterminated"])
+    def test_a_line_past_the_limit_closes_only_its_own_connection(
+        self, terminated, monkeypatch
+    ):
+        monkeypatch.setattr("repro.service.server.MAX_LINE_BYTES", 64)
+        long_line = b'{"op":"hello","pad":"' + b"x" * 80 + b'"}' + (b"\n" if terminated else b"")
+        with (
+            start_server_thread(defaults=GOLDEN_OPTS) as handle,
+            socket.create_connection((handle.host, handle.port), timeout=30) as sock,
+            sock.makefile("rb") as reader,
+            ServiceClient(handle.host, handle.port, timeout=30) as other,
+        ):
+            assert other.create("kept")["event"] == "created"
+            sock.sendall(b'{"op":"hello"}\n' + long_line)
+            rows = [json.loads(line) for line in reader]  # up to the server's close
+            assert [row["event"] for row in rows] == ["hello", "error"], rows
+            assert rows[1]["code"] == "protocol" and rows[1]["error"] == "line too long"
+            assert other.hello()["sessions"] == 1
+            assert other.close_session("kept").event["event"] == "final"
+
+    def test_a_client_that_stops_reading_does_not_stall_another(self):
+        # Every decision line repeats the session name and each job makes
+        # about three, so with an 8,000-character name the poll reply is
+        # about three times what the kernel queues toward a peer that reads
+        # nothing: the server holds the rest while it serves the other client.
+        buffered = _loopback_buffering()
+        name = "s" * 8000
+        jobs = [
+            {"id": j, "release": float(j), "sizes": [0.5]}
+            for j in range(buffered // len(name) + 1)
+        ]
+        with (
+            start_server_thread() as handle,
+            socket.socket() as slow,
+            slow.makefile("rb") as reader,
+        ):
+            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            slow.settimeout(30)
+            slow.connect((handle.host, handle.port))
+            for line in (
+                {"op": "create", "session": name, "algorithm": "fcfs", "machines": 1},
+                {"op": "submit", "session": name, "jobs": jobs},
+            ):
+                slow.sendall(canonical_json(line).encode("ascii") + b"\n")
+                reader.readline()
+            slow.sendall(b'{"op":"poll","session":"%s"}\n{"op":"hello"}\n' % name.encode())
+            slow.recv(1, socket.MSG_PEEK)  # the server has built the reply and begun it
+            with ServiceClient(handle.host, handle.port, timeout=10) as fast:
+                assert fast.hello()["sessions"] == 1
+            reply = _read_until(reader, "polled")
+            assert json.loads(reader.readline())["event"] == "hello"  # served after the poll
+        assert reply[-1]["count"] == len(reply) - 1 > 0
+        assert sum(len(canonical_json(row)) + 1 for row in reply) > 2 * buffered
+
+    def test_an_unterminated_last_line_is_answered_at_eof(self, server):
+        with (
+            socket.create_connection((server.host, server.port), timeout=30) as sock,
+            sock.makefile("rb") as reader,
+        ):
+            sock.sendall(b'{"op":"create","session":"s"}\n{"op":"hello"}')
+            sock.shutdown(socket.SHUT_WR)
+            rows = [json.loads(line) for line in reader]  # up to the server's close
+        assert [row["event"] for row in rows] == ["created", "hello"]
+        assert rows[1]["sessions"] == 1
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["fin", "reset"])
+    def test_a_peer_gone_mid_line_leaves_the_server_serving(self, server, reset):
+        jobs = [j.to_dict() for j in _jobs()]
+        with ServiceClient(server.host, server.port) as client:
+            client.create("kept")
+            client.submit("kept", jobs[:12])
+            gone = socket.create_connection((server.host, server.port), timeout=30)
+            if reset:  # close with an RST instead of a FIN
+                gone.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            gone.sendall(b'{"op":"submit","session":"kept","jobs":[{"id":12,')
+            gone.close()
+            assert client.hello()["sessions"] == 1
+            client.submit("kept", jobs[12:])
+            final = client.close_session("kept")
+        assert canonical_json(_strip(final.event)) == canonical_json(_reference())
+
+
+# --------------------------------------------------------------------------------------
 # Client response framing against a one-shot loopback server
 # --------------------------------------------------------------------------------------
 
@@ -1053,6 +1199,25 @@ class TestE15:
         for column in ("throughput_jobs_per_s", "latency_p50_ms", "latency_p99_ms"):
             assert column not in result.tables[0].columns
             assert column not in rows[0]
+
+    def test_objective_sum_adds_left_to_right(self, monkeypatch):
+        # Sessions of objective 1.0, then ten of 1e-16.  Left to right, as
+        # ``sum`` adds on 3.10 and 3.11, the ten vanish; 3.12's compensated
+        # ``sum`` gives 1.000000000000001.
+        from repro.experiments import run_experiment
+        from repro.service.client import LoadgenReport, SessionReport
+
+        def loadgen(host, port, *, sessions, **options):
+            reports = [
+                SessionReport(f"s{k}", "flash-crowd", 0,
+                              final_row={"objective_value": value, "rejected_count": 0})
+                for k, value in enumerate([1.0] + [1e-16] * (sessions - 1))
+            ]
+            return LoadgenReport(reports, 0.0, 0, 0, 0, 0.0, 0.0, 0.0, verified=sessions)
+
+        monkeypatch.setattr("repro.service.client.run_loadgen", loadgen)
+        result = run_experiment("E15", session_counts=(11,))
+        assert result.raw["rows"][0]["objective_sum"] == 1.0
 
     def test_e15_rejects_impossible_chunking(self):
         from repro.experiments import run_experiment
