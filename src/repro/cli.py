@@ -455,7 +455,11 @@ def _solve_source(args: argparse.Namespace):
 
 
 def _parse_host_port(value: str) -> tuple[str, int]:
-    """Parse ``HOST:PORT`` (or bare ``PORT``) into an address tuple."""
+    """Parse ``HOST:PORT`` (or bare ``PORT``) into an address tuple.
+
+    The port must lie in 0..65535: ``getaddrinfo`` takes a larger one modulo
+    2**16, so ``--listen`` and ``--connect`` would use another port.
+    """
     host, sep, port_text = value.rpartition(":")
     if not sep:
         host, port_text = "", value
@@ -463,6 +467,8 @@ def _parse_host_port(value: str) -> tuple[str, int]:
         port = int(port_text)
     except ValueError:
         raise ReproError(f"expected HOST:PORT, got {value!r}") from None
+    if not 0 <= port <= 65535:
+        raise ReproError(f"expected HOST:PORT with PORT in 0..65535, got {value!r}")
     return host or "127.0.0.1", port
 
 

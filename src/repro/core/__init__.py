@@ -13,14 +13,13 @@ Three algorithms are implemented, one per section of the paper:
   energy minimisation with deadlines via the configuration-LP primal-dual
   greedy, ``alpha^alpha`` competitive for power functions ``s^alpha``.
 
-Supporting modules implement the precedence orders, rejection counters, dual
-variable bookkeeping (used to verify Lemma 4 / Lemma 6 empirically), the
+Supporting modules implement the precedence orders, the rejection parameter
+check, dual variable bookkeeping (used to verify Lemma 4 / Lemma 6 empirically), the
 (λ, μ)-smoothness machinery of Section 4 and the closed-form theoretical
 bounds used by the experiments.
 """
 
 from repro.core.ordering import spt_key, density_key
-from repro.core.rejection import WeightedRunningJobCounter
 from repro.core.bounds import (
     flow_time_competitive_ratio,
     flow_time_rejection_budget,
@@ -43,7 +42,6 @@ from repro.core.smoothness import (
 __all__ = [
     "spt_key",
     "density_key",
-    "WeightedRunningJobCounter",
     "flow_time_competitive_ratio",
     "flow_time_rejection_budget",
     "energy_flow_competitive_ratio",

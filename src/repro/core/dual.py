@@ -170,10 +170,15 @@ class FlowTimeDualAccountant:
         ``|U_i(t)| + |V_i(t)|`` exactly during ``[r_j, C~_j)``.
         """
         scale = self.epsilon / (1.0 + self.epsilon) ** 2
-        total = 0.0
+        return scale * self._extended_flow_time()
+
+    def _extended_flow_time(self) -> float:
+        """``sum_j (C~_j - r_j)``, added left to right: Python 3.12's
+        compensated ``sum`` would give other bits than 3.10 and 3.11."""
+        total = 0
         for job_id, finish in self._definitive_finish.items():
             total += finish - self._jobs[job_id].release
-        return scale * total
+        return total
 
     # -- feasibility and objective ---------------------------------------------------
 
@@ -233,19 +238,21 @@ class FlowTimeDualAccountant:
                             )
                         )
 
-        lambda_sum = sum(self.scheduler.lambdas.values())
+        # The totals add left to right: Python 3.12's compensated ``sum``
+        # would give other bits than 3.10 and 3.11.
+        lambda_sum = 0
+        for value in self.scheduler.lambdas.values():
+            lambda_sum += value
         beta_int = self.beta_integral()
-        flow = sum(record.flow_time for record in self.result.records.values())
-        extended = sum(
-            self._definitive_finish[job_id] - self._jobs[job_id].release
-            for job_id in self._definitive_finish
-        )
+        flow = 0
+        for record in self.result.records.values():
+            flow += record.flow_time
         return DualCheckResult(
             lambda_sum=lambda_sum,
             beta_integral=beta_int,
             dual_objective=lambda_sum - beta_int,
             algorithm_flow_time=flow,
-            extended_flow_time=extended,
+            extended_flow_time=self._extended_flow_time(),
             checked_constraints=checked,
             violations=violations,
         )
@@ -253,8 +260,4 @@ class FlowTimeDualAccountant:
     def theoretical_dual_lower_bound(self) -> float:
         """The analysis' lower bound ``(eps/(1+eps))^2 * sum_j (C~_j - r_j)``."""
         scale = (self.epsilon / (1.0 + self.epsilon)) ** 2
-        total = sum(
-            self._definitive_finish[job_id] - self._jobs[job_id].release
-            for job_id in self._definitive_finish
-        )
-        return scale * total
+        return scale * self._extended_flow_time()

@@ -222,8 +222,13 @@ class EnergyFlowDualAccountant:
         monotonicity = sum(
             self.check_monotonicity(machine) for machine in range(instance.num_machines)
         )
+        # Left to right: Python 3.12's compensated ``sum`` would give other
+        # bits than 3.10 and 3.11.
+        lambda_sum = 0
+        for value in self.scheduler.lambdas.values():
+            lambda_sum += value
         return EnergyDualCheckResult(
-            lambda_sum=sum(self.scheduler.lambdas.values()),
+            lambda_sum=lambda_sum,
             checked_constraints=checked,
             violations=violations,
             monotonicity_violations=monotonicity,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from repro.core.ordering import spt_key
-from repro.core.rejection import RejectionLog, check_epsilon
+from repro.core.rejection import check_epsilon
 from repro.exceptions import InvalidParameterError
 from repro.simulation.decisions import ArrivalDecision, Rejection
 from repro.simulation.engine import FlowTimePolicy
@@ -135,7 +135,6 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
         self.lambdas: dict[int, float] = {}
         self.rule1_events: list[Rule1Event] = []
         self.rule2_events: list[Rule2Event] = []
-        self.log = RejectionLog()
 
     def reset(self, instance: Instance) -> None:
         """Engine hook: prepare for a fresh simulation of ``instance``."""
@@ -199,7 +198,6 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
                     self.rule1_events.append(
                         _rule1_event(best_machine, t, running_id, running.remaining_work(t))
                     )
-                    self.log.rule1.append(running_id)
                     del self._rule1[best_machine]
                 else:
                     self._rule1[best_machine] = (running_id, count)
@@ -221,7 +219,6 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
                 adjustment = self._rule2_adjustment(t, job, victim, best_machine, state)
                 rejections += (_rejection(victim.id, "rule2"),)
                 self.rule2_events.append(_rule2_event(best_machine, t, victim.id, adjustment))
-                self.log.rule2.append(victim.id)
             if push_arriving:
                 key = (-job.sizes[best_machine], job.release, -job.id)  # ``_victim_key``
                 heappush(self._victims[best_machine], (key, job))
@@ -304,15 +301,20 @@ class RejectionFlowTimeScheduler(FlowTimePolicy):
     def diagnostics(self) -> dict:
         """Per-run diagnostics merged into the simulation result's extras.
 
-        ``lambda_sum`` adds left to right: Python 3.12's compensated ``sum``
-        would give other bits than 3.10 and 3.11.
+        Each rejection is recorded once, as a rule event; the
+        ``*_rejections`` keys count them under the names the Theorem 2
+        scheduler shares (no weighted rule runs here).  ``lambda_sum`` adds
+        left to right: Python 3.12's compensated ``sum`` would give other
+        bits than 3.10 and 3.11.
         """
         lambda_sum = 0
         for value in self.lambdas.values():
             lambda_sum += value
         return {
             "lambda_sum": lambda_sum,
-            **self.log.as_dict(),
+            "rule1_rejections": len(self.rule1_events),
+            "rule2_rejections": len(self.rule2_events),
+            "weighted_rejections": 0,
             "rule1_events": len(self.rule1_events),
             "rule2_events": len(self.rule2_events),
         }

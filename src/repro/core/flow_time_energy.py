@@ -16,7 +16,8 @@ total *weighted* flow time plus the total energy.  The algorithm:
   every job dispatched to the machine during ``k``'s execution adds its
   *weight* to ``v_k``.  The first time ``v_k > w_k / epsilon`` the running job
   is interrupted and rejected.  The total rejected weight is therefore at most
-  an ``epsilon`` fraction of the total weight.
+  an ``epsilon`` fraction of the total weight.  The counter is a per-machine
+  ``(running job id, v_k)`` pair, set when the job starts.
 
 * **Dispatching.**  A new job ``j`` is sent to the machine minimising
 
@@ -39,13 +40,14 @@ from dataclasses import dataclass
 
 from repro.core.bounds import energy_flow_gamma
 from repro.core.ordering import density_key
-from repro.core.rejection import RejectionLog, WeightedRunningJobCounter, check_epsilon
+from repro.core.rejection import check_epsilon
 from repro.exceptions import InvalidParameterError
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.simulation.decisions import ArrivalDecision, Rejection, StartDecision
 from repro.simulation.speed_engine import SpeedScalingPolicy
 from repro.simulation.state import EngineState
+from repro.utils.numeric import EPS
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,14 +58,6 @@ class WeightedRejectionEvent:
     time: float
     job_id: int
     remaining_time: float
-
-
-@dataclass
-class _TrackedWeightedCounter:
-    """A weighted rejection counter together with the job it belongs to."""
-
-    job_id: int
-    counter: WeightedRunningJobCounter
 
 
 class RejectionEnergyFlowScheduler(SpeedScalingPolicy):
@@ -101,10 +95,11 @@ class RejectionEnergyFlowScheduler(SpeedScalingPolicy):
         self._instance: Instance | None = None
         self.alpha: float = 3.0
         self.gamma: float = 1.0
-        self._counters: dict[int, _TrackedWeightedCounter] = {}
+        #: Weighted rule: ``machine -> (running job id, weight dispatched
+        #: to the machine since that job started)``.
+        self._weighted: dict[int, tuple[int, float]] = {}
         self.lambdas: dict[int, float] = {}
         self.rejection_events: list[WeightedRejectionEvent] = []
-        self.log = RejectionLog()
 
     def reset(self, instance: Instance) -> None:
         """Engine hook: prepare for a fresh simulation of ``instance``."""
@@ -176,20 +171,26 @@ class RejectionEnergyFlowScheduler(SpeedScalingPolicy):
         rejections: list[Rejection] = []
         running = state.running(best_machine)
         if self.enable_rejection and running is not None:
-            tracked = self._counters.get(best_machine)
-            if tracked is not None and tracked.job_id == running.job.id:
-                if tracked.counter.record_dispatch(job.weight):
-                    rejections.append(Rejection(running.job.id, reason="weighted-rule"))
+            running_job = running.job
+            tracked = self._weighted.get(best_machine)
+            if tracked is not None and tracked[0] == running_job.id:
+                # The arriving job is dispatched during the running job's
+                # execution: its weight adds to ``v_k``, which the rule
+                # compares with ``w_k / epsilon`` (strictly, as the paper).
+                dispatched = tracked[1] + job.weight
+                if dispatched > running_job.weight / self.epsilon + EPS:
+                    rejections.append(Rejection(running_job.id, reason="weighted-rule"))
                     self.rejection_events.append(
                         WeightedRejectionEvent(
                             machine=best_machine,
                             time=t,
-                            job_id=running.job.id,
+                            job_id=running_job.id,
                             remaining_time=running.remaining_time(t),
                         )
                     )
-                    self.log.weighted.append(running.job.id)
-                    del self._counters[best_machine]
+                    del self._weighted[best_machine]
+                else:
+                    self._weighted[best_machine] = (running_job.id, dispatched)
 
         return ArrivalDecision.dispatch(best_machine, rejections)
 
@@ -217,10 +218,7 @@ class RejectionEnergyFlowScheduler(SpeedScalingPolicy):
             total_weight += jobs[job_id].weight
         speed = self.gamma * total_weight ** (1.0 / self.alpha)
         if self.enable_rejection:
-            self._counters[machine] = _TrackedWeightedCounter(
-                job_id=chosen.id,
-                counter=WeightedRunningJobCounter(self.epsilon, chosen.weight),
-            )
+            self._weighted[machine] = (chosen.id, 0.0)
         return StartDecision(job_id=chosen.id, speed=speed)
 
     # -- reporting -----------------------------------------------------------------
@@ -228,8 +226,11 @@ class RejectionEnergyFlowScheduler(SpeedScalingPolicy):
     def diagnostics(self) -> dict:
         """Per-run diagnostics for experiment reports.
 
-        ``lambda_sum`` adds left to right: Python 3.12's compensated ``sum``
-        would give other bits than 3.10 and 3.11.
+        The rejection counts have the keys of
+        :meth:`~repro.core.flow_time.RejectionFlowTimeScheduler.diagnostics`;
+        only the weighted rule fires here.  ``lambda_sum`` adds left to
+        right: Python 3.12's compensated ``sum`` would give other bits than
+        3.10 and 3.11.
         """
         lambda_sum = 0
         for value in self.lambdas.values():
@@ -238,5 +239,7 @@ class RejectionEnergyFlowScheduler(SpeedScalingPolicy):
             "alpha": self.alpha,
             "gamma": self.gamma,
             "lambda_sum": lambda_sum,
-            **self.log.as_dict(),
+            "rule1_rejections": 0,
+            "rule2_rejections": 0,
+            "weighted_rejections": len(self.rejection_events),
         }

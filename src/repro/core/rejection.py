@@ -1,4 +1,4 @@
-"""Rejection rules of the paper: parameter checks, the Section 3 counter and the log.
+"""Rejection rules of the paper and the check of their parameter.
 
 Section 2 uses two rules:
 
@@ -18,22 +18,26 @@ Both are plain per-machine integers inside
 ``(running job id, count)`` pair and Rule 2 a count, against thresholds the
 scheduler computes once per run.
 
-Section 3 replaces Rule 1 with a *weighted* rule
-(:class:`WeightedRunningJobCounter`): ``v_j`` increases by the weight of the
-dispatched job and ``j`` is rejected the first time ``v_j > w_j / epsilon``.
+Section 3 replaces Rule 1 with a *weighted* rule: ``v_k`` increases by the
+weight of the dispatched job and the running job ``k`` is rejected the first
+time ``v_k > w_k / epsilon``.  It is a per-machine ``(running job id, weight
+dispatched since it started)`` pair inside
+:class:`~repro.core.flow_time_energy.RejectionEnergyFlowScheduler`, compared
+with ``w_k / epsilon + EPS``.
 
 Because ``1/epsilon`` is generally not an integer while the counters are, the
 "first time the counter equals the threshold" is implemented as "the first
 time the counter is at least the threshold"; see
 :func:`repro.utils.numeric.integer_threshold`.
+
+Each rule's rejections are recorded once, as the scheduler's event lists
+(``rule1_events``, ``rule2_events``, ``rejection_events``) that the dual
+accountants read; ``diagnostics()`` counts them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.exceptions import InvalidParameterError
-from repro.utils.numeric import EPS
 
 
 def check_epsilon(epsilon: float) -> float:
@@ -46,58 +50,3 @@ def check_epsilon(epsilon: float) -> float:
     if not (epsilon > 0):
         raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
     return float(epsilon)
-
-
-@dataclass
-class WeightedRunningJobCounter:
-    """Section 3 weighted rejection counter for the running job.
-
-    ``v_j`` accumulates the *weight* of every job dispatched to the machine
-    during ``j``'s execution; the rule fires the first time
-    ``v_j > w_j / epsilon`` (strict inequality, as in the paper).
-    """
-
-    epsilon: float
-    job_weight: float
-    accumulated: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
-        if not (self.job_weight > 0):
-            raise InvalidParameterError(
-                f"job weight must be positive, got {self.job_weight}"
-            )
-        self.threshold = self.job_weight / self.epsilon
-
-    def record_dispatch(self, weight: float) -> bool:
-        """Register a dispatch of the given weight; ``True`` when the rule fires."""
-        if weight < 0:
-            raise InvalidParameterError(f"dispatch weight must be non-negative, got {weight}")
-        self.accumulated += weight
-        return self.accumulated > self.threshold + EPS
-
-    @property
-    def fired(self) -> bool:
-        """``True`` once the accumulated weight exceeds the threshold."""
-        return self.accumulated > self.threshold + EPS
-
-
-@dataclass
-class RejectionLog:
-    """Bookkeeping of which rule rejected which job (used by ablations and E9)."""
-
-    rule1: list[int] = field(default_factory=list)
-    rule2: list[int] = field(default_factory=list)
-    weighted: list[int] = field(default_factory=list)
-
-    def total(self) -> int:
-        """Total number of logged rejections."""
-        return len(self.rule1) + len(self.rule2) + len(self.weighted)
-
-    def as_dict(self) -> dict:
-        """Plain-dict summary for result extras."""
-        return {
-            "rule1_rejections": len(self.rule1),
-            "rule2_rejections": len(self.rule2),
-            "weighted_rejections": len(self.weighted),
-        }

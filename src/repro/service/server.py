@@ -136,11 +136,11 @@ class ServiceServer:
         ready: "threading.Event | None" = None,
         install_signal_handlers: bool = True,
     ) -> int:
-        """Serve until shutdown is requested; return the process exit code."""
-        family, _, _, _, address = socket.getaddrinfo(
-            self.requested_host, self.requested_port,
-            type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE,
-        )[0]
+        """Serve until shutdown is requested; return the process exit code.
+
+        An address that does not resolve or cannot be bound raises
+        :class:`ServiceError` naming it, before anything is printed.
+        """
         previous_handlers = {}
         if install_signal_handlers:
             for sig in (signal.SIGINT, signal.SIGTERM):
@@ -148,7 +148,7 @@ class ServiceServer:
         try:
             wake, self._wake = socket.socketpair()
             with wake, self._wake, selectors.DefaultSelector() as selector:
-                with socket.create_server(address, family=family) as listener:
+                with self._listen() as listener:
                     try:
                         self._serve(listener, wake, selector, ready)
                     finally:
@@ -160,6 +160,17 @@ class ServiceServer:
             for sig, handler in previous_handlers.items():
                 signal.signal(sig, handler)
         return self.exit_code
+
+    def _listen(self) -> socket.socket:
+        """A listening socket on the first address the requested host resolves to."""
+        host, port = self.requested_host, self.requested_port
+        try:
+            family, _, _, _, address = socket.getaddrinfo(
+                host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+            )[0]
+            return socket.create_server(address, family=family)
+        except OSError as exc:  # socket.gaierror included
+            raise ServiceError(f"cannot listen on {host}:{port}: {exc}") from None
 
     def _serve(
         self,

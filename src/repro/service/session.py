@@ -51,6 +51,7 @@ Contracts:
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Any, Mapping, Sequence
 
 from repro.exceptions import (
@@ -150,7 +151,6 @@ class SchedulerSession:
         #: out (the stepper's observer is this list's ``append``).
         self._events: list[DecisionEvent] = []
         self._stepper = self.engine.stepper(self.policy, observer=self._events.append)
-        self._jobs: list[Job] = []
         self._watermark = 0.0
         #: Events handed out so far, and the time of the newest of them.
         self._consumed = 0
@@ -178,7 +178,7 @@ class SchedulerSession:
     @property
     def num_submitted(self) -> int:
         """Number of jobs ingested so far."""
-        return len(self._jobs)
+        return len(self._stepper.state.jobs_by_id)
 
     @property
     def finalized(self) -> bool:
@@ -205,7 +205,7 @@ class SchedulerSession:
         return self._consumed + len(self._events)
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return len(self._stepper.state.jobs_by_id)
 
     def stats(self) -> dict:
         """Live observability counters, derived when called.
@@ -223,7 +223,7 @@ class SchedulerSession:
         rejected = sum(record.rejected for record in records)
         started = sum(record.start is not None for record in records)
         started += sum(ms.running is not None for ms in stepper.state.machines)
-        submitted = len(self._jobs)
+        submitted = len(stepper.state.jobs_by_id)
         return {
             "algorithm": self.spec.algorithm_id,
             "dispatch": self.engine.dispatch,
@@ -286,7 +286,6 @@ class SchedulerSession:
                 )
             watermark = job.release
         count = self._stepper.offer_many(rows)
-        self._jobs.extend(rows)
         self._watermark = watermark
         self._record_jobs(count)
         return count
@@ -330,8 +329,9 @@ class SchedulerSession:
         """Record ``count`` submissions, coalescing consecutive submit runs.
 
         The op log only needs the *interleaving* of submissions and
-        advances; the jobs themselves live once in ``self._jobs`` (append
-        order = submission order), so a run of submissions is one
+        advances; the jobs themselves live once, in the engine state's
+        ``jobs_by_id`` (insertion order = submission order: ``offer_many``
+        registers each job as it is ingested), so a run of submissions is one
         ``("jobs", n)`` entry — O(#advances) log size instead of one entry
         (and one retained tuple) per job on long-lived streams.
         """
@@ -356,7 +356,8 @@ class SchedulerSession:
         if ops and ops[-1][0] == "advance":
             ops[-1] = ("advance", max(ops[-1][1], t))
             return
-        if ops and ops[-1] == ("jobs", 1) and t == self._jobs[-1].release:
+        jobs = self._stepper.state.jobs_by_id
+        if ops and ops[-1] == ("jobs", 1) and t == next(reversed(jobs.values())).release:
             if len(ops) >= 2 and ops[-2][0] == "each":
                 ops[-2] = ("each", ops[-2][1] + 1)
                 ops.pop()
@@ -399,7 +400,8 @@ class SchedulerSession:
         # The session enforced the instance invariants (machine count,
         # release ordering, id uniqueness) on every submission, so the
         # assembled instance skips the O(n) re-validation.
-        instance = Instance.trusted(self.machines, tuple(self._jobs), name=self.name)
+        jobs = tuple(self._stepper.state.jobs_by_id.values())
+        instance = Instance.trusted(self.machines, jobs, name=self.name)
         result = self._stepper.finish(instance)
         self._outcome = outcome_from_result(self.spec, self.params, result, policy=self.policy)
         return self._outcome
@@ -421,13 +423,11 @@ class SchedulerSession:
         """
         self._require_open("snapshot")
         ops: list[dict] = []
-        cursor = 0
+        jobs = iter(self._stepper.state.jobs_by_id.values())
         for op in self._ops:
             if op[0] in ("jobs", "each"):
-                span = self._jobs[cursor : cursor + op[1]]
-                cursor += op[1]
                 kind = "submit_many" if op[0] == "jobs" else "submit_poll_each"
-                ops.append({"op": kind, "jobs": [job.to_dict() for job in span]})
+                ops.append({"op": kind, "jobs": [job.to_dict() for job in islice(jobs, op[1])]})
             else:
                 ops.append({"op": "advance", "t": op[1]})
         return {

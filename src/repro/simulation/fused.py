@@ -57,7 +57,7 @@ __all__ = ["ArrayEventQueue", "FusedState", "FusedStepper"]
 class FusedState(EngineState):
     """Engine state with the fused Theorem-1 dispatch sweep.
 
-    Inherits all bookkeeping (pending sets, size sums, Fenwick add/remove,
+    Inherits all bookkeeping (pending dicts, size sums, Fenwick add/remove,
     materialisation and rebuild policy) unchanged; adds
     :meth:`spt_lambda_argmin`, which the Theorem-1 policy calls once per
     arrival instead of one ``pending_spt_stats`` chain per machine.
@@ -65,10 +65,10 @@ class FusedState(EngineState):
 
     def __init__(self, instance: Instance) -> None:
         super().__init__(instance)
-        # ``PendingSet`` never replaces its backing dict, so the sweep can
-        # hold direct references and skip the ``__len__``/``__iter__``
-        # method dispatch on every machine of every arrival.
-        self._pending_items = [ms.pending._items for ms in self.machines]
+        # Each machine keeps its pending dict for the whole run, so the
+        # sweep and the fused loop index this list instead of taking the
+        # ``machines[i].pending`` hop on every machine of every arrival.
+        self._pending_items = [ms.pending for ms in self.machines]
         # Cached direct references into the materialised prefix stats, so
         # the sweep walks trees without per-query attribute/method hops.
         # Refreshed whenever ``prefix_stats`` changes identity (first

@@ -74,12 +74,12 @@ class IndexedPending:
     def argmin(self, machine: int, live: Container[int]) -> Job | None:
         """The live pending job with the smallest key on ``machine``.
 
-        ``live`` is the authoritative pending set, or the dict behind it
-        (membership by job id);
-        stale heap heads — jobs that started or were rejected since they were
-        pushed — are discarded on the way.  Returns ``None`` when nothing
-        live remains in the heap (the caller checks the pending set first, so
-        this only happens if a job was dispatched without being pushed).
+        ``live`` is the machine's authoritative pending dict (membership by
+        job id); stale heap heads — jobs that started or were rejected since
+        they were pushed — are discarded on the way.  Returns ``None`` when
+        nothing live remains in the heap (the caller checks the pending dict
+        first, so this only happens if a job was dispatched without being
+        pushed).
         """
         heap = self._heaps[machine]
         while heap:

@@ -17,7 +17,7 @@ collector's next pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.exceptions import SimulationError
 from repro.simulation.indexed import PendingPrefixStats, build_priority_ranks
@@ -32,53 +32,6 @@ if TYPE_CHECKING:
 #: cheaper for the short queues the rejection rules maintain on smooth
 #: traffic; the Fenwicks win as soon as queues build up.
 PREFIX_SCAN_CUTOFF = 16
-
-
-class PendingSet:
-    """Insertion-ordered set of pending job ids with O(1) membership and removal.
-
-    Semantically a list of job ids in dispatch order (which is what policies
-    iterate), but backed by a dict so the engine's membership tests and
-    removals are constant time — the difference between O(n) and O(n^2)
-    bookkeeping on 100k-job instances.  The mutating surface mirrors the
-    ``list`` methods the engine (and a few tests) use.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, ids: Iterable[int] = ()) -> None:
-        self._items: dict[int, None] = dict.fromkeys(ids)
-
-    def append(self, job_id: int) -> None:
-        """Add a job id at the end of the dispatch order."""
-        self._items[job_id] = None
-
-    def extend(self, ids: Iterable[int]) -> None:
-        """Append every id in ``ids`` in order."""
-        for job_id in ids:
-            self._items[job_id] = None
-
-    def remove(self, job_id: int) -> None:
-        """Remove a job id; raises ``ValueError`` when absent (list semantics)."""
-        try:
-            del self._items[job_id]
-        except KeyError:
-            raise ValueError(f"job id {job_id} not pending") from None
-
-    def __contains__(self, job_id: object) -> bool:
-        return job_id in self._items
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PendingSet({list(self._items)!r})"
 
 
 @dataclass(slots=True)
@@ -105,10 +58,15 @@ class RunningInfo:
 
 @dataclass(slots=True)
 class MachineState:
-    """Mutable per-machine runtime state (owned by the engine)."""
+    """Mutable per-machine runtime state (owned by the engine).
+
+    ``pending`` holds the ids of the jobs waiting on the machine as the keys
+    of a dict, in dispatch order: the order policies iterate, with O(1)
+    membership tests and removals.
+    """
 
     index: int
-    pending: PendingSet = field(default_factory=PendingSet)
+    pending: dict[int, None] = field(default_factory=dict)
     running: RunningInfo | None = None
     version: int = 0
 
@@ -121,13 +79,15 @@ class EngineState:
     """Snapshot view of the simulation handed to policies.
 
     Policies may call the read accessors freely; they must not mutate the
-    underlying lists (the engine treats any such mutation as a bug).
+    underlying containers (the engine treats any such mutation as a bug).
+    The state starts with no job: the stepper registers each job as it is
+    offered (:meth:`register_job`).
     """
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self.time: float = 0.0
-        self._jobs: dict[int, Job] = {job.id: job for job in instance.jobs}
+        self._jobs: dict[int, Job] = {}
         self.machines: list[MachineState] = [
             MachineState(index=i) for i in range(instance.num_machines)
         ]
@@ -186,11 +146,12 @@ class EngineState:
     def register_job(self, job: Job) -> None:
         """Engine hook: make ``job`` known to the state.
 
-        The batch path pre-registers every job of the instance at
-        construction; streaming sessions register jobs as they are ingested.
-        Re-registering an already-known id is a no-op overwrite that keeps
-        the registration order (``dict`` insertion order), which is what the
-        lazily-built prefix-rank universe iterates.
+        :meth:`~repro.simulation.stepper.EngineStepper.offer_many` is the one
+        caller, on every path: the batch path offers its whole instance
+        before the first event, a streaming session each batch as it is
+        ingested; nothing is registered at construction.  The registration
+        order (``dict`` insertion order) is the offer order, which is what
+        the lazily-built prefix-rank universe iterates.
 
         Jobs registered after the Fenwick prefix stats materialised are not
         part of their rank universe; :meth:`add_pending` tracks them aside
@@ -209,7 +170,7 @@ class EngineState:
         :meth:`remove_pending`.
         """
         ms = self.machines[machine]
-        ms.pending.append(job.id)
+        ms.pending[job.id] = None
         size = job.sizes[machine]
         self._size_sums[machine] += size
         if self._index is not None:
@@ -223,7 +184,7 @@ class EngineState:
     def remove_pending(self, machine: int, job_id: int) -> None:
         """Engine hook: the pending job started or was rejected."""
         ms = self.machines[machine]
-        ms.pending.remove(job_id)
+        del ms.pending[job_id]
         size = self._jobs[job_id].sizes[machine]
         self._size_sums[machine] -= size
         # The select-next heaps invalidate lazily: the stale entry is skipped
@@ -365,7 +326,7 @@ class EngineState:
         if not pending:
             return None
         if self._index is not None:
-            return self._index.argmin(machine, pending._items)
+            return self._index.argmin(machine, pending)
         key_fn = self._priority_key or key_fn
         if key_fn is None:
             raise SimulationError(
@@ -401,11 +362,12 @@ class EngineState:
         """Read-only id -> :class:`Job` mapping (do not mutate)."""
         return self._jobs
 
-    def machine_pending(self, machine: int) -> PendingSet:
-        """The pending-id set of ``machine`` in dispatch order (do not mutate).
+    def machine_pending(self, machine: int) -> dict[int, None]:
+        """The pending ids of ``machine``: dict keys in dispatch order (do not mutate).
 
-        This is the zero-copy accessor the hot dispatch loops iterate;
-        :meth:`pending_jobs` materialises the same jobs as a list.
+        This is the zero-copy accessor the hot dispatch loops iterate and
+        test membership in; :meth:`pending_jobs` materialises the same jobs
+        as a list.
         """
         return self._machine(machine).pending
 

@@ -9,7 +9,10 @@ resumable session object:
 
 * :meth:`EngineStepper.offer` ingests one job (registers it with the state
   and enqueues its arrival event) — jobs may keep arriving while the
-  simulation is under way, as long as time never runs backwards;
+  simulation is under way, as long as time never runs backwards.  Offering
+  is the only way a job becomes known: the engine state starts empty on the
+  batch path too, so the state's ``id -> Job`` dict is the one record of
+  which ids were offered;
 * :meth:`EngineStepper.step` processes exactly one event;
 * :meth:`EngineStepper.advance_to` processes every event up to a time bound;
 * :meth:`EngineStepper.drain` processes everything currently enqueued;
@@ -112,8 +115,9 @@ class EngineStepper:
     """Resumable event-loop state of one simulation run.
 
     Construction prepares everything ``run()`` used to prepare — policy
-    reset, engine state, the indexed dispatch structures — but processes no
-    events.  Jobs enter through :meth:`offer`; events are processed by
+    reset, engine state, the indexed dispatch structures — but registers no
+    job and processes no events.  Jobs enter through :meth:`offer`, also
+    those of the engine's own instance; events are processed by
     :meth:`step` / :meth:`advance_to` / :meth:`drain`; :meth:`finish` seals
     the run.
 
@@ -162,7 +166,6 @@ class EngineStepper:
         self.event_count = 0
         #: Machine each dispatched job was queued on, by job id.
         self.dispatched: dict[int, int] = {}
-        self._offered: set[int] = set()
         #: Time the simulation is known to have moved past: the latest
         #: processed event or the highest ``advance_to`` bound.  Offers
         #: below it would rewrite observed history and are rejected.
@@ -195,9 +198,12 @@ class EngineStepper:
         Streaming callers may keep offering jobs between steps; an offer in
         the simulation's past — release earlier than an already-processed
         event or below an :meth:`advance_to` bound — would rewrite observed
-        history and is rejected, as is an id offered before.  The whole
-        batch is validated before anything mutates, so a rejected batch
-        leaves the stepper exactly as it was — callers' bookkeeping cannot
+        history and is rejected, as is an id offered before, in an earlier
+        batch or earlier in this one: the state's ``jobs_by_id``, which
+        registration fills as it goes, is the record of both.  A rejected
+        batch leaves the stepper exactly as it was: the jobs it registered
+        before the offending one are unregistered, and arrivals are enqueued
+        only once the whole batch passed, so callers' bookkeeping cannot
         drift out of sync with a half-ingested batch.  Ingestion is on the
         streaming hot path; the cached-locals loops are what keep session
         ingestion within the batch path's throughput budget.  Returns the
@@ -206,25 +212,29 @@ class EngineStepper:
         if self._finished:
             raise SimulationError("cannot offer jobs to a finished stepper")
         rows = jobs if isinstance(jobs, (list, tuple)) else list(jobs)
-        offered = self._offered
+        known = self.state.jobs_by_id
+        register = self.state.register_job
         floor = self._floor
-        batch_ids: set[int] = set()
-        for job in rows:
+        for index, job in enumerate(rows):
             job_id = job.id
-            if job_id in offered or job_id in batch_ids:
-                raise SimulationError(f"job id {job_id} was already offered")
-            if job.release < floor:
-                raise SimulationError(
+            if job_id in known:
+                problem = f"job id {job_id} was already offered"
+            elif job.release < floor:
+                problem = (
                     f"job {job_id} released at {job.release} but the simulation "
                     f"already reached {floor}"
                 )
-            batch_ids.add(job_id)
-        register = self.state.register_job
+            else:
+                register(job)
+                continue
+            # Each registered job of this batch was new, so deleting it
+            # restores the dict's contents and order.
+            for done in rows[:index]:
+                del known[done.id]
+            raise SimulationError(problem)
         push = self.queue.push_arrival
         for job in rows:
-            register(job)
             push(job.release, job.id)
-        offered.update(batch_ids)
         return len(rows)
 
     # -- stepping ------------------------------------------------------------------
@@ -295,14 +305,28 @@ class EngineStepper:
 
         ``instance`` defaults to the engine's instance; streaming sessions
         pass the instance they assembled from the offered jobs.  Requires a
-        drained queue, and — as in the batch loop — every offered job must
-        have completed or been rejected.
+        drained queue, and every job of the result's instance must have
+        completed or been rejected: a job of the engine's instance that was
+        never offered fails here as a starved one does.
         """
         if self.queue:
             raise SimulationError(
                 f"finish() with {len(self.queue)} unprocessed event(s); drain() first"
             )
-        missing = [job_id for job_id in self.state.jobs_by_id if job_id not in self.records]
+        jobs = self.state.jobs_by_id
+        result_instance = self.engine.instance if instance is None else instance
+        if instance is None and jobs and not result_instance.jobs:
+            # Streaming run over a fleet-only engine instance: assemble the
+            # result instance from the offered jobs.  offer() does not
+            # require release-ordered ingestion (only releases at or above
+            # the floor), so sort the way Instance.build does.
+            result_instance = Instance(
+                result_instance.machines,
+                tuple(sorted(jobs.values(), key=lambda j: (j.release, j.id))),
+                name=result_instance.name,
+            )
+        records = self.records
+        missing = [job.id for job in result_instance.jobs if job.id not in records]
         if missing:
             # A policy that leaves a machine idle forever while jobs are
             # pending (select_next returning None with no future events)
@@ -312,17 +336,6 @@ class EngineStepper:
                 f"{len(missing)} job(s) never finished nor were rejected: {missing[:5]}"
             )
         self._finished = True
-        result_instance = self.engine.instance if instance is None else instance
-        if instance is None and self._offered and not result_instance.jobs:
-            # Streaming run over a fleet-only engine instance: assemble the
-            # result instance from the offered jobs.  offer() does not
-            # require release-ordered ingestion (only releases at or above
-            # the floor), so sort the way Instance.build does.
-            result_instance = Instance(
-                result_instance.machines,
-                tuple(sorted(self.state.jobs_by_id.values(), key=lambda j: (j.release, j.id))),
-                name=result_instance.name,
-            )
         # Chronological by (start, machine), by two stable sorts: no key tuples.
         intervals = sorted(self.intervals, key=attrgetter("machine"))
         intervals.sort(key=attrgetter("start"))

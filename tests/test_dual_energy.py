@@ -1,5 +1,7 @@
 """Tests for the Section 3 dual accountant (Lemma 5 / Lemma 6)."""
 
+import math
+
 import pytest
 
 from repro.core.dual_energy import EnergyFlowDualAccountant
@@ -49,7 +51,21 @@ class TestEnergyDualQuantities:
         dispatched = [(e.job_id, e.machine) for e in events if e.kind == "dispatch"]
         assert list(accountant._dispatch_machine.items()) == dispatched
         assert dict(dispatched) == {r.job_id: r.machine for r in result.records.values()}
-        assert scheduler.log.weighted
+        assert scheduler.rejection_events
+
+    def test_lambda_sum_adds_left_to_right(self):
+        # Each job arrives to an empty queue: one lambda near 1.26, then ten
+        # near 1.26e-16, each over half an ulp of the total.  Left to right,
+        # as ``sum`` adds on 3.10 and 3.11, each rounds the total up one ulp;
+        # 3.12's compensated ``sum`` rounds once, to other bits.
+        jobs = [Job(0, 0.0, (1.0,))] + [Job(k, 10.0 * k, (1e-16,)) for k in range(1, 11)]
+        accountant, _ = _run(Instance.build(Machine.fleet(1, alpha=3.0), jobs), 0.5)
+        lambdas = list(accountant.scheduler.lambdas.values())
+        expected = 0
+        for value in lambdas:
+            expected += value
+        assert expected != math.fsum(lambdas)
+        assert accountant.check_feasibility(samples_per_job=2).lambda_sum == expected
 
     def test_remaining_volume_decreases(self):
         jobs = [Job(0, 0.0, (6.0,), weight=2.0)]

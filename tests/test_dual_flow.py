@@ -1,5 +1,7 @@
 """Tests for the Section 2 dual-fitting accountant (Lemma 4, Theorem 1 analysis)."""
 
+import math
+
 import pytest
 
 from repro.core.dual import FlowTimeDualAccountant
@@ -53,7 +55,7 @@ class TestDualQuantities:
         dispatched = [(e.job_id, e.machine) for e in events if e.kind == "dispatch"]
         assert list(accountant._dispatch_machine.items()) == dispatched
         assert dict(dispatched) == {r.job_id: r.machine for r in result.records.values()}
-        assert scheduler.log.rule1 and scheduler.log.rule2
+        assert scheduler.rule1_events and scheduler.rule2_events
 
     def test_beta_integral_matches_definitive_flow(self):
         instance = InstanceGenerator(num_machines=2, seed=4).generate(30)
@@ -109,3 +111,53 @@ class TestDualQuantities:
         accountant, _ = _run(instance, 0.5)
         check = accountant.check_feasibility(samples_per_job=5)
         assert check.dual_to_flow_ratio > 0
+
+
+class TestTotalsAddLeftToRight:
+    """The dual's totals add left to right, as ``sum`` does on 3.10 and 3.11.
+
+    Job 0 runs alone on machine 0 from 0 to 1.0; each of ten jobs runs alone
+    on its own machine from the float just below 1.0 to 1.0, so its flow
+    time, and its lambda, is 2**-53, half an ulp of 1.0.  Each arrives and
+    completes after job 0's values, which come first in every total; left
+    to right each half ulp rounds away, and Python 3.12's compensated
+    ``sum`` gives 1.000000000000001.
+    """
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        below_one = math.nextafter(1.0, 0.0)
+        num_machines = 11
+
+        def only_on(machine, size):
+            return tuple(size if i == machine else math.inf for i in range(num_machines))
+
+        jobs = [Job(0, 0.0, only_on(0, 1.0))]
+        jobs += [Job(k, below_one, only_on(k, 1.0 - below_one)) for k in range(1, num_machines)]
+        accountant, result = _run(Instance.build(num_machines, jobs), 0.5)
+        return accountant, result, accountant.check_feasibility()
+
+    def test_lambda_sum(self, run):
+        accountant, _, check = run
+        lambdas = list(accountant.scheduler.lambdas.values())
+        assert lambdas[0] == 1.0 and lambdas[1:] == [2.0**-53] * 10
+        assert check.lambda_sum == 1.0 != math.fsum(lambdas)
+
+    def test_algorithm_flow_time(self, run):
+        _, result, check = run
+        flows = [record.flow_time for record in result.records.values()]
+        assert flows == [1.0] + [2.0**-53] * 10
+        assert check.algorithm_flow_time == 1.0 != math.fsum(flows)
+
+    def test_extended_flow_time(self, run):
+        accountant, result, check = run
+        extended = [
+            accountant.definitive_finish(job_id) - record.release
+            for job_id, record in result.records.items()
+        ]
+        assert extended == [1.0] + [2.0**-53] * 10
+        assert check.extended_flow_time == 1.0 != math.fsum(extended)
+
+    def test_theoretical_dual_lower_bound(self, run):
+        accountant, _, _ = run
+        assert accountant.theoretical_dual_lower_bound() == (0.5 / 1.5) ** 2 * 1.0

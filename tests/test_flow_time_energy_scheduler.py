@@ -67,7 +67,9 @@ class TestSpeedChoice:
         scheduler = RejectionEnergyFlowScheduler(epsilon=0.5)
         scheduler.reset(instance)
         state = EngineState(instance)
-        state.machines[0].pending.extend(range(11))
+        for job in jobs:
+            state.register_job(job)
+        state.machines[0].pending.update(dict.fromkeys(range(11)))
         decision = scheduler.select_next(0.0, 0, state)
         assert decision.job_id == 0
         assert decision.speed == scheduler.gamma * 1.0 ** (1.0 / 3.0)

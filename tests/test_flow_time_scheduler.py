@@ -34,7 +34,9 @@ class TestLambdaComputation:
         scheduler = RejectionFlowTimeScheduler(epsilon=0.5)
         scheduler.reset(instance)
         state = EngineState(instance)
-        state.machines[0].pending.extend([0, 1])  # sizes 2 and 5 are waiting
+        for job in jobs:
+            state.register_job(job)
+        state.machines[0].pending.update(dict.fromkeys([0, 1]))  # sizes 2 and 5 wait
         new_job = jobs[2]  # size 3: job 0 precedes it, job 1 succeeds it
         expected = 3.0 / 0.5 + (2.0 + 3.0) + 1 * 3.0
         assert scheduler.lambda_ij(new_job, 0, state) == pytest.approx(expected)
@@ -44,7 +46,9 @@ class TestLambdaComputation:
         # 1.000000000000001 here.
         jobs = [Job(0, 0.0, (1.0,))] + [Job(k, 0.0, (1e-16,)) for k in range(1, 11)]
         state = EngineState(Instance.build(1, jobs))
-        state.machines[0].pending.extend(range(11))
+        for job in jobs:
+            state.register_job(job)
+        state.machines[0].pending.update(dict.fromkeys(range(11)))
         assert state.pending_total_size(0) == 1.0
 
     def test_lambda_sum_adds_left_to_right(self):

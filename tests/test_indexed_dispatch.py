@@ -45,7 +45,7 @@ from repro.simulation.fused import FusedStepper
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.simulation.speed_engine import SpeedScalingEngine
-from repro.simulation.state import PREFIX_SCAN_CUTOFF, EngineState, PendingSet
+from repro.simulation.state import PREFIX_SCAN_CUTOFF, EngineState
 from repro.simulation.stepper import EngineStepper
 from repro.workloads.adversarial import overload_burst_instance
 from repro.workloads.generators import InstanceGenerator
@@ -273,30 +273,29 @@ def _job(job_id: int, size: float, release: float = 0.0) -> Job:
 class TestIndexedPending:
     def test_argmin_in_key_order(self):
         index = IndexedPending(1, spt_key)
-        live = PendingSet()
+        live = {}
         for job in (_job(0, 5.0), _job(1, 2.0), _job(2, 9.0)):
             index.push(0, job)
-            live.append(job.id)
+            live[job.id] = None
         assert index.argmin(0, live).id == 1
 
     def test_lazy_invalidation_skips_stale_entries(self):
         index = IndexedPending(1, spt_key)
-        live = PendingSet()
+        live = {}
         for job in (_job(0, 1.0), _job(1, 2.0), _job(2, 3.0)):
             index.push(0, job)
-            live.append(job.id)
+            live[job.id] = None
         # Job 0 starts (leaves pending) without touching the heap: the stale
         # head is discarded on the next argmin.
-        live.remove(0)
+        del live[0]
         assert index.heap_size(0) == 3
         assert index.argmin(0, live).id == 1
         assert index.heap_size(0) == 2  # the stale entry was popped, not job 1
 
     def test_argmin_empty_when_all_stale(self):
         index = IndexedPending(1, spt_key)
-        live = PendingSet()
         index.push(0, _job(0, 1.0))
-        assert index.argmin(0, live) is None
+        assert index.argmin(0, {}) is None
         assert index.heap_size(0) == 0
 
     def test_mid_run_rule1_rejection_invalidates_running_job(self):
@@ -320,7 +319,7 @@ class TestIndexedPending:
         instance = overload_burst_instance(num_machines=1, burst_jobs=6, trailing_shorts=10)
         policy = RejectionFlowTimeScheduler(epsilon=0.5)
         results = _run_modes(instance, policy)
-        assert policy.log.rule2, "scenario must fire Rule 2"
+        assert policy.rule2_events, "scenario must fire Rule 2"
         _assert_identical(*results)
 
 
@@ -431,19 +430,27 @@ class TestPendingPrefixStats:
         assert total == pytest.approx(3.0)
 
 
-class TestPendingSet:
-    def test_list_like_surface(self):
-        pending = PendingSet()
-        pending.append(3)
-        pending.extend([1, 4])
-        assert list(pending) == [3, 1, 4]
-        assert 1 in pending and 2 not in pending
-        assert len(pending) == 3 and pending
-        pending.remove(1)
-        assert list(pending) == [3, 4]
-        with pytest.raises(ValueError):
-            pending.remove(99)
-        assert not PendingSet()
+@pytest.mark.parametrize("mode", DISPATCH_MODES)
+class TestPendingOrder:
+    def test_pending_jobs_stay_in_dispatch_order_after_removals(self, mode):
+        # A machine's queue is a dict of ids in dispatch order: removals
+        # (starts and rejections) keep the others' order, and a job
+        # dispatched again goes last.
+        jobs = [_job(k, float(k + 1)) for k in range(6)]
+        stepper = FlowTimeEngine(Instance.build(1, jobs), dispatch=mode).stepper(FCFSScheduler())
+        stepper.offer_many(jobs)
+        state = stepper.state
+        for job_id in (3, 1, 4, 0, 5, 2):
+            state.add_pending(0, jobs[job_id])
+        state.remove_pending(0, 4)
+        state.remove_pending(0, 3)
+        assert [job.id for job in state.pending_jobs(0)] == [1, 0, 5, 2]
+        state.remove_pending(0, 2)
+        state.add_pending(0, jobs[3])
+        assert [job.id for job in state.pending_jobs(0)] == [1, 0, 5, 3]
+        assert list(state.machine_pending(0)) == [1, 0, 5, 3]
+        assert 4 not in state.machine_pending(0) and 3 in state.machine_pending(0)
+        assert state.pending_size_sum(0) == 2.0 + 1.0 + 6.0 + 4.0
 
 
 class TestDispatchModes:
@@ -523,7 +530,9 @@ class TestDetachedState:
         jobs = [Job(0, 0.0, (5.0,)), Job(1, 0.0, (2.0,)), Job(2, 1.0, (2.0,))]
         instance = Instance.build(1, jobs)
         state = EngineState(instance)
-        state.machines[0].pending.extend([0, 1, 2])
+        for job in jobs:
+            state.register_job(job)
+        state.machines[0].pending.update(dict.fromkeys([0, 1, 2]))
         assert FCFSScheduler().select_next(0.0, 0, state) == 0  # earliest release
         assert RejectionFlowTimeScheduler(0.5).select_next(0.0, 0, state) == 1  # SPT
         assert GreedyDispatchScheduler("spt").select_next(0.0, 0, state) == 1

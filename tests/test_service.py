@@ -72,7 +72,7 @@ from repro.service.protocol import (
     parse_request,
     response_line,
 )
-from repro.service.server import start_server_thread
+from repro.service.server import ServiceServer, start_server_thread
 from repro.service.session import open_session, streaming_algorithms
 from repro.simulation.engine import DISPATCH_MODES
 from repro.simulation.instance import Instance
@@ -1320,6 +1320,63 @@ class TestCLI:
             ["serve", "--listen", "nope:notaport"], out=io.StringIO(), err=err
         )
         assert code == 2 and "HOST:PORT" in err.getvalue()
+
+    def test_address_in_use_is_a_clean_error(self):
+        # A port another socket holds: an attributed error and exit 2, not
+        # an OSError traceback, and no listening line.
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.main(["serve", "--listen", f"127.0.0.1:{port}"], out=out, err=err)
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert "Address already in use" in err.getvalue()
+
+    def test_unresolvable_address_is_a_clean_error(self, monkeypatch):
+        # A stand-in resolver answers as one would for an unknown name,
+        # without a lookup.
+        def unresolvable(*args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket, "getaddrinfo", unresolvable)
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(["serve", "--listen", "no-such-host.invalid:8000"], out=out, err=err)
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            "error: cannot listen on no-such-host.invalid:8000: "
+            f"[Errno {socket.EAI_NONAME}] Name or service not known\n"
+        )
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    @pytest.mark.parametrize("flag", ["--listen", "--connect"])
+    def test_port_out_of_range_is_a_clean_error(self, monkeypatch, flag, port):
+        # getaddrinfo would take 65536 and 70000 modulo 2**16, so serve
+        # would listen on, and loadgen connect to, port 0 or 4464; the
+        # stand-ins fail the test on any bind or connect.
+        def no_socket(*args, **kwargs):
+            raise AssertionError(f"socket opened for {args}")
+
+        monkeypatch.setattr(socket, "create_server", no_socket)
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        command = "serve" if flag == "--listen" else "loadgen"
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main([command, flag, f"127.0.0.1:{port}"], out=out, err=err)
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            f"error: expected HOST:PORT with PORT in 0..65535, got '127.0.0.1:{port}'\n"
+        )
+
+    def test_server_that_cannot_listen_restores_signal_handlers(self):
+        previous = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            server = ServiceServer(host="127.0.0.1", port=held.getsockname()[1])
+            with pytest.raises(ServiceError, match="cannot listen on"):
+                server.run()
+        assert {sig: signal.getsignal(sig) for sig in previous} == previous
+        assert server.address is None
 
     @pytest.mark.parametrize(
         "flags",

@@ -850,6 +850,44 @@ class TestEngineStepper:
         with pytest.raises(SimulationError, match="finished"):
             stepper.step()
 
+    def test_batch_stepper_offered_part_of_its_instance_cannot_finish(self, mode):
+        # A batch stepper knows only the jobs offered to it; those of its
+        # instance that never were still fail finish(), named in order.
+        jobs = [Job(k, float(k), (1.0,)) for k in range(6)]
+        engine = FlowTimeEngine(Instance.build(1, jobs), dispatch=mode)
+        stepper = engine.stepper(FCFSScheduler())
+        stepper.offer_many([jobs[0], jobs[1], jobs[4]])
+        stepper.drain()
+        with pytest.raises(
+            SimulationError, match=r"^3 job\(s\) never finished nor were rejected: \[2, 3, 5\]$"
+        ):
+            stepper.finish()
+
+    @pytest.mark.parametrize("across_calls", [False, True], ids=["one-call", "two-calls"])
+    def test_batch_stepper_refuses_an_id_offered_twice(self, mode, across_calls):
+        # The refused batch leaves no trace: the state's jobs and the event
+        # queue are as before, and the run then finishes like a clean one.
+        jobs = [Job(k, float(k), (1.0 + k,)) for k in range(4)]
+        instance = Instance.build(1, jobs)
+        stepper = FlowTimeEngine(instance, dispatch=mode).stepper(FCFSScheduler())
+        if across_calls:
+            stepper.offer_many(jobs[:2])
+            batch, rest = [jobs[2], jobs[1], jobs[3]], jobs[2:]
+        else:
+            batch, rest = [jobs[0], jobs[1], jobs[2], jobs[1], jobs[3]], jobs
+        known = list(stepper.state.jobs_by_id.items())
+        queued = len(stepper.queue)
+        with pytest.raises(SimulationError, match=r"^job id 1 was already offered$"):
+            stepper.offer_many(batch)
+        assert list(stepper.state.jobs_by_id.items()) == known
+        assert len(stepper.queue) == queued
+        stepper.offer_many(rest)
+        stepper.drain()
+        result = stepper.finish()
+        batch_run = FlowTimeEngine(instance, dispatch=mode).run(FCFSScheduler())
+        assert result.records == batch_run.records
+        assert result.intervals == batch_run.intervals
+
     def test_run_is_equivalent_to_manual_stepping(self, mode):
         instance = InstanceGenerator(num_machines=2, seed=53).generate(40)
         policy = RejectionFlowTimeScheduler(epsilon=0.5)
