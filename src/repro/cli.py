@@ -29,6 +29,7 @@ The subcommands cover the common workflows::
   With ``--listen HOST:PORT`` it instead hosts the multi-session TCP
   service (many named concurrent sessions, bounded-queue backpressure,
   ``snapshot``/``restore`` for sessions that must outlive the server).
+  A refused row ends the stdio stream with an ``error: line N:`` line.
 * ``loadgen`` drives N concurrent scenario streams against a service server
   (or a self-hosted loopback one) and reports throughput and decision
   latency; ``--verify`` checks every session's final summary byte-identical
@@ -49,6 +50,9 @@ The subcommands cover the common workflows::
   the tasks whose artifacts are missing, so a re-run is all cache hits and
   an interrupted run resumes where it stopped.  ``diff`` byte-compares the
   artifacts of two stores.
+
+Every command runs the dispatch mode ``REPRO_DISPATCH`` names (``indexed`` by
+default, ``scan`` for the reference engine); both print the same bytes.
 """
 
 from __future__ import annotations
@@ -64,8 +68,7 @@ from repro.core.bounds import (
     flow_time_competitive_ratio,
     flow_time_rejection_budget,
 )
-from repro.exceptions import InvalidParameterError, ReproError
-from repro.simulation.engine import DISPATCH_MODES
+from repro.exceptions import InvalidParameterError, ReproError, TraceSchemaError
 from repro.simulation.validation import validate_result
 from repro.solvers import get_solver, list_algorithms, solve
 from repro.utils.serialization import canonical_json
@@ -120,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("--trace", default=None, metavar="FILE",
                            help="take jobs from this trace file (NDJSON / CSV) instead "
                                 "of the random generator")
-    solve_cmd.add_argument("--dispatch", default=None,
-                           choices=DISPATCH_MODES,
-                           help="engine dispatch mode (default: indexed, env REPRO_DISPATCH)")
     solve_cmd.add_argument("--gantt", action="store_true",
                            help="after the summary, print an ASCII Gantt chart of the schedule")
     solve_cmd.add_argument("--schedule-csv", action="store_true",
@@ -147,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("auto", "ndjson", "csv"),
                        help="trace format (auto = by file extension; stdin defaults "
                             "to ndjson)")
-    serve.add_argument("--dispatch", default=None,
-                       choices=DISPATCH_MODES,
-                       help="engine dispatch mode (default: indexed, env REPRO_DISPATCH)")
     serve.add_argument("--name", default=None,
                        help="session label (used for the assembled instance and result)")
     serve.add_argument("--quiet", action="store_true",
@@ -182,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--param", action="append", default=[], metavar="NAME=VALUE",
         help="algorithm parameter, validated against the registry schema (repeatable)",
     )
-    loadgen.add_argument("--dispatch", default=None,
-                         choices=DISPATCH_MODES)
     loadgen.add_argument("--scenario", action="append", default=None, metavar="NAME",
                          help="catalog scenario to cycle across sessions "
                               "(repeatable; default: the whole catalog)")
@@ -385,7 +380,7 @@ def _cmd_solve(args: argparse.Namespace, out) -> int:
 
     params = dict(_parse_param(raw) for raw in args.param)
     instance = _solve_source(args)
-    outcome = solve(instance, args.algorithm, dispatch=args.dispatch, **params)
+    outcome = solve(instance, args.algorithm, **params)
     if outcome.result is not None:
         validate_result(outcome.result)
 
@@ -477,17 +472,16 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     from repro.service.protocol import decision_line, final_line
 
     params = dict(_parse_param(raw) for raw in args.param)
-    reserved = {"algorithm", "machines", "alpha", "dispatch", "name"} & params.keys()
+    reserved = {"algorithm", "machines", "alpha", "name"} & params.keys()
     if reserved:
         raise ReproError(
             f"--param cannot set session option(s) {sorted(reserved)}; use the "
-            "dedicated flags (--algorithm, --machines, --alpha, --dispatch, --name)"
+            "dedicated flags (--algorithm, --machines, --alpha, --name)"
         )
     defaults = {
         "algorithm": args.algorithm,
         "machines": args.machines,
         "alpha": args.alpha,
-        "dispatch": args.dispatch,
         "params": params,
     }
     manager_kwargs: dict = {"defaults": defaults}
@@ -514,8 +508,13 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     manager.create(name)
     fmt = None if args.trace_format == "auto" else args.trace_format
     source = args.trace if args.trace and args.trace != "-" else sys.stdin
-    for _, job in read_trace_jobs(source, fmt):
-        manager.submit(name, [job])
+    for lineno, job in read_trace_jobs(source, fmt):
+        try:
+            manager.submit(name, [job])
+        except ReproError as exc:
+            # A row the session refused (a repeated id, a release back in
+            # time, a wrong width) is named by its line, as a parse error is.
+            raise TraceSchemaError(str(exc), lineno=lineno) from None
         events = manager.poll(name)
         if events and not args.quiet:
             for event in events:
@@ -555,7 +554,6 @@ def _cmd_loadgen(args: argparse.Namespace, out) -> int:
             seed=args.seed,
             alpha=args.alpha,
             algorithm=args.algorithm,
-            dispatch=args.dispatch,
             params=params,
             scenarios=args.scenario,
             chunk_size=args.chunk_size,

@@ -265,7 +265,15 @@ class ConfigLPEnergyScheduler:
             machine: -smooth_mu / smooth_lambda * schedule.timeline.machine_energy(machine)
             for machine in range(schedule.timeline.num_machines)
         }
-        dual_objective = sum(delta.values()) + sum(gamma.values())
+        # Each half adds left to right: Python 3.12's compensated ``sum``
+        # gives other bits than 3.10 and 3.11.
+        delta_total = 0
+        for value in delta.values():
+            delta_total += value
+        gamma_total = 0
+        for value in gamma.values():
+            gamma_total += value
+        dual_objective = delta_total + gamma_total
         return {
             "delta": delta,
             "gamma": gamma,

@@ -137,7 +137,7 @@ class ServiceClient:
 
     def create(self, name: str, **options: Any) -> dict:
         """Create a named session (options: algorithm, machines, alpha,
-        dispatch, params, max_pending)."""
+        params, max_pending; the server process picks the dispatch mode)."""
         clean = {k: v for k, v in options.items() if v is not None}
         return self.request("create", name, **clean).event
 
@@ -276,7 +276,6 @@ def _drive_session(
     instance,
     alpha: float,
     algorithm: str,
-    dispatch: "str | None",
     params: Mapping[str, Any],
     chunk_size: int,
     rate: "float | None",
@@ -292,7 +291,6 @@ def _drive_session(
             algorithm=algorithm,
             machines=instance.num_machines,
             alpha=alpha,
-            dispatch=dispatch,
             params=dict(params) or None,
         )
         started = time.perf_counter()
@@ -329,7 +327,7 @@ def _drive_session(
     if verify:
         from repro.solvers.facade import solve
 
-        batch = solve(instance, algorithm, dispatch=dispatch, **dict(params))
+        batch = solve(instance, algorithm, **dict(params))
         report.matches_batch = canonical_json(report.final_row) == canonical_json(
             batch.as_row()
         )
@@ -345,7 +343,6 @@ def run_loadgen(
     seed: int = 2018,
     alpha: float = 3.0,
     algorithm: str = "rejection-flow",
-    dispatch: "str | None" = None,
     params: "Mapping[str, Any] | None" = None,
     scenarios: "Sequence[str] | None" = None,
     chunk_size: int = 32,
@@ -360,7 +357,8 @@ def run_loadgen(
     optionally paced to ``rate`` jobs/second.  Each worker thread owns its
     own connection and named session (``lg-000``, ``lg-001``, ...).  With
     ``verify=True`` every final summary is compared byte-for-byte (canonical
-    JSON) against the batch :func:`repro.solve` of the identical instance.
+    JSON) against the batch :func:`repro.solve` of the identical instance,
+    solved in this process's dispatch mode.
 
     Raises :class:`ServiceError` if any worker failed; otherwise every
     report has its ``final_row``.
@@ -395,7 +393,6 @@ def run_loadgen(
                     instance=instance,
                     alpha=alpha,
                     algorithm=algorithm,
-                    dispatch=dispatch,
                     params=params,
                     chunk_size=chunk_size,
                     rate=rate,

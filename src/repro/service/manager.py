@@ -11,7 +11,8 @@ and owns everything about them except the wire:
   :class:`SchedulerSession` and keeps a :class:`ClosedSession` record (state
   ``closed``) for listing — a long-running server's memory does not grow
   with every session it has served.  A session whose finalize raised is
-  ``failed`` — the *unclean* state shutdown exit codes report.
+  ``failed`` — the *unclean* state shutdown exit codes report.  Every
+  session runs the process's dispatch mode (``REPRO_DISPATCH``).
 * **Backpressure.**  Each hosted session bounds its *offer queue*: jobs
   submitted but not yet processed by a ``poll``/``advance``/``close``.  A
   submission that would push the queue past ``max_pending`` is refused with
@@ -74,6 +75,9 @@ MAX_MACHINES = 1024
 #: 2-vCPU x86-64 host), so open sessions at the ceiling hold about 9 MiB.  The
 #: largest ladder the shipped experiments run opens 32.
 MAX_OPEN_SESSIONS = 1024
+
+#: The session options a manager's ``defaults`` may set (``create``'s own).
+_DEFAULT_KEYS = frozenset({"algorithm", "machines", "alpha", "params"})
 
 
 def _check_max_pending(max_pending: int) -> int:
@@ -182,8 +186,10 @@ class SessionManager:
     ----------
     defaults:
         Session options used when ``create`` is called without explicit
-        values: ``algorithm``, ``machines``, ``alpha``, ``dispatch``,
-        ``params``.
+        values: ``algorithm``, ``machines``, ``alpha``, ``params``.  Any
+        other key is refused with a :class:`ServiceError` naming it.  The
+        dispatch mode is the process's (``REPRO_DISPATCH``); ``stats``,
+        ``created`` and ``sessions`` report it per session.
     max_pending:
         Default bound of the per-session offer queue (see module docstring),
         at most :data:`MAX_PENDING`.
@@ -196,6 +202,11 @@ class SessionManager:
         max_pending: int = DEFAULT_MAX_PENDING,
     ) -> None:
         self.defaults = dict(defaults or {})
+        unknown = sorted(set(self.defaults) - _DEFAULT_KEYS)
+        if unknown:
+            raise ServiceError(
+                f"unknown session default(s) {unknown}; defaults set {sorted(_DEFAULT_KEYS)}"
+            )
         self.max_pending = _check_max_pending(max_pending)
         self._sessions: dict[str, HostedSession] = {}
         #: Sessions in the ``open`` state, counted up by ``_host`` and down by ``close``.
@@ -246,7 +257,6 @@ class SessionManager:
         algorithm: "str | None" = None,
         machines: "int | Sequence | None" = None,
         alpha: "float | None" = None,
-        dispatch: "str | None" = None,
         params: "Mapping[str, Any] | None" = None,
         max_pending: "int | None" = None,
     ) -> HostedSession:
@@ -275,7 +285,6 @@ class SessionManager:
             algorithm if algorithm is not None else defaults.get("algorithm", "rejection-flow"),
             machines,
             alpha=alpha if alpha is not None else defaults.get("alpha", 3.0),
-            dispatch=dispatch if dispatch is not None else defaults.get("dispatch"),
             name=name,
             **merged_params,
         )

@@ -11,8 +11,7 @@ Control messages (``PROTOCOL_VERSION`` = 1)::
 
     {"op": "hello"}                                       -> hello
     {"op": "create", "session": S, "algorithm": ..., "machines": ...,
-     "alpha": ..., "dispatch": ..., "params": {...},
-     "max_pending": ...}                                  -> created
+     "alpha": ..., "params": {...}, "max_pending": ...}   -> created
     {"op": "submit", "session": S, "jobs": [JOB, ...]}    -> accepted | throttled
     {"op": "poll", "session": S}                          -> decision* polled
     {"op": "advance", "session": S, "t": T}               -> decision* advanced
@@ -26,6 +25,8 @@ Control messages (``PROTOCOL_VERSION`` = 1)::
 Beside ``op``, ``session`` and the optional version ``v``, an op carries
 exactly the fields shown for it (``create``'s options may be left out or
 ``null`` for the server default); any other field is a protocol error.
+Every session runs the server process's dispatch mode (``REPRO_DISPATCH``),
+which ``created``, ``stats`` and ``sessions`` report.
 
 Every request is answered by exactly one **terminator** line (right column;
 ``error`` on failure), optionally preceded by streamed ``decision`` lines —
@@ -84,7 +85,6 @@ _FIELDS: dict[str, dict[str, tuple[Any, str]]] = {
         "algorithm": (str, "a string"),
         "machines": (int, "an integer"),
         "alpha": (_NUMBER, "a number"),
-        "dispatch": (str, "a string"),
         "params": (Mapping, "an object"),
         "max_pending": (int, "an integer"),
     },

@@ -463,7 +463,8 @@ def start_server_thread(
 
     ``defaults`` and ``max_pending`` build the manager when one is not
     supplied.  The returned handle is a context manager; leaving the block
-    drains and stops the server.
+    drains and stops the server.  A server that cannot listen raises its
+    error here, in the caller's thread: ``cannot listen on HOST:PORT: ...``.
     """
     if manager is None:
         manager = SessionManager(defaults=defaults, max_pending=max_pending)
@@ -473,16 +474,21 @@ def start_server_thread(
         out = io.StringIO()
     server = ServiceServer(manager, host=host, port=port, out=out)
     ready = threading.Event()
+    failed: list[ServiceError] = []
 
     def _main() -> None:
         try:
             server.run(ready=ready, install_signal_handlers=False)
+        except ServiceError as exc:  # run raises it only when it cannot listen
+            failed.append(exc)
         finally:
             ready.set()
 
     thread = threading.Thread(target=_main, name="repro-service", daemon=True)
     thread.start()
     ready.wait(30.0)
+    if failed:
+        raise failed[0]
     if server.address is None:
         raise ServiceError("service server failed to start (no listen address)")
     return ServerHandle(server, thread)

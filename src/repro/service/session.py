@@ -18,7 +18,8 @@ Contracts:
 
 * **Jobs arrive in release order.**  Submissions must be non-decreasing in
   release date (exactly the :class:`~repro.simulation.instance.Instance`
-  invariant); ids must be unique.
+  invariant) and at or after any :meth:`advance_to` bound; ids must be
+  unique.  The engine stepper's ``offer_many`` enforces both.
 * **Deferred processing.**  ``submit``/``submit_many`` only ingest (``submit``
   is ``submit_many`` of one job, so both check the same contract); events
   are processed when the caller observes the session — :meth:`poll` (process
@@ -27,8 +28,9 @@ Contracts:
   or :meth:`finalize` (drain everything).  Processing order is identical to
   the batch engine loop, so ingesting an instance and then finalizing yields
   **byte-identical** schedules and objectives to ``repro.solve`` — in both
-  dispatch modes (the equivalence suite asserts it).  A session *polled
-  mid-stream* is fully deterministic (the same submit/poll interleaving
+  dispatch modes, which the process picks with ``REPRO_DISPATCH`` (the
+  equivalence suite asserts it).  A session *polled mid-stream* is fully
+  deterministic (the same submit/poll interleaving
   always reproduces the same result — what snapshot/restore relies on), but
   once queues outgrow the prefix-stats cutoff its Fenwick trees are built
   over the jobs ingested so far rather than the full instance, so its float
@@ -119,7 +121,7 @@ class SchedulerSession:
 
     Built through :func:`open_session`; see the module docstring for the
     ingestion/processing contract.  The session owns a policy, an engine in
-    the requested dispatch mode, and an :class:`EngineStepper`; every
+    the process's dispatch mode, and an :class:`EngineStepper`; every
     scheduling decision the stepper makes is buffered in the session's
     decision-event stream until :meth:`poll` hands it out.
     """
@@ -130,7 +132,6 @@ class SchedulerSession:
         machines: "int | Sequence[Machine]" = 4,
         *,
         alpha: float = 3.0,
-        dispatch: str | None = None,
         name: str | None = None,
         **params: Any,
     ) -> None:
@@ -146,7 +147,7 @@ class SchedulerSession:
         self.name = name or f"session:{algorithm}"
         self.policy = _build_policy(spec, self.params)
         fleet_instance = Instance(self.machines, (), name=self.name)
-        self.engine = _ENGINES[spec.model](fleet_instance, dispatch=dispatch)
+        self.engine = _ENGINES[spec.model](fleet_instance)
         #: Events emitted but not handed out yet; freed in place once handed
         #: out (the stepper's observer is this list's ``append``).
         self._events: list[DecisionEvent] = []
@@ -254,10 +255,10 @@ class SchedulerSession:
         are bulk-validated once and materialised through the trusted path.
         Returns the number of jobs ingested.
 
-        Every job must match the machine count, keep releases non-decreasing
-        across submissions and carry an unused id; a batch that breaks the
-        contract anywhere is refused whole.  One op-log entry covers the
-        batch.
+        Every job must match the machine count; the stepper refuses a
+        release below the previous one or below an :meth:`advance_to`
+        bound, and an id offered before.  A batch that breaks the contract
+        anywhere is refused whole.  One op-log entry covers the batch.
         """
         self._require_open("submit")
         rows: list[Job]
@@ -269,7 +270,6 @@ class SchedulerSession:
         if not rows:
             return 0
         num_machines = len(self.machines)
-        watermark = self._watermark
         for job in rows:
             if not isinstance(job, Job):
                 raise InvalidParameterError(f"submit expects Job rows, got {type(job).__name__}")
@@ -278,15 +278,8 @@ class SchedulerSession:
                     f"job {job.id}: size vector has {len(job.sizes)} entries, "
                     f"expected {num_machines}"
                 )
-            if job.release < watermark:
-                raise SessionStateError(
-                    f"job {job.id} released at {job.release} arrives before the session's "
-                    f"ingest watermark {watermark}; submissions must be "
-                    "non-decreasing in release date"
-                )
-            watermark = job.release
         count = self._stepper.offer_many(rows)
-        self._watermark = watermark
+        self._watermark = rows[-1].release  # offered in release order
         self._record_jobs(count)
         return count
 
@@ -313,8 +306,8 @@ class SchedulerSession:
         """Process every event up to time ``t``; return new events.
 
         Advancing past the ingest watermark is the caller's declaration that
-        no job with an earlier release will be submitted afterwards (later
-        out-of-order submissions are rejected).  ``t = inf`` declares the
+        no job with an earlier release will be submitted afterwards (the
+        stepper refuses such a submission).  ``t = inf`` declares the
         end of the stream; NaN bounds nothing and is refused.
         """
         self._require_open("advance_to")
@@ -397,9 +390,9 @@ class SchedulerSession:
         if self._outcome is not None:
             return self._outcome
         self._stepper.drain()
-        # The session enforced the instance invariants (machine count,
-        # release ordering, id uniqueness) on every submission, so the
-        # assembled instance skips the O(n) re-validation.
+        # The session checked machine counts and the stepper release order
+        # and id uniqueness on every submission, so the assembled instance
+        # skips the O(n) re-validation.
         jobs = tuple(self._stepper.state.jobs_by_id.values())
         instance = Instance.trusted(self.machines, jobs, name=self.name)
         result = self._stepper.finish(instance)
@@ -435,7 +428,6 @@ class SchedulerSession:
             "algorithm": self.spec.algorithm_id,
             "params": jsonify(self.params),
             "machines": [m.to_dict() for m in self.machines],
-            "dispatch": self.engine.dispatch,
             "name": self.name,
             "consumed": self._consumed,
             "ops": ops,
@@ -458,8 +450,9 @@ class SchedulerSession:
         outside what its replay hands out and emits); job rows are decoded
         with the ``submit`` schema
         (:func:`~repro.workloads.rows.parse_job_row`).  Keys it does not
-        read, such as the event-buffer flag older versions wrote, are
-        ignored.
+        read, such as the event-buffer flag and the dispatch mode older
+        versions wrote, are ignored: the restored session runs the
+        process's mode, which finalizes to the same bytes.
         """
         if isinstance(snapshot, str):
             import json
@@ -498,7 +491,6 @@ class SchedulerSession:
         session = cls(
             algorithm,
             machines,
-            dispatch=snapshot.get("dispatch"),
             name=snapshot.get("name"),
             **{str(k): v for k, v in params.items()},
         )
@@ -585,7 +577,6 @@ def open_session(
     machines: "int | Sequence[Machine]" = 4,
     *,
     alpha: float = 3.0,
-    dispatch: str | None = None,
     name: str | None = None,
     **params: Any,
 ) -> SchedulerSession:
@@ -601,21 +592,13 @@ def open_session(
         A machine count (a fleet of identical unit machines with power
         exponent ``alpha`` is created) or an explicit
         :class:`~repro.simulation.machine.Machine` sequence.
-    dispatch:
-        Engine dispatch mode override (``indexed``/``scan``);
-        defaults to the engine's environment-controlled default.  All modes
-        finalize to byte-identical outcomes.
     name:
         Label used for the assembled instance and result.
     params:
         Algorithm parameters, validated against the registry schema before
         the session opens.
+
+    The engine runs the process's dispatch mode (``REPRO_DISPATCH``), which
+    :attr:`SchedulerSession.dispatch` reports; every mode finalizes alike.
     """
-    return _session_class(algorithm)(
-        algorithm,
-        machines,
-        alpha=alpha,
-        dispatch=dispatch,
-        name=name,
-        **params,
-    )
+    return _session_class(algorithm)(algorithm, machines, alpha=alpha, name=name, **params)

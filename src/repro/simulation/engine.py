@@ -14,15 +14,16 @@ The engine is policy-driven.  A policy implements three hooks:
 
 ``select_next(t, machine, state)``
     Called whenever a machine is idle and has pending jobs.  Returns the id
-    of the pending job to start, or ``None`` to leave the machine idle until
-    the next event (the paper's algorithms never idle deliberately).
+    of one of them to start now; the engine refuses ``None`` (the paper's
+    algorithms never leave a machine idle while work waits).
 
 ``reset(instance)``
     Called once per run before any event, so stateful policies (counters)
     can be reused across runs.
 
-The event loop itself (arrival bookkeeping, stale-completion filtering,
-rejection of pending or running jobs) is shared with the speed-scaling engine
+Jobs are offered in release order, as the model reveals them.  The event
+loop itself (arrival bookkeeping, stale-completion filtering, rejection of
+pending or running jobs) is shared with the speed-scaling engine
 via :class:`NonPreemptiveEngine` and lives in the reentrant
 :class:`~repro.simulation.stepper.EngineStepper`; the two models differ only
 in how a start decision translates into a ``(speed, duration)`` pair and in
@@ -67,8 +68,9 @@ __all__ = [
 #: equivalence suite asserts it.
 DISPATCH_MODES = ("indexed", "scan")
 
-#: Environment override for the default mode, read at engine construction so
-#: CLI runs (campaigns included) and tests can pin it without code changes.
+#: The per-process mode, read at engine construction: every command, session
+#: and server of a process runs it.  Only ``dispatch=`` of the engine classes,
+#: ``run_policy``, ``run_speed_policy`` and ``repro.solve`` overrides it.
 DISPATCH_ENV_VAR = "REPRO_DISPATCH"
 
 
@@ -112,7 +114,8 @@ class FlowTimePolicy(ABC):
 
     @abstractmethod
     def select_next(self, t: float, machine: int, state: EngineState) -> int | None:
-        """Pick the pending job to start on an idle machine (or ``None``)."""
+        """Pick the pending job to start on an idle machine (the engine asks
+        only when it has pending work, and refuses ``None``)."""
 
 
 class NonPreemptiveEngine(ABC):
@@ -166,12 +169,12 @@ class NonPreemptiveEngine(ABC):
     @abstractmethod
     def _pick_start(
         self, t: float, policy, ms: MachineState, state: EngineState
-    ) -> tuple[Job, float, float] | None:
-        """Ask ``policy`` what to start on idle machine ``ms``.
+    ) -> tuple[Job, float, float]:
+        """Ask ``policy`` what to start on idle machine ``ms``, which has work.
 
-        Returns ``(job, speed, duration)`` for the job to start now, or
-        ``None`` to leave the machine idle until the next event.  Implementors
-        validate the policy's choice (pending membership, finite duration).
+        Returns ``(job, speed, duration)`` for the job to start now.
+        Implementors validate the policy's choice: a job pending there, with
+        a finite duration.
         """
 
     def _result_extras(self, intervals: list[ExecutionInterval], event_count: int) -> dict:
@@ -184,14 +187,12 @@ class FlowTimeEngine(NonPreemptiveEngine):
 
     def _pick_start(
         self, t: float, policy: FlowTimePolicy, ms: MachineState, state: EngineState
-    ) -> tuple[Job, float, float] | None:
+    ) -> tuple[Job, float, float]:
         job_id = policy.select_next(t, ms.index, state)
-        if job_id is None:
-            return None
         if job_id not in ms.pending:
             raise SimulationError(
-                f"policy {policy.name!r} started job {job_id} which is not pending "
-                f"on machine {ms.index}"
+                f"policy {policy.name!r} must start one of the {len(ms.pending)} job(s) "
+                f"pending on idle machine {ms.index}, not {job_id!r}"
             )
         job = state.jobs_by_id[job_id]
         # ``Machine.processing_duration`` of the size: the speed factor was

@@ -15,10 +15,10 @@ is the per-event Python frame count:
   machine is then one index into the flat rank array of
   :func:`~repro.simulation.indexed.build_priority_ranks`.
 * **An array event queue** (:class:`ArrayEventQueue`): arrivals live in two
-  parallel sorted lists consumed by a cursor (releases are non-decreasing on
-  every shipped ingestion path, so pushes are appends); completions live in
-  a small heap of plain tuples.  No :class:`~repro.simulation.events.Event`
-  allocation on the fused loop.
+  parallel lists consumed by a cursor (the stepper offers jobs in release
+  order, so pushes are appends); completions live in a small heap of plain
+  tuples.  No :class:`~repro.simulation.events.Event` allocation on the
+  fused loop.
 * **A fused event loop** (:meth:`FusedStepper._run_core`): ``drain`` /
   ``advance_to`` process events without constructing ``Event`` objects or
   dispatching through ``step()``, with the same handler bodies inlined.
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from heapq import heappop, heappush
 
 from repro.exceptions import SimulationError
@@ -193,13 +192,12 @@ class FusedState(EngineState):
 class ArrayEventQueue:
     """Array-backed :class:`~repro.simulation.events.EventQueue` counterpart.
 
-    Arrivals: two parallel lists sorted by time plus a consume cursor —
-    pushes are O(1) appends on release-ordered streams (every shipped
-    ingestion path), a ``bisect`` insert into the unconsumed suffix
-    otherwise.  Completions: a heap of plain ``(time, seq, job_id, machine,
-    version)`` tuples.  The pop order is exactly the reference ``(time,
-    kind, seq)`` order: completions before arrivals at equal timestamps,
-    insertion order within a kind.
+    Arrivals: two parallel lists plus a consume cursor, pushed in
+    non-decreasing time (the stepper refuses an offer below the previous
+    one), so a push is an O(1) append.  Completions: a heap of plain
+    ``(time, seq, job_id, machine, version)`` tuples.  The pop order is
+    exactly the reference ``(time, kind, seq)`` order: completions before
+    arrivals at equal timestamps, insertion order within a kind.
 
     ``push_arrival``/``push_completion``/``pop``/``peek_time``/``len`` match
     ``EventQueue``, so the inherited ``step()``/``finish()`` paths work
@@ -222,20 +220,11 @@ class ArrayEventQueue:
         return self._arr_pos < len(self._arr_times) or bool(self._comp)
 
     def push_arrival(self, time: float, job_id: int) -> None:
-        """Insert a job-arrival event (append on release-ordered streams)."""
+        """Append a job-arrival event, no earlier than the last one pushed."""
         if time < 0:
             raise SimulationError(f"event time must be non-negative, got {time}")
-        times = self._arr_times
-        if times and time < times[-1]:
-            # Out-of-order offer: place it in the unconsumed suffix after
-            # any equal timestamps — later pushes carry larger sequence
-            # numbers in the reference heap, so stability preserves order.
-            pos = bisect_right(times, time, lo=self._arr_pos)
-            times.insert(pos, time)
-            self._arr_ids.insert(pos, job_id)
-        else:
-            times.append(time)
-            self._arr_ids.append(job_id)
+        self._arr_times.append(time)
+        self._arr_ids.append(job_id)
 
     def push_completion(self, time: float, job_id: int, machine: int, version: int) -> None:
         """Insert a completion carrying the machine's version stamp."""
@@ -326,7 +315,6 @@ class FusedStepper(EngineStepper):
         new_tuple = tuple.__new__
         pick_start = self.engine._pick_start
         on_arrival = policy.on_arrival
-        recheck = self._recheck
         dispatched = self.dispatched
         aq = self.queue
         arr_times = aq._arr_times
@@ -334,8 +322,9 @@ class FusedStepper(EngineStepper):
         comp = aq._comp
         inf = math.inf
         processed = 0
-        floor = self._floor
         event_count = self.event_count
+        # ``self._floor`` is raised per event, as ``step()`` does, so an
+        # offer an observer makes mid-loop meets the same bound.
         # Local mirror of the consume cursor; written back on every
         # consume so mid-loop pushes (e.g. from an observer) keep the
         # queue view consistent.  ``arr_times`` only ever grows, so the
@@ -350,8 +339,8 @@ class FusedStepper(EngineStepper):
                     break
                 _, _, job_id, machine, version = heappop(comp)
                 state.time = t
-                if t > floor:
-                    floor = t
+                if t > self._floor:
+                    self._floor = t
                 event_count += 1
                 processed += 1
                 ms = machines[machine]
@@ -370,12 +359,9 @@ class FusedStepper(EngineStepper):
                         observer(
                             new_tuple(DecisionEvent, ("complete", t, job_id, machine, speed, None))
                         )
-                # A stale completion still re-offers its machine, exactly
-                # like the event-object loop does.
-                if recheck:
-                    to_try = sorted({machine} | recheck)
-                else:
-                    to_try = (machine,)
+                # A stale completion still offers its machine a start,
+                # exactly like the event-object loop does.
+                to_try = (machine,)
             else:
                 if arr_time == inf:
                     break
@@ -386,8 +372,8 @@ class FusedStepper(EngineStepper):
                 aq._arr_pos = arr_pos
                 t = arr_time
                 state.time = t
-                if t > floor:
-                    floor = t
+                if t > self._floor:
+                    self._floor = t
                 event_count += 1
                 processed += 1
                 job = jobs[arr_ids[pos]]
@@ -426,24 +412,13 @@ class FusedStepper(EngineStepper):
                     apply_rejection = self._apply_rejection
                     for rejection in rejections:
                         touched.append(apply_rejection(t, rejection))
-                if recheck:
-                    to_try = sorted(set(touched) | recheck)
-                elif len(touched) > 1:
-                    to_try = sorted(set(touched))
-                else:
-                    to_try = touched
+                to_try = sorted(set(touched)) if len(touched) > 1 else touched
 
             for machine in to_try:
                 ms = machines[machine]
                 if ms.running is not None or not pending_items[machine]:
-                    recheck.discard(machine)
                     continue
-                started = pick_start(t, policy, ms, state)
-                if started is None:
-                    recheck.add(machine)
-                    continue
-                recheck.discard(machine)
-                sjob, speed, duration = started
+                sjob, speed, duration = pick_start(t, policy, ms, state)
                 state.remove_pending(machine, sjob.id)
                 finish = t + duration
                 ms.running = RunningInfo(sjob, t, finish, speed)
@@ -451,6 +426,5 @@ class FusedStepper(EngineStepper):
                 if observer is not None:
                     observer(new_tuple(DecisionEvent, ("start", t, sjob.id, machine, speed, None)))
 
-        self._floor = floor
         self.event_count = event_count
         return processed

@@ -8,8 +8,10 @@ already spent is still accounted for in the measured objective.
 
 The event loop is shared with
 :class:`~repro.simulation.engine.FlowTimeEngine` through
-:class:`~repro.simulation.engine.NonPreemptiveEngine`; here a start decision
-carries a speed, and the result's extras record the total energy.  The
+:class:`~repro.simulation.engine.NonPreemptiveEngine` and its contract (jobs
+offered in release order, a start whenever a machine is idle with work); here
+a start decision carries a speed, and the result's extras record the total
+energy.  The
 decision dataclasses likewise live in :mod:`repro.simulation.decisions` and
 are shared by both models.
 """
@@ -58,7 +60,8 @@ class SpeedScalingPolicy(ABC):
 
     @abstractmethod
     def select_next(self, t: float, machine: int, state: EngineState) -> StartDecision | None:
-        """Pick the pending job to start on an idle machine and its speed."""
+        """Pick the pending job to start on an idle machine and its speed (the
+        engine asks only when it has pending work, and refuses ``None``)."""
 
 
 class SpeedScalingEngine(NonPreemptiveEngine):
@@ -66,21 +69,20 @@ class SpeedScalingEngine(NonPreemptiveEngine):
 
     def _pick_start(
         self, t: float, policy: SpeedScalingPolicy, ms: MachineState, state: EngineState
-    ) -> tuple[Job, float, float] | None:
+    ) -> tuple[Job, float, float]:
         decision = policy.select_next(t, ms.index, state)
-        if decision is None:
-            return None
-        if decision.job_id not in ms.pending:
+        job_id = None if decision is None else decision.job_id
+        if job_id not in ms.pending:
             raise SimulationError(
-                f"policy {policy.name!r} started job {decision.job_id} which is not pending "
-                f"on machine {ms.index}"
+                f"policy {policy.name!r} must start one of the {len(ms.pending)} job(s) "
+                f"pending on idle machine {ms.index}, not {job_id!r}"
             )
-        job = state.job(decision.job_id)
+        job = state.job(job_id)
         volume = job.size_on(ms.index)
         duration = volume / decision.speed
         if not math.isfinite(duration):
             raise SimulationError(
-                f"job {decision.job_id} has infinite duration on machine {ms.index}"
+                f"job {job_id} has infinite duration on machine {ms.index}"
             )
         return job, decision.speed, duration
 

@@ -9,10 +9,10 @@ resumable session object:
 
 * :meth:`EngineStepper.offer` ingests one job (registers it with the state
   and enqueues its arrival event) — jobs may keep arriving while the
-  simulation is under way, as long as time never runs backwards.  Offering
-  is the only way a job becomes known: the engine state starts empty on the
-  batch path too, so the state's ``id -> Job`` dict is the one record of
-  which ids were offered;
+  simulation is under way, in release order and never before the time the
+  simulation reached.  Offering is the only way a job becomes known: the
+  engine state starts empty on the batch path too, so the state's
+  ``id -> Job`` dict is the one record of which ids were offered;
 * :meth:`EngineStepper.step` processes exactly one event;
 * :meth:`EngineStepper.advance_to` processes every event up to a time bound;
 * :meth:`EngineStepper.drain` processes everything currently enqueued;
@@ -166,14 +166,10 @@ class EngineStepper:
         self.event_count = 0
         #: Machine each dispatched job was queued on, by job id.
         self.dispatched: dict[int, int] = {}
-        #: Time the simulation is known to have moved past: the latest
-        #: processed event or the highest ``advance_to`` bound.  Offers
-        #: below it would rewrite observed history and are rejected.
+        #: Lowest release a new offer may carry: the newest release offered,
+        #: the latest processed event or the highest ``advance_to`` bound,
+        #: whichever is latest.  Offers below it are refused.
         self._floor = 0.0
-        # Machines whose policy declined to start despite pending work; they
-        # must be re-offered at every event (pre-index semantics) because
-        # their answer may depend on global state the event did not touch.
-        self._recheck: set[int] = set()
         self._finished = False
 
     # -- construction hooks (overridden by the fused stepper) ---------------------
@@ -195,19 +191,19 @@ class EngineStepper:
     def offer_many(self, jobs) -> int:
         """Ingest jobs: register each with the state and enqueue its arrival.
 
-        Streaming callers may keep offering jobs between steps; an offer in
-        the simulation's past — release earlier than an already-processed
-        event or below an :meth:`advance_to` bound — would rewrite observed
-        history and is rejected, as is an id offered before, in an earlier
-        batch or earlier in this one: the state's ``jobs_by_id``, which
-        registration fills as it goes, is the record of both.  A rejected
-        batch leaves the stepper exactly as it was: the jobs it registered
-        before the offending one are unregistered, and arrivals are enqueued
-        only once the whole batch passed, so callers' bookkeeping cannot
-        drift out of sync with a half-ingested batch.  Ingestion is on the
-        streaming hot path; the cached-locals loops are what keep session
-        ingestion within the batch path's throughput budget.  Returns the
-        number of jobs offered.
+        Jobs come in release order, the paper's online model: streaming
+        callers may keep offering jobs between steps, but a release below
+        the previous offer's, below an already-processed event or below an
+        :meth:`advance_to` bound is refused, as is an id offered before, in
+        an earlier batch or earlier in this one (the state's
+        ``jobs_by_id``, which registration fills as it goes, is the record
+        of ids).  A refused batch leaves the stepper exactly as it was: the
+        jobs it registered before the offending one are unregistered, and
+        the release bound and the arrivals move only once the whole batch
+        passed, so callers' bookkeeping cannot drift out of sync with a
+        half-ingested batch.  Ingestion is on the streaming hot path; the
+        cached-locals loops are what keep session ingestion within the
+        batch path's throughput budget.  Returns the number of jobs offered.
         """
         if self._finished:
             raise SimulationError("cannot offer jobs to a finished stepper")
@@ -221,17 +217,19 @@ class EngineStepper:
                 problem = f"job id {job_id} was already offered"
             elif job.release < floor:
                 problem = (
-                    f"job {job_id} released at {job.release} but the simulation "
-                    f"already reached {floor}"
+                    f"job {job_id} released at {job.release} but the stream already "
+                    f"reached {floor}; jobs are offered in release order"
                 )
             else:
                 register(job)
+                floor = job.release
                 continue
             # Each registered job of this batch was new, so deleting it
             # restores the dict's contents and order.
             for done in rows[:index]:
                 del known[done.id]
             raise SimulationError(problem)
+        self._floor = floor
         push = self.queue.push_arrival
         for job in rows:
             push(job.release, job.id)
@@ -258,17 +256,14 @@ class EngineStepper:
 
         # Only machines the event touched can newly become startable: the
         # completion's machine, the dispatch target, and any machine a
-        # rejection freed.  Shipped policies start whenever they have pending
-        # work, so untouched machines are either running or have an empty
-        # queue; ``_recheck`` covers deliberately idling policies.
+        # rejection freed.  A policy starts a job whenever an idle machine
+        # has work (``_pick_start`` refuses otherwise), so every untouched
+        # machine is running or has an empty queue.
         if event.kind == EventKind.COMPLETION:
             self._handle_completion(event)
             touched = {event.machine}
         else:
             touched = self._handle_arrival(event)
-
-        if self._recheck:
-            touched |= self._recheck
         self._start_idle_machines(event.time, touched)
         return event
 
@@ -317,9 +312,8 @@ class EngineStepper:
         result_instance = self.engine.instance if instance is None else instance
         if instance is None and jobs and not result_instance.jobs:
             # Streaming run over a fleet-only engine instance: assemble the
-            # result instance from the offered jobs.  offer() does not
-            # require release-ordered ingestion (only releases at or above
-            # the floor), so sort the way Instance.build does.
+            # result instance from the offered jobs, which came in release
+            # order; equal releases are ordered by id, as Instance.build does.
             result_instance = Instance(
                 result_instance.machines,
                 tuple(sorted(jobs.values(), key=lambda j: (j.release, j.id))),
@@ -328,10 +322,9 @@ class EngineStepper:
         records = self.records
         missing = [job.id for job in result_instance.jobs if job.id not in records]
         if missing:
-            # A policy that leaves a machine idle forever while jobs are
-            # pending (select_next returning None with no future events)
-            # would starve them; every job must finish or be rejected so
-            # that flow times are well defined.
+            # Every job must finish or be rejected so that flow times are
+            # well defined; a job of the engine's instance that was never
+            # offered has neither.
             raise SimulationError(
                 f"{len(missing)} job(s) never finished nor were rejected: {missing[:5]}"
             )
@@ -465,16 +458,8 @@ class EngineStepper:
         for machine in sorted(machines):
             ms = state.machines[machine]
             if ms.running is not None or not ms.pending:
-                self._recheck.discard(machine)
                 continue
-            started = self.engine._pick_start(t, self.policy, ms, state)
-            if started is None:
-                # The policy idles deliberately; keep re-offering this
-                # machine at every future event until it starts something.
-                self._recheck.add(machine)
-                continue
-            self._recheck.discard(machine)
-            job, speed, duration = started
+            job, speed, duration = self.engine._pick_start(t, self.policy, ms, state)
             state.remove_pending(machine, job.id)
             ms.running = RunningInfo(job=job, start=t, finish=t + duration, speed=speed)
             self.queue.push_completion(t + duration, job.id, ms.index, ms.version)

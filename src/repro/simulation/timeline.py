@@ -130,8 +130,12 @@ class DiscreteTimeline:
         return float(sum(p(s) for s in self._speeds[machine]) * self.slot_length)
 
     def total_energy(self) -> float:
-        """Energy currently consumed by all machines."""
-        return sum(self.machine_energy(i) for i in range(self.num_machines))
+        """Energy currently consumed by all machines, added left to right
+        (Python 3.12's compensated ``sum`` gives other bits)."""
+        total = 0
+        for machine in range(self.num_machines):
+            total += self.machine_energy(machine)
+        return total
 
     # -- marginal energy / commitment ----------------------------------------------
 

@@ -91,11 +91,15 @@ register_solver(
 def _run_config_lp(instance, slot_length, speeds_per_job):
     scheduler = ConfigLPEnergyScheduler(slot_length=slot_length, speeds_per_job=speeds_per_job)
     schedule = scheduler.schedule(instance)
+    # Left to right: Python 3.12's compensated ``sum`` gives other bits.
+    marginal_cost_sum = 0
+    for cost in schedule.marginal_costs.values():
+        marginal_cost_sum += cost
     return ReferenceRun(
         label=schedule.algorithm,
         objective_value=schedule.total_energy,
         breakdown={"energy": schedule.total_energy},
-        extras={**schedule.summary(), "marginal_cost_sum": sum(schedule.marginal_costs.values())},
+        extras={**schedule.summary(), "marginal_cost_sum": marginal_cost_sum},
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,19 @@ from repro.workloads.generators import (
     InstanceGenerator,
     WeightedInstanceGenerator,
 )
+
+
+@contextmanager
+def dispatch_mode(mode: "str | None"):
+    """Run the block in engine dispatch mode ``mode``, picked the way a process
+    picks it: through ``REPRO_DISPATCH`` (``None`` leaves the process's mode).
+    Sessions, servers and CLI commands take no mode of their own; a plain
+    context manager, unlike the ``monkeypatch`` fixture, also works inside
+    hypothesis tests."""
+    with pytest.MonkeyPatch.context() as patch:
+        if mode is not None:
+            patch.setenv("REPRO_DISPATCH", mode)
+        yield
 
 
 @pytest.fixture

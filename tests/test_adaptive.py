@@ -31,6 +31,7 @@ import json
 import math
 
 import pytest
+from conftest import dispatch_mode
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_property_based import flow_instances
@@ -358,9 +359,8 @@ class TestMetaSolver:
             batch = solve(instance, "meta", dispatch=dispatch, epsilon=0.25)
             assert canonical_json(batch.as_row()) == reference_row
             _assert_outcome_identical(batch, reference)
-            session = open_session(
-                "meta", instance.machines, dispatch=dispatch, epsilon=0.25
-            )
+            with dispatch_mode(dispatch):
+                session = open_session("meta", instance.machines, epsilon=0.25)
             session.submit_many(instance.jobs)
             streamed = session.finalize()
             assert canonical_json(streamed.as_row()) == reference_row
@@ -406,12 +406,14 @@ class TestHotSwitch:
         instance = _instance(n=100)
         cut = 40
         for dispatch in DISPATCH_MODES:
-            live = open_session("meta", instance.machines, dispatch=dispatch)
-            live.submit_many(instance.jobs[:cut])
-            event = live.hot_switch("rejection-flow")
-            live.submit_many(instance.jobs[cut:])
-            plan = (f"{event.index}:rejection-flow",)
-            cold = open_session("meta", instance.machines, dispatch=dispatch, plan=plan)
+            with dispatch_mode(dispatch):
+                live = open_session("meta", instance.machines)
+                live.submit_many(instance.jobs[:cut])
+                event = live.hot_switch("rejection-flow")
+                live.submit_many(instance.jobs[cut:])
+                plan = (f"{event.index}:rejection-flow",)
+                cold = open_session("meta", instance.machines, plan=plan)
+            assert live.dispatch == cold.dispatch == dispatch
             cold.submit_many(instance.jobs)
             _assert_outcome_identical(live.finalize(), cold.finalize())
             batch = solve(instance, "meta", dispatch=dispatch, plan=plan)
@@ -428,14 +430,14 @@ class TestHotSwitch:
         # carried the same forced plan from the start — in every dispatch mode.
         cut = min(cut, len(instance.jobs))
         for dispatch in DISPATCH_MODES:
-            live = open_session("meta", instance.machines, dispatch=dispatch)
-            live.submit_many(instance.jobs[:cut])
-            event = live.hot_switch(target)
-            live.submit_many(instance.jobs[cut:])
-            cold = open_session(
-                "meta", instance.machines, dispatch=dispatch,
-                plan=(f"{event.index}:{target}",),
-            )
+            with dispatch_mode(dispatch):
+                live = open_session("meta", instance.machines)
+                live.submit_many(instance.jobs[:cut])
+                event = live.hot_switch(target)
+                live.submit_many(instance.jobs[cut:])
+                cold = open_session(
+                    "meta", instance.machines, plan=(f"{event.index}:{target}",)
+                )
             cold.submit_many(instance.jobs)
             _assert_outcome_identical(live.finalize(), cold.finalize())
 

@@ -1,5 +1,8 @@
 """Tests for the Theorem 3 configuration-LP greedy (Section 4 algorithm)."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baselines.offline import brute_force_optimal_energy
@@ -11,6 +14,7 @@ from repro.lowerbounds.energy_bounds import best_energy_lower_bound
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.simulation.machine import Machine
+from repro.solvers import catalog
 from repro.workloads.generators import DeadlineInstanceGenerator
 
 
@@ -112,3 +116,42 @@ class TestOptimalityAndBounds:
             scheduler.dual_variables(schedule, smooth_lambda=0.0, smooth_mu=0.5)
         with pytest.raises(InvalidParameterError):
             scheduler.dual_variables(schedule, smooth_lambda=1.0, smooth_mu=1.0)
+
+
+#: One value of 1.0, then ten of 1e-16, each under half an ulp of the total:
+#: left to right, as ``sum`` adds on 3.10 and 3.11, the total stays 1.0;
+#: 3.12's compensated ``sum`` gives 1.000000000000001.
+_TAIL = [1.0] + [1e-16] * 10
+
+
+class TestTotalsAddLeftToRight:
+    def test_marginal_cost_sum(self, monkeypatch):
+        # The ``config-lp-energy`` outcome's extras carry the sum of the
+        # per-job marginal costs.
+        schedule = SimpleNamespace(
+            algorithm="stub", total_energy=0.0, summary=dict,
+            marginal_costs=dict(enumerate(_TAIL)),
+        )
+        monkeypatch.setattr(
+            catalog, "ConfigLPEnergyScheduler",
+            lambda **_: SimpleNamespace(schedule=lambda instance: schedule),
+        )
+        run = catalog._run_config_lp(None, slot_length=1.0, speeds_per_job=8)
+        assert run.extras["marginal_cost_sum"] == 1.0 != math.fsum(_TAIL)
+
+    @pytest.mark.parametrize("half", ["delta", "gamma"])
+    def test_dual_objective(self, half):
+        # Theorem 3's dual objective adds the job duals (the marginal costs
+        # over lambda) and the machine duals (-mu/lambda times each
+        # machine's energy); with lambda = 1 and mu = 0.5 either half
+        # carries the tail.
+        energies = _TAIL if half == "gamma" else [0.0]
+        schedule = SimpleNamespace(
+            marginal_costs=dict(enumerate(_TAIL)) if half == "delta" else {},
+            total_energy=0.0,
+            timeline=SimpleNamespace(
+                num_machines=len(energies), machine_energy=energies.__getitem__
+            ),
+        )
+        dual = ConfigLPEnergyScheduler().dual_variables(schedule, 1.0, 0.5)
+        assert dual["dual_objective"] == (1.0 if half == "delta" else -0.5)

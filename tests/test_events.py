@@ -3,6 +3,8 @@ fused stepper's :class:`~repro.simulation.fused.ArrayEventQueue`.
 
 Both queues promise the same pop order — time, then completions before
 arrivals, then insertion order — so every ordering case runs against both.
+Arrivals are pushed in non-decreasing time, as the stepper offers them (it
+refuses an offer below the previous one); completions come in any order.
 """
 
 import random
@@ -20,10 +22,12 @@ QUEUES = pytest.mark.parametrize("make_queue", [EventQueue, ArrayEventQueue])
 class TestEventQueueOrdering:
     def test_time_order(self, make_queue):
         queue = make_queue()
-        queue.push_arrival(5.0, job_id=1)
-        queue.push_arrival(2.0, job_id=2)
-        queue.push_arrival(7.0, job_id=3)
-        assert [queue.pop().job_id for _ in range(3)] == [2, 1, 3]
+        queue.push_completion(5.0, job_id=1, machine=0, version=0)
+        queue.push_arrival(3.0, job_id=2)
+        queue.push_completion(2.0, job_id=3, machine=0, version=0)
+        queue.push_arrival(6.0, job_id=4)
+        queue.push_completion(7.0, job_id=5, machine=0, version=0)
+        assert [queue.pop().job_id for _ in range(5)] == [3, 2, 1, 4, 5]
 
     def test_completion_before_arrival_at_same_time(self, make_queue):
         queue = make_queue()
@@ -39,12 +43,17 @@ class TestEventQueueOrdering:
         assert [queue.pop().job_id for _ in range(5)] == [0, 1, 2, 3, 4]
 
     def test_random_interleaving_matches_reference_order(self, make_queue):
-        # Out-of-order pushes (below the latest enqueued time, even below
-        # popped ones) with many equal timestamps: the array queue's bisect
-        # insert must reproduce the reference (time, kind, seq) pop order.
+        # Arrivals in non-decreasing time, completions in any order (even
+        # below popped events), pops interleaved, many equal timestamps: the
+        # array queue's arrival cursor and completion heap must reproduce
+        # the reference (time, kind, seq) pop order.
         rng, queue, model, popped, expected = random.Random(3), make_queue(), [], [], []
+        release = 0
         for seq in range(300):
             time, kind = float(rng.randint(0, 8)), rng.randrange(2)
+            if kind == 1:
+                release += rng.choice((0, 0, 1))
+                time = float(release)
             if model and rng.random() < 0.4:
                 model.sort()
                 popped.append(queue.pop().job_id)
@@ -66,7 +75,7 @@ class TestEventQueueOrdering:
 
     def test_peek_time(self, make_queue):
         queue = make_queue()
-        queue.push_arrival(4.0, job_id=0)
+        queue.push_completion(4.0, job_id=0, machine=0, version=0)
         queue.push_arrival(2.0, job_id=1)
         assert queue.peek_time() == pytest.approx(2.0)
         queue.push_completion(1.5, job_id=2, machine=0, version=0)

@@ -16,7 +16,7 @@ Rule-1 rejection.
 from __future__ import annotations
 
 import math
-import random
+import re
 from array import array
 
 import pytest
@@ -76,12 +76,10 @@ def _drive(stepper, jobs, script):
     def note(reply):
         seen.append((reply, stepper.peek_time(), stepper.event_count, len(stepper.queue)))
 
-    chunks = [list(reversed(jobs)) if script == "reversed-offers" else list(jobs)]
-    if script == "shuffled-chunks":
+    chunks = [list(jobs)]
+    if script == "chunks":
         chunks = [list(jobs[i:i + 9]) for i in range(0, len(jobs), 9)]
     for chunk, after in zip(chunks, chunks[1:] + [[]]):
-        if script == "shuffled-chunks":
-            random.Random(len(seen)).shuffle(chunk)  # out of order, at or above the floor
         for job in chunk:
             note(stepper.offer(job))
         if after:
@@ -168,12 +166,12 @@ class TestDispatchEquivalence:
 
     @pytest.mark.parametrize(
         "script",
-        ["reversed-offers", "advance-to-each-release", "step-then-drain", "shuffled-chunks"],
+        ["advance-to-each-release", "step-then-drain", "chunks"],
     )
     @pytest.mark.parametrize("source", ["burst", "heavy-tail-pareto"])
     def test_streaming_call_sequences_identical(self, script, source):
         # The fused advance_to/drain loop, the inherited step() and the
-        # array queue's out-of-order inserts against the scan oracle.
+        # array queue's cursor against the scan oracle.
         if source == "burst":
             instance = overload_burst_instance(num_machines=2, burst_jobs=30, trailing_shorts=60)
         else:
@@ -222,7 +220,7 @@ class TestDispatchEquivalence:
             decisions = []
             policy = RejectionFlowTimeScheduler(epsilon=0.3)
             stepper = FlowTimeEngine(fleet, dispatch=mode).stepper(policy, decisions.append)
-            seen = _drive(stepper, jobs, "shuffled-chunks")
+            seen = _drive(stepper, jobs, "chunks")
             assert reached["builds"] >= 2, (mode, reached)
             assert reached["outside"] >= 1, (mode, reached)
             runs.append((seen, decisions, stepper.finish(Instance.build(2, jobs))))
@@ -539,25 +537,41 @@ class TestDetachedState:
         assert ImmediateRejectionScheduler(0.2).select_next(0.0, 0, state) == 1
 
 
-class TestDeliberateIdlePolicy:
-    def test_recheck_keeps_offering_idle_machines(self):
-        # A policy that refuses to start job 0 until job 1 has been released
-        # exercises the recheck set: the machine is idle with pending work
-        # while the policy returns None, and must be re-offered at later
-        # events (the pre-index engine offered every machine at every event).
-        class HoldBack(FCFSScheduler):
-            name = "hold-back"
+@pytest.mark.parametrize("mode", DISPATCH_MODES)
+class TestIdlingPolicyRefused:
+    # A policy asked about an idle machine with pending work must start one
+    # of those jobs: the engines refuse None, naming the policy and the
+    # machine, in the fused loop, the inherited step() and both models.
+    class HoldBack(FCFSScheduler):
+        name = "hold-back"
 
+        def select_next(self, t, machine, state):
+            return None if t < 5.0 else super().select_next(t, machine, state)
+
+    @staticmethod
+    def _message(policy):
+        return (
+            rf"^policy {re.escape(repr(policy.name))} must start one of the 1 job\(s\) "
+            r"pending on idle machine 1, not None$"
+        )
+
+    def _jobs(self):
+        return [Job(0, 0.0, (math.inf, 1.0)), Job(1, 5.0, (1.0, 1.0))]
+
+    @pytest.mark.parametrize("drive", ["drain", "step"])
+    def test_flow_time_engine(self, mode, drive):
+        policy = self.HoldBack()
+        stepper = FlowTimeEngine(Instance.build(2, self._jobs()), dispatch=mode).stepper(policy)
+        stepper.offer_many(stepper.engine.instance.jobs)
+        with pytest.raises(SimulationError, match=self._message(policy)):
+            stepper.drain() if drive == "drain" else stepper.step()
+
+    def test_speed_scaling_engine(self, mode):
+        class HoldBackSpeed(RejectionEnergyFlowScheduler):
             def select_next(self, t, machine, state):
-                pending = state.pending_jobs(machine)
-                if not pending:
-                    return None
-                if t < 5.0:
-                    return None  # deliberately idle until the second arrival
-                return min(pending, key=lambda job: (job.release, job.id)).id
+                return None if t < 5.0 else super().select_next(t, machine, state)
 
-        jobs = [Job(0, 0.0, (1.0,)), Job(1, 5.0, (1.0,))]
-        instance = Instance.build(1, jobs)
-        result = FlowTimeEngine(instance, dispatch="indexed").run(HoldBack())
-        assert result.record(0).start == pytest.approx(5.0)
-        assert result.record(1).finished
+        policy = HoldBackSpeed(epsilon=0.5)
+        instance = Instance.build(2, self._jobs()).with_alpha(2.0)
+        with pytest.raises(SimulationError, match=self._message(policy)):
+            SpeedScalingEngine(instance, dispatch=mode).run(policy)

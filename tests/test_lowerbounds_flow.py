@@ -51,6 +51,22 @@ class TestCombinatorialBounds:
         )
 
 
+class TestBoundsAddLeftToRight:
+    # Left to right, as ``sum`` adds on 3.10 and 3.11; 3.12's compensated
+    # ``sum`` gives other bits, and E1's ``ratio_vs_lb`` divides by these.
+    def test_total_processing(self):
+        # 1.0, then ten of 1e-16: the total stays 1.0 (compensated:
+        # 1.000000000000001).
+        jobs = [Job(0, 0.0, (1.0,))] + [Job(k, 0.0, (1e-16,)) for k in range(1, 11)]
+        assert total_processing_lower_bound(Instance.build(1, jobs)) == 1.0
+
+    def test_busy_interval_batch(self):
+        # One batch of three jobs released together on three machines:
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 (compensated: 0.6).
+        jobs = [Job(k, 0.0, (size,) * 3) for k, size in enumerate((0.1, 0.2, 0.3))]
+        assert busy_interval_lower_bound(Instance.build(3, jobs)) == 0.6000000000000001
+
+
 class TestLPBound:
     def test_single_job_value(self):
         # One job of size 2 released at 0: LP objective = fractional flow (1 at

@@ -8,13 +8,13 @@ then.  Every case below runs once as a warm-up, then again with collection
 off, and asserts that ``gc.collect()`` finds nothing unreachable afterwards:
 
 * ``repro.solve`` with the outcome dropped, for every fixed-speed and
-  speed-scaling algorithm of the registry (runner-backed ones pick the
-  dispatch mode up from ``REPRO_DISPATCH``);
+  speed-scaling algorithm of the registry;
 * a :class:`SchedulerSession` submit/poll/finalize, for every streaming one;
 * a :class:`SessionManager` create/submit/poll/close, for the same ones.
 
-The instance's queues pass ``PREFIX_SCAN_CUTOFF``, so the policies that opt
-into the Fenwick prefix stats build them.
+Each case runs in both dispatch modes, picked through ``REPRO_DISPATCH`` as
+a process picks them.  The instance's queues pass ``PREFIX_SCAN_CUTOFF``, so
+the policies that opt into the Fenwick prefix stats build them.
 """
 
 from __future__ import annotations
@@ -76,9 +76,11 @@ def test_solve_leaves_no_garbage(algorithm, mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", DISPATCH_MODES)
 @pytest.mark.parametrize("algorithm", STREAMING_ALGORITHMS)
-def test_finalized_session_leaves_no_garbage(algorithm, mode):
+def test_finalized_session_leaves_no_garbage(algorithm, mode, monkeypatch):
+    monkeypatch.setenv(DISPATCH_ENV_VAR, mode)
+
     def run():
-        session = open_session(algorithm, INSTANCE.machines, dispatch=mode)
+        session = open_session(algorithm, INSTANCE.machines)
         for start in range(0, len(JOBS), 16):
             session.submit_many(JOBS[start:start + 16])
             session.poll()
@@ -89,9 +91,11 @@ def test_finalized_session_leaves_no_garbage(algorithm, mode):
 
 @pytest.mark.parametrize("mode", DISPATCH_MODES)
 @pytest.mark.parametrize("algorithm", STREAMING_ALGORITHMS)
-def test_closed_hosted_session_leaves_no_garbage(algorithm, mode):
+def test_closed_hosted_session_leaves_no_garbage(algorithm, mode, monkeypatch):
+    monkeypatch.setenv(DISPATCH_ENV_VAR, mode)
+
     def run():
-        manager = SessionManager(defaults={"algorithm": algorithm, "machines": 2, "dispatch": mode})
+        manager = SessionManager(defaults={"algorithm": algorithm, "machines": 2})
         manager.create("tenant")
         for start in range(0, len(JOBS), 16):
             manager.submit("tenant", JOBS[start:start + 16])

@@ -50,6 +50,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import dispatch_mode
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -238,14 +239,21 @@ class TestProtocol:
             parse_request(canonical_json({**line, "bogus": 1}))
 
     def test_create_accepts_every_option_and_null_defaults(self):
-        options = {
-            "algorithm": "fcfs", "machines": 3, "alpha": 2, "dispatch": "scan",
-            "params": {}, "max_pending": 8,
-        }
+        options = {"algorithm": "fcfs", "machines": 3, "alpha": 2, "params": {}, "max_pending": 8}
         line = canonical_json({"op": "create", "session": "s", "v": 1, **options})
         assert parse_request(line).payload == options
         nulls = canonical_json({"op": "create", "session": "s", **dict.fromkeys(options)})
         assert parse_request(nulls).payload == dict.fromkeys(options)
+
+    def test_create_takes_no_dispatch_mode(self):
+        # The server process picks the mode (REPRO_DISPATCH), for every session.
+        line = canonical_json({"op": "create", "session": "s", "v": 1, "dispatch": "scan"})
+        with pytest.raises(
+            ServiceProtocolError,
+            match=r"^line 0: op 'create' has unknown field 'dispatch'; it reads "
+            r"\['algorithm', 'alpha', 'machines', 'max_pending', 'params'\]",
+        ):
+            parse_request(line)
 
     def test_advance_to_infinity_is_legal(self):
         assert parse_request('{"op": "advance", "session": "s", "t": Infinity}').op == "advance"
@@ -452,6 +460,17 @@ class TestSessionManager:
         assert manager.create("t", max_pending=MAX_PENDING).max_pending == MAX_PENDING
         assert SessionManager(max_pending=MAX_PENDING).max_pending == MAX_PENDING
 
+    @pytest.mark.parametrize("key", ["dispatch", "max_pending", "name", "bogus"])
+    def test_defaults_refuse_a_key_they_do_not_read(self, key):
+        # A leftover "dispatch" (the process picks the mode) or any other
+        # key create does not read is refused, not silently ignored.
+        with pytest.raises(
+            ServiceError,
+            match=rf"^unknown session default\(s\) \['{key}'\]; defaults set "
+            r"\['algorithm', 'alpha', 'machines', 'params'\]$",
+        ):
+            SessionManager(defaults={**GOLDEN_OPTS, key: "scan"})
+
     def test_open_sessions_have_a_ceiling(self, monkeypatch):
         # Closed and failed sessions free their place; each refusal names the
         # limit, and neither create nor restore hosts anything past it.
@@ -502,20 +521,21 @@ def test_arbitrary_kill_point_restores_byte_identical(kill_point, dispatch):
     session restored elsewhere finishes byte-identical to the uninterrupted
     run, per dispatch."""
     jobs = _jobs(_KILL_N, scenario="flash-crowd")
-    opts = {**GOLDEN_OPTS, "dispatch": dispatch}
-    manager = SessionManager(defaults=opts)
-    manager.create("t")
-    for index, job in enumerate(jobs[:kill_point]):
-        manager.submit("t", [job])
-        if index % 3 == 2:  # interleave mid-stream polls with pure submits
-            manager.poll("t")
-    snapshot = json.loads(canonical_json(manager.snapshot("t")))  # what the client kept
-    del manager  # the crash
-    recovered = SessionManager(defaults=opts)
-    recovered.restore("t", snapshot)
-    for job in jobs[kill_point:]:
-        recovered.submit("t", [job])
-    row, _ = recovered.close("t")
+    with dispatch_mode(dispatch):
+        manager = SessionManager(defaults=GOLDEN_OPTS)
+        manager.create("t")
+        for index, job in enumerate(jobs[:kill_point]):
+            manager.submit("t", [job])
+            if index % 3 == 2:  # interleave mid-stream polls with pure submits
+                manager.poll("t")
+        snapshot = json.loads(canonical_json(manager.snapshot("t")))  # what the client kept
+        del manager  # the crash
+        recovered = SessionManager(defaults=GOLDEN_OPTS)
+        recovered.restore("t", snapshot)
+        for job in jobs[kill_point:]:
+            recovered.submit("t", [job])
+        assert recovered.stats("t")["dispatch"] == dispatch
+        row, _ = recovered.close("t")
     assert canonical_json(row) == _KILL_REFERENCE[dispatch]
 
 
@@ -641,9 +661,9 @@ class TestServer:
         # streaming algorithm; the session name needs escaping.
         name = f'{algorithm} "{dispatch}" →'
         jobs = _jobs(16, scenario="flash-crowd")
-        local = open_session(algorithm, 2, dispatch=dispatch)
         events, wire = [], []
         with (
+            dispatch_mode(dispatch),
             start_server_thread() as handle,
             socket.create_connection((handle.host, handle.port), timeout=30) as sock,
             sock.makefile("rb") as reader,
@@ -661,7 +681,8 @@ class TestServer:
                     elif row["event"] == TERMINATORS[op]:
                         return
 
-            request("create", algorithm=algorithm, machines=2, dispatch=dispatch)
+            local = open_session(algorithm, 2)
+            request("create", algorithm=algorithm, machines=2)
             for offset in range(0, len(jobs), 4):
                 chunk = jobs[offset : offset + 4]
                 request("submit", jobs=[job.to_dict() for job in chunk])
@@ -1378,6 +1399,34 @@ class TestCLI:
         assert {sig: signal.getsignal(sig) for sig in previous} == previous
         assert server.address is None
 
+    def test_server_thread_that_cannot_listen_raises_its_error(self, capfd):
+        # The caller gets the server's own error, not a bare "failed to
+        # start", and no thread traceback reaches stderr.
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            with pytest.raises(
+                ServiceError,
+                match=rf"^cannot listen on 127\.0\.0\.1:{port}: \[Errno 98\] Address already in",
+            ):
+                start_server_thread(port=port)
+        assert capfd.readouterr().err == ""
+
+    def test_self_hosted_loadgen_that_cannot_listen_is_a_clean_error(self, monkeypatch, capfd):
+        # `repro loadgen` without --connect starts its server on a thread; a
+        # stand-in bind fails as a held port does.
+        def address_in_use(*args, **kwargs):
+            raise OSError(98, "Address already in use")
+
+        monkeypatch.setattr(socket, "create_server", address_in_use)
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(["loadgen", "--sessions", "1", "--jobs", "4"], out=out, err=err)
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            "error: cannot listen on 127.0.0.1:0: [Errno 98] Address already in use\n"
+        )
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -1490,6 +1539,39 @@ class TestShutdownSemantics:
         assert proc.returncode == 0, (out, err)
         shutdown = json.loads(out.splitlines()[-1])
         assert shutdown["unclean"] == [] and shutdown["drained"] == 0
+
+    @staticmethod
+    def _serve_in_mode(mode):
+        """One session on a `serve --listen` process run under REPRO_DISPATCH=mode."""
+        with dispatch_mode(mode):
+            proc, host, port = _spawn_server()
+        try:
+            with ServiceClient(host, port, timeout=30) as client:
+                created = client.create("t")
+                client.submit("t", [j.to_dict() for j in _jobs(20, scenario="flash-crowd")])
+                decisions = list(client.poll("t").decisions)
+                stats, (listing,) = client.stats("t"), client.sessions()
+                final = client.close_session("t")
+                client.shutdown()
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, (out, err)
+        modes = (created["dispatch"], stats["dispatch"], listing["dispatch"])
+        return modes, decisions + list(final.decisions), final.event
+
+    def test_a_server_runs_its_process_dispatch_mode(self):
+        # REPRO_DISPATCH is the one place a server's mode is set; `created`,
+        # `stats` and `sessions` report it, and the decision and final lines
+        # are those of the default indexed server.
+        (scan_modes, *scan_lines), (indexed_modes, *indexed_lines) = (
+            self._serve_in_mode(mode) for mode in ("scan", "indexed")
+        )
+        assert scan_modes == ("scan",) * 3 and indexed_modes == ("indexed",) * 3
+        assert scan_lines == indexed_lines
+        assert scan_lines[0] and scan_lines[1]["event"] == "final"
 
     def test_client_snapshot_outlives_a_killed_server(self):
         """The client keeps a snapshot, the server is SIGKILLed; a fresh

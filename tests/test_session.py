@@ -22,6 +22,7 @@ import math
 from collections import Counter
 
 import pytest
+from conftest import dispatch_mode
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_property_based import flow_instances
@@ -67,10 +68,11 @@ def _assert_outcome_identical(streamed, batch):
     assert streamed.result.extras == batch.result.extras
 
 
-def _replay(instance, algorithm, dispatch=None, **params):
-    session = open_session(algorithm, instance.machines, dispatch=dispatch, **params)
-    session.submit_many(instance.jobs)
-    return session, session.finalize()
+def _replay(instance, algorithm, dispatch="indexed", **params):
+    with dispatch_mode(dispatch):
+        session = open_session(algorithm, instance.machines, **params)
+        session.submit_many(instance.jobs)
+        return session, session.finalize()
 
 
 # --------------------------------------------------------------------------------------
@@ -313,16 +315,24 @@ class TestSnapshotRestore:
         _assert_outcome_identical(resumed, batch)
         assert restored.events == session.events
 
-    def test_restore_rejects_removed_vectorized_mode(self):
-        # Snapshots recorded when a third ``vectorized`` mode existed name
-        # a mode this version no longer has: restoring fails loudly with the
-        # attributed error instead of silently running another path.
-        instance = InstanceGenerator(num_machines=2, seed=23).generate(10)
-        session = open_session("rejection-flow", instance.machines, epsilon=0.5)
-        session.submit_many(instance.jobs[:5])
-        snapshot = {**session.snapshot(), "dispatch": "vectorized"}
-        with pytest.raises(SimulationError, match="dispatch must be one of"):
-            SchedulerSession.restore(snapshot)
+    @pytest.mark.parametrize("mode", DISPATCH_MODES)
+    def test_restore_ignores_the_dispatch_key_of_older_snapshots(self, mode):
+        # Older versions wrote the session's dispatch mode into snapshots.
+        # A snapshot carrying one, even a mode that no longer exists,
+        # restores in the process's mode and finalizes to the same row.
+        instance = InstanceGenerator(num_machines=2, seed=23).generate(40)
+        expected = _replay(instance, "rejection-flow", mode, epsilon=0.5)[1].as_row()
+        with dispatch_mode(mode):
+            session = open_session("rejection-flow", instance.machines, epsilon=0.5)
+            session.submit_many(instance.jobs[:20])
+            session.poll()
+            assert "dispatch" not in session.snapshot()
+            for older in ("indexed", "scan", "vectorized"):
+                restored = SchedulerSession.restore({**session.snapshot(), "dispatch": older})
+                assert restored.dispatch == mode
+                assert restored.to_json() == session.to_json()
+                restored.submit_many(instance.jobs[20:])
+                assert restored.finalize().as_row() == expected
 
     def test_restore_from_json_string(self):
         instance = InstanceGenerator(num_machines=2, seed=23).generate(40)
@@ -441,25 +451,26 @@ class TestSnapshotRestore:
         # hot_switch restores its own snapshot), the snapshot restores to the
         # same op log, event count and undelivered events.
         jobs = list(InstanceGenerator(num_machines=2, seed=37).generate(20).jobs)
-        session = open_session(algorithm, 2, dispatch=dispatch)
-        for step in steps:
-            if step == "submit" and jobs:
-                session.submit(jobs.pop(0))
-            elif step == "submit_many":
-                session.submit_many(jobs[:3])
-                del jobs[:3]
-            elif step == "poll":
-                session.poll()
-            elif step == "advance":
-                session.advance_to(jobs[0].release if jobs else math.inf)
-            elif step == "take":
-                session.take_events()
-            elif step == "switch" and algorithm == "meta":
-                session.hot_switch("greedy")
-            restored = SchedulerSession.restore(session.snapshot())
-            assert restored.to_json() == session.to_json()
-            assert restored.events_emitted == session.events_emitted
-            assert restored.events == session.events
+        with dispatch_mode(dispatch):
+            session = open_session(algorithm, 2)
+            for step in steps:
+                if step == "submit" and jobs:
+                    session.submit(jobs.pop(0))
+                elif step == "submit_many":
+                    session.submit_many(jobs[:3])
+                    del jobs[:3]
+                elif step == "poll":
+                    session.poll()
+                elif step == "advance":
+                    session.advance_to(jobs[0].release if jobs else math.inf)
+                elif step == "take":
+                    session.take_events()
+                elif step == "switch" and algorithm == "meta":
+                    session.hot_switch("greedy")
+                restored = SchedulerSession.restore(session.snapshot())
+                assert restored.to_json() == session.to_json()
+                assert restored.events_emitted == session.events_emitted
+                assert restored.events == session.events
 
     def test_restore_rejects_unknown_schema(self):
         session = open_session("fcfs", 2)
@@ -651,16 +662,18 @@ class TestStatsFromStream:
         # event it replays was already handed out by the original.
         algorithm, params, jobs = _STATS_CASES[case]
         machines = len(jobs[0].sizes)
-        session = open_session(algorithm, machines, dispatch=dispatch, **params)
-        stream: list[DecisionEvent] = []
-        half = len(jobs) // 2
-        for offset in range(0, len(jobs), 7):
-            session.submit_many(jobs[offset : offset + 7])
-            stream.extend(session.poll())
-            _check_stats(session, stream)
-            if offset < half <= offset + 7:
-                session = SchedulerSession.restore(session.to_json())
+        with dispatch_mode(dispatch):
+            session = open_session(algorithm, machines, **params)
+            stream: list[DecisionEvent] = []
+            half = len(jobs) // 2
+            for offset in range(0, len(jobs), 7):
+                session.submit_many(jobs[offset : offset + 7])
+                stream.extend(session.poll())
                 _check_stats(session, stream)
+                if offset < half <= offset + 7:
+                    session = SchedulerSession.restore(session.to_json())
+                    _check_stats(session, stream)
+        assert session.dispatch == dispatch
         session.finalize()
         stream.extend(session.take_events())
         _check_stats(session, stream)
@@ -687,10 +700,12 @@ class TestSessionErrors:
             assert get_solver(algorithm).supports_streaming
 
     def test_out_of_order_release_rejected(self):
+        # The stepper refuses it; the session keeps no release check of its own.
         session = open_session("fcfs", 2)
         session.submit(Job(0, 5.0, (1.0, 1.0)))
-        with pytest.raises(SessionStateError, match="non-decreasing"):
+        with pytest.raises(SimulationError, match="already reached 5.0; jobs are offered in"):
             session.submit(Job(1, 4.0, (1.0, 1.0)))
+        assert session.num_submitted == 1 and session.stats()["watermark"] == 5.0
 
     def test_duplicate_id_rejected(self):
         session = open_session("fcfs", 2)
@@ -759,23 +774,24 @@ class TestSessionErrors:
         session = open_session("fcfs", 2)
         session.submit(Job(0, 0.0, (1.0, 1.0)))
         session.advance_to(10.0)
-        with pytest.raises(SessionStateError, match="non-decreasing"):
+        with pytest.raises(SimulationError, match="already reached 10.0"):
             session.submit(Job(1, 5.0, (1.0, 1.0)))
 
     @pytest.mark.parametrize("mode", DISPATCH_MODES)
     def test_advance_to_nan_is_refused_and_infinity_ends_the_stream(self, mode):
         instance = SCENARIOS["multi-tenant-mix"].instance(12, 2, 7, alpha=3.0)
-        session = open_session("rejection-flow", 2, dispatch=mode, epsilon=0.5)
-        session.submit_many(instance.jobs[:4])
-        before = session.to_json()
-        with pytest.raises(InvalidParameterError, match="NaN"):
-            session.advance_to(float("nan"))
-        assert session.to_json() == before  # nothing processed, nothing logged
-        session.submit_many(instance.jobs[4:])
-        session.advance_to(float("inf"))
-        with pytest.raises(SessionStateError, match="non-decreasing"):
-            session.submit(Job(99, instance.jobs[-1].release, (1.0, 1.0)))
-        restored = SchedulerSession.restore(session.to_json())
+        with dispatch_mode(mode):
+            session = open_session("rejection-flow", 2, epsilon=0.5)
+            session.submit_many(instance.jobs[:4])
+            before = session.to_json()
+            with pytest.raises(InvalidParameterError, match="NaN"):
+                session.advance_to(float("nan"))
+            assert session.to_json() == before  # nothing processed, nothing logged
+            session.submit_many(instance.jobs[4:])
+            session.advance_to(float("inf"))
+            with pytest.raises(SimulationError, match="already reached inf"):
+                session.submit(Job(99, instance.jobs[-1].release, (1.0, 1.0)))
+            restored = SchedulerSession.restore(session.to_json())
         batch = solve(instance, "rejection-flow", dispatch=mode, epsilon=0.5)
         _assert_outcome_identical(session.finalize(), batch)
         _assert_outcome_identical(restored.finalize(), batch)
@@ -838,6 +854,55 @@ class TestEngineStepper:
         stepper.drain()  # completion at 5.0
         with pytest.raises(SimulationError, match="already reached"):
             stepper.offer(Job(1, 2.0, (1.0,)))
+
+    @pytest.mark.parametrize("across_calls", [False, True], ids=["one-call", "two-calls"])
+    def test_out_of_order_offer_is_refused_and_leaves_the_stepper_unchanged(
+        self, mode, across_calls
+    ):
+        # Jobs are offered in release order: a release below the previous
+        # offer's is refused before anything is processed, the refused batch
+        # leaves no trace, and the run then matches the batch run.
+        jobs = [Job(k, float(k), (1.0 + k,)) for k in range(4)]
+        instance = Instance.build(1, jobs)
+        stepper = FlowTimeEngine(instance, dispatch=mode).stepper(FCFSScheduler())
+        if across_calls:
+            stepper.offer_many(jobs[:2])
+            batch, late, bound = [jobs[3], jobs[2]], jobs[2], jobs[3].release
+        else:
+            batch, late, bound = [jobs[0], jobs[2], jobs[1], jobs[3]], jobs[1], jobs[2].release
+        known = list(stepper.state.jobs_by_id.items())
+        queued = len(stepper.queue)
+        with pytest.raises(
+            SimulationError,
+            match=rf"^job {late.id} released at {late.release} but the stream already "
+            rf"reached {bound}; jobs are offered in release order$",
+        ):
+            stepper.offer_many(batch)
+        assert list(stepper.state.jobs_by_id.items()) == known
+        assert len(stepper.queue) == queued and stepper.event_count == 0
+        stepper.offer_many(jobs[len(known):])
+        stepper.drain()
+        result = stepper.finish()
+        batch_run = FlowTimeEngine(instance, dispatch=mode).run(FCFSScheduler())
+        assert result.records == batch_run.records
+        assert result.intervals == batch_run.intervals
+
+    def test_an_offer_from_the_observer_raises_the_release_bound(self, mode):
+        # An observer may offer jobs while a run advances; the bound that
+        # offer sets stays in place after the loop, in both modes.
+        engine, policy = self._engine(mode)
+
+        def offer_on_first_start(event):
+            if event.kind == "start" and event.job_id == 0:
+                stepper.offer(Job(1, 10.0, (1.0,)))
+
+        stepper = engine.stepper(policy, offer_on_first_start)
+        stepper.offer(Job(0, 0.0, (1.0,)))
+        stepper.advance_to(2.0)
+        assert stepper.peek_time() == 10.0
+        with pytest.raises(SimulationError, match="already reached 10.0"):
+            stepper.offer(Job(2, 5.0, (1.0,)))
+        stepper.offer(Job(3, 10.0, (1.0,)))
 
     def test_finished_stepper_is_sealed(self, mode):
         engine, policy = self._engine(mode)

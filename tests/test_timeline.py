@@ -107,3 +107,18 @@ class TestFeasibleStrategies:
         timeline = DiscreteTimeline(num_machines=1, num_slots=10, slot_length=0.5, alpha=2.0)
         assert timeline.slot_of(2.4) == 4
         assert timeline.time_of(4) == pytest.approx(2.0)
+
+
+def test_total_energy_adds_left_to_right():
+    # Machine energies 1.0, then ten of 1e-16: left to right, as ``sum``
+    # adds on 3.10 and 3.11, the total stays 1.0; 3.12's compensated
+    # ``sum`` gives 1.000000000000001.
+    class Tail(DiscreteTimeline):
+        def __init__(self):
+            self.num_machines = 11
+
+        def machine_energy(self, machine):
+            return 1.0 if machine == 0 else 1e-16
+
+    assert math.fsum(Tail().machine_energy(i) for i in range(11)) != 1.0
+    assert Tail().total_energy() == 1.0

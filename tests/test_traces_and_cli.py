@@ -2,12 +2,14 @@
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import dispatch_mode
 
 import repro
 from repro.analysis.traces import ascii_gantt, result_to_trace, trace_to_csv
@@ -101,12 +103,11 @@ class TestCLI:
             build_parser().parse_args([])
 
     @pytest.mark.parametrize("command", ["solve", "serve", "loadgen"])
-    def test_dispatch_flag_takes_only_dispatch_modes(self, command, capsys):
-        for mode in DISPATCH_MODES:
-            assert build_parser().parse_args([command, "--dispatch", mode]).dispatch == mode
+    def test_no_dispatch_flag(self, command, capsys):
+        # The dispatch mode is a per-process setting (REPRO_DISPATCH).
         with pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--dispatch", "vectorized"])
-        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+            build_parser().parse_args([command, "--dispatch", "scan"])
+        assert "unrecognized arguments: --dispatch scan" in capsys.readouterr().err
 
     def test_subcommands(self):
         # One coordinator per solve: no subcommand splits the scheduler.
@@ -212,8 +213,8 @@ class TestSolveSchedule:
     # the schedule of the default one.
     @pytest.mark.parametrize("algorithm, dispatch", _SCHEDULE_RUNS)
     def test_chart_and_csv_are_those_of_the_solved_schedule(self, algorithm, dispatch):
-        pinned = [] if dispatch is None else ["--dispatch", dispatch]
-        code, text = self._run(["--algorithm", algorithm, *pinned, "--gantt", "--schedule-csv"])
+        with dispatch_mode(dispatch):
+            code, text = self._run(["--algorithm", algorithm, "--gantt", "--schedule-csv"])
         assert code == 0
         summary, schedule = text.split("\n\n", 1)
         assert summary.startswith("instance      : ")
@@ -387,9 +388,8 @@ class TestSolveSources:
             args = ["--scenario", "multi-tenant-mix", "--jobs", "60", "--seed", "2018"]
         rows = set()
         for mode in DISPATCH_MODES:
-            code, text, _ = self._run(
-                ["solve", *args, "--dispatch", mode, "--param", "epsilon=0.5", "--json"]
-            )
+            with dispatch_mode(mode):
+                code, text, _ = self._run(["solve", *args, "--param", "epsilon=0.5", "--json"])
             assert code == 0
             rows.add(text)
         assert len(rows) == 1
@@ -493,13 +493,53 @@ class TestServeCommand:
         _, path = self._trace_file(tmp_path, num_jobs=3)
         for raw, cause in (
             ("alpha=2", "--param cannot set"),
-            ("dispatch=scan", "--param cannot set"),
-            # Sessions have no event-retention option: an algorithm parameter
-            # of that name is unknown like any other.
+            # Sessions have no event-retention option, and no dispatch mode
+            # (the process picks it): an algorithm parameter of either name
+            # is unknown like any other.
             ("retain_events=true", "unknown parameter(s) for algorithm 'rejection-flow'"),
+            ("dispatch=scan", "unknown parameter(s) for algorithm 'rejection-flow'"),
         ):
             err = io.StringIO()
             code = main(["serve", "--machines", "2", "--param", raw,
                          "--trace", str(path)], out=io.StringIO(), err=err)
             assert code == 2
             assert cause in err.getvalue()
+
+    def _refused(self, argv):
+        """Run ``serve`` on a stream with a row its session refuses."""
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["serve", "--machines", "1", *argv], out=out, err=err)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_serve_names_the_csv_line_of_a_refused_row(self, tmp_path):
+        # Line 4 repeats id 1: each row parses, so the session refuses it,
+        # and the error names the line as `solve --trace` does.
+        path = tmp_path / "dup.csv"
+        path.write_text("id,release,size_0\n0,0.0,1.0\n1,0.5,2.0\n1,1.0,1.0\n", encoding="utf-8")
+        code, text, err = self._refused(["--trace", str(path)])
+        assert code == 2
+        assert err == "error: line 4: job id 1 was already offered\n"
+        # The decisions made before the refusal were printed.
+        assert [json.loads(line)["job_id"] for line in text.splitlines()] == [0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ('{"id": 0, "release": 2.0, "sizes": [1.0]}', "job id 0 was already offered"),
+            (
+                '{"id": 1, "release": 0.5, "sizes": [1.0]}',
+                "job 1 released at 0.5 but the stream already reached 1.0; "
+                "jobs are offered in release order",
+            ),
+            ('{"id": 1, "release": 1.5, "sizes": [1.0, 2.0]}',
+             "job 1: size vector has 2 entries, expected 1"),
+        ],
+        ids=["repeated-id", "release-back-in-time", "wrong-width"],
+    )
+    def test_serve_names_the_stdin_line_of_a_refused_row(self, monkeypatch, second, message):
+        stdin = '{"id": 0, "release": 1.0, "sizes": [1.0]}\n# comment\n' + second + "\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, text, err = self._refused([])
+        assert code == 2
+        assert err == f"error: line 3: {message}\n"
+        assert [json.loads(line)["kind"] for line in text.splitlines()] == ["dispatch", "start"]
